@@ -282,21 +282,21 @@ def _metadata(cfg: ExperimentConfig, extra=None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _periodic_curve(cfg: ExperimentConfig, spec, max_period: int = _MAX_PERIOD) -> Curve:
+def _periodic_curve(cfg: ExperimentConfig, max_period: int = _MAX_PERIOD) -> Curve:
     """Best-interval periodic baseline across the configured prices.
 
     Throughput and feedback rate of a fixed interval do not depend on the
     price, so each interval is measured once and the best interval per price
     is then re-simulated to report its error bar honestly.
     """
-    base = [simulate_periodic(k, spec, cfg.params, cfg.rewards(0.0),
+    base = [simulate_periodic(k, None, cfg.params, cfg.rewards(0.0),
                               cfg.trajectory)
             for k in range(1, max_period + 1)]
     points = []
     for a in cfg.alphas:
         nets = [r.throughput - a * r.feedback_rate for r in base]
         best_k = 1 + int(np.argmax(nets))
-        res = simulate_periodic(best_k, spec, cfg.params, cfg.rewards(a),
+        res = simulate_periodic(best_k, None, cfg.params, cfg.rewards(a),
                                 cfg.trajectory)
         points.append(CurvePoint(alpha=float(a), net=res.net,
                                  throughput=res.throughput,
@@ -321,16 +321,12 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
         for dop in (0.1, 0.01):
             sub = dataclasses.replace(plain, doppler_slot=dop)
             curves.append((f"controlled_dop{dop}", _controlled_curve(sub)))
-            spec = make_grid(sub.L, sub.M, sub.N, sub.model_samples,
-                             _stream(sub, 4))
-            curves.append((f"periodic_dop{dop}", _periodic_curve(sub, spec)))
+            curves.append((f"periodic_dop{dop}", _periodic_curve(sub)))
     elif figure == 4:
         for L in (3, 4):
             sub = dataclasses.replace(plain, L=L)
             curves.append((f"controlled_L{L}", _controlled_curve(sub)))
-            spec = make_grid(sub.L, sub.M, sub.N, sub.model_samples,
-                             _stream(sub, 4))
-            curves.append((f"periodic_L{L}", _periodic_curve(sub, spec)))
+            curves.append((f"periodic_L{L}", _periodic_curve(sub)))
     else:  # 6 and 7: perfect against codebook-quantized feedback
         quant = dataclasses.replace(
             cfg, codebook_method=cfg.codebook_method or "lloyd")

@@ -10,11 +10,12 @@ seed, giving common random numbers across policies, prices, and baselines.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .channel import FadingParams, _as_rng, _complex_normal
 from .codebook import epsilon_statistics, quantize_shape
@@ -115,23 +116,42 @@ def _streams(seed, tag: int):
 def _trajectory(params: FadingParams, config: TrajectoryConfig):
     """Channel power, unit shapes, and an initial beam for a whole run.
 
-    The recursion is linear in the driving noise, so the run is one filter
-    pass per antenna; the policy cannot influence the channel, which lets
-    every policy share the same trajectory for a given seed.
+    The policy cannot influence the channel, so every policy, price and
+    baseline of a seeded run shares one trajectory: the last seeded one is
+    kept, read-only, and handed back while the same run asks for it.
     """
-    rng = _streams(config.seed, 0)
-    T = config.slots
-    L = params.L
+    if config.seed is None:
+        return _build_trajectory(params.L, params.rho, config.slots, None)
+    return _shared_trajectory(params.L, params.rho, config.slots, config.seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _shared_trajectory(L: int, rho: float, slots: int, seed):
+    traj = _build_trajectory(L, rho, slots, seed)
+    for arr in traj:
+        arr.setflags(write=False)
+    return traj
+
+
+def _build_trajectory(L: int, rho: float, slots: int, seed):
+    """One pass of the first-order recursion h' = rho h + sqrt(1 - rho^2) w.
+
+    Each antenna runs the recursion as a sequential Python loop, which keeps
+    scipy.signal out of the import path and rounds exactly as a direct-form
+    IIR filter does.
+    """
+    rng = _streams(seed, 0)
     h0 = _complex_normal(rng, (L,))
     f0 = _complex_normal(rng, (L,))
     f0 /= np.linalg.norm(f0)
-    rho = params.rho
-    H = np.empty((T, L), dtype=complex)
+    H = np.empty((slots, L), dtype=complex)
     H[0] = h0
-    if T > 1:
-        drive = math.sqrt(1.0 - rho * rho) * _complex_normal(rng, (T - 1, L))
-        H[1:], _ = signal.lfilter([1.0], [1.0, -rho], drive, axis=0,
-                                  zi=(rho * h0)[None, :])
+    if slots > 1:
+        drive = math.sqrt(1.0 - rho * rho) * _complex_normal(rng, (slots - 1, L))
+        for l in range(L):
+            H[:, l] = np.fromiter(itertools.accumulate(
+                drive[:, l].tolist(), lambda y, x: x + rho * y,
+                initial=complex(h0[l])), dtype=complex, count=slots)
     g = np.einsum("tl,tl->t", H.conj(), H).real
     S = H / np.sqrt(g)[:, None]
     return g, S, f0
@@ -242,10 +262,13 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     return _aggregate(g, z, fb, rewards, config)
 
 
-def simulate_periodic(period: int, spec: GridSpec, params: FadingParams,
+def simulate_periodic(period: int, spec: GridSpec | None, params: FadingParams,
                       rewards: RewardSpec, config: TrajectoryConfig,
                       codebook=None) -> EvalResult:
-    """Feedback every ``period`` slots regardless of state."""
+    """Feedback every ``period`` slots regardless of state.
+
+    The grid plays no role here and may be None.
+    """
     if int(period) < 1:
         raise ValueError("period must be positive")
     traj = _trajectory(params, config)

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .channel import FadingParams, _as_rng, _complex_normal
 
@@ -148,7 +148,7 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
         raise ValueError("L and M must be positive")
     if int(sample_count) < 1:
         raise ValueError("sample_count must be positive")
-    edges = stats.gamma.ppf(np.arange(M + 1) / M, a=L)
+    edges = special.gammaincinv(L, np.arange(M + 1) / M)
     rng = _as_rng(rng)
     g = rng.gamma(float(L), 1.0, size=int(sample_count))
     bins = np.clip(np.searchsorted(edges, g, side="right") - 1, 0, M - 1)

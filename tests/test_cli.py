@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import beamfeedback
 from beamfeedback import cli
 from beamfeedback.cli import (
     EXIT_CONFIG,
@@ -394,3 +397,19 @@ class TestMainEntry:
         for label in ("controlled_L3", "periodic_L3", "controlled_L4",
                       "periodic_L4"):
             assert os.path.exists(f"{prefix}.fig4.{label}.csv")
+
+
+class TestImportFootprint:
+    def test_cli_import_skips_heavy_scipy_subpackages(self):
+        # scipy.special is the only subpackage the runtime needs; the others
+        # cost over a second of start-up in every command
+        heavy = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.sparse",
+                 "scipy.optimize", "scipy.integrate", "scipy.interpolate")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beamfeedback.__file__)))
+        code = ("import sys, beamfeedback.cli; "
+                f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        child = subprocess.run([sys.executable, "-c", code],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, signal, stats
 
-from beamfeedback.channel import FadingParams
+from beamfeedback import simulator
+from beamfeedback.channel import FadingParams, _complex_normal
 from beamfeedback.codebook import lloyd_codebook, random_codebook
 from beamfeedback.mdp import (
     Policy,
@@ -114,6 +115,70 @@ class TestTypes:
         Curve(points=(q, p))
         with pytest.raises(ValueError, match="increasing"):
             Curve(points=(p, q))
+
+
+# ----------------------------------------------------------------------------
+# shared trajectories against the direct-form filter
+# ----------------------------------------------------------------------------
+
+def lfilter_trajectory(params, config):
+    """Reference trajectory: the AR(1) recursion as one IIR filter pass."""
+    rng = simulator._streams(config.seed, 0)
+    T, L, rho = config.slots, params.L, params.rho
+    h0 = _complex_normal(rng, (L,))
+    f0 = _complex_normal(rng, (L,))
+    f0 /= np.linalg.norm(f0)
+    H = np.empty((T, L), dtype=complex)
+    H[0] = h0
+    if T > 1:
+        drive = math.sqrt(1.0 - rho * rho) * _complex_normal(rng, (T - 1, L))
+        H[1:], _ = signal.lfilter([1.0], [1.0, -rho], drive, axis=0,
+                                  zi=(rho * h0)[None, :])
+    g = np.einsum("tl,tl->t", H.conj(), H).real
+    S = H / np.sqrt(g)[:, None]
+    return g, S, f0
+
+
+class TestTrajectory:
+    # 0.3827 puts 2*pi*doppler at the first zero of J0, so rho is about 0
+    @pytest.mark.parametrize("doppler", [0.0, 0.01, 0.1, 0.3827])
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    def test_matches_lfilter_bit_for_bit(self, L, doppler):
+        params = FadingParams(L=L, doppler_slot=doppler)
+        for slots in (1, 2, 5000):
+            cfg = TrajectoryConfig(slots=slots, warmup=0, seed=31)
+            got = simulator._trajectory(params, cfg)
+            want = lfilter_trajectory(params, cfg)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_seeded_run_shares_one_trajectory(self):
+        cfg = TrajectoryConfig(slots=3000, seed=37)
+        a = simulator._trajectory(PARAMS, cfg)
+        b = simulator._trajectory(PARAMS, cfg)
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_shared_trajectory_is_read_only(self):
+        g, S, f = simulator._trajectory(PARAMS, TrajectoryConfig(slots=3000, seed=41))
+        for arr in (g, S, f):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_unseeded_runs_draw_fresh_trajectories(self):
+        cfg = TrajectoryConfig(slots=3000)
+        a = simulator._trajectory(PARAMS, cfg)
+        b = simulator._trajectory(PARAMS, cfg)
+        assert not np.array_equal(a[0], b[0])
+
+    def test_switching_configs_restores_exact_values(self):
+        A = TrajectoryConfig(slots=3000, seed=43)
+        B = TrajectoryConfig(slots=3000, seed=44)
+        first = [arr.copy() for arr in simulator._trajectory(PARAMS, A)]
+        other = simulator._trajectory(PARAMS, B)
+        again = simulator._trajectory(PARAMS, A)
+        assert not np.array_equal(other[0], first[0])
+        for a, b in zip(again, first):
+            assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from beamfeedback.channel import FadingParams
 from beamfeedback.state_grid import (
@@ -90,6 +90,12 @@ class TestPowerGrid:
         for args in [(0, 4, 100, 0), (3, 0, 100, 0), (3, 4, 0, 0)]:
             with pytest.raises(ValueError):
                 build_g_grid(*args)
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_edges_equal_gamma_quantiles(self, L):
+        for M in (1, 16, 40, 128):
+            edges, _ = build_g_grid(L, M, 20_000, 0)
+            assert np.array_equal(edges, stats.gamma.ppf(np.arange(M + 1) / M, a=L))
 
 
 class TestAlignmentGrid:
