@@ -47,8 +47,7 @@ def main():
     print(f"{'alpha':>6} {'ctrl net':>9} {'fb rate':>8} {'thresh':>7} "
           f"{'periodic net':>13} {'interval':>9} {'gap':>7}")
     for point in curve.points:
-        period, fixed = periodic_baseline(spec, params,
-                                          RewardSpec(P=P, alpha=point.alpha),
+        period, fixed = periodic_baseline(params, RewardSpec(P=P, alpha=point.alpha),
                                           args.max_period, run)
         gap = point.net - fixed.net
         print(f"{point.alpha:6.2f} {point.net:9.4f} {point.feedback_rate:8.3f} "

@@ -289,15 +289,13 @@ def _periodic_curve(cfg: ExperimentConfig, max_period: int = _MAX_PERIOD) -> Cur
     price, so each interval is measured once and the best interval per price
     is then re-simulated to report its error bar honestly.
     """
-    base = [simulate_periodic(k, None, cfg.params, cfg.rewards(0.0),
-                              cfg.trajectory)
+    base = [simulate_periodic(k, cfg.params, cfg.rewards(0.0), cfg.trajectory)
             for k in range(1, max_period + 1)]
     points = []
     for a in cfg.alphas:
         nets = [r.throughput - a * r.feedback_rate for r in base]
         best_k = 1 + int(np.argmax(nets))
-        res = simulate_periodic(best_k, None, cfg.params, cfg.rewards(a),
-                                cfg.trajectory)
+        res = simulate_periodic(best_k, cfg.params, cfg.rewards(a), cfg.trajectory)
         points.append(CurvePoint(alpha=float(a), net=res.net,
                                  throughput=res.throughput,
                                  feedback_rate=res.feedback_rate,

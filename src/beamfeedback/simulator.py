@@ -2,10 +2,16 @@
 
 Trajectories follow the first-order channel recursion; the controller sees
 the binned state and decides feedback per slot, while throughput accrues
-with the true power and alignment.  The beam only changes on feedback, so
-whole trajectories are precomputed and the policy is applied by scanning
-blocks between feedback events.  All randomness derives from one trajectory
-seed, giving common random numbers across policies, prices, and baselines.
+with the true power and alignment.  The policy cannot change the channel,
+only the beam, and the beam changes only on feedback, so the whole
+trajectory is precomputed and a policy is reduced to an event table: for
+every slot, the next feedback slot had the beam been refreshed there.  A
+walk over that table from the first feedback slot visits every event.  With
+a codebook the table is exact, one vectorised pass per codeword; with
+perfect feedback it is built lag by lag, and an event whose next feedback
+lies past the table continues with a block scan.  All randomness derives
+from one trajectory seed, giving common random numbers across policies,
+prices, and baselines.
 """
 
 from __future__ import annotations
@@ -17,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, _as_rng, _complex_normal
-from .codebook import epsilon_statistics, quantize_shape
+from .channel import FadingParams, _complex_normal
+from .codebook import epsilon_statistics
 from .mdp import (
     Policy,
     RewardSpec,
-    average_reward,
     extract_threshold,
     policy_iteration_average,
 )
@@ -42,7 +47,9 @@ __all__ = [
     "curve_to_csv",
 ]
 
-_BLOCK = 256
+_HORIZON = 64      # most lags in the perfect-feedback event table
+_SCAN_BLOCK = 256  # slots per step of a scan past the table
+_SCAN_COST = 200   # one scan costs about this many table slot-lags
 _BATCHES = 100
 
 CSV_HEADER = "alpha,net,throughput,feedback_rate,avg_threshold,stderr"
@@ -178,11 +185,186 @@ def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig) -> EvalR
                       net=net, stderr=_batch_stderr(series))
 
 
-def _quantize_rows(S: np.ndarray, codebook):
-    """Codebook quantization of many shapes at once: (codewords, eps)."""
-    scores = np.abs(S @ codebook.vectors.conj().T) ** 2
-    idx = np.argmax(scores, axis=1)
-    return codebook.vectors[idx], np.minimum(scores[np.arange(S.shape[0]), idx], 1.0)
+def _alignment(w: np.ndarray) -> np.ndarray:
+    """Squared beam alignment from inner products, clipped at one."""
+    return np.minimum(np.abs(w) ** 2, 1.0)
+
+
+def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
+    """Inner product of each conjugated shape row with its own beam row.
+
+    np.multiply keeps the operand order fixed (an operator expression may
+    reuse a temporary's buffer with the operands swapped, which rounds the
+    fused complex product differently), and the antenna sum runs in index
+    order, as a BLAS matrix-vector product does.
+    """
+    prod = np.multiply(Sc_rows, beams)
+    w = prod[:, 0].copy()
+    for l in range(1, prod.shape[1]):
+        w += prod[:, l]
+    return w
+
+
+def _quantize_rows(Sc: np.ndarray, codebook):
+    """Codebook quantization of many conjugated shapes: (indices, eps).
+
+    Scores are built one codeword at a time, so no rows-by-codewords matrix
+    is ever held; ties resolve to the lowest codeword index.
+    """
+    best = np.abs(Sc @ codebook.vectors[0]) ** 2
+    idx = np.zeros(best.size, dtype=np.intp)
+    for k in range(1, codebook.size):
+        score = np.abs(Sc @ codebook.vectors[k]) ** 2
+        better = score > best
+        idx[better] = k
+        best[better] = score[better]
+    return idx, np.minimum(best, 1.0)
+
+
+def _check_codebook(codebook, params: FadingParams):
+    if codebook is not None and codebook.L != params.L:
+        raise ValueError(f"codebook has {codebook.L} antennas but the channel "
+                         f"has {params.L}")
+
+
+def _next_hit_after(hit: np.ndarray) -> np.ndarray:
+    """For every slot t, the first later slot s with hit[s], else len(hit)."""
+    T = hit.size
+    later = np.where(hit[1:], np.arange(1, T), T)
+    out = np.empty(T, dtype=np.intp)
+    out[:-1] = np.minimum.accumulate(later[::-1])[::-1]
+    out[-1] = T
+    return out
+
+
+class _EventTable:
+    """Feedback events of one policy on one trajectory.
+
+    ``successor[t]`` is the next feedback slot had the beam been refreshed
+    at slot t (the trajectory length when none follows), so a walk over it
+    from the first feedback slot visits every event in order.
+
+    With a codebook the refreshed beam is one of finitely many codewords,
+    so one pass per codeword over the whole trajectory gives every
+    successor exactly.  With perfect feedback the table is built lag by lag
+    over the slots not yet resolved, for ``depth`` <= _HORIZON lags; a slot
+    left open holds 0, and an event there continues with a block scan past
+    the table.  Building stops early once the next lag costs more than the
+    scans it would save: resolving a slot saves a scan only if an event
+    falls there, about one slot in the mean gap, so slow fading with long
+    gaps stops after a few lags and fast fading resolves nearly every slot.
+    """
+
+    def __init__(self, decide, spec: GridSpec, g, S, f, codebook):
+        self.decide, self.spec, self.codebook = decide, spec, codebook
+        self.S, self.Sc, self.f = S, S.conj(), f
+        self.T = g.size
+        self.m = np.minimum(np.searchsorted(spec.g_edges, g, side="right") - 1,
+                            spec.M - 1)
+        self.depth = 0
+        self.first = self.scan(0, f)
+        if codebook is None:
+            self.successor = self._lag_successors()
+        else:
+            self.code, self.eps = _quantize_rows(self.Sc, codebook)
+            self.successor = self._codeword_successors()
+
+    def hit(self, slots, z):
+        """Policy decision at the given slots for alignments z."""
+        spec = self.spec
+        n = np.minimum(np.searchsorted(spec.z_edges, z, side="right") - 1,
+                       spec.N - 1)
+        return self.decide[self.m[slots], n]
+
+    def scan(self, start: int, beam) -> int:
+        """First feedback slot at or after ``start`` while ``beam`` is held."""
+        for t in range(start, self.T, _SCAN_BLOCK):
+            blk = slice(t, min(self.T, t + _SCAN_BLOCK))
+            hit = self.hit(blk, _alignment(self.Sc[blk] @ beam))
+            if hit.any():
+                return t + int(np.argmax(hit))
+        return self.T
+
+    def _codeword_successors(self):
+        successor = np.empty(self.T, dtype=np.intp)
+        for k, c in enumerate(self.codebook.vectors):
+            nxt = _next_hit_after(self.hit(slice(None), _alignment(self.Sc @ c)))
+            mine = self.code == k
+            successor[mine] = nxt[mine]
+        return successor
+
+    def _lag_successors(self):
+        T, Sc = self.T, self.Sc
+        successor = np.zeros(T, dtype=np.intp)
+        t, beam = np.arange(T), self.S
+        work = 0  # slot-lags evaluated, so work / T bounds the mean gap below
+        for k in range(1, _HORIZON + 1):
+            # t is ascending, so the slots with no slot k later form its tail
+            keep = int(np.searchsorted(t, T - k))
+            successor[t[keep:]] = T
+            t, beam = t[:keep], beam[:keep]
+            self.depth = k
+            if not t.size:
+                break
+            later = t + k
+            hit = self.hit(later, _alignment(
+                _row_inner(np.take(Sc, later, axis=0), beam)))
+            successor[t[hit]] = later[hit]
+            miss = ~hit
+            work += t.size
+            resolved = t.size - int(miss.sum())
+            if resolved * _SCAN_COST < t.size * work / T:
+                break
+            t, beam = t[miss], np.compress(miss, beam, axis=0)
+        return successor
+
+    def events(self) -> np.ndarray:
+        """Feedback slots in order, from a walk over the successor table."""
+        out = []
+        successor = self.successor.tolist()
+        e = self.first
+        while e < self.T:
+            out.append(e)
+            e = successor[e] or self.scan(e + self.depth + 1, self.S[e])
+        return np.array(out, dtype=np.intp)
+
+    def alignment(self, events) -> np.ndarray:
+        """Per-slot alignment: the initial beam, then each event's beam."""
+        T, Sc = self.T, self.Sc
+        z = np.empty(T)
+        first = events[0] if events.size else T
+        z[:first] = _alignment(Sc[:first] @ self.f)
+        if not events.size:
+            return z
+        owner = np.repeat(events, np.diff(events, append=T))
+        if self.codebook is None:
+            z[first:] = _alignment(_row_inner(Sc[first:], self.S[owner]))
+            z[events] = 1.0
+        else:
+            code = self.code[owner]
+            tail = z[first:]
+            for k, c in enumerate(self.codebook.vectors):
+                mine = code == k
+                tail[mine] = _alignment(Sc[first:][mine] @ c)
+            z[events] = self.eps[events]
+        return z
+
+
+def _feedback_trace(decide, spec: GridSpec, g, S, f, codebook):
+    """Per-slot alignment z and feedback flags of a policy on a trajectory."""
+    T = g.size
+    fb = np.zeros(T, dtype=bool)
+    if not decide.any():
+        return _alignment(S.conj() @ f), fb
+    if decide.all():
+        fb[:] = True
+        if codebook is None:
+            return np.ones(T), fb
+        return _quantize_rows(S.conj(), codebook)[1], fb
+    table = _EventTable(decide, spec, g, S, f, codebook)
+    events = table.events()
+    fb[events] = True
+    return table.alignment(events), fb
 
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
@@ -193,47 +375,18 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     Each slot the true state is binned, the policy consulted, and on
     feedback the beam is set to the current shape (or its codebook
     quantization) within the same slot, so the slot's alignment is already
-    the realigned one.  Throughput always uses the true channel.
+    the realigned one.  Throughput always uses the true channel.  A policy
+    that feeds back in some states and not others runs through an event
+    table (see _EventTable): vectorised passes over the whole trajectory
+    find, for every slot, the next feedback slot had the beam been refreshed
+    there, and a walk over those slot indices yields the feedback events.
     """
     decide = policy.decide
     if decide.shape != (spec.M, spec.N):
         raise ValueError("policy dimensions do not match the grid")
+    _check_codebook(codebook, params)
     g, S, f = _trajectory(params, config)
-    T = config.slots
-    z = np.empty(T)
-    fb = np.zeros(T, dtype=bool)
-    if not decide.any():
-        z[:] = np.minimum(np.abs(S.conj() @ f) ** 2, 1.0)
-    elif decide.all():
-        fb[:] = True
-        if codebook is None:
-            z[:] = 1.0
-        else:
-            _, z[:] = _quantize_rows(S, codebook)
-    else:
-        m_idx = np.minimum(np.searchsorted(spec.g_edges, g, side="right") - 1,
-                           spec.M - 1)
-        t = 0
-        while t < T:
-            end = min(T, t + _BLOCK)
-            blk = np.minimum(np.abs(S[t:end].conj() @ f) ** 2, 1.0)
-            n_blk = np.minimum(
-                np.searchsorted(spec.z_edges, blk, side="right") - 1, spec.N - 1)
-            hit = decide[m_idx[t:end], n_blk]
-            if not hit.any():
-                z[t:end] = blk
-                t = end
-                continue
-            j = int(np.argmax(hit))
-            z[t:t + j] = blk[:j]
-            t += j
-            if codebook is None:
-                f = S[t]
-                z[t] = 1.0
-            else:
-                f, z[t] = quantize_shape(S[t], codebook)
-            fb[t] = True
-            t += 1
+    z, fb = _feedback_trace(decide, spec, g, S, f, codebook)
     return _aggregate(g, z, fb, rewards, config)
 
 
@@ -248,7 +401,7 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     if codebook is None:
         A = anchors
     else:
-        A, _ = _quantize_rows(anchors, codebook)
+        A = codebook.vectors[_quantize_rows(anchors.conj(), codebook)[0]]
     nseg, rem = divmod(T, period)
     if nseg:
         body = S[:nseg * period].conj().reshape(nseg, period, -1)
@@ -262,28 +415,25 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     return _aggregate(g, z, fb, rewards, config)
 
 
-def simulate_periodic(period: int, spec: GridSpec | None, params: FadingParams,
-                      rewards: RewardSpec, config: TrajectoryConfig,
-                      codebook=None) -> EvalResult:
-    """Feedback every ``period`` slots regardless of state.
-
-    The grid plays no role here and may be None.
-    """
+def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
+                      config: TrajectoryConfig, codebook=None) -> EvalResult:
+    """Feedback every ``period`` slots regardless of state."""
     if int(period) < 1:
         raise ValueError("period must be positive")
+    _check_codebook(codebook, params)
     traj = _trajectory(params, config)
     return _periodic_eval(int(period), traj, rewards, config, codebook)
 
 
-def periodic_baseline(spec: GridSpec, params: FadingParams, rewards: RewardSpec,
+def periodic_baseline(params: FadingParams, rewards: RewardSpec,
                       max_period: int, config: TrajectoryConfig, codebook=None):
     """Best fixed feedback interval in 1..max_period on one shared trajectory.
 
-    Returns (best_period, EvalResult); ties go to the shorter interval.  The
-    grid plays no role here and is accepted for interface symmetry.
+    Returns (best_period, EvalResult); ties go to the shorter interval.
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
+    _check_codebook(codebook, params)
     traj = _trajectory(params, config)
     best = None
     for k in range(1, int(max_period) + 1):

@@ -195,7 +195,7 @@ def test_06_event_driven_beats_periodic(paper_grid, paper_model):
     failures = []
     config = TrajectoryConfig(slots=400_000, warmup=1000, seed=2077)
     free = RewardSpec(P=SNR, alpha=0.0)
-    base = [simulate_periodic(k, paper_grid, PARAMS, free, config)
+    base = [simulate_periodic(k, PARAMS, free, config)
             for k in range(1, 33)]
     gaps = []
     for alpha in np.arange(1, 11) * 0.2:
@@ -205,7 +205,7 @@ def test_06_event_driven_beats_periodic(paper_grid, paper_model):
                                      rewards, config)
         nets = [r.throughput - alpha * r.feedback_rate for r in base]
         best_k = 1 + int(np.argmax(nets))
-        periodic = simulate_periodic(best_k, paper_grid, PARAMS, rewards, config)
+        periodic = simulate_periodic(best_k, PARAMS, rewards, config)
         sigma = math.hypot(controlled.stderr, periodic.stderr)
         if controlled.net < periodic.net - 3.0 * sigma:
             failures.append(f"alpha={alpha:.1f}: controlled {controlled.net:.3f} "

@@ -14,7 +14,12 @@ from scipy import integrate, signal, stats
 
 from beamfeedback import simulator
 from beamfeedback.channel import FadingParams, _complex_normal
-from beamfeedback.codebook import lloyd_codebook, random_codebook
+from beamfeedback.codebook import (
+    Codebook,
+    lloyd_codebook,
+    quantize_shape,
+    random_codebook,
+)
 from beamfeedback.mdp import (
     Policy,
     RewardSpec,
@@ -259,6 +264,175 @@ class TestSimulatePolicy:
                             REWARDS, TrajectoryConfig(slots=100, warmup=0, seed=1))
 
 
+# ----------------------------------------------------------------------------
+# the event table against the block-scan reference
+# ----------------------------------------------------------------------------
+
+def _reference_simulate_policy(policy, spec, params, rewards, config,
+                               codebook=None):
+    """Reference simulator: one loop iteration per feedback event.
+
+    From each event it bins 256-slot blocks until the policy next feeds
+    back, and with a codebook it quantizes each feedback shape on its own.
+    Returns (EvalResult, z, fb).
+    """
+    decide = policy.decide
+    g, S, f = simulator._trajectory(params, config)
+    T = config.slots
+    z = np.empty(T)
+    fb = np.zeros(T, dtype=bool)
+    m_idx = np.minimum(np.searchsorted(spec.g_edges, g, side="right") - 1,
+                       spec.M - 1)
+    t = 0
+    while t < T:
+        end = min(T, t + 256)
+        blk = np.minimum(np.abs(S[t:end].conj() @ f) ** 2, 1.0)
+        n_blk = np.minimum(
+            np.searchsorted(spec.z_edges, blk, side="right") - 1, spec.N - 1)
+        hit = decide[m_idx[t:end], n_blk]
+        if not hit.any():
+            z[t:end] = blk
+            t = end
+            continue
+        j = int(np.argmax(hit))
+        z[t:t + j] = blk[:j]
+        t += j
+        if codebook is None:
+            f = S[t]
+            z[t] = 1.0
+        else:
+            f, z[t] = quantize_shape(S[t], codebook)
+        fb[t] = True
+        t += 1
+    return simulator._aggregate(g, z, fb, rewards, config), z, fb
+
+
+AGREE_PRICES = (0.2, 1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def solved_tables():
+    """Solved threshold policies per antenna count and price on a 6x6 grid.
+
+    A single antenna has no alignment to lose (z is always 1), so its
+    alignment kernel cannot be estimated and it has no solved policy.
+    """
+    out = {}
+    for L in (2, 3, 4):
+        params = FadingParams(L=L, doppler_slot=0.1)
+        spec = make_grid(L, 6, 6, 20_000, np.random.default_rng(700 + L))
+        model = estimate_transition_model(params, spec, 20_000,
+                                          np.random.default_rng(710 + L))
+        for a in AGREE_PRICES:
+            solved = policy_iteration_average(model, RewardSpec(P=100.0, alpha=a),
+                                              spec)
+            out[L, a] = spec, solved.policy
+    return out
+
+
+def _feedback_codebook(kind, L, seed):
+    if kind == "perfect":
+        return None
+    if kind == "lloyd":
+        return lloyd_codebook(L, 8, 2000, 10, 730 + seed)
+    return random_codebook(L, 8, 740 + seed)
+
+
+def _assert_agrees(policy, spec, params, rewards, cfg, codebook):
+    want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params,
+                                                     rewards, cfg, codebook)
+    g, S, f = simulator._trajectory(params, cfg)
+    z, fb = simulator._feedback_trace(policy.decide, spec, g, S, f, codebook)
+    got = simulate_policy(policy, spec, params, rewards, cfg, codebook=codebook)
+    assert np.array_equal(fb, fb_ref)
+    assert np.max(np.abs(z - z_ref)) <= 1e-12
+    assert abs(got.net - want.net) <= 1e-12
+    return fb
+
+
+class TestEventTableAgreesWithReference:
+    @pytest.mark.parametrize("feedback", ["perfect", "lloyd", "random"])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_policy_kind_and_price(self, solved_tables, seed, L, feedback):
+        params = FadingParams(L=L, doppler_slot=0.1)
+        cfg = TrajectoryConfig(slots=1500, warmup=100, seed=seed)
+        codebook = _feedback_codebook(feedback, L, seed)
+        rng = np.random.default_rng(750 + seed)
+        if L == 1:
+            spec = make_grid(1, 6, 6, 2000, np.random.default_rng(720))
+        else:
+            spec = solved_tables[L, 0.2][0]
+        shape = (spec.M, spec.N)
+        for a in AGREE_PRICES:
+            rewards = RewardSpec(P=100.0, alpha=a)
+            tables = [rng.random(shape) < 0.3, rng.random(shape) < 0.7,
+                      np.ones(shape, bool), np.zeros(shape, bool)]
+            if L > 1:
+                tables.append(solved_tables[L, a][1].decide)
+            for decide in tables:
+                _assert_agrees(Policy(decide), spec, params, rewards, cfg,
+                               codebook)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slow_fading_scans_past_the_table(self, seed):
+        # at doppler 0.001 the alignment takes thousands of slots to fall
+        # below 15/16, so every gap runs far past the lag table
+        params = FadingParams(L=3, doppler_slot=0.001)
+        spec = make_grid(3, 16, 16, 20_000, np.random.default_rng(760))
+        decide = np.zeros((spec.M, spec.N), dtype=bool)
+        decide[:, :-1] = True
+        cfg = TrajectoryConfig(slots=40_000, warmup=100, seed=seed)
+        fb = _assert_agrees(Policy(decide), spec, params,
+                            RewardSpec(P=100.0, alpha=2.0), cfg, None)
+        events = np.flatnonzero(fb)
+        assert events.size >= 3
+        assert np.diff(events).max() > simulator._HORIZON
+        g, S, f = simulator._trajectory(params, cfg)
+        table = simulator._EventTable(decide, spec, g, S, f, None)
+        assert np.any(table.successor[events] == 0)
+
+
+    def test_batch_quantizer_matches_quantize_shape(self):
+        rng = np.random.default_rng(770)
+        cb = random_codebook(3, 8, 771)
+        S = _complex_normal(rng, (500, 3))
+        S /= np.linalg.norm(S, axis=1, keepdims=True)
+        idx, eps = simulator._quantize_rows(S.conj(), cb)
+        for s, k, e in zip(S, idx, eps):
+            v, want = quantize_shape(s, cb)
+            assert np.array_equal(cb.vectors[k], v)
+            assert abs(e - want) <= 1e-12
+        # a shape halfway between two codewords ties; the lower index wins
+        pair = Codebook(vectors=np.eye(2, dtype=complex))
+        half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
+        assert simulator._quantize_rows(half.conj(), pair)[0][0] == 0
+
+
+class TestCodebookDimension:
+    @pytest.fixture
+    def mismatched(self):
+        return (random_codebook(4, 8, 5),
+                TrajectoryConfig(slots=2000, warmup=100, seed=3))
+
+    @pytest.mark.parametrize("table", ["never", "always", "partial"])
+    def test_simulate_policy_rejects_mismatch(self, grid8, mismatched, table):
+        codebook, cfg = mismatched
+        decide = {"never": np.zeros((grid8.M, grid8.N), bool),
+                  "always": np.ones((grid8.M, grid8.N), bool),
+                  "partial": grid8.z_points[None, :] < np.full((grid8.M, 1), 0.5)}
+        with pytest.raises(ValueError, match="codebook has 4 antennas"):
+            simulate_policy(Policy(decide[table]), grid8, PARAMS, REWARDS, cfg,
+                            codebook=codebook)
+
+    def test_periodic_rejects_mismatch(self, mismatched):
+        codebook, cfg = mismatched
+        with pytest.raises(ValueError, match="codebook has 4 antennas"):
+            simulate_periodic(4, PARAMS, REWARDS, cfg, codebook=codebook)
+        with pytest.raises(ValueError, match="codebook has 4 antennas"):
+            periodic_baseline(PARAMS, REWARDS, 4, cfg, codebook=codebook)
+
+
 class TestOptimalPolicyDominance:
     def test_solver_beats_random_thresholds_on_the_model(self, grid8, model8):
         rng = np.random.default_rng(29)
@@ -277,33 +451,33 @@ class TestOptimalPolicyDominance:
 class TestPeriodic:
     def test_every_slot_equals_always_feedback(self, grid8):
         cfg = TrajectoryConfig(slots=100_000, seed=31)
-        a = simulate_periodic(1, grid8, PARAMS, REWARDS, cfg)
+        a = simulate_periodic(1, PARAMS, REWARDS, cfg)
         b = simulate_policy(always(grid8), grid8, PARAMS, REWARDS, cfg)
         assert a == b
 
-    def test_period_one_matches_integral(self, grid8):
-        res = simulate_periodic(1, grid8, PARAMS, REWARDS, RUN)
+    def test_period_one_matches_integral(self):
+        res = simulate_periodic(1, PARAMS, REWARDS, RUN)
         want = fresh_beam_rate_oracle(100.0, 3) - 0.5
         assert res.feedback_rate == 1.0
         assert abs(res.net - want) <= 3.0 * res.stderr + 1e-9
 
-    def test_feedback_rate_tracks_the_period(self, grid8):
+    def test_feedback_rate_tracks_the_period(self):
         cfg = TrajectoryConfig(slots=100_000, seed=37)
         for k in (2, 5, 9):
-            res = simulate_periodic(k, grid8, PARAMS, REWARDS, cfg)
+            res = simulate_periodic(k, PARAMS, REWARDS, cfg)
             assert abs(res.feedback_rate - 1.0 / k) <= 2.0 * k / 99_000
 
-    def test_free_feedback_prefers_period_one(self, grid8):
+    def test_free_feedback_prefers_period_one(self):
         free = RewardSpec(P=100.0, alpha=0.0)
         cfg = TrajectoryConfig(slots=60_000, seed=41)
-        k, res = periodic_baseline(grid8, PARAMS, free, 8, cfg)
+        k, res = periodic_baseline(PARAMS, free, 8, cfg)
         assert k == 1
         assert res.feedback_rate == 1.0
 
     def test_costly_feedback_approaches_never_feeding_back(self, grid8):
         dear = RewardSpec(P=100.0, alpha=3.0)
         cfg = TrajectoryConfig(slots=120_000, seed=43)
-        k, res = periodic_baseline(grid8, PARAMS, dear, 64, cfg)
+        k, res = periodic_baseline(PARAMS, dear, 64, cfg)
         stale = simulate_policy(never(grid8), grid8, PARAMS, dear, cfg)
         assert k > 1
         assert res.net >= stale.net - 0.15
@@ -312,12 +486,12 @@ class TestPeriodic:
                                           RewardSpec(P=100.0, alpha=0.0),
                                           cfg).throughput
 
-    def test_bad_periods_rejected(self, grid8):
+    def test_bad_periods_rejected(self):
         cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
         with pytest.raises(ValueError):
-            simulate_periodic(0, grid8, PARAMS, REWARDS, cfg)
+            simulate_periodic(0, PARAMS, REWARDS, cfg)
         with pytest.raises(ValueError):
-            periodic_baseline(grid8, PARAMS, REWARDS, 0, cfg)
+            periodic_baseline(PARAMS, REWARDS, 0, cfg)
 
 
 # ----------------------------------------------------------------------------
