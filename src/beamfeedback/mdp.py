@@ -5,6 +5,13 @@ price charged) or keeps the stale beam.  Stage reward is spectral efficiency
 minus the price; the solvers maximize its long-run average.  A discounted
 value iteration and an exhaustive search over threshold policies are provided
 as independent cross-checks of the primary policy-iteration path.
+
+The chain a policy induces factorizes: T[(m,n),(k,l)] = Ptilde[m,k] Pz[m,n,l],
+where Pz[m,n,:] is the feedback row where the policy feeds back and P0[n,:]
+elsewhere.  Every solver goes through one backup that applies it to a value
+table in O(M^2 N + M N^2), and policy evaluation and stationary laws solve
+their linear systems with GMRES on that operator, so no (MN)^2 matrix is
+ever built.
 """
 
 from __future__ import annotations
@@ -134,13 +141,18 @@ class ValueTable:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal policy with its gain J, differential values A, and occupancy."""
+    """Optimal policy with its gain J, differential values A, and occupancy.
+
+    ``residual`` is the relative residual of the evaluation that produced J
+    and A; it is not serialized.
+    """
 
     policy: Policy
     J: float
     A: np.ndarray
     iterations: int
     pi: StationaryDistribution
+    residual: float
 
 
 def reward_per_stage(gbar, zbar, mu: int, rewards: RewardSpec):
@@ -214,6 +226,18 @@ def expected_continuation(V, model: TransitionModel, m: int, n: int, mu: int,
     return float(model.Ptilde[m] @ (arr @ row))
 
 
+def _backup(h: np.ndarray, model: TransitionModel, p1: np.ndarray):
+    """Expected next-slot value of the table h under each decision.
+
+    Returns W0 over (power, alignment) bins for keeping the beam and W1 over
+    power bins for feeding back, after which the alignment law is p1
+    whatever the current bin.
+    """
+    W0 = model.Ptilde @ h @ model.P0.T
+    W1 = model.Ptilde @ (h @ p1)
+    return W0, W1
+
+
 def dp_operator(V: ValueTable, model: TransitionModel, rewards: RewardSpec,
                 spec: GridSpec, eps=None, quantized_row: bool = False) -> ValueTable:
     """One sweep of the discounted Bellman maximization.
@@ -221,9 +245,7 @@ def dp_operator(V: ValueTable, model: TransitionModel, rewards: RewardSpec,
     Feedback is chosen only when strictly better, so ties keep the beam.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
-    W0 = model.Ptilde @ V.V @ model.P0.T
-    W1 = model.Ptilde @ (V.V @ p1)
+    W0, W1 = _backup(V.V, model, _feedback_vector(model, quantized_row))
     Q0 = G0 + V.beta * W0
     Q1 = G1[:, None] + V.beta * W1[:, None]
     return ValueTable(V=np.where(Q1 > Q0, Q1, Q0), beta=V.beta)
@@ -245,34 +267,109 @@ def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
     raise ConvergenceError("discounted value iteration did not converge", residual)
 
 
-def _policy_transition(decide: np.ndarray, model: TransitionModel,
-                       p1: np.ndarray) -> np.ndarray:
-    """Full state transition matrix induced by a decision table."""
-    M, N = decide.shape
-    Pz = np.where(decide[:, :, None], p1[None, None, :], model.P0[None, :, :])
-    return np.einsum("mk,mnl->mnkl", model.Ptilde, Pz).reshape(M * N, M * N)
+# Converged when |b - Bx| <= tol (|b| + |x|).  The |x| term is the rounding
+# floor of applying B: slow fading gives |x| of hundreds of |b|, where a bound
+# on |b| alone is out of reach (doppler 0.001 stalls near 3e-14 |b|).
+_GMRES_TOL = 1e-14
+_GMRES_RESTART = 80
+_GMRES_MAX_ITER = 4000
+
+
+def _gmres(apply, b: np.ndarray):
+    """Restarted GMRES for apply(x) = b on flat float vectors.
+
+    Returns (x, relative residual), the residual recomputed from apply.  A
+    system that does not reach the tolerance within the iteration cap raises
+    SingularChainError: the systems solved here are singular exactly when the
+    chain has more than one closed class.
+    """
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros_like(b)
+    if bnorm == 0.0:
+        return x, 0.0
+    r = b.copy()
+    done = 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        goal = _GMRES_TOL * (bnorm + float(np.linalg.norm(x)))
+        if beta <= goal:
+            return x, beta / bnorm
+        if done >= _GMRES_MAX_ITER:
+            raise SingularChainError(
+                f"chain system did not converge in {done} iterations "
+                f"(relative residual {beta / bnorm:.3e})")
+        k = min(_GMRES_RESTART, _GMRES_MAX_ITER - done)
+        V = np.empty((k + 1, b.size))
+        V[0] = r / beta
+        R = np.zeros((k, k))
+        Q = np.eye(k + 1)   # Givens rotations so far; Q H = R
+        j = 0
+        while j < k:
+            w = apply(V[j])
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            dh = V[: j + 1] @ w    # second Gram-Schmidt pass keeps V orthonormal
+            w -= dh @ V[: j + 1]
+            hn = float(np.linalg.norm(w))
+            col = Q[: j + 2, : j + 1] @ (h + dh)
+            col[j + 1] = hn
+            den = math.hypot(col[j], hn)
+            if den == 0.0:
+                break
+            rot = np.array([[col[j], hn], [-hn, col[j]]]) / den
+            Q[j : j + 2, : j + 2] = rot @ Q[j : j + 2, : j + 2]
+            col[j] = den
+            R[: j + 1, j] = col[: j + 1]
+            j += 1
+            done += 1
+            if beta * abs(Q[j, 0]) <= goal or hn == 0.0:
+                break
+            V[j] = w / hn
+        if j == 0:
+            raise SingularChainError("chain system is singular: Krylov breakdown")
+        y = np.linalg.solve(R[:j, :j], beta * Q[:j, 0])
+        x += y @ V[:j]
+        r = b - apply(x)
+
+
+def _agree(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two normalizations of one regular system give one solution."""
+    return float(np.max(np.abs(a - b))) <= 1e-8 * max(1.0, float(np.max(np.abs(a))))
 
 
 def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
                      G1: np.ndarray, p1: np.ndarray):
     """Solve gain J and differential values A for a fixed policy.
 
-    The linear system pins the last state's differential value to zero.
+    GMRES solves (I - T + 1 u') x = G_pi through the factorized operator;
+    then J = u'x and x - J solves J + A = G_pi + T A.  With u the last
+    state's indicator, A = x - x[last] pins the last differential value to
+    exactly zero.  A singular system (several closed classes) has many
+    solutions, and Krylov iterates drift to different ones under different
+    u; the uniform normalization is solved as well and the two must agree.
+
+    Returns (J, A, relative residual of the pinned solve).
     """
     M, N = decide.shape
-    T = _policy_transition(decide, model, p1)
     Gpi = np.where(decide, G1[:, None], G0).ravel()
-    size = M * N
-    sys = np.zeros((size + 1, size + 1))
-    sys[:size, :size] = np.eye(size) - T
-    sys[:size, size] = 1.0
-    sys[size, size - 1] = 1.0
-    rhs = np.append(Gpi, 0.0)
-    try:
-        x = np.linalg.solve(sys, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChainError(f"policy evaluation system is singular: {exc}") from exc
-    return float(x[size]), x[:size].reshape(M, N)
+
+    def chain(x):   # (T x)[m, n], the expected next-slot value of x
+        W0, W1 = _backup(x.reshape(M, N), model, p1)
+        return np.where(decide, W1[:, None], W0).ravel()
+
+    def pinned(x):
+        return x - chain(x) + x[-1]
+
+    def uniform(x):
+        return x - chain(x) + x.mean()
+
+    x, residual = _gmres(pinned, Gpi)
+    y, _ = _gmres(uniform, Gpi)
+    # both give A + J: the pinned x directly, the uniform y as y - y[last] + mean(y)
+    if not _agree(x, y - y[-1] + y.mean()):
+        raise SingularChainError("policy evaluation system is singular")
+    J = float(x[-1])
+    return J, (x - J).reshape(M, N), residual
 
 
 def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
@@ -280,21 +377,24 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
                              quantized_row: bool = False) -> SolveResult:
     """Howard policy iteration on the average-reward criterion.
 
-    Exact linear-solve evaluation alternates with a greedy improvement that
+    Matrix-free evaluation (GMRES on the factorized chain, to a residual of
+    1e-14 of |G_pi| + |solution|) alternates with a greedy improvement that
     requests feedback only on strict improvement.  Terminates when the policy
-    repeats; the returned A solves the evaluation equations of that policy.
+    repeats; the returned A solves the evaluation equations of that policy,
+    and ``residual`` is that final solve's relative residual.  A chain with
+    more than one closed class raises SingularChainError.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
     p1 = _feedback_vector(model, quantized_row)
     decide = G1[:, None] > G0
     for it in range(1, max_iter + 1):
-        J, A = _evaluate_policy(decide, model, G0, G1, p1)
-        Q0 = G0 + model.Ptilde @ A @ model.P0.T
-        Q1 = G1[:, None] + (model.Ptilde @ (A @ p1))[:, None]
-        improved = Q1 > Q0
+        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
+        W0, W1 = _backup(A, model, p1)
+        improved = G1[:, None] + W1[:, None] > G0 + W0
         if np.array_equal(improved, decide):
             pi = stationary_distribution(Policy(decide), model, quantized_row)
-            return SolveResult(policy=Policy(decide), J=J, A=A, iterations=it, pi=pi)
+            return SolveResult(policy=Policy(decide), J=J, A=A, iterations=it, pi=pi,
+                               residual=residual)
         decide = improved
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
@@ -312,8 +412,9 @@ def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
     h = np.zeros((spec.M, spec.N))
     residual = math.inf
     for _ in range(max_iter):
-        Q0 = G0 + model.Ptilde @ h @ model.P0.T
-        Q1 = G1[:, None] + (model.Ptilde @ (h @ p1))[:, None]
+        W0, W1 = _backup(h, model, p1)
+        Q0 = G0 + W0
+        Q1 = G1[:, None] + W1[:, None]
         Th = np.where(Q1 > Q0, Q1, Q0)
         J = Th[-1, -1]
         nxt = Th - J
@@ -328,30 +429,45 @@ def stationary_distribution(policy: Policy, model: TransitionModel,
                             quantized_row: bool = False) -> StationaryDistribution:
     """Long-run state occupancy under a fixed policy.
 
-    Solved linearly with one balance equation replaced by normalization, then
-    verified against the transition operator by power iteration.
+    GMRES solves pi (I - T + 1 u') = u' through the factorized chain, once
+    with u the last state's indicator and once uniform; a regular chain gives
+    both the same answer.  The result is then verified against 50 slots of
+    occupancy flow.
     """
     decide = policy.decide
     M, N = decide.shape
     if model.P0.shape[0] != N or model.Ptilde.shape[0] != M:
         raise ValueError("policy shape does not match the model")
-    T = _policy_transition(decide, model, _feedback_vector(model, quantized_row))
+    p1 = _feedback_vector(model, quantized_row)
+
+    def flow(pi):   # pi T: one slot of occupancy flow
+        pi = pi.reshape(M, N)
+        kept = np.where(decide, 0.0, pi)
+        fed = np.where(decide, pi, 0.0).sum(axis=1)
+        return (model.Ptilde.T @ (kept @ model.P0 + fed[:, None] * p1[None, :])).ravel()
+
+    def pinned(pi):
+        out = pi - flow(pi)
+        out[-1] += pi.sum()
+        return out
+
+    def uniform(pi):
+        return pi - flow(pi) + pi.sum() / pi.size
+
     size = M * N
-    sys = T.T - np.eye(size)
-    sys[-1, :] = 1.0
-    rhs = np.zeros(size)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(sys, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChainError(f"stationary system is singular: {exc}") from exc
+    last = np.zeros(size)
+    last[-1] = 1.0
+    pi, _ = _gmres(pinned, last)
+    other, _ = _gmres(uniform, np.full(size, 1.0 / size))
+    if not _agree(pi, other):
+        raise SingularChainError("stationary system is singular")
     if pi.min() < -1e-10:
         raise SingularChainError("stationary solve produced negative occupancy")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    probe = pi.copy()
+    probe = pi
     for _ in range(50):
-        probe = probe @ T
+        probe = flow(probe)
     if np.max(np.abs(probe - pi)) > 1e-8:
         raise SingularChainError("stationary solution is not stable under iteration")
     return StationaryDistribution(pi.reshape(M, N))
@@ -429,14 +545,15 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
     for combo in itertools.product(*candidates):
         y = spec.z_edges[list(combo)]
         decide = spec.z_points[None, :] < y[:, None]
-        J, A = _evaluate_policy(decide, model, G0, G1, p1)
+        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
         evaluated += 1
         if best is None or J > best[0]:
-            best = (J, decide, A)
-    J, decide, A = best
+            best = (J, decide, A, residual)
+    J, decide, A, residual = best
     policy = Policy(decide)
     pi = stationary_distribution(policy, model, quantized_row)
-    return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi)
+    return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi,
+                       residual=residual)
 
 
 def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:

@@ -230,7 +230,9 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     rotation-invariant channel law permits), with ``retry_budget`` draws
     allowed per needed sample before a row is declared starved.  The feedback
     row conditions on perfect alignment; when ``codebook`` is given, a second
-    row conditions on the codebook-quantized beamformer instead.
+    row conditions on the codebook-quantized beamformer instead.  With one
+    antenna the alignment is identically 1, and every alignment row is the
+    exact point mass on the top bin, drawn from no samples.
 
     Args:
         params: fading model (antenna count and slot correlation).
@@ -253,6 +255,11 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     L, rho = params.L, params.rho
     sig = math.sqrt(max(0.0, 1.0 - rho * rho))
     M, N = spec.M, spec.N
+    vectors = None
+    if codebook is not None:
+        vectors = np.asarray(getattr(codebook, "vectors", codebook), dtype=complex)
+        if vectors.ndim != 2 or vectors.shape[1] != L:
+            raise ValueError("codebook vectors must be rows of length L")
 
     # power kernel: one pass, rows keyed by the source power bin
     counts_g = np.zeros(M * M, dtype=np.int64)
@@ -266,6 +273,15 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         counts_g += np.bincount(m0 * M + m1, minlength=M * M)
         remaining -= c
     Ptilde = _normalize_rows(counts_g.reshape(M, M), "power kernel")
+
+    if L == 1:
+        # one antenna: every beam is the channel's own phase, so z is 1 in
+        # every slot and all alignment rows are the point mass on the top bin
+        top = np.zeros(N)
+        top[-1] = 1.0
+        return TransitionModel(Ptilde=Ptilde, P0=np.tile(top, (N, 1)), P1_row=top,
+                               Peps1_row=None if vectors is None else top,
+                               sample_count=sample_count, seed=seed)
 
     # no-feedback alignment kernel: rejection-fill every source bin
     target = max(1, sample_count // N)
@@ -303,10 +319,7 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
 
     P1_row = _feedback_row(f_stream, params, spec, sample_count, None)
     Peps1_row = None
-    if codebook is not None:
-        vectors = np.asarray(getattr(codebook, "vectors", codebook), dtype=complex)
-        if vectors.ndim != 2 or vectors.shape[1] != L:
-            raise ValueError("codebook vectors must be rows of length L")
+    if vectors is not None:
         Peps1_row = _feedback_row(q_stream, params, spec, sample_count, vectors)
 
     return TransitionModel(Ptilde=Ptilde, P0=P0, P1_row=P1_row, Peps1_row=Peps1_row,

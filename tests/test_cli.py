@@ -25,7 +25,7 @@ from beamfeedback.cli import (
 from beamfeedback.codebook import codebook_from_json
 from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
-from beamfeedback.state_grid import model_from_json
+from beamfeedback.state_grid import TransitionModel, model_from_json
 
 
 def config_text(prefix, *, L=3, doppler=0.1, M=4, N=4, samples=30_000,
@@ -201,6 +201,23 @@ class TestExitCodes:
         assert "numerical error" in capsys.readouterr().err
         assert not os.path.exists(os.path.dirname(prefix))
 
+    def test_singular_chain_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        # mixing power, frozen alignment: under a prohibitive price the
+        # never-feedback chain keeps one closed class per alignment bin
+        path, prefix = write_config(tmp_path, alpha="50.0")
+
+        def frozen_alignment(params, spec, *args, **kwargs):
+            top = np.zeros(spec.N)
+            top[-1] = 1.0
+            return TransitionModel(Ptilde=np.full((spec.M, spec.M), 1.0 / spec.M),
+                                   P0=np.eye(spec.N), P1_row=top, Peps1_row=None,
+                                   sample_count=1)
+
+        monkeypatch.setattr(cli, "estimate_transition_model", frozen_alignment)
+        assert run("solve", path, quiet=True) == EXIT_NUMERICAL
+        assert "singular" in capsys.readouterr().err
+        assert not os.path.exists(os.path.dirname(prefix))
+
     def test_failed_runs_leave_no_partial_outputs(self, tmp_path, monkeypatch):
         path, prefix = write_config(tmp_path)
         monkeypatch.setattr(cli, "simulate_policy",
@@ -278,6 +295,19 @@ class TestSweepCommand:
         for row in rows:
             alpha, net, thr, rate = (float(x) for x in row[:4])
             assert net == pytest.approx(thr - alpha * rate, abs=1e-12)
+
+
+class TestSingleAntenna:
+    def test_sweep_runs_end_to_end(self, tmp_path):
+        # one antenna keeps z = 1, so a positive price never pays for feedback
+        path, prefix = write_config(tmp_path, L=1, alpha="0.5 2.0",
+                                    samples=20_000, slots=5000)
+        assert run("sweep", path, quiet=True) == EXIT_OK
+        with open(f"{prefix}.sweep.csv", encoding="utf-8") as handle:
+            rows = [line.split(",") for line in handle.read().split("\n")[1:]
+                    if line]
+        assert [float(r[0]) for r in rows] == [0.5, 2.0]
+        assert all(float(r[3]) == 0.0 for r in rows)
 
 
 class TestOtherCommands:

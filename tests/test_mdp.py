@@ -3,12 +3,14 @@
 Oracles here are deliberately independent of the solver code: stationary
 occupancies come from an SVD null space, policy evaluation from explicit
 loops over the product chain, and optimality from enumerating every decision
-table on grids small enough to afford it.
+table on grids small enough to afford it.  The dense linear solves that the
+matrix-free solver replaced stay here as its reference.
 """
 
 import itertools
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +38,14 @@ from beamfeedback.mdp import (
     threshold_lower_bound,
     value_iteration_discounted,
 )
-from beamfeedback.state_grid import GridSpec, TransitionModel
+from beamfeedback.channel import FadingParams
+from beamfeedback.mdp import _evaluate_policy, _stage_tables
+from beamfeedback.state_grid import (
+    GridSpec,
+    TransitionModel,
+    estimate_transition_model,
+    make_grid,
+)
 
 from conftest import synthetic_setup, tilted_rows
 
@@ -56,6 +65,41 @@ def chain_matrix(decide, Ptilde, P0, p1):
                 for l in range(N):
                     T[m * N + n, k * N + l] = Ptilde[m, k] * zrow[l]
     return T
+
+
+def dense_evaluate_policy(decide, model, G0, G1, p1):
+    """Gain J and differential values A from one dense (MN+1)-square solve.
+
+    The last state's differential value is pinned to zero.
+    """
+    M, N = decide.shape
+    T = chain_matrix(decide, model.Ptilde, model.P0, p1)
+    size = M * N
+    sys = np.zeros((size + 1, size + 1))
+    sys[:size, :size] = np.eye(size) - T
+    sys[:size, size] = 1.0
+    sys[size, size - 1] = 1.0
+    rhs = np.append(np.where(decide, G1[:, None], G0).ravel(), 0.0)
+    x = np.linalg.solve(sys, rhs)
+    return float(x[size]), x[:size].reshape(M, N)
+
+
+def dense_stationary(decide, model, p1):
+    """Occupancy from the balance equations with the last one replaced by
+    normalization, solved densely."""
+    M, N = decide.shape
+    sys = chain_matrix(decide, model.Ptilde, model.P0, p1).T - np.eye(M * N)
+    sys[-1, :] = 1.0
+    rhs = np.zeros(M * N)
+    rhs[-1] = 1.0
+    return np.linalg.solve(sys, rhs).reshape(M, N)
+
+
+def alignment_frozen_model(rng, M=3, N=4):
+    """Mixing power kernel, but the alignment never moves without feedback."""
+    _, model = synthetic_setup(rng, M=M, N=N)
+    return TransitionModel(Ptilde=model.Ptilde, P0=np.eye(N), P1_row=model.P1_row,
+                           Peps1_row=None, sample_count=1)
 
 
 def occupancy_oracle(T):
@@ -412,6 +456,15 @@ class TestPolicyIterationOptimality:
         with pytest.raises(ConvergenceError):
             policy_iteration_average(model, r, spec, max_iter=0)
 
+    def test_alignment_frozen_chain_is_rejected(self):
+        # a prohibitive price starts from never feeding back, whose chain
+        # keeps one closed class per alignment bin
+        rng = np.random.default_rng(69)
+        spec, _ = synthetic_setup(rng, M=3, N=4)
+        model = alignment_frozen_model(rng)
+        with pytest.raises(SingularChainError):
+            policy_iteration_average(model, RewardSpec(P=30.0, alpha=100.0), spec)
+
     def test_gain_is_monotone_in_price(self):
         rng = np.random.default_rng(67)
         spec, model = synthetic_setup(rng, M=3, N=4)
@@ -494,11 +547,92 @@ class TestStationaryDistribution:
         with pytest.raises(SingularChainError):
             stationary_distribution(Policy(np.ones((2, 3), bool)), model)
 
+    def test_alignment_frozen_chain_is_rejected(self):
+        # power mixes, but without feedback every alignment bin is closed
+        model = alignment_frozen_model(np.random.default_rng(73))
+        with pytest.raises(SingularChainError):
+            stationary_distribution(Policy(np.zeros((3, 4), bool)), model)
+
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(72)
         spec, model = synthetic_setup(rng, M=3, N=4)
         with pytest.raises(ValueError, match="shape"):
             stationary_distribution(Policy(np.zeros((4, 3), bool)), model)
+
+
+class TestMatrixFreeAgreesWithDense:
+    @staticmethod
+    def _check(decide, model, spec, rewards, eps, quantized_row):
+        p1 = model.Peps1_row if quantized_row else model.P1_row
+        G0, G1 = _stage_tables(spec, rewards, eps)
+        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
+        J_ref, A_ref = dense_evaluate_policy(decide, model, G0, G1, p1)
+        assert abs(J - J_ref) <= 1e-10
+        assert np.max(np.abs(A - A_ref)) <= 1e-9
+        assert A[-1, -1] == 0.0
+        assert residual <= 1e-10
+        pi = stationary_distribution(Policy(decide), model, quantized_row).pi
+        assert np.max(np.abs(pi - dense_stationary(decide, model, p1))) <= 1e-12
+
+    def test_random_models_and_tables(self):
+        rng = np.random.default_rng(120)
+        for _ in range(25):
+            M, N = (int(v) for v in rng.integers(1, 8, size=2))
+            spec, model = synthetic_setup(rng, M=M, N=N, quantized=True)
+            r = RewardSpec(P=30.0, alpha=float(rng.random() * 2.0))
+            eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
+            tables = [rng.random((M, N)) < 0.3, rng.random((M, N)) < 0.7,
+                      np.ones((M, N), bool), np.zeros((M, N), bool)]
+            for decide in tables:
+                self._check(decide, model, spec, r, None, False)
+                self._check(decide, model, spec, r, eps, True)
+
+    def test_one_state(self):
+        spec, model = one_state_setup()
+        r = RewardSpec(P=2.0, alpha=0.3)
+        for decide in (np.ones((1, 1), bool), np.zeros((1, 1), bool)):
+            self._check(decide, model, spec, r, None, False)
+
+    def test_solver_results_match_dense_evaluation(self):
+        rng = np.random.default_rng(121)
+        for _ in range(5):
+            spec, model = synthetic_setup(rng, M=4, N=5)
+            r = RewardSpec(P=30.0, alpha=float(rng.random() * 2.0))
+            G0, G1 = _stage_tables(spec, r, None)
+            for res in (policy_iteration_average(model, r, spec),
+                        exhaustive_threshold_search(model, r, spec)):
+                J_ref, A_ref = dense_evaluate_policy(
+                    res.policy.decide, model, G0, G1, model.P1_row)
+                assert abs(res.J - J_ref) <= 1e-10
+                assert np.max(np.abs(res.A - A_ref)) <= 1e-9
+                assert res.residual <= 1e-10
+
+    def test_slow_fading_solve_matches_dense_evaluation(self):
+        # at doppler 0.001 the differential values reach thousands, so the
+        # rounding floor of the operator sits above 1e-14 of the rewards
+        spec = make_grid(3, 12, 12, 30_000, 1)
+        model = estimate_transition_model(
+            FadingParams(L=3, doppler_slot=0.001), spec, 30_000, 11)
+        r = RewardSpec(P=100.0, alpha=1.0)
+        res = policy_iteration_average(model, r, spec)
+        G0, G1 = _stage_tables(spec, r, None)
+        J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1,
+                                             model.P1_row)
+        assert np.max(np.abs(A_ref)) > 1000.0
+        assert abs(res.J - J_ref) <= 1e-10
+        assert np.max(np.abs(res.A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+        assert res.residual <= 1e-10
+
+    def test_fine_grid_solve_is_fast_and_accurate(self):
+        # a dense evaluation at 128 x 128 would need a 2 GB matrix
+        rng = np.random.default_rng(122)
+        spec, model = synthetic_setup(rng, M=128, N=128)
+        start = time.perf_counter()
+        res = policy_iteration_average(model, RewardSpec(P=30.0, alpha=0.5), spec)
+        assert time.perf_counter() - start < 10.0
+        assert res.residual <= 1e-10
+        assert res.A[-1, -1] == 0.0
+        np.testing.assert_allclose(res.pi.pi.sum(), 1.0, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------------

@@ -314,13 +314,16 @@ AGREE_PRICES = (0.2, 1.0, 2.0)
 def solved_tables():
     """Solved threshold policies per antenna count and price on a 6x6 grid.
 
-    A single antenna has no alignment to lose (z is always 1), so its
-    alignment kernel cannot be estimated and it has no solved policy.
+    A single antenna has no alignment to lose (z is always 1); its grid is
+    the small one the agreement test has always used.
     """
     out = {}
-    for L in (2, 3, 4):
+    for L in (1, 2, 3, 4):
         params = FadingParams(L=L, doppler_slot=0.1)
-        spec = make_grid(L, 6, 6, 20_000, np.random.default_rng(700 + L))
+        if L == 1:
+            spec = make_grid(1, 6, 6, 2000, np.random.default_rng(720))
+        else:
+            spec = make_grid(L, 6, 6, 20_000, np.random.default_rng(700 + L))
         model = estimate_transition_model(params, spec, 20_000,
                                           np.random.default_rng(710 + L))
         for a in AGREE_PRICES:
@@ -359,17 +362,13 @@ class TestEventTableAgreesWithReference:
         cfg = TrajectoryConfig(slots=1500, warmup=100, seed=seed)
         codebook = _feedback_codebook(feedback, L, seed)
         rng = np.random.default_rng(750 + seed)
-        if L == 1:
-            spec = make_grid(1, 6, 6, 2000, np.random.default_rng(720))
-        else:
-            spec = solved_tables[L, 0.2][0]
+        spec = solved_tables[L, 0.2][0]
         shape = (spec.M, spec.N)
         for a in AGREE_PRICES:
             rewards = RewardSpec(P=100.0, alpha=a)
             tables = [rng.random(shape) < 0.3, rng.random(shape) < 0.7,
-                      np.ones(shape, bool), np.zeros(shape, bool)]
-            if L > 1:
-                tables.append(solved_tables[L, a][1].decide)
+                      np.ones(shape, bool), np.zeros(shape, bool),
+                      solved_tables[L, a][1].decide]
             for decide in tables:
                 _assert_agrees(Policy(decide), spec, params, rewards, cfg,
                                codebook)

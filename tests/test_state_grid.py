@@ -8,6 +8,7 @@ ordering holds by construction.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ class TestTransitionEstimation:
         # evolving from a badly aligned beam
         assert np.all(tails(model.P1_row) >= tails(model.Peps1_row) - tol)
         assert np.all(tails(model.Peps1_row) >= tails(model.P0[0]) - tol)
+
+    def test_single_antenna_alignment_rows_are_exact(self):
+        # z is identically 1, so the rows are point masses drawn without
+        # sampling; rejection would starve every lower bin
+        spec = make_grid(1, 6, 6, 20_000, 11)
+        codebook = np.exp(2j * math.pi * np.arange(4) / 4)[:, None]
+        start = time.perf_counter()
+        model = estimate_transition_model(
+            FadingParams(L=1, doppler_slot=0.1), spec, 20_000, 12, codebook=codebook
+        )
+        assert time.perf_counter() - start < 1.0
+        top = np.zeros(6)
+        top[-1] = 1.0
+        np.testing.assert_array_equal(model.P0, np.tile(top, (6, 1)))
+        np.testing.assert_array_equal(model.P1_row, top)
+        np.testing.assert_array_equal(model.Peps1_row, top)
+        np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-12)
+        with pytest.raises(ValueError, match="codebook"):
+            estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
+                                      20_000, 12, codebook=np.eye(2))
 
     def test_starved_bin_raises_with_bin_name(self, spec16):
         with pytest.raises(EstimationError, match="bin"):
