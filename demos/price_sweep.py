@@ -46,9 +46,9 @@ def main():
 
     print(f"{'alpha':>6} {'ctrl net':>9} {'fb rate':>8} {'thresh':>7} "
           f"{'periodic net':>13} {'interval':>9} {'gap':>7}")
-    for point in curve.points:
-        period, fixed = periodic_baseline(params, RewardSpec(P=P, alpha=point.alpha),
-                                          args.max_period, run)
+    fixed_curve = periodic_baseline(params, P, [p.alpha for p in curve.points],
+                                    args.max_period, run)
+    for point, (period, fixed) in zip(curve.points, fixed_curve):
         gap = point.net - fixed.net
         print(f"{point.alpha:6.2f} {point.net:9.4f} {point.feedback_rate:8.3f} "
               f"{point.avg_threshold:7.3f} {fixed.net:13.4f} {period:9d} "

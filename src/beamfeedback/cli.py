@@ -39,11 +39,11 @@ from .simulator import (
     TrajectoryConfig,
     average_threshold,
     curve_to_csv,
-    simulate_periodic,
+    periodic_baseline,
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import EstimationError, estimate_transition_model, make_grid, model_to_json
+from .state_grid import estimate_transition_model, make_grid, model_to_json
 
 __all__ = ["ExperimentConfig", "ConfigError", "UsageError", "load_config", "run", "main"]
 
@@ -283,24 +283,13 @@ def _metadata(cfg: ExperimentConfig, extra=None) -> str:
 
 
 def _periodic_curve(cfg: ExperimentConfig, max_period: int = _MAX_PERIOD) -> Curve:
-    """Best-interval periodic baseline across the configured prices.
-
-    Throughput and feedback rate of a fixed interval do not depend on the
-    price, so each interval is measured once and the best interval per price
-    is then re-simulated to report its error bar honestly.
-    """
-    base = [simulate_periodic(k, cfg.params, cfg.rewards(0.0), cfg.trajectory)
-            for k in range(1, max_period + 1)]
-    points = []
-    for a in cfg.alphas:
-        nets = [r.throughput - a * r.feedback_rate for r in base]
-        best_k = 1 + int(np.argmax(nets))
-        res = simulate_periodic(best_k, cfg.params, cfg.rewards(a), cfg.trajectory)
-        points.append(CurvePoint(alpha=float(a), net=res.net,
-                                 throughput=res.throughput,
-                                 feedback_rate=res.feedback_rate,
-                                 avg_threshold=math.nan, stderr=res.stderr))
-    return Curve(points=tuple(points))
+    """Best-interval periodic baseline across the configured prices."""
+    best = periodic_baseline(cfg.params, cfg.P, cfg.alphas, max_period, cfg.trajectory)
+    return Curve(points=tuple(
+        CurvePoint(alpha=float(a), net=res.net, throughput=res.throughput,
+                   feedback_rate=res.feedback_rate, avg_threshold=math.nan,
+                   stderr=res.stderr)
+        for a, (_, res) in zip(cfg.alphas, best)))
 
 
 def _controlled_curve(cfg: ExperimentConfig) -> Curve:
@@ -450,8 +439,8 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, SingularChainError, EstimationError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, SingularChainError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

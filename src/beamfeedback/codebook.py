@@ -148,6 +148,22 @@ def quantize_shape(s: np.ndarray, codebook: Codebook):
     return codebook.vectors[idx], float(min(1.0, scores[idx]))
 
 
+def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):
+    """Codebook quantization of many conjugated unit shapes: (indices, eps).
+
+    Scores are built one codeword at a time, so no rows-by-codewords matrix
+    is ever held; ties resolve to the lowest codeword index.
+    """
+    best = np.abs(Sc @ vectors[0]) ** 2
+    idx = np.zeros(best.size, dtype=np.intp)
+    for k in range(1, vectors.shape[0]):
+        score = np.abs(Sc @ vectors[k]) ** 2
+        better = score > best
+        idx[better] = k
+        best[better] = score[better]
+    return idx, np.minimum(best, 1.0)
+
+
 def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_count: int,
                        rng) -> EpsStats:
     """Monte Carlo moments of eps over isotropic shapes.
@@ -175,8 +191,7 @@ def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_co
         c = min(remaining, _CHUNK)
         S = _complex_normal(rng, (c, L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        eps = np.max(np.abs(S @ codebook.vectors.conj().T) ** 2, axis=1)
-        eps = np.minimum(eps, 1.0)
+        eps = _quantize_rows(S.conj(), codebook.vectors)[1]
         sum_eps += eps.sum()
         sumsq_eps += (eps**2).sum()
         pos = eps > 0.0

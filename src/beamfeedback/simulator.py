@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingParams, _complex_normal
-from .codebook import epsilon_statistics
+from .codebook import _quantize_rows, epsilon_statistics
 from .mdp import (
     Policy,
     RewardSpec,
@@ -205,22 +205,6 @@ def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
     return w
 
 
-def _quantize_rows(Sc: np.ndarray, codebook):
-    """Codebook quantization of many conjugated shapes: (indices, eps).
-
-    Scores are built one codeword at a time, so no rows-by-codewords matrix
-    is ever held; ties resolve to the lowest codeword index.
-    """
-    best = np.abs(Sc @ codebook.vectors[0]) ** 2
-    idx = np.zeros(best.size, dtype=np.intp)
-    for k in range(1, codebook.size):
-        score = np.abs(Sc @ codebook.vectors[k]) ** 2
-        better = score > best
-        idx[better] = k
-        best[better] = score[better]
-    return idx, np.minimum(best, 1.0)
-
-
 def _check_codebook(codebook, params: FadingParams):
     if codebook is not None and codebook.L != params.L:
         raise ValueError(f"codebook has {codebook.L} antennas but the channel "
@@ -266,7 +250,7 @@ class _EventTable:
         if codebook is None:
             self.successor = self._lag_successors()
         else:
-            self.code, self.eps = _quantize_rows(self.Sc, codebook)
+            self.code, self.eps = _quantize_rows(self.Sc, codebook.vectors)
             self.successor = self._codeword_successors()
 
     def hit(self, slots, z):
@@ -360,7 +344,7 @@ def _feedback_trace(decide, spec: GridSpec, g, S, f, codebook):
         fb[:] = True
         if codebook is None:
             return np.ones(T), fb
-        return _quantize_rows(S.conj(), codebook)[1], fb
+        return _quantize_rows(S.conj(), codebook.vectors)[1], fb
     table = _EventTable(decide, spec, g, S, f, codebook)
     events = table.events()
     fb[events] = True
@@ -401,7 +385,7 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     if codebook is None:
         A = anchors
     else:
-        A = codebook.vectors[_quantize_rows(anchors.conj(), codebook)[0]]
+        A = codebook.vectors[_quantize_rows(anchors.conj(), codebook.vectors)[0]]
     nseg, rem = divmod(T, period)
     if nseg:
         body = S[:nseg * period].conj().reshape(nseg, period, -1)
@@ -425,21 +409,28 @@ def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
     return _periodic_eval(int(period), traj, rewards, config, codebook)
 
 
-def periodic_baseline(params: FadingParams, rewards: RewardSpec,
-                      max_period: int, config: TrajectoryConfig, codebook=None):
-    """Best fixed feedback interval in 1..max_period on one shared trajectory.
+def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
+                      config: TrajectoryConfig, codebook=None):
+    """Best fixed feedback interval in 1..max_period at each price.
 
-    Returns (best_period, EvalResult); ties go to the shorter interval.
+    Throughput and feedback rate of a fixed interval do not depend on the
+    price, so every interval is measured once on the shared trajectory; the
+    best interval per price (ties go to the shorter one) is then evaluated
+    again at that price for its net and error bar.
+
+    Returns [(best_period, EvalResult), ...], one pair per price.
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
     _check_codebook(codebook, params)
     traj = _trajectory(params, config)
-    best = None
-    for k in range(1, int(max_period) + 1):
-        res = _periodic_eval(k, traj, rewards, config, codebook)
-        if best is None or res.net > best[1].net:
-            best = (k, res)
+    base = [_periodic_eval(k, traj, RewardSpec(P=P, alpha=0.0), config, codebook)
+            for k in range(1, int(max_period) + 1)]
+    best = []
+    for a in alphas:
+        k = 1 + int(np.argmax([r.throughput - a * r.feedback_rate for r in base]))
+        best.append((k, _periodic_eval(k, traj, RewardSpec(P=P, alpha=a), config,
+                                       codebook)))
     return best
 
 

@@ -5,6 +5,8 @@ alignment into equal-length cells of [0, 1].  Transition kernels between the
 cells are estimated by Monte Carlo from the slot-to-slot channel recursion:
 a power kernel, an alignment kernel for slots without feedback, and a single
 shared alignment row for slots with feedback (exact or codebook-quantized).
+Every alignment kernel steps isotropic channels drawn exactly at given
+alignments, so each source bin is sampled directly, without rejection.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import numpy as np
 from scipy import special
 
 from .channel import FadingParams, _as_rng, _complex_normal
+from .codebook import _quantize_rows
 
 __all__ = [
     "GridSpec",
     "TransitionModel",
     "StationaryDistribution",
-    "EstimationError",
     "build_g_grid",
     "build_z_grid",
     "make_grid",
@@ -36,10 +38,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
-
-
-class EstimationError(RuntimeError):
-    """A transition row could not be filled within the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -221,18 +219,17 @@ def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
 
 
 def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count: int,
-                              rng, codebook=None, retry_budget: int = 100_000) -> TransitionModel:
+                              rng, codebook=None) -> TransitionModel:
     """Estimate the bin-level kernels by simulating one-slot transitions.
 
-    The power kernel is counted from a single pass of stationary draws.  The
-    no-feedback alignment kernel conditions each source row on its bin by
-    rejection (the beamformer is pinned to the first basis vector, which the
-    rotation-invariant channel law permits), with ``retry_budget`` draws
-    allowed per needed sample before a row is declared starved.  The feedback
-    row conditions on perfect alignment; when ``codebook`` is given, a second
-    row conditions on the codebook-quantized beamformer instead.  With one
-    antenna the alignment is identically 1, and every alignment row is the
-    exact point mass on the top bin, drawn from no samples.
+    The power kernel is counted from a single pass of stationary draws.
+    Every alignment row steps channels drawn at given alignments with a beam
+    pinned to the first basis vector (see _step_alignment_bins): each
+    no-feedback row from exactly ``sample_count // N`` alignments inside its
+    source bin, the feedback row from perfect alignment and, when
+    ``codebook`` is given, a second row from the codebook-quantized alignment
+    of isotropic shapes.  With one antenna the alignment is identically 1,
+    and every alignment row is the exact point mass on the top bin.
 
     Args:
         params: fading model (antenna count and slot correlation).
@@ -241,7 +238,6 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         rng: seed or numpy Generator; an integer seed is recorded for
             serialization.
         codebook: optional codebook (object with unit-norm ``vectors`` rows).
-        retry_budget: rejection draws allowed per needed alignment sample.
 
     Returns:
         TransitionModel with rows normalized to distributions.
@@ -268,7 +264,7 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         c = min(remaining, _CHUNK)
         H = _complex_normal(g_stream, (c, L))
         m0 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec)
-        H = rho * H + sig * _complex_normal(g_stream, (c, L))
+        H = _ar1_step(g_stream, H, rho, sig)
         m1 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec)
         counts_g += np.bincount(m0 * M + m1, minlength=M * M)
         remaining -= c
@@ -283,69 +279,68 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
                                Peps1_row=None if vectors is None else top,
                                sample_count=sample_count, seed=seed)
 
-    # no-feedback alignment kernel: rejection-fill every source bin
     target = max(1, sample_count // N)
-    need = np.full(N, target, dtype=np.int64)
-    counts_z = np.zeros(N * N, dtype=np.int64)
-    budget = int(retry_budget) * target
-    draws = 0
-    while need.any():
-        if draws >= budget:
-            starved = int(np.argmax(need))
-            raise EstimationError(
-                f"alignment bin {starved} starved: {int(need[starved])} of {target} "
-                f"source samples missing after {draws} draws"
-            )
-        c = min(_CHUNK, budget - draws)
-        H = _complex_normal(z_stream, (c, L))
-        z0 = np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1)
-        n0 = _bin_z(z0, spec)
-        take_idx = []
-        take_row = []
-        for r in np.nonzero(need)[0]:
-            idx = np.nonzero(n0 == r)[0][: need[r]]
-            if idx.size:
-                take_idx.append(idx)
-                take_row.append(np.full(idx.size, r, dtype=np.int64))
-                need[r] -= idx.size
-        if take_idx:
-            idx = np.concatenate(take_idx)
-            row = np.concatenate(take_row)
-            Hs = rho * H[idx] + sig * _complex_normal(z_stream, (idx.size, L))
-            z1 = np.abs(Hs[:, 0]) ** 2 / np.sum(np.abs(Hs) ** 2, axis=1)
-            counts_z += np.bincount(row * N + _bin_z(z1, spec), minlength=N * N)
-        draws += c
-    P0 = counts_z.reshape(N, N) / float(target)
-
-    P1_row = _feedback_row(f_stream, params, spec, sample_count, None)
+    z0 = _in_bin_alignments(z_stream, spec.z_edges, L, target)
+    n1 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
+    P0 = np.bincount(np.repeat(np.arange(N), target) * N + n1,
+                     minlength=N * N).reshape(N, N) / float(target)
+    n1 = _step_alignment_bins(f_stream, np.ones(sample_count), L, rho, sig, spec)
+    P1_row = np.bincount(n1, minlength=N) / float(sample_count)
     Peps1_row = None
     if vectors is not None:
-        Peps1_row = _feedback_row(q_stream, params, spec, sample_count, vectors)
+        # w is isotropic, so the next alignment depends on the channel only
+        # through |h_1| and its norm orthogonal to the beam: given (g, eps),
+        # which codeword was chosen does not matter
+        eps = np.empty(sample_count)
+        for s in range(0, sample_count, _CHUNK):
+            S = _complex_normal(q_stream, (min(_CHUNK, sample_count - s), L))
+            S /= np.linalg.norm(S, axis=1, keepdims=True)
+            eps[s:s + _CHUNK] = _quantize_rows(S.conj(), vectors)[1]
+        n1 = _step_alignment_bins(q_stream, eps, L, rho, sig, spec)
+        Peps1_row = np.bincount(n1, minlength=N) / float(sample_count)
 
     return TransitionModel(Ptilde=Ptilde, P0=P0, P1_row=P1_row, Peps1_row=Peps1_row,
                            sample_count=sample_count, seed=seed)
 
 
-def _feedback_row(stream, params: FadingParams, spec: GridSpec, sample_count: int,
-                  vectors) -> np.ndarray:
-    """Destination law of the alignment after a feedback slot."""
-    L, rho = params.L, params.rho
-    sig = math.sqrt(max(0.0, 1.0 - rho * rho))
-    counts = np.zeros(spec.N, dtype=np.int64)
-    remaining = sample_count
-    while remaining:
-        c = min(remaining, _CHUNK)
-        H = _complex_normal(stream, (c, L))
-        S = H / np.linalg.norm(H, axis=1, keepdims=True)
-        if vectors is None:
-            F = S
-        else:
-            F = vectors[np.argmax(np.abs(S @ vectors.conj().T) ** 2, axis=1)]
-        H = rho * H + sig * _complex_normal(stream, (c, L))
-        z1 = np.abs(np.sum(H * F.conj(), axis=1)) ** 2 / np.sum(np.abs(H) ** 2, axis=1)
-        counts += np.bincount(_bin_z(z1, spec), minlength=spec.N)
-        remaining -= c
-    return counts / float(sample_count)
+def _ar1_step(stream, H: np.ndarray, rho: float, sig: float) -> np.ndarray:
+    """One slot of the channel recursion h' = rho h + sqrt(1 - rho^2) w."""
+    return rho * H + sig * _complex_normal(stream, H.shape)
+
+
+def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.ndarray:
+    """``target`` isotropic alignments inside each bin, grouped bin by bin.
+
+    The alignment is Beta(1, L-1) with survival S(z) = (1 - z)^(L-1), so S^-1
+    of a uniform draw between S at a bin's edges is that law on the bin.
+    """
+    tail = (1.0 - z_edges[:, None]) ** (L - 1)
+    u = stream.random((z_edges.size - 1, target))
+    z0 = 1.0 - (tail[:-1] - u * (tail[:-1] - tail[1:])) ** (1.0 / (L - 1))
+    # rounding can step a draw just past its bin's edges
+    return np.clip(z0, z_edges[:-1, None], z_edges[1:, None]).ravel()
+
+
+def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
+                         spec: GridSpec) -> np.ndarray:
+    """Alignment bins one slot after channels at alignment z0 with the beam e_1.
+
+    Power g ~ Gamma(L), alignment z = |h_1|^2 / g, the phase of h_1 and the
+    direction orthogonal to e_1 are independent, so a CN(0, I) draw whose
+    first entry is rescaled to power g z0 and the rest to g (1 - z0) has the
+    channel law given z = z0.
+    """
+    n1 = np.empty(z0.size, dtype=np.intp)
+    for s in range(0, z0.size, _CHUNK):
+        z = z0[s:s + _CHUNK]
+        H = _complex_normal(stream, (z.size, L))
+        head = np.abs(H[:, 0]) ** 2
+        rest = np.sum(np.abs(H[:, 1:]) ** 2, axis=1)
+        H[:, 0] *= np.sqrt((head + rest) * z / head)
+        H[:, 1:] *= np.sqrt((head + rest) * (1.0 - z) / rest)[:, None]
+        H = _ar1_step(stream, H, rho, sig)
+        n1[s:s + _CHUNK] = _bin_z(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1), spec)
+    return n1
 
 
 def is_monotone_stochastic(A: np.ndarray, tol: float = 1e-9) -> bool:

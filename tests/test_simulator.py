@@ -16,6 +16,7 @@ from beamfeedback import simulator
 from beamfeedback.channel import FadingParams, _complex_normal
 from beamfeedback.codebook import (
     Codebook,
+    _quantize_rows,
     lloyd_codebook,
     quantize_shape,
     random_codebook,
@@ -397,7 +398,7 @@ class TestEventTableAgreesWithReference:
         cb = random_codebook(3, 8, 771)
         S = _complex_normal(rng, (500, 3))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        idx, eps = simulator._quantize_rows(S.conj(), cb)
+        idx, eps = _quantize_rows(S.conj(), cb.vectors)
         for s, k, e in zip(S, idx, eps):
             v, want = quantize_shape(s, cb)
             assert np.array_equal(cb.vectors[k], v)
@@ -405,7 +406,7 @@ class TestEventTableAgreesWithReference:
         # a shape halfway between two codewords ties; the lower index wins
         pair = Codebook(vectors=np.eye(2, dtype=complex))
         half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
-        assert simulator._quantize_rows(half.conj(), pair)[0][0] == 0
+        assert _quantize_rows(half.conj(), pair.vectors)[0][0] == 0
 
 
 class TestCodebookDimension:
@@ -429,7 +430,7 @@ class TestCodebookDimension:
         with pytest.raises(ValueError, match="codebook has 4 antennas"):
             simulate_periodic(4, PARAMS, REWARDS, cfg, codebook=codebook)
         with pytest.raises(ValueError, match="codebook has 4 antennas"):
-            periodic_baseline(PARAMS, REWARDS, 4, cfg, codebook=codebook)
+            periodic_baseline(PARAMS, 100.0, [0.5], 4, cfg, codebook=codebook)
 
 
 class TestOptimalPolicyDominance:
@@ -467,16 +468,15 @@ class TestPeriodic:
             assert abs(res.feedback_rate - 1.0 / k) <= 2.0 * k / 99_000
 
     def test_free_feedback_prefers_period_one(self):
-        free = RewardSpec(P=100.0, alpha=0.0)
         cfg = TrajectoryConfig(slots=60_000, seed=41)
-        k, res = periodic_baseline(PARAMS, free, 8, cfg)
+        [(k, res)] = periodic_baseline(PARAMS, 100.0, [0.0], 8, cfg)
         assert k == 1
         assert res.feedback_rate == 1.0
 
     def test_costly_feedback_approaches_never_feeding_back(self, grid8):
         dear = RewardSpec(P=100.0, alpha=3.0)
         cfg = TrajectoryConfig(slots=120_000, seed=43)
-        k, res = periodic_baseline(PARAMS, dear, 64, cfg)
+        [(k, res)] = periodic_baseline(PARAMS, 100.0, [3.0], 64, cfg)
         stale = simulate_policy(never(grid8), grid8, PARAMS, dear, cfg)
         assert k > 1
         assert res.net >= stale.net - 0.15
@@ -485,12 +485,35 @@ class TestPeriodic:
                                           RewardSpec(P=100.0, alpha=0.0),
                                           cfg).throughput
 
+    def test_price_list_picks_each_best_interval_once(self, monkeypatch):
+        cfg = TrajectoryConfig(slots=30_000, seed=47)
+        alphas = [0.0, 0.4, 1.0, 2.5]
+        want = []
+        for a in alphas:
+            r = RewardSpec(P=100.0, alpha=a)
+            runs = [simulate_periodic(k, PARAMS, r, cfg) for k in range(1, 17)]
+            k = 1 + max(range(16), key=lambda i: (runs[i].net, -i))
+            want.append((k, runs[k - 1]))
+        calls = []
+        inner = simulator._periodic_eval
+        monkeypatch.setattr(simulator, "_periodic_eval",
+                            lambda *a, **kw: calls.append(a[0]) or inner(*a, **kw))
+        assert periodic_baseline(PARAMS, 100.0, alphas, 16, cfg) == want
+        assert len(calls) <= 16 + len(alphas)
+
+    def test_ties_go_to_the_shorter_interval(self):
+        # every interval of 50 slots or more feeds back only in slot 0,
+        # before the warmup ends, so those intervals tie exactly
+        cfg = TrajectoryConfig(slots=50, warmup=10, seed=53)
+        [(k, res)] = periodic_baseline(PARAMS, 100.0, [100.0], 64, cfg)
+        assert k == 50 and res.feedback_rate == 0.0
+
     def test_bad_periods_rejected(self):
         cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
         with pytest.raises(ValueError):
             simulate_periodic(0, PARAMS, REWARDS, cfg)
         with pytest.raises(ValueError):
-            periodic_baseline(PARAMS, REWARDS, 0, cfg)
+            periodic_baseline(PARAMS, 100.0, [0.5], 0, cfg)
 
 
 # ----------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Independent oracles: Gamma/Exp quantile and conditional-mean closed forms via
 the incomplete gamma function, the closed-form binned law of the alignment of
-two isotropic vectors, and exponentially tilted row families whose tail-mass
-ordering holds by construction.
+two isotropic vectors, exponentially tilted row families whose tail-mass
+ordering holds by construction, and a rejection estimator of the alignment
+kernels that conditions on the source bin by drawing until it is filled.
 """
 
 import json
@@ -14,12 +15,13 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from beamfeedback.channel import FadingParams
+from beamfeedback.channel import FadingParams, _complex_normal
+from beamfeedback.codebook import random_codebook
 from beamfeedback.state_grid import (
-    EstimationError,
     GridSpec,
     StationaryDistribution,
     TransitionModel,
+    _in_bin_alignments,
     build_g_grid,
     build_z_grid,
     estimate_transition_model,
@@ -56,6 +58,62 @@ def tilted_monotone_rows(rng: np.random.Generator, rows: int, cols: int) -> np.n
     lam = np.sort(rng.random(rows) * 2.0)
     out = base[None, :] * np.exp(lam[:, None] * np.arange(cols)[None, :])
     return out / out.sum(axis=1, keepdims=True)
+
+
+def reference_alignment_counts(params, spec, sample_count, seed, vectors=None):
+    """Rejection estimator of the alignment kernels, as integer counts.
+
+    Each no-feedback source bin is filled with sample_count // N isotropic
+    channels by drawing until every bin has its quota; the beam is the first
+    basis vector.  The feedback rows beamform on the channel's own shape or
+    on its best codeword.  Returns (P0 counts, P1 counts, Peps1 counts).
+    """
+    L, rho, N = params.L, params.rho, spec.N
+    sig = math.sqrt(1.0 - rho * rho)
+    z_stream, f_stream, q_stream = np.random.default_rng(seed).spawn(3)
+
+    def step(stream, H):
+        return rho * H + sig * _complex_normal(stream, H.shape)
+
+    def bins(z):
+        return np.clip(np.searchsorted(spec.z_edges, z, side="right") - 1, 0, N - 1)
+
+    target = sample_count // N
+    need = np.full(N, target)
+    P0 = np.zeros((N, N), dtype=np.int64)
+    while need.any():
+        H = _complex_normal(z_stream, (1 << 18, L))
+        n0 = bins(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1))
+        for r in np.nonzero(need)[0]:
+            idx = np.nonzero(n0 == r)[0][: need[r]]
+            need[r] -= idx.size
+            Hs = step(z_stream, H[idx])
+            z1 = np.abs(Hs[:, 0]) ** 2 / np.sum(np.abs(Hs) ** 2, axis=1)
+            P0[r] += np.bincount(bins(z1), minlength=N)
+
+    def feedback_row(stream, vectors):
+        H = _complex_normal(stream, (sample_count, L))
+        S = H / np.linalg.norm(H, axis=1, keepdims=True)
+        F = S if vectors is None else vectors[np.argmax(np.abs(S @ vectors.conj().T) ** 2, axis=1)]
+        H = step(stream, H)
+        z1 = np.abs(np.sum(H * F.conj(), axis=1)) ** 2 / np.sum(np.abs(H) ** 2, axis=1)
+        return np.bincount(bins(z1), minlength=N)
+
+    return P0, feedback_row(f_stream, None), feedback_row(q_stream, vectors)
+
+
+def homogeneity_pvalue(a, b, pool_below=20):
+    """Chi-square p-value that two count vectors share one law.
+
+    Columns with fewer than ``pool_below`` counts in total are pooled.
+    """
+    table = np.vstack([a, b]).astype(float)
+    sparse = table.sum(axis=0) < pool_below
+    table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    if table.shape[1] < 2:
+        return 1.0
+    return stats.chi2_contingency(table, correction=False)[1]
 
 
 class TestPowerGrid:
@@ -215,11 +273,21 @@ class TestTransitionEstimation:
             estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
                                       20_000, 12, codebook=np.eye(2))
 
-    def test_starved_bin_raises_with_bin_name(self, spec16):
-        with pytest.raises(EstimationError, match="bin"):
-            estimate_transition_model(
-                FadingParams(L=3, doppler_slot=0.1), spec16, 16_000, 9, retry_budget=1
-            )
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_eight_antennas_fill_every_alignment_row(self, N):
+        # the top alignment bin carries mass N^-7, out of reach of rejection
+        spec = make_grid(8, 16, N, 20_000, 1)
+        start = time.perf_counter()
+        model = estimate_transition_model(
+            FadingParams(L=8, doppler_slot=0.1), spec, 64_000, 2
+        )
+        assert time.perf_counter() - start < 5.0
+        target = 64_000 // N
+        counts = model.P0 * target
+        np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
+        assert np.all(np.round(counts).sum(axis=1) == target)
+        for A in (model.Ptilde, model.P0, model.P1_row[None, :]):
+            np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_empty_power_rows_fall_back_to_uniform(self, spec16):
         with pytest.warns(UserWarning, match="uniform"):
@@ -237,6 +305,49 @@ class TestTransitionEstimation:
         np.testing.assert_array_equal(a.Ptilde, b.Ptilde)
         np.testing.assert_array_equal(a.P0, b.P0)
         np.testing.assert_array_equal(a.P1_row, b.P1_row)
+
+
+class TestExactAlignmentSampling:
+    class ExtremeUniforms:
+        """Uniform draws that include both ends of [0, 1) in every row."""
+
+        def random(self, shape):
+            u = np.random.default_rng(0).random(shape)
+            u[:, 0], u[:, 1] = 0.0, np.nextafter(1.0, 0.0)
+            return u
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 8])
+    @pytest.mark.parametrize("N", [1, 3, 16, 40, 64])
+    def test_in_bin_draws_stay_in_their_bins(self, L, N):
+        edges, _ = build_z_grid(N)
+        for stream in (np.random.default_rng(L * 100 + N), self.ExtremeUniforms()):
+            z0 = _in_bin_alignments(stream, edges, L, 5000).reshape(N, 5000)
+            assert np.all(z0 >= edges[:-1, None]) and np.all(z0 <= edges[1:, None])
+
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    def test_in_bin_draws_follow_the_conditioned_alignment_law(self, L):
+        edges, _ = build_z_grid(4)
+        tail = lambda z: (1.0 - z) ** (L - 1)
+        z0 = _in_bin_alignments(np.random.default_rng(L), edges, L, 4000).reshape(4, -1)
+        for n, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            cdf = lambda z: (tail(lo) - tail(z)) / (tail(lo) - tail(hi))
+            assert stats.kstest(z0[n], cdf).pvalue > 1e-4
+
+    @pytest.mark.parametrize("doppler", [0.01, 0.1])
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_kernels_agree_with_rejection_oracle(self, L, doppler):
+        params = FadingParams(L=L, doppler_slot=doppler)
+        spec = make_grid(L, 2, 6, 1000, 0)
+        codebook = random_codebook(L, 4, 50 + L)
+        n = 30_000
+        model = estimate_transition_model(params, spec, n, 60 + L, codebook=codebook)
+        P0, p1, pe = reference_alignment_counts(params, spec, n, 70 + L, codebook.vectors)
+        target = n // spec.N
+        pvalues = [homogeneity_pvalue(np.round(model.P0[r] * target), P0[r])
+                   for r in range(spec.N)]
+        pvalues.append(homogeneity_pvalue(np.round(model.P1_row * n), p1))
+        pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
+        assert min(pvalues) > 1e-4, pvalues
 
 
 class TestMonotoneCheck:
