@@ -13,7 +13,6 @@ import numpy as np
 
 from beamfeedback import (
     FadingParams,
-    RewardSpec,
     TrajectoryConfig,
     make_grid,
     periodic_baseline,
@@ -41,8 +40,7 @@ def main():
     spec = make_grid(args.antennas, args.bins, args.bins, args.samples,
                      np.random.default_rng(args.seed))
 
-    curve = sweep_alpha(args.alphas, spec, params, RewardSpec(P=P, alpha=0.0),
-                        run, model_samples=args.samples)
+    curve = sweep_alpha(args.alphas, spec, params, P, run, model_samples=args.samples)
 
     print(f"{'alpha':>6} {'ctrl net':>9} {'fb rate':>8} {'thresh':>7} "
           f"{'periodic net':>13} {'interval':>9} {'gap':>7}")

@@ -13,7 +13,6 @@ import numpy as np
 
 from beamfeedback import (
     FadingParams,
-    RewardSpec,
     TrajectoryConfig,
     epsilon_statistics,
     lloyd_codebook,
@@ -54,10 +53,8 @@ def main():
               f"(bound {price_increment_bound(L, args.codebook_size):.4f})")
 
     run = TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed)
-    perfect = sweep_alpha(args.alphas, spec, params, RewardSpec(P=P, alpha=0.0),
-                          run, model_samples=args.samples)
-    quantized = sweep_alpha(args.alphas, spec, params,
-                            RewardSpec(P=P, alpha=0.0), run, codebook=trained,
+    perfect = sweep_alpha(args.alphas, spec, params, P, run, model_samples=args.samples)
+    quantized = sweep_alpha(args.alphas, spec, params, P, run, codebook=trained,
                             model_samples=args.samples)
 
     print(f"{'alpha':>6} {'perfect net':>12} {'quantized net':>14} "

@@ -10,32 +10,17 @@ link-level simulation, with either perfect or codebook-quantized feedback.
 Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
 ``policy_iteration_average`` solves it, ``simulate_policy`` and
 ``sweep_alpha`` measure the result, and ``lloyd_codebook`` supplies the
-finite-rate feedback alphabet.
+finite-rate feedback alphabet.  ``exhaustive_threshold_search`` cross-checks
+the solver; discounted value iteration is a test oracle (tests/oracles.py).
+The exports are the names the command line, the demos and the acceptance
+suite use; everything else is reached through its module.
 """
 
-from .channel import (
-    Beamformer,
-    ChannelState,
-    FadingParams,
-    alignment,
-    evolve_channel,
-    sample_isotropic_channel,
-)
-from .codebook import (
-    Codebook,
-    EpsStats,
-    epsilon_statistics,
-    lloyd_codebook,
-    price_increment_bound,
-    quantize_shape,
-    random_codebook,
-)
+from .channel import FadingParams
+from .codebook import epsilon_statistics, lloyd_codebook, price_increment_bound, random_codebook
 from .mdp import (
     Policy,
     RewardSpec,
-    SolveResult,
-    ThresholdProfile,
-    average_reward,
     exhaustive_threshold_search,
     extract_threshold,
     policy_iteration_average,
@@ -44,7 +29,6 @@ from .mdp import (
 from .simulator import (
     Curve,
     CurvePoint,
-    EvalResult,
     TrajectoryConfig,
     average_threshold,
     curve_to_csv,
@@ -54,39 +38,21 @@ from .simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import (
-    GridSpec,
-    TransitionModel,
-    estimate_transition_model,
-    make_grid,
-    quantize_state,
-)
+from .state_grid import estimate_transition_model, make_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Beamformer",
-    "ChannelState",
-    "Codebook",
     "Curve",
     "CurvePoint",
-    "EpsStats",
-    "EvalResult",
     "FadingParams",
-    "GridSpec",
     "Policy",
     "RewardSpec",
-    "SolveResult",
-    "ThresholdProfile",
     "TrajectoryConfig",
-    "TransitionModel",
-    "alignment",
-    "average_reward",
     "average_threshold",
     "curve_to_csv",
     "epsilon_statistics",
     "estimate_transition_model",
-    "evolve_channel",
     "exhaustive_threshold_search",
     "extract_threshold",
     "lloyd_codebook",
@@ -94,11 +60,8 @@ __all__ = [
     "periodic_baseline",
     "policy_iteration_average",
     "price_increment_bound",
-    "quantize_shape",
-    "quantize_state",
     "random_codebook",
     "refinement_study",
-    "sample_isotropic_channel",
     "simulate_periodic",
     "simulate_policy",
     "sweep_alpha",

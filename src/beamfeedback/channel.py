@@ -3,27 +3,20 @@
 The channel vector has independent unit-variance complex Gaussian entries
 and evolves slot to slot through a first-order autoregression whose
 coefficient follows the classic Doppler autocorrelation (Bessel J0 of the
-normalized Doppler-slot product).  Channel power and channel shape are
-exposed separately because the feedback controller treats them separately.
+normalized Doppler-slot product).  This module holds that law and the one
+vectorised recursion step; the simulator and the kernel estimator split
+channels into power and shape themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
-__all__ = [
-    "FadingParams",
-    "ChannelState",
-    "Beamformer",
-    "bessel_j0",
-    "sample_isotropic_channel",
-    "evolve_channel",
-    "alignment",
-]
+__all__ = ["FadingParams", "bessel_j0"]
 
 
 def bessel_j0(x):
@@ -59,14 +52,13 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 class FadingParams:
     """Antenna count and per-slot Doppler of the fading process.
 
-    ``rho`` is the one-slot correlation coefficient.  It is derived from
-    ``doppler_slot`` when omitted; when supplied it must agree with the
-    Bessel-J0 value to 1e-9.
+    ``rho``, the one-slot correlation coefficient, is derived from
+    ``doppler_slot`` as the Bessel-J0 value; it cannot be set.
     """
 
     L: int
     doppler_slot: float
-    rho: float = None
+    rho: float = field(init=False)
 
     def __post_init__(self):
         if int(self.L) < 1:
@@ -74,97 +66,9 @@ class FadingParams:
         object.__setattr__(self, "L", int(self.L))
         if not (self.doppler_slot >= 0.0):
             raise ValueError("doppler_slot must be nonnegative")
-        derived = bessel_j0(2.0 * math.pi * self.doppler_slot)
-        if self.rho is None:
-            object.__setattr__(self, "rho", derived)
-        elif abs(self.rho - derived) > 1e-9:
-            raise ValueError(
-                f"rho={self.rho} inconsistent with doppler_slot={self.doppler_slot} "
-                f"(expected {derived})"
-            )
+        object.__setattr__(self, "rho", bessel_j0(2.0 * math.pi * self.doppler_slot))
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Channel vector with its derived power and unit-norm shape."""
-
-    h: np.ndarray
-    g: float
-    s: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        object.__setattr__(self, "h", h)
-        if h.ndim != 1 or h.size < 1:
-            raise ValueError("channel vector must be one-dimensional and nonempty")
-        g = float(np.sum(np.abs(h) ** 2))
-        if g <= 0.0:
-            raise ValueError("zero channel vector has no shape")
-        if abs(g - self.g) > 1e-12 * max(1.0, g):
-            raise ValueError("stored power disagrees with the channel vector")
-        s = np.asarray(self.s, dtype=complex)
-        if s.shape != h.shape or np.max(np.abs(s - h / math.sqrt(g))) > 1e-12:
-            raise ValueError("stored shape disagrees with the channel vector")
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def from_vector(cls, h) -> "ChannelState":
-        h = np.asarray(h, dtype=complex)
-        g = float(np.sum(np.abs(h) ** 2))
-        if g <= 0.0:
-            raise ValueError("zero channel vector has no shape")
-        return cls(h=h, g=g, s=h / math.sqrt(g))
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """Unit-norm transmit direction."""
-
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex)
-        object.__setattr__(self, "f", f)
-        if f.ndim != 1 or f.size < 1:
-            raise ValueError("beamformer must be a nonempty vector")
-        norm = np.linalg.norm(f)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"beamformer norm {norm} is not 1")
-
-
-def sample_isotropic_channel(L: int, rng) -> ChannelState:
-    """Draw a fresh channel with i.i.d. unit-variance complex Gaussian entries."""
-    if int(L) < 1:
-        raise ValueError("antenna count L must be a positive integer")
-    rng = _as_rng(rng)
-    return ChannelState.from_vector(_complex_normal(rng, (int(L),)))
-
-
-def evolve_channel(state: ChannelState, params: FadingParams, rng) -> ChannelState:
-    """Advance the channel one slot.
-
-    The update is h' = rho*h + sqrt(1-rho^2)*w with isotropic w, which keeps
-    the stationary law of the entries exactly unit-variance complex Gaussian.
-    """
-    if state.h.size != params.L:
-        raise ValueError("channel dimension does not match params.L")
-    rho = params.rho
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [-1, 1]")
-    rng = _as_rng(rng)
-    w = _complex_normal(rng, (params.L,))
-    h_next = rho * state.h + math.sqrt(max(0.0, 1.0 - rho * rho)) * w
-    return ChannelState.from_vector(h_next)
-
-
-def alignment(s: np.ndarray, f: np.ndarray) -> float:
-    """Squared inner product |s^H f|^2 between two unit vectors.
-
-    Returns a value in [0, 1]; tiny floating-point excursions are clipped.
-    """
-    s = np.asarray(s, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    if s.shape != f.shape or s.ndim != 1:
-        raise ValueError("alignment requires two vectors of identical shape")
-    val = float(np.abs(np.vdot(s, f)) ** 2)
-    return min(1.0, max(0.0, val))
+def _ar1_step(stream, H: np.ndarray, rho: float, sig: float) -> np.ndarray:
+    """One slot of the channel recursion h' = rho h + sqrt(1 - rho^2) w."""
+    return rho * H + sig * _complex_normal(stream, H.shape)

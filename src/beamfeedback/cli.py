@@ -37,6 +37,7 @@ from .simulator import (
     Curve,
     CurvePoint,
     TrajectoryConfig,
+    _streams,
     average_threshold,
     curve_to_csv,
     periodic_baseline,
@@ -204,10 +205,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**kw)
 
 
-def _stream(cfg: ExperimentConfig, tag: int) -> np.random.Generator:
-    return np.random.default_rng([cfg.seed, tag])
-
-
 def _write_text(path: str, text: str):
     """Write atomically so failed runs leave no partial outputs."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -232,7 +229,7 @@ def _emit(path: str, text: str, quiet: bool):
 def _build_codebook(cfg: ExperimentConfig):
     if cfg.codebook_method is None:
         return None
-    rng = _stream(cfg, 6)
+    rng = _streams(cfg.seed, 6)
     if cfg.codebook_method == "random":
         return random_codebook(cfg.L, cfg.codebook_size, rng)
     return lloyd_codebook(cfg.L, cfg.codebook_size, cfg.codebook_training,
@@ -240,9 +237,9 @@ def _build_codebook(cfg: ExperimentConfig):
 
 
 def _build_model(cfg: ExperimentConfig, codebook):
-    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _stream(cfg, 4))
+    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, 4))
     model = estimate_transition_model(cfg.params, spec, cfg.model_samples,
-                                      _stream(cfg, 5), codebook=codebook)
+                                      _streams(cfg.seed, 5), codebook=codebook)
     return spec, model
 
 
@@ -252,7 +249,7 @@ def _solve(cfg: ExperimentConfig, alpha: float):
     eps = None
     if codebook is not None:
         eps = epsilon_statistics(codebook, cfg.L, cfg.P, spec.g_points,
-                                 cfg.model_samples, _stream(cfg, 7))
+                                 cfg.model_samples, _streams(cfg.seed, 7))
     result = policy_iteration_average(model, cfg.rewards(alpha), spec, eps=eps,
                                       quantized_row=codebook is not None)
     return spec, model, codebook, result
@@ -282,9 +279,9 @@ def _metadata(cfg: ExperimentConfig, extra=None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _periodic_curve(cfg: ExperimentConfig, max_period: int = _MAX_PERIOD) -> Curve:
+def _periodic_curve(cfg: ExperimentConfig) -> Curve:
     """Best-interval periodic baseline across the configured prices."""
-    best = periodic_baseline(cfg.params, cfg.P, cfg.alphas, max_period, cfg.trajectory)
+    best = periodic_baseline(cfg.params, cfg.P, cfg.alphas, _MAX_PERIOD, cfg.trajectory)
     return Curve(points=tuple(
         CurvePoint(alpha=float(a), net=res.net, throughput=res.throughput,
                    feedback_rate=res.feedback_rate, avg_threshold=math.nan,
@@ -294,8 +291,8 @@ def _periodic_curve(cfg: ExperimentConfig, max_period: int = _MAX_PERIOD) -> Cur
 
 def _controlled_curve(cfg: ExperimentConfig) -> Curve:
     codebook = _build_codebook(cfg)
-    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _stream(cfg, 4))
-    return sweep_alpha(list(cfg.alphas), spec, cfg.params, cfg.rewards(0.0),
+    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, 4))
+    return sweep_alpha(list(cfg.alphas), spec, cfg.params, cfg.P,
                        cfg.trajectory, codebook=codebook,
                        model_samples=cfg.model_samples)
 

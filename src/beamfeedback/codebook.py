@@ -22,7 +22,6 @@ __all__ = [
     "EpsStats",
     "random_codebook",
     "lloyd_codebook",
-    "quantize_shape",
     "epsilon_statistics",
     "price_increment_bound",
     "codebook_to_json",
@@ -130,22 +129,6 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
             C[k] = vecs[:, -1]
     return Codebook(vectors=C, method="lloyd", seed=seed,
                     objective_history=tuple(history))
-
-
-def quantize_shape(s: np.ndarray, codebook: Codebook):
-    """Best-aligned codeword for a unit shape.
-
-    Ties resolve to the lowest codeword index.  Returns (codeword, eps) with
-    eps the squared alignment achieved.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (codebook.L,):
-        raise ValueError("shape dimension does not match the codebook")
-    if abs(np.linalg.norm(s) - 1.0) > 1e-6:
-        raise ValueError("shape must be unit norm")
-    scores = np.abs(codebook.vectors.conj() @ s) ** 2
-    idx = int(np.argmax(scores))
-    return codebook.vectors[idx], float(min(1.0, scores[idx]))
 
 
 def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):

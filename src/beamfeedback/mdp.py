@@ -2,9 +2,10 @@
 
 Each slot the controller either requests feedback (beam realigned this slot,
 price charged) or keeps the stale beam.  Stage reward is spectral efficiency
-minus the price; the solvers maximize its long-run average.  A discounted
-value iteration and an exhaustive search over threshold policies are provided
-as independent cross-checks of the primary policy-iteration path.
+minus the price; the solvers maximize its long-run average.  An exhaustive
+search over threshold policies cross-checks the primary policy-iteration
+path; discounted and relative value iteration are test oracles
+(tests/oracles.py).
 
 The chain a policy induces factorizes: T[(m,n),(k,l)] = Ptilde[m,k] Pz[m,n,l],
 where Pz[m,n,:] is the feedback row where the policy feeds back and P0[n,:]
@@ -29,24 +30,15 @@ __all__ = [
     "RewardSpec",
     "Policy",
     "ThresholdProfile",
-    "ValueTable",
     "SolveResult",
     "ConvergenceError",
     "SingularChainError",
-    "reward_per_stage",
-    "reward_per_stage_quantized",
-    "dp_operator",
-    "value_iteration_discounted",
-    "relative_value_iteration",
-    "expected_continuation",
     "policy_iteration_average",
     "stationary_distribution",
-    "average_reward",
     "extract_threshold",
     "threshold_lower_bound",
     "exhaustive_threshold_search",
     "solve_result_to_json",
-    "policy_from_json",
 ]
 
 
@@ -64,37 +56,16 @@ class SingularChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Link SNR and the per-feedback price.
-
-    The price can be given directly or derived from a feedback budget: when
-    ``feedback_bits``, ``slot_time`` and ``coherence_time`` are all present,
-    alpha must equal feedback_bits * slot_time / coherence_time.
-    """
+    """Link SNR and the per-feedback price."""
 
     P: float
-    alpha: float = None
-    feedback_bits: float = None
-    slot_time: float = None
-    coherence_time: float = None
+    alpha: float
 
     def __post_init__(self):
         if not (self.P > 0.0 and math.isfinite(self.P)):
             raise ValueError("SNR P must be positive and finite")
-        budget = (self.feedback_bits, self.slot_time, self.coherence_time)
-        if all(v is not None for v in budget):
-            derived = self.feedback_bits * self.slot_time / self.coherence_time
-            if self.alpha is None:
-                object.__setattr__(self, "alpha", derived)
-            elif abs(self.alpha - derived) > 1e-12:
-                raise ValueError("alpha disagrees with the feedback budget")
-        if self.alpha is None:
-            raise ValueError("either alpha or a complete feedback budget is required")
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError("price alpha must be nonnegative and finite")
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float, **kwargs) -> "RewardSpec":
-        return cls(P=10.0 ** (snr_db / 10.0), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -124,22 +95,6 @@ class ThresholdProfile:
 
 
 @dataclass(frozen=True)
-class ValueTable:
-    """State values under a discount factor beta."""
-
-    V: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        if V.ndim != 2:
-            raise ValueError("value table must be 2-D over (power, alignment) bins")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("discount factor must lie in [0, 1)")
-        object.__setattr__(self, "V", V)
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """Optimal policy with its gain J, differential values A, and occupancy.
 
@@ -155,44 +110,12 @@ class SolveResult:
     residual: float
 
 
-def reward_per_stage(gbar, zbar, mu: int, rewards: RewardSpec):
-    """Stage reward at representative state (gbar, zbar) under decision mu.
-
-    Feedback realigns the beam within the slot, so its reward uses perfect
-    alignment and subtracts the price.
-    """
-    if mu not in (0, 1):
-        raise ValueError("decision mu must be 0 or 1")
-    gbar = np.asarray(gbar, dtype=float)
-    zbar = np.asarray(zbar, dtype=float)
-    if np.any(gbar < 0) or np.any((zbar < 0) | (zbar > 1)):
-        raise ValueError("gbar must be nonnegative and zbar must lie in [0, 1]")
-    if mu:
-        out = np.log2(1.0 + rewards.P * gbar) - rewards.alpha
-    else:
-        out = np.log2(1.0 + rewards.P * gbar * zbar)
-    return float(out) if out.ndim == 0 else out
-
-
 def _eps_rate(eps, gbar: float) -> float:
     pts = np.asarray(eps.g_points, dtype=float)
     hits = np.nonzero(np.isclose(pts, gbar, rtol=1e-9, atol=1e-12))[0]
     if hits.size == 0:
         raise ValueError(f"no quantized-rate entry for power point {gbar}")
     return float(np.asarray(eps.per_g_rate, dtype=float)[hits[0]])
-
-
-def reward_per_stage_quantized(gbar, zbar, mu: int, rewards: RewardSpec, eps):
-    """Stage reward when feedback returns a codebook-quantized beam.
-
-    The feedback branch uses the precomputed expectation of the quantized
-    alignment rate at ``gbar``; the no-feedback branch is unchanged.
-    """
-    if mu not in (0, 1):
-        raise ValueError("decision mu must be 0 or 1")
-    if mu:
-        return _eps_rate(eps, float(gbar)) - rewards.alpha
-    return reward_per_stage(gbar, zbar, 0, rewards)
 
 
 def _stage_tables(spec: GridSpec, rewards: RewardSpec, eps):
@@ -213,19 +136,6 @@ def _feedback_vector(model: TransitionModel, quantized_row: bool) -> np.ndarray:
     return model.P1_row
 
 
-def expected_continuation(V, model: TransitionModel, m: int, n: int, mu: int,
-                          quantized_row: bool = False) -> float:
-    """Expected next-slot value from state (m, n) under decision mu.
-
-    After feedback the alignment destination law no longer depends on n.
-    """
-    arr = np.asarray(getattr(V, "V", V), dtype=float)
-    if mu not in (0, 1):
-        raise ValueError("decision mu must be 0 or 1")
-    row = _feedback_vector(model, quantized_row) if mu else model.P0[n]
-    return float(model.Ptilde[m] @ (arr @ row))
-
-
 def _backup(h: np.ndarray, model: TransitionModel, p1: np.ndarray):
     """Expected next-slot value of the table h under each decision.
 
@@ -236,35 +146,6 @@ def _backup(h: np.ndarray, model: TransitionModel, p1: np.ndarray):
     W0 = model.Ptilde @ h @ model.P0.T
     W1 = model.Ptilde @ (h @ p1)
     return W0, W1
-
-
-def dp_operator(V: ValueTable, model: TransitionModel, rewards: RewardSpec,
-                spec: GridSpec, eps=None, quantized_row: bool = False) -> ValueTable:
-    """One sweep of the discounted Bellman maximization.
-
-    Feedback is chosen only when strictly better, so ties keep the beam.
-    """
-    G0, G1 = _stage_tables(spec, rewards, eps)
-    W0, W1 = _backup(V.V, model, _feedback_vector(model, quantized_row))
-    Q0 = G0 + V.beta * W0
-    Q1 = G1[:, None] + V.beta * W1[:, None]
-    return ValueTable(V=np.where(Q1 > Q0, Q1, Q0), beta=V.beta)
-
-
-def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
-                               spec: GridSpec, beta: float, tol: float = 1e-10,
-                               max_iter: int = 100_000, eps=None,
-                               quantized_row: bool = False) -> ValueTable:
-    """Iterate the discounted operator to its fixed point (sup-norm stop)."""
-    V = ValueTable(V=np.zeros((spec.M, spec.N)), beta=beta)
-    residual = math.inf
-    for _ in range(max_iter):
-        nxt = dp_operator(V, model, rewards, spec, eps, quantized_row)
-        residual = float(np.max(np.abs(nxt.V - V.V)))
-        V = nxt
-        if residual <= tol:
-            return V
-    raise ConvergenceError("discounted value iteration did not converge", residual)
 
 
 # Converged when |b - Bx| <= tol (|b| + |x|).  The |x| term is the rounding
@@ -399,32 +280,6 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
 
-def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
-                             spec: GridSpec, tol: float = 1e-10,
-                             max_iter: int = 200_000, eps=None,
-                             quantized_row: bool = False):
-    """Undiscounted value iteration with the last state as offset anchor.
-
-    Cross-check for the policy-iteration gain; returns (J, A).
-    """
-    G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
-    h = np.zeros((spec.M, spec.N))
-    residual = math.inf
-    for _ in range(max_iter):
-        W0, W1 = _backup(h, model, p1)
-        Q0 = G0 + W0
-        Q1 = G1[:, None] + W1[:, None]
-        Th = np.where(Q1 > Q0, Q1, Q0)
-        J = Th[-1, -1]
-        nxt = Th - J
-        residual = float(np.max(np.abs(nxt - h)))
-        h = nxt
-        if residual <= tol:
-            return float(J), h
-    raise ConvergenceError("relative value iteration did not converge", residual)
-
-
 def stationary_distribution(policy: Policy, model: TransitionModel,
                             quantized_row: bool = False) -> StationaryDistribution:
     """Long-run state occupancy under a fixed policy.
@@ -471,15 +326,6 @@ def stationary_distribution(policy: Policy, model: TransitionModel,
     if np.max(np.abs(probe - pi)) > 1e-8:
         raise SingularChainError("stationary solution is not stable under iteration")
     return StationaryDistribution(pi.reshape(M, N))
-
-
-def average_reward(policy: Policy, model: TransitionModel, rewards: RewardSpec,
-                   spec: GridSpec, eps=None, quantized_row: bool = False) -> float:
-    """Occupancy-weighted stage reward of a fixed policy."""
-    G0, G1 = _stage_tables(spec, rewards, eps)
-    pi = stationary_distribution(policy, model, quantized_row)
-    Gpi = np.where(policy.decide, G1[:, None], G0)
-    return float(np.sum(pi.pi * Gpi))
 
 
 def extract_threshold(policy: Policy, spec: GridSpec) -> ThresholdProfile:
@@ -568,9 +414,3 @@ def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:
         "pi": result.pi.pi.tolist(),
     }
     return json.dumps(doc, indent=2)
-
-
-def policy_from_json(text: str) -> Policy:
-    """Read back the decision table of a serialized solve."""
-    doc = json.loads(text)
-    return Policy(np.asarray(doc["policy"], dtype=bool))

@@ -31,7 +31,7 @@ from .mdp import (
     extract_threshold,
     policy_iteration_average,
 )
-from .state_grid import GridSpec, estimate_transition_model, make_grid
+from .state_grid import GridSpec, _bin_g, _bin_z, estimate_transition_model, make_grid
 
 __all__ = [
     "TrajectoryConfig",
@@ -114,7 +114,11 @@ class Curve:
 
 
 def _streams(seed, tag: int):
-    """Independent generator for one purpose of a seeded run."""
+    """Independent generator for one purpose of a seeded run.
+
+    Tags in use: 0 trajectory, 1 and 2 sweep model and eps statistics, 3+i
+    refinement size i, 4 grid, 5 CLI model, 6 codebook, 7 CLI eps statistics.
+    """
     if seed is None:
         return np.random.default_rng()
     return np.random.default_rng([int(seed), tag])
@@ -243,8 +247,7 @@ class _EventTable:
         self.decide, self.spec, self.codebook = decide, spec, codebook
         self.S, self.Sc, self.f = S, S.conj(), f
         self.T = g.size
-        self.m = np.minimum(np.searchsorted(spec.g_edges, g, side="right") - 1,
-                            spec.M - 1)
+        self.m = _bin_g(g, spec.g_edges)
         self.depth = 0
         self.first = self.scan(0, f)
         if codebook is None:
@@ -255,10 +258,7 @@ class _EventTable:
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
-        spec = self.spec
-        n = np.minimum(np.searchsorted(spec.z_edges, z, side="right") - 1,
-                       spec.N - 1)
-        return self.decide[self.m[slots], n]
+        return self.decide[self.m[slots], _bin_z(z, self.spec.z_edges)]
 
     def scan(self, start: int, beam) -> int:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
@@ -445,10 +445,10 @@ def average_threshold(profile, pi) -> float:
     return float(min(1.0, max(0.0, marginal @ y)))
 
 
-def sweep_alpha(alphas, spec: GridSpec, params: FadingParams,
-                rewards: RewardSpec, config: TrajectoryConfig, codebook=None,
+def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
+                config: TrajectoryConfig, codebook=None,
                 model_samples: int = 1_000_000) -> Curve:
-    """Solve and evaluate the controller across feedback prices.
+    """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
     One transition model (and, with a codebook, one set of quantized-rate
     statistics) serves every price; each price is solved exactly on the
@@ -462,12 +462,12 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams,
                                       codebook=codebook)
     eps = None
     if codebook is not None:
-        eps = epsilon_statistics(codebook, params.L, rewards.P, spec.g_points,
+        eps = epsilon_statistics(codebook, params.L, P, spec.g_points,
                                  model_samples, _streams(config.seed, 2))
     quantized = codebook is not None
     points = []
     for a in alphas:
-        r = RewardSpec(P=rewards.P, alpha=a)
+        r = RewardSpec(P=P, alpha=a)
         solved = policy_iteration_average(model, r, spec, eps=eps,
                                           quantized_row=quantized)
         measured = simulate_policy(solved.policy, spec, params, r, config,

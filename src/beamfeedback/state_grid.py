@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import FadingParams, _as_rng, _complex_normal
+from .channel import FadingParams, _ar1_step, _as_rng, _complex_normal
 from .codebook import _quantize_rows
 
 __all__ = [
@@ -29,10 +29,7 @@ __all__ = [
     "build_g_grid",
     "build_z_grid",
     "make_grid",
-    "quantize_state",
     "estimate_transition_model",
-    "is_monotone_stochastic",
-    "max_quantization_error",
     "model_to_json",
     "model_from_json",
 ]
@@ -149,7 +146,7 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
     edges = special.gammaincinv(L, np.arange(M + 1) / M)
     rng = _as_rng(rng)
     g = rng.gamma(float(L), 1.0, size=int(sample_count))
-    bins = np.clip(np.searchsorted(edges, g, side="right") - 1, 0, M - 1)
+    bins = _bin_g(g, edges)
     totals = np.bincount(bins, weights=g, minlength=M)
     counts = np.bincount(bins, minlength=M)
     points = np.empty(M)
@@ -180,30 +177,15 @@ def make_grid(L: int, M: int, N: int, sample_count: int, rng) -> GridSpec:
                     z_edges=z_edges, z_points=z_points)
 
 
-def _bin_g(g: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.clip(np.searchsorted(spec.g_edges, g, side="right") - 1, 0, spec.M - 1)
+def _bin_g(g: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
+    """Power bin of each value; bins are half-open [lo, hi)."""
+    return np.clip(np.searchsorted(g_edges, g, side="right") - 1, 0, g_edges.size - 2)
 
 
-def _bin_z(z: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return np.clip(np.searchsorted(spec.z_edges, z, side="right") - 1, 0, spec.N - 1)
-
-
-def quantize_state(g: float, z: float, spec: GridSpec):
-    """Map a (power, alignment) pair to its bin indices.
-
-    Bins are half-open [lo, hi); power at or above the last finite edge and
-    alignment exactly 1 land in the top bins.
-    """
-    g = float(g)
-    z = float(z)
-    if not math.isfinite(g) or g < 0.0:
-        raise ValueError(f"power {g} outside [0, inf)")
-    if not math.isfinite(z) or z < -1e-12 or z > 1.0 + 1e-12:
-        raise ValueError(f"alignment {z} outside [0, 1]")
-    z = min(1.0, max(0.0, z))
-    m = int(_bin_g(np.asarray(g), spec))
-    n = int(_bin_z(np.asarray(z), spec))
-    return m, n
+def _bin_z(z: np.ndarray, z_edges: np.ndarray) -> np.ndarray:
+    """Alignment bin of each value; bins are half-open [lo, hi), and z = 1
+    falls in the top bin."""
+    return np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, z_edges.size - 2)
 
 
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
@@ -263,9 +245,9 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     while remaining:
         c = min(remaining, _CHUNK)
         H = _complex_normal(g_stream, (c, L))
-        m0 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec)
+        m0 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
         H = _ar1_step(g_stream, H, rho, sig)
-        m1 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec)
+        m1 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
         counts_g += np.bincount(m0 * M + m1, minlength=M * M)
         remaining -= c
     Ptilde = _normalize_rows(counts_g.reshape(M, M), "power kernel")
@@ -303,11 +285,6 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
                            sample_count=sample_count, seed=seed)
 
 
-def _ar1_step(stream, H: np.ndarray, rho: float, sig: float) -> np.ndarray:
-    """One slot of the channel recursion h' = rho h + sqrt(1 - rho^2) w."""
-    return rho * H + sig * _complex_normal(stream, H.shape)
-
-
 def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.ndarray:
     """``target`` isotropic alignments inside each bin, grouped bin by bin.
 
@@ -339,41 +316,9 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
         H[:, 0] *= np.sqrt((head + rest) * z / head)
         H[:, 1:] *= np.sqrt((head + rest) * (1.0 - z) / rest)[:, None]
         H = _ar1_step(stream, H, rho, sig)
-        n1[s:s + _CHUNK] = _bin_z(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1), spec)
+        n1[s:s + _CHUNK] = _bin_z(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1),
+                                  spec.z_edges)
     return n1
-
-
-def is_monotone_stochastic(A: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check stochastic rows plus tail-mass ordering between source rows.
-
-    For every pair of source rows n1 >= n2 and every destination cutoff, the
-    tail mass of row n1 must be at least that of row n2 minus ``tol``.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("input must be a nonempty 2-D array")
-    if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("rows must be probability distributions")
-    tails = np.cumsum(A[:, ::-1], axis=1)[:, ::-1]
-    for r in range(A.shape[0] - 1):
-        if np.any(tails[r + 1 :] < tails[r] - tol):
-            return False
-    return True
-
-
-def max_quantization_error(spec: GridSpec, g_cap: float) -> float:
-    """Worst-case Euclidean distance from a state to its bin representative.
-
-    The unbounded last power bin is truncated at ``g_cap`` for the purpose of
-    this bound, so ``g_cap`` must be at least the last finite power edge.
-    """
-    g_cap = float(g_cap)
-    if g_cap < spec.g_edges[-2]:
-        raise ValueError("g_cap must not cut below the last finite power edge")
-    g_hi = np.append(spec.g_edges[1:-1], g_cap)
-    dg = np.maximum(spec.g_points - spec.g_edges[:-1], g_hi - spec.g_points)
-    dz = np.maximum(spec.z_points - spec.z_edges[:-1], spec.z_edges[1:] - spec.z_points)
-    return float(math.hypot(np.max(np.abs(dg)), np.max(np.abs(dz))))
 
 
 def model_to_json(spec: GridSpec, model: TransitionModel) -> str:

@@ -1,0 +1,129 @@
+"""Slow, per-state reference versions of laws the package computes in batch.
+
+The tests compare the product code against these: a discounted and a
+relative value iteration for the policy-iteration gain, an occupancy-
+weighted reward for policy evaluation, a tail-mass check for kernel
+monotonicity, a per-shape quantizer for the batch quantizer, and a reader
+for the serialized decision table.
+"""
+
+import json
+import math
+
+import numpy as np
+
+from beamfeedback.codebook import Codebook
+from beamfeedback.mdp import (
+    ConvergenceError,
+    Policy,
+    RewardSpec,
+    _backup,
+    _feedback_vector,
+    _stage_tables,
+    stationary_distribution,
+)
+from beamfeedback.state_grid import GridSpec, TransitionModel
+
+
+def dp_operator(V: np.ndarray, beta: float, model: TransitionModel, rewards: RewardSpec,
+                spec: GridSpec, eps=None, quantized_row: bool = False) -> np.ndarray:
+    """One sweep of the discounted Bellman maximization on the value table V.
+
+    Feedback is chosen only when strictly better, so ties keep the beam.
+    """
+    G0, G1 = _stage_tables(spec, rewards, eps)
+    W0, W1 = _backup(V, model, _feedback_vector(model, quantized_row))
+    Q0 = G0 + beta * W0
+    Q1 = G1[:, None] + beta * W1[:, None]
+    return np.where(Q1 > Q0, Q1, Q0)
+
+
+def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
+                               spec: GridSpec, beta: float, tol: float = 1e-10,
+                               max_iter: int = 100_000, eps=None,
+                               quantized_row: bool = False) -> np.ndarray:
+    """Iterate the discounted operator to its fixed point (sup-norm stop)."""
+    V = np.zeros((spec.M, spec.N))
+    residual = math.inf
+    for _ in range(max_iter):
+        nxt = dp_operator(V, beta, model, rewards, spec, eps, quantized_row)
+        residual = float(np.max(np.abs(nxt - V)))
+        V = nxt
+        if residual <= tol:
+            return V
+    raise ConvergenceError("discounted value iteration did not converge", residual)
+
+
+def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
+                             spec: GridSpec, tol: float = 1e-10,
+                             max_iter: int = 200_000, eps=None,
+                             quantized_row: bool = False):
+    """Undiscounted value iteration with the last state as offset anchor.
+
+    Cross-check for the policy-iteration gain; returns (J, A).
+    """
+    G0, G1 = _stage_tables(spec, rewards, eps)
+    p1 = _feedback_vector(model, quantized_row)
+    h = np.zeros((spec.M, spec.N))
+    residual = math.inf
+    for _ in range(max_iter):
+        W0, W1 = _backup(h, model, p1)
+        Q0 = G0 + W0
+        Q1 = G1[:, None] + W1[:, None]
+        Th = np.where(Q1 > Q0, Q1, Q0)
+        J = Th[-1, -1]
+        nxt = Th - J
+        residual = float(np.max(np.abs(nxt - h)))
+        h = nxt
+        if residual <= tol:
+            return float(J), h
+    raise ConvergenceError("relative value iteration did not converge", residual)
+
+
+def average_reward(policy: Policy, model: TransitionModel, rewards: RewardSpec,
+                   spec: GridSpec, eps=None, quantized_row: bool = False) -> float:
+    """Occupancy-weighted stage reward of a fixed policy."""
+    G0, G1 = _stage_tables(spec, rewards, eps)
+    pi = stationary_distribution(policy, model, quantized_row)
+    Gpi = np.where(policy.decide, G1[:, None], G0)
+    return float(np.sum(pi.pi * Gpi))
+
+
+def is_monotone_stochastic(A: np.ndarray, tol: float = 1e-9) -> bool:
+    """Check stochastic rows plus tail-mass ordering between source rows.
+
+    For every pair of source rows n1 >= n2 and every destination cutoff, the
+    tail mass of row n1 must be at least that of row n2 minus ``tol``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError("input must be a nonempty 2-D array")
+    if np.any(A < -1e-12) or np.any(np.abs(A.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("rows must be probability distributions")
+    tails = np.cumsum(A[:, ::-1], axis=1)[:, ::-1]
+    for r in range(A.shape[0] - 1):
+        if np.any(tails[r + 1 :] < tails[r] - tol):
+            return False
+    return True
+
+
+def quantize_shape(s: np.ndarray, codebook: Codebook):
+    """Best-aligned codeword for a unit shape.
+
+    Ties resolve to the lowest codeword index.  Returns (codeword, eps) with
+    eps the squared alignment achieved.
+    """
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (codebook.L,):
+        raise ValueError("shape dimension does not match the codebook")
+    if abs(np.linalg.norm(s) - 1.0) > 1e-6:
+        raise ValueError("shape must be unit norm")
+    scores = np.abs(codebook.vectors.conj() @ s) ** 2
+    idx = int(np.argmax(scores))
+    return codebook.vectors[idx], float(min(1.0, scores[idx]))
+
+
+def policy_from_json(text: str) -> Policy:
+    """Read back the decision table of a serialized solve."""
+    doc = json.loads(text)
+    return Policy(np.asarray(doc["policy"], dtype=bool))

@@ -267,10 +267,9 @@ def test_08_quantized_feedback_stays_below_perfect(paper_grid):
     alphas = [round(0.2 * i, 10) for i in range(11)]
     config = TrajectoryConfig(slots=400_000, warmup=1000, seed=777)
     codebook = lloyd_codebook(3, 16, 100_000, 50, np.random.default_rng(55))
-    perfect = sweep_alpha(alphas, paper_grid, PARAMS, RewardSpec(P=SNR, alpha=0.0),
-                          config, model_samples=400_000)
-    quantized = sweep_alpha(alphas, paper_grid, PARAMS,
-                            RewardSpec(P=SNR, alpha=0.0), config,
+    perfect = sweep_alpha(alphas, paper_grid, PARAMS, SNR, config,
+                          model_samples=400_000)
+    quantized = sweep_alpha(alphas, paper_grid, PARAMS, SNR, config,
                             codebook=codebook, model_samples=400_000)
     for exact, lossy in zip(perfect.points, quantized.points):
         sigma = math.hypot(exact.stderr, lossy.stderr)

@@ -1,5 +1,8 @@
 """Tests for the command-line driver: config parsing, outputs, exit codes."""
 
+import ast
+import glob
+import importlib
 import json
 import math
 import os
@@ -443,3 +446,33 @@ class TestImportFootprint:
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ""
+
+
+class TestPublicApi:
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    @classmethod
+    def imported_names(cls):
+        """Names the CLI, the demos and the acceptance suite import from the package."""
+        paths = [cli.__file__, os.path.join(cls.ROOT, "tests", "test_acceptance.py")]
+        paths += sorted(glob.glob(os.path.join(cls.ROOT, "demos", "*.py")))
+        names = set()
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith("beamfeedback")):
+                    names.update(alias.name for alias in node.names)
+        return names
+
+    def test_every_export_has_a_user(self):
+        unused = set(beamfeedback.__all__) - self.imported_names()
+        assert not unused, f"exported but used by no CLI, demo or acceptance test: {unused}"
+
+    def test_every_module_export_resolves(self):
+        for name in ("", ".channel", ".codebook", ".mdp", ".simulator", ".state_grid",
+                     ".cli"):
+            module = importlib.import_module(f"beamfeedback{name}")
+            missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+            assert not missing, f"{module.__name__}.__all__ names {missing}"

@@ -13,9 +13,10 @@ from beamfeedback.codebook import (
     epsilon_statistics,
     lloyd_codebook,
     price_increment_bound,
-    quantize_shape,
     random_codebook,
 )
+
+from oracles import quantize_shape
 
 
 def unit_rows(rng, count, L):

@@ -18,14 +18,12 @@ from beamfeedback.codebook import (
     Codebook,
     _quantize_rows,
     lloyd_codebook,
-    quantize_shape,
     random_codebook,
 )
 from beamfeedback.mdp import (
     Policy,
     RewardSpec,
     ThresholdProfile,
-    average_reward,
     policy_iteration_average,
 )
 from beamfeedback.simulator import (
@@ -47,6 +45,8 @@ from beamfeedback.state_grid import (
     estimate_transition_model,
     make_grid,
 )
+
+from oracles import average_reward, quantize_shape
 
 
 # ----------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def small_sweep(grid8):
     # realignment on this channel, so the top point must never feed back
     cfg = TrajectoryConfig(slots=120_000, seed=47)
     top = 25.0
-    return sweep_alpha([0.0, 0.5, top], grid8, PARAMS, REWARDS, cfg,
+    return sweep_alpha([0.0, 0.5, top], grid8, PARAMS, 100.0, cfg,
                        model_samples=150_000), top
 
 
@@ -585,19 +585,19 @@ class TestSweep:
     def test_alphas_must_increase(self, grid8):
         cfg = TrajectoryConfig(slots=5000, seed=1)
         with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([0.5, 0.5], grid8, PARAMS, REWARDS, cfg,
+            sweep_alpha([0.5, 0.5], grid8, PARAMS, 100.0, cfg,
                         model_samples=5000)
         with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([], grid8, PARAMS, REWARDS, cfg, model_samples=5000)
+            sweep_alpha([], grid8, PARAMS, 100.0, cfg, model_samples=5000)
 
     def test_quantized_sweep_stays_below_perfect(self):
         spec = make_grid(3, 6, 6, 100_000, np.random.default_rng(53))
         cb = lloyd_codebook(3, 8, 20_000, 20, 54)
         cfg = TrajectoryConfig(slots=100_000, seed=55)
         alphas = [0.2, 0.8]
-        perfect = sweep_alpha(alphas, spec, PARAMS, REWARDS, cfg,
+        perfect = sweep_alpha(alphas, spec, PARAMS, 100.0, cfg,
                               model_samples=100_000)
-        coarse = sweep_alpha(alphas, spec, PARAMS, REWARDS, cfg, codebook=cb,
+        coarse = sweep_alpha(alphas, spec, PARAMS, 100.0, cfg, codebook=cb,
                              model_samples=100_000)
         for p, q in zip(perfect.points, coarse.points):
             assert q.net <= p.net + 3.0 * (p.stderr + q.stderr)

@@ -21,17 +21,18 @@ from beamfeedback.state_grid import (
     GridSpec,
     StationaryDistribution,
     TransitionModel,
+    _bin_g,
+    _bin_z,
     _in_bin_alignments,
     build_g_grid,
     build_z_grid,
     estimate_transition_model,
-    is_monotone_stochastic,
     make_grid,
-    max_quantization_error,
     model_from_json,
     model_to_json,
-    quantize_state,
 )
+
+from oracles import is_monotone_stochastic
 
 DECORRELATING_DOPPLER = 2.4048255576957724 / (2 * math.pi)
 
@@ -176,21 +177,16 @@ def spec16() -> GridSpec:
 
 class TestQuantize:
     def test_interior_and_boundary_values(self, spec16):
-        assert quantize_state(0.0, 0.0, spec16) == (0, 0)
-        assert quantize_state(1e9, 1.0, spec16) == (15, 15)
+        assert _bin_g(np.array([0.0]), spec16.g_edges)[0] == 0
+        assert _bin_z(np.array([0.0]), spec16.z_edges)[0] == 0
+        assert _bin_g(np.array([1e9]), spec16.g_edges)[0] == 15
+        assert _bin_z(np.array([1.0]), spec16.z_edges)[0] == 15
         # alignment edges are n/N and bins are half-open below
-        assert quantize_state(1.0, 0.25, spec16) == (quantize_state(1.0, 0.25, spec16)[0], 4)
+        below = np.nextafter(0.25, 0.0)
+        assert _bin_z(np.array([0.25, below]), spec16.z_edges).tolist() == [4, 3]
         # a power value exactly at an interior edge belongs to the upper bin
-        m_at_edge = quantize_state(float(spec16.g_edges[7]), 0.5, spec16)[0]
-        assert m_at_edge == 7
-
-    def test_rejects_out_of_range(self, spec16):
-        with pytest.raises(ValueError):
-            quantize_state(-0.1, 0.5, spec16)
-        with pytest.raises(ValueError):
-            quantize_state(1.0, 1.01, spec16)
-        with pytest.raises(ValueError):
-            quantize_state(float("nan"), 0.5, spec16)
+        at_edge = np.array([spec16.g_edges[7], np.nextafter(spec16.g_edges[7], 0.0)])
+        assert _bin_g(at_edge, spec16.g_edges).tolist() == [7, 6]
 
 
 class TestTransitionEstimation:
@@ -392,34 +388,6 @@ class TestMonotoneCheck:
             B = np.sort(rng.random((a, b)), axis=1)
             C = np.sort(rng.random((b, c)), axis=1)
             assert np.all(np.diff(B @ C, axis=1) >= -1e-12)
-
-
-class TestQuantizationError:
-    def test_unit_square_single_bin(self):
-        spec = GridSpec(
-            M=1, N=1,
-            g_edges=np.array([0.0, math.inf]), g_points=np.array([0.5]),
-            z_edges=np.array([0.0, 1.0]), z_points=np.array([0.5]),
-        )
-        np.testing.assert_allclose(
-            max_quantization_error(spec, 1.0), math.sqrt(0.5), atol=1e-12
-        )
-
-    def test_finer_grid_shrinks_the_bound(self):
-        def midpoint_spec(M, N, cap):
-            g_edges = np.append(np.linspace(0.0, cap, M + 1)[:-1], math.inf)
-            g_points = (np.linspace(0.0, cap, M + 1)[:-1] + cap / (2 * M))[:M]
-            z_edges, z_points = build_z_grid(N)
-            return GridSpec(M=M, N=N, g_edges=g_edges, g_points=g_points,
-                            z_edges=z_edges, z_points=z_points)
-
-        coarse = max_quantization_error(midpoint_spec(2, 2, 8.0), 8.0)
-        fine = max_quantization_error(midpoint_spec(8, 8, 8.0), 8.0)
-        assert fine < coarse
-
-    def test_rejects_cap_below_last_edge(self, spec16):
-        with pytest.raises(ValueError):
-            max_quantization_error(spec16, float(spec16.g_edges[-2]) - 0.1)
 
 
 class TestSerialization:
