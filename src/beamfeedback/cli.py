@@ -176,7 +176,7 @@ def load_config(path: str) -> ExperimentConfig:
             if "p" in sec:
                 kw["P"] = sec.getfloat("p")
             elif "snr_db" in sec:
-                kw["P"] = 10.0 ** (sec.getfloat("snr_db") / 10.0)
+                kw["P"] = RewardSpec.from_snr_db(sec.getfloat("snr_db"), alpha=0.0).P
             if "alpha" in sec:
                 kw["alphas"] = _parse_alphas(sec["alpha"])
         if cp.has_section("codebook"):

@@ -67,6 +67,10 @@ class RewardSpec:
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError("price alpha must be nonnegative and finite")
 
+    @classmethod
+    def from_snr_db(cls, snr_db: float, **kwargs) -> "RewardSpec":
+        return cls(P=10.0 ** (snr_db / 10.0), **kwargs)
+
 
 @dataclass(frozen=True)
 class Policy:

@@ -90,6 +90,11 @@ class TestFadingParams:
         p = FadingParams(L=3, doppler_slot=0.1)
         np.testing.assert_allclose(p.rho, j0_power_series(0.2 * math.pi), atol=1e-12)
 
+    def test_consistent_rho_accepted(self):
+        # the derived rho is exactly the J0 value the channel law asks for
+        p = FadingParams(L=4, doppler_slot=0.05)
+        assert p.rho == bessel_j0(2 * math.pi * 0.05)
+
     def test_zero_doppler_is_static(self):
         assert FadingParams(L=2, doppler_slot=0.0).rho == 1.0
 
@@ -126,6 +131,12 @@ class TestIsotropicSampling:
         np.testing.assert_allclose(np.linalg.norm(S, axis=1), 1.0, rtol=0, atol=1e-12)
         # 3 standard errors for 2000 draws of a Gamma(3,1) variate
         assert abs(np.mean(g) - 3.0) < 3.0 * math.sqrt(3.0 / 2000.0)
+
+    def test_rejects_bad_dimension(self):
+        # the sampled dimension is FadingParams.L, so no channel of L < 1 exists
+        for L in (0, -1):
+            with pytest.raises(ValueError):
+                FadingParams(L=L, doppler_slot=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -172,6 +172,10 @@ class TestRewardSpec:
         with pytest.raises(TypeError, match="alpha"):
             RewardSpec(P=10.0)
 
+    def test_from_snr_db(self):
+        r = RewardSpec.from_snr_db(20.0, alpha=1.0)
+        np.testing.assert_allclose(r.P, 100.0, rtol=1e-12)
+
     def test_invalid_numbers_rejected(self):
         with pytest.raises(ValueError):
             RewardSpec(P=0.0, alpha=1.0)
