@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,11 @@ from .mdp import (
     solve_result_to_json,
 )
 from .simulator import (
+    _CODEBOOK_STREAM,
+    _EPS_STREAM,
+    _GRID_STREAM,
+    _MODEL_STREAM,
+    CSV_HEADER,
     Curve,
     CurvePoint,
     TrajectoryConfig,
@@ -53,7 +59,6 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-COMMANDS = ("model", "solve", "evaluate", "sweep", "codebook", "reproduce-fig")
 FIGURES = (3, 4, 5, 6, 7)
 
 _DEFAULT_ALPHAS = tuple(round(0.2 * i, 10) for i in range(11))
@@ -103,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError("alphas must be strictly increasing")
         if self.codebook_method not in (None, "lloyd", "random"):
             raise ConfigError("codebook method must be 'lloyd' or 'random'")
+        if self.codebook_size < 1 or self.codebook_iterations < 1:
+            raise ConfigError("codebook size and iterations must be positive")
+        if self.codebook_training < self.codebook_size:
+            raise ConfigError("codebook training set must be at least the codebook size")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not 0 <= self.warmup < self.slots:
             raise ConfigError("warmup must be nonnegative and smaller than slots")
 
@@ -117,24 +128,26 @@ class ExperimentConfig:
     def rewards(self, alpha: float) -> RewardSpec:
         return RewardSpec(P=self.P, alpha=float(alpha))
 
+    def quantized(self) -> ExperimentConfig:
+        """These settings with a codebook: Lloyd-trained unless a method is set."""
+        return dataclasses.replace(self, codebook_method=self.codebook_method or "lloyd")
+
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
-        cp["channel"] = {"L": str(self.L), "doppler_slot": repr(self.doppler_slot)}
-        cp["grid"] = {"M": str(self.M), "N": str(self.N),
-                      "samples": str(self.model_samples)}
-        cp["rewards"] = {"P": repr(self.P),
-                         "alpha": " ".join(repr(a) for a in self.alphas)}
-        if self.codebook_method is not None:
-            cp["codebook"] = {"method": self.codebook_method,
-                              "size": str(self.codebook_size),
-                              "training": str(self.codebook_training),
-                              "iterations": str(self.codebook_iterations)}
-        cp["trajectory"] = {"slots": str(self.slots), "warmup": str(self.warmup),
-                            "seed": str(self.seed)}
-        cp["output"] = {"prefix": self.prefix}
+        for key in _SCHEMA:
+            if key.section == "codebook" and self.codebook_method is None:
+                continue
+            if not cp.has_section(key.section):
+                cp.add_section(key.section)
+            cp.set(key.section, key.name, _text(getattr(self, key.field)))
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
+
+
+def _text(value) -> str:
+    """A config value as the INI text that parses back to it."""
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _parse_alphas(text: str):
@@ -145,8 +158,47 @@ def _parse_alphas(text: str):
         raise ConfigError(f"bad alpha list {text!r}") from exc
 
 
+class _Key(NamedTuple):
+    """One config key: its INI section and name, the field it sets, its parser."""
+
+    section: str
+    name: str
+    field: str
+    parse: Callable[[str], object] = int
+    aliases: tuple = ()  # (name, parse) of each other spelling of the value
+
+    @property
+    def spellings(self) -> str:
+        return " or ".join((self.name, *(alias for alias, _ in self.aliases)))
+
+
+# One entry per ExperimentConfig field, in the order the echo writes them.
+_SCHEMA = (
+    _Key("channel", "L", "L"),
+    _Key("channel", "doppler_slot", "doppler_slot", float),
+    _Key("grid", "M", "M"),
+    _Key("grid", "N", "N"),
+    _Key("grid", "samples", "model_samples"),
+    _Key("rewards", "P", "P", float, aliases=(
+        ("snr_db", lambda text: RewardSpec.from_snr_db(float(text), alpha=0.0).P),)),
+    _Key("rewards", "alpha", "alphas", _parse_alphas),
+    _Key("codebook", "method", "codebook_method", str),
+    _Key("codebook", "size", "codebook_size"),
+    _Key("codebook", "training", "codebook_training"),
+    _Key("codebook", "iterations", "codebook_iterations"),
+    _Key("trajectory", "slots", "slots"),
+    _Key("trajectory", "warmup", "warmup"),
+    _Key("trajectory", "seed", "seed"),
+    _Key("output", "prefix", "prefix", str),
+)
+_SECTIONS = tuple(dict.fromkeys(key.section for key in _SCHEMA))
+# (section, name as configparser stores it) -> (key, parser) for every spelling
+_SPELLINGS = {(key.section, name.lower()): (key, parse) for key in _SCHEMA
+              for name, parse in ((key.name, key.parse), *key.aliases)}
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate an INI experiment file."""
+    """Read and validate an INI experiment file; unknown sections and keys are errors."""
     cp = configparser.ConfigParser()
     try:
         read = cp.read(path)
@@ -155,54 +207,21 @@ def load_config(path: str) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     kw = {}
-    try:
-        if cp.has_section("channel"):
-            sec = cp["channel"]
-            if "l" in sec:
-                kw["L"] = sec.getint("l")
-            if "doppler_slot" in sec:
-                kw["doppler_slot"] = sec.getfloat("doppler_slot")
-        if cp.has_section("grid"):
-            sec = cp["grid"]
-            for key, name in (("m", "M"), ("n", "N")):
-                if key in sec:
-                    kw[name] = sec.getint(key)
-            if "samples" in sec:
-                kw["model_samples"] = sec.getint("samples")
-        if cp.has_section("rewards"):
-            sec = cp["rewards"]
-            if "p" in sec and "snr_db" in sec:
-                raise ConfigError("give the SNR as either P or snr_db, not both")
-            if "p" in sec:
-                kw["P"] = sec.getfloat("p")
-            elif "snr_db" in sec:
-                kw["P"] = RewardSpec.from_snr_db(sec.getfloat("snr_db"), alpha=0.0).P
-            if "alpha" in sec:
-                kw["alphas"] = _parse_alphas(sec["alpha"])
-        if cp.has_section("codebook"):
-            sec = cp["codebook"]
-            kw["codebook_method"] = sec.get("method", "lloyd")
-            if "size" in sec:
-                kw["codebook_size"] = sec.getint("size")
-            if "training" in sec:
-                kw["codebook_training"] = sec.getint("training")
-            if "iterations" in sec:
-                kw["codebook_iterations"] = sec.getint("iterations")
-        if cp.has_section("trajectory"):
-            sec = cp["trajectory"]
-            if "slots" in sec:
-                kw["slots"] = sec.getint("slots")
-            if "warmup" in sec:
-                kw["warmup"] = sec.getint("warmup")
-            if "seed" in sec:
-                kw["seed"] = sec.getint("seed")
-        if cp.has_section("output") and "prefix" in cp["output"]:
-            kw["prefix"] = cp["output"]["prefix"]
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad value in {path}: {exc}") from exc
-    return ExperimentConfig(**kw)
+    for section in cp:  # [DEFAULT] comes first, and no key belongs there
+        for name, text in cp[section].items():
+            if (section, name) not in _SPELLINGS:
+                raise ConfigError(f"unknown key {section}.{name} in {path}")
+            key, parse = _SPELLINGS[section, name]
+            if key.field in kw:
+                raise ConfigError(f"give [{section}] {key.spellings}, not both")
+            try:
+                kw[key.field] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{name} in {path}: {exc}") from exc
+        if section not in (cp.default_section, *_SECTIONS):
+            raise ConfigError(f"unknown section [{section}] in {path}")
+    cfg = ExperimentConfig(**kw)
+    return cfg.quantized() if cp.has_section("codebook") else cfg
 
 
 def _write_text(path: str, text: str):
@@ -220,63 +239,47 @@ def _write_text(path: str, text: str):
         raise
 
 
-def _emit(path: str, text: str, quiet: bool):
-    _write_text(path, text)
-    if not quiet:
-        print(f"wrote {path}")
-
-
 def _build_codebook(cfg: ExperimentConfig):
     if cfg.codebook_method is None:
         return None
-    rng = _streams(cfg.seed, 6)
+    rng = _streams(cfg.seed, _CODEBOOK_STREAM)
     if cfg.codebook_method == "random":
         return random_codebook(cfg.L, cfg.codebook_size, rng)
     return lloyd_codebook(cfg.L, cfg.codebook_size, cfg.codebook_training,
                           cfg.codebook_iterations, rng)
 
 
+def _grid(cfg: ExperimentConfig):
+    return make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, _GRID_STREAM))
+
+
 def _build_model(cfg: ExperimentConfig, codebook):
-    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, 4))
+    spec = _grid(cfg)
     model = estimate_transition_model(cfg.params, spec, cfg.model_samples,
-                                      _streams(cfg.seed, 5), codebook=codebook)
+                                      _streams(cfg.seed, _MODEL_STREAM), codebook=codebook)
     return spec, model
 
 
-def _solve(cfg: ExperimentConfig, alpha: float):
+def _solve(cfg: ExperimentConfig):
+    """Solve at the first configured price, as solve and evaluate report."""
     codebook = _build_codebook(cfg)
     spec, model = _build_model(cfg, codebook)
     eps = None
     if codebook is not None:
         eps = epsilon_statistics(codebook, cfg.L, cfg.P, spec.g_points,
-                                 cfg.model_samples, _streams(cfg.seed, 7))
-    result = policy_iteration_average(model, cfg.rewards(alpha), spec, eps=eps,
+                                 cfg.model_samples, _streams(cfg.seed, _EPS_STREAM))
+    result = policy_iteration_average(model, cfg.rewards(cfg.alphas[0]), spec, eps=eps,
                                       quantized_row=codebook is not None)
-    return spec, model, codebook, result
+    return spec, codebook, result
 
 
-def _metadata(cfg: ExperimentConfig, extra=None) -> str:
-    doc = {
-        "L": cfg.L,
-        "doppler_slot": cfg.doppler_slot,
-        "M": cfg.M,
-        "N": cfg.N,
-        "model_samples": cfg.model_samples,
-        "P": cfg.P,
-        "alphas": list(cfg.alphas),
-        "slots": cfg.slots,
-        "warmup": cfg.warmup,
-        "seed": cfg.seed,
-        "codebook": None if cfg.codebook_method is None else {
-            "method": cfg.codebook_method,
-            "size": cfg.codebook_size,
-            "training": cfg.codebook_training,
-            "iterations": cfg.codebook_iterations,
-        },
-    }
-    if extra:
-        doc.update(extra)
-    return json.dumps(doc, indent=2)
+def _metadata(cfg: ExperimentConfig, **extra) -> str:
+    """Every setting but the prefix, the codebook's grouped (null without one)."""
+    doc = {key.field: getattr(cfg, key.field) for key in _SCHEMA
+           if key.section not in ("codebook", "output")}
+    doc["codebook"] = None if cfg.codebook_method is None else {
+        key.name: getattr(cfg, key.field) for key in _SCHEMA if key.section == "codebook"}
+    return json.dumps({**doc, **extra}, indent=2)
 
 
 def _periodic_curve(cfg: ExperimentConfig) -> Curve:
@@ -290,11 +293,8 @@ def _periodic_curve(cfg: ExperimentConfig) -> Curve:
 
 
 def _controlled_curve(cfg: ExperimentConfig) -> Curve:
-    codebook = _build_codebook(cfg)
-    spec = make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, 4))
-    return sweep_alpha(list(cfg.alphas), spec, cfg.params, cfg.P,
-                       cfg.trajectory, codebook=codebook,
-                       model_samples=cfg.model_samples)
+    return sweep_alpha(list(cfg.alphas), _grid(cfg), cfg.params, cfg.P, cfg.trajectory,
+                       codebook=_build_codebook(cfg), model_samples=cfg.model_samples)
 
 
 def _figure_curves(figure: int, cfg: ExperimentConfig):
@@ -312,17 +312,13 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
             curves.append((f"controlled_L{L}", _controlled_curve(sub)))
             curves.append((f"periodic_L{L}", _periodic_curve(sub)))
     else:  # 6 and 7: perfect against codebook-quantized feedback
-        quant = dataclasses.replace(
-            cfg, codebook_method=cfg.codebook_method or "lloyd")
+        quant = cfg.quantized()
         curves.append(("perfect", _controlled_curve(plain)))
-        curves.append((f"quantized_{quant.codebook_size}",
-                       _controlled_curve(quant)))
+        curves.append((f"quantized_{quant.codebook_size}", _controlled_curve(quant)))
     return curves
 
 
 def _combined_csv(curves) -> str:
-    from .simulator import CSV_HEADER
-
     lines = ["curve," + CSV_HEADER]
     for label, curve in curves:
         for row in curve_to_csv(curve).strip().split("\n")[1:]:
@@ -330,30 +326,27 @@ def _combined_csv(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_model(cfg, quiet):
-    codebook = _build_codebook(cfg)
-    spec, model = _build_model(cfg, codebook)
-    _emit(f"{cfg.prefix}.model.json", model_to_json(spec, model), quiet)
+# Each command returns its outputs as [(suffix, text), ...]; the files are
+# written under the command's stem (prefix.stem) once all of them are ready.
+
+def _cmd_model(cfg):
+    return [(".json", model_to_json(*_build_model(cfg, _build_codebook(cfg))))]
 
 
-def _cmd_codebook(cfg, quiet):
-    codebook = _build_codebook(
-        cfg if cfg.codebook_method is not None
-        else dataclasses.replace(cfg, codebook_method="lloyd"))
-    _emit(f"{cfg.prefix}.codebook.json", codebook_to_json(codebook), quiet)
+def _cmd_codebook(cfg):
+    return [(".json", codebook_to_json(_build_codebook(cfg.quantized())))]
 
 
-def _cmd_solve(cfg, quiet):
-    spec, _, _, result = _solve(cfg, cfg.alphas[0])
-    _emit(f"{cfg.prefix}.solve.json", solve_result_to_json(result, spec), quiet)
+def _cmd_solve(cfg):
+    spec, _, result = _solve(cfg)
+    return [(".json", solve_result_to_json(result, spec))]
 
 
-def _cmd_evaluate(cfg, quiet):
+def _cmd_evaluate(cfg):
     alpha = cfg.alphas[0]
-    spec, _, codebook, result = _solve(cfg, alpha)
-    measured = simulate_policy(result.policy, spec, cfg.params,
-                               cfg.rewards(alpha), cfg.trajectory,
-                               codebook=codebook)
+    spec, codebook, result = _solve(cfg)
+    measured = simulate_policy(result.policy, spec, cfg.params, cfg.rewards(alpha),
+                               cfg.trajectory, codebook=codebook)
     profile = extract_threshold(result.policy, spec)
     doc = {
         "alpha": alpha,
@@ -365,24 +358,31 @@ def _cmd_evaluate(cfg, quiet):
         "avg_threshold": average_threshold(profile, result.pi)
         if profile.is_threshold else None,
     }
-    _emit(f"{cfg.prefix}.eval.json", json.dumps(doc, indent=2), quiet)
+    return [(".json", json.dumps(doc, indent=2))]
 
 
-def _cmd_sweep(cfg, quiet):
-    curve = _controlled_curve(cfg)
-    _emit(f"{cfg.prefix}.sweep.csv", curve_to_csv(curve), quiet)
-    _emit(f"{cfg.prefix}.sweep.meta.json", _metadata(cfg), quiet)
+def _cmd_sweep(cfg):
+    return [(".csv", curve_to_csv(_controlled_curve(cfg))), (".meta.json", _metadata(cfg))]
 
 
-def _cmd_figure(cfg, figure, quiet):
+def _cmd_figure(cfg, figure):
     curves = _figure_curves(figure, cfg)
-    stem = f"{cfg.prefix}.fig{figure}"
-    for label, curve in curves:
-        _emit(f"{stem}.{label}.csv", curve_to_csv(curve), quiet)
-    _emit(f"{stem}.csv", _combined_csv(curves), quiet)
-    _emit(f"{stem}.meta.json",
-          _metadata(cfg, {"figure": figure,
-                          "curves": [label for label, _ in curves]}), quiet)
+    return [*((f".{label}.csv", curve_to_csv(curve)) for label, curve in curves),
+            (".csv", _combined_csv(curves)),
+            (".meta.json", _metadata(cfg, figure=figure,
+                                     curves=[label for label, _ in curves]))]
+
+
+# command -> (handler, output stem); the stem of reproduce-fig names the figure
+_COMMANDS = {
+    "model": (_cmd_model, "model"),
+    "solve": (_cmd_solve, "solve"),
+    "evaluate": (_cmd_evaluate, "eval"),
+    "sweep": (_cmd_sweep, "sweep"),
+    "codebook": (_cmd_codebook, "codebook"),
+    "reproduce-fig": (_cmd_figure, "fig{figure}"),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(command: str, config_path: str | None = None, figure: int | None = None,
@@ -390,7 +390,7 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
         quiet: bool = False) -> int:
     """Execute one CLI command; returns the process exit status."""
     try:
-        if command not in COMMANDS:
+        if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
         if command == "reproduce-fig":
             if figure is None:
@@ -410,25 +410,13 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
         if out_prefix is not None:
             cfg = dataclasses.replace(cfg, prefix=out_prefix)
 
-        if command == "model":
-            _cmd_model(cfg, quiet)
-            echo = f"{cfg.prefix}.model.config.ini"
-        elif command == "codebook":
-            _cmd_codebook(cfg, quiet)
-            echo = f"{cfg.prefix}.codebook.config.ini"
-        elif command == "solve":
-            _cmd_solve(cfg, quiet)
-            echo = f"{cfg.prefix}.solve.config.ini"
-        elif command == "evaluate":
-            _cmd_evaluate(cfg, quiet)
-            echo = f"{cfg.prefix}.eval.config.ini"
-        elif command == "sweep":
-            _cmd_sweep(cfg, quiet)
-            echo = f"{cfg.prefix}.sweep.config.ini"
-        else:
-            _cmd_figure(cfg, figure, quiet)
-            echo = f"{cfg.prefix}.fig{figure}.config.ini"
-        _emit(echo, cfg.to_ini(), quiet)
+        handler, stem = _COMMANDS[command]
+        outputs = handler(cfg) if figure is None else handler(cfg, figure)
+        stem = f"{cfg.prefix}.{stem.format(figure=figure)}"
+        for suffix, text in [*outputs, (".config.ini", cfg.to_ini())]:
+            _write_text(stem + suffix, text)
+            if not quiet:
+                print(f"wrote {stem}{suffix}")
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -442,6 +430,20 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
         return EXIT_NUMERICAL
 
 
+def _config_help() -> str:
+    """The --help epilog: every section and key with its default value."""
+    defaults = ExperimentConfig().quantized()
+    sections = []
+    for section in _SECTIONS:
+        keys = [f"{key.spellings} ({_text(getattr(defaults, key.field))})"
+                for key in _SCHEMA if key.section == section]
+        sections.append(f"[{section}] " + ", ".join(keys))
+    return ("Config sections and keys, defaults in parentheses: " + "; ".join(sections)
+            + ". The [codebook] section is optional and enables quantized feedback "
+              "(method lloyd or random). Unknown sections and keys are errors. "
+              "solve and evaluate use the first alpha; sweep uses the whole list.")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse problems to exit code 1
         raise UsageError(message)
@@ -453,16 +455,7 @@ def main(argv=None) -> int:
         description="Optimal event-driven CSI feedback control: estimate "
                     "channel models, solve feedback policies, and evaluate "
                     "them on simulated fading trajectories.",
-        epilog="Config sections and keys (defaults in parentheses): "
-               "[channel] L (3), doppler_slot (0.1); "
-               "[grid] M (16), N (16), samples (1000000); "
-               "[rewards] P (100) or snr_db, alpha list (0.0 .. 2.0); "
-               "[codebook] method lloyd|random, size (16), training (100000), "
-               "iterations (50) — section optional, enables quantized feedback; "
-               "[trajectory] slots (400000), warmup (1000), seed (12345); "
-               "[output] prefix (run). "
-               "solve and evaluate use the first alpha; sweep uses the whole "
-               "list.")
+        epilog=_config_help())
     parser.add_argument("command", choices=COMMANDS,
                         help="what to run; reproduce-fig also takes a figure "
                              "number 3-7")

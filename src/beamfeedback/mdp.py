@@ -159,6 +159,9 @@ _GMRES_TOL = 1e-14
 _GMRES_RESTART = 80
 _GMRES_MAX_ITER = 4000
 
+_POLICY_ITERATIONS = 50         # improvement steps before policy iteration fails
+_SEARCH_CANDIDATES = 1_000_000  # guard on the exhaustive threshold search
+
 
 def _gmres(apply, b: np.ndarray):
     """Restarted GMRES for apply(x) = b on flat float vectors.
@@ -258,7 +261,7 @@ def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
 
 
 def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
-                             spec: GridSpec, max_iter: int = 50, eps=None,
+                             spec: GridSpec, eps=None,
                              quantized_row: bool = False) -> SolveResult:
     """Howard policy iteration on the average-reward criterion.
 
@@ -272,7 +275,7 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
     G0, G1 = _stage_tables(spec, rewards, eps)
     p1 = _feedback_vector(model, quantized_row)
     decide = G1[:, None] > G0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POLICY_ITERATIONS + 1):
         J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
         W0, W1 = _backup(A, model, p1)
         improved = G1[:, None] + W1[:, None] > G0 + W0
@@ -368,8 +371,7 @@ def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
 
 def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
                                 spec: GridSpec, eps=None,
-                                quantized_row: bool = False,
-                                max_candidates: int = 1_000_000) -> SolveResult:
+                                quantized_row: bool = False) -> SolveResult:
     """Evaluate every admissible threshold vector and keep the best.
 
     Candidate thresholds live on the alignment bin edges, with each component
@@ -386,7 +388,7 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
         allowed = [n for n in range(spec.N + 1) if spec.z_edges[n] >= lb - slack]
         candidates.append(allowed)
     total = math.prod(len(c) for c in candidates)
-    if total > max_candidates:
+    if total > _SEARCH_CANDIDATES:
         raise ValueError(
             f"{total} threshold candidates exceed the search guard; use policy iteration"
         )

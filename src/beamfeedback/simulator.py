@@ -52,6 +52,13 @@ _SCAN_BLOCK = 256  # slots per step of a scan past the table
 _SCAN_COST = 200   # one scan costs about this many table slot-lags
 _BATCHES = 100
 
+# Tag of the generator each purpose of a seeded run draws from (``_streams``).
+_TRAJECTORY_STREAM = 0
+_MODEL_STREAM = 1
+_EPS_STREAM = 2
+_GRID_STREAM = 4
+_CODEBOOK_STREAM = 6
+
 CSV_HEADER = "alpha,net,throughput,feedback_rate,avg_threshold,stderr"
 
 
@@ -116,8 +123,10 @@ class Curve:
 def _streams(seed, tag: int):
     """Independent generator for one purpose of a seeded run.
 
-    Tags in use: 0 trajectory, 1 and 2 sweep model and eps statistics, 3+i
-    refinement size i, 4 grid, 5 CLI model, 6 codebook, 7 CLI eps statistics.
+    Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
+    same ones, so its model, solve and evaluate commands see the kernels and
+    quantized-rate statistics that ``sweep_alpha`` solves on.  Refinement
+    size i of ``refinement_study`` draws from tag 3 + i.
     """
     if seed is None:
         return np.random.default_rng()
@@ -151,7 +160,7 @@ def _build_trajectory(L: int, rho: float, slots: int, seed):
     scipy.signal out of the import path and rounds exactly as a direct-form
     IIR filter does.
     """
-    rng = _streams(seed, 0)
+    rng = _streams(seed, _TRAJECTORY_STREAM)
     h0 = _complex_normal(rng, (L,))
     f0 = _complex_normal(rng, (L,))
     f0 /= np.linalg.norm(f0)
@@ -207,12 +216,6 @@ def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
     for l in range(1, prod.shape[1]):
         w += prod[:, l]
     return w
-
-
-def _check_codebook(codebook, params: FadingParams):
-    if codebook is not None and codebook.L != params.L:
-        raise ValueError(f"codebook has {codebook.L} antennas but the channel "
-                         f"has {params.L}")
 
 
 def _next_hit_after(hit: np.ndarray) -> np.ndarray:
@@ -368,49 +371,45 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     decide = policy.decide
     if decide.shape != (spec.M, spec.N):
         raise ValueError("policy dimensions do not match the grid")
-    _check_codebook(codebook, params)
+    if codebook is not None and codebook.L != params.L:
+        raise ValueError(f"codebook has {codebook.L} antennas but the channel "
+                         f"has {params.L}")
     g, S, f = _trajectory(params, config)
     z, fb = _feedback_trace(decide, spec, g, S, f, codebook)
     return _aggregate(g, z, fb, rewards, config)
 
 
 def _periodic_eval(period: int, traj, rewards: RewardSpec,
-                   config: TrajectoryConfig, codebook) -> EvalResult:
+                   config: TrajectoryConfig) -> EvalResult:
     g, S, _ = traj
     T = config.slots
     z = np.empty(T)
     fb = np.zeros(T, dtype=bool)
     fb[::period] = True
     anchors = S[::period]
-    if codebook is None:
-        A = anchors
-    else:
-        A = codebook.vectors[_quantize_rows(anchors.conj(), codebook.vectors)[0]]
     nseg, rem = divmod(T, period)
     if nseg:
         body = S[:nseg * period].conj().reshape(nseg, period, -1)
         z[:nseg * period] = np.abs(
-            np.einsum("skl,sl->sk", body, A[:nseg])).reshape(-1) ** 2
+            np.einsum("skl,sl->sk", body, anchors[:nseg])).reshape(-1) ** 2
     if rem:
-        z[nseg * period:] = np.abs(S[nseg * period:].conj() @ A[nseg]) ** 2
+        z[nseg * period:] = np.abs(S[nseg * period:].conj() @ anchors[nseg]) ** 2
     np.minimum(z, 1.0, out=z)
-    if codebook is None:
-        z[::period] = 1.0  # realigned in the feedback slot itself
+    z[::period] = 1.0  # realigned in the feedback slot itself
     return _aggregate(g, z, fb, rewards, config)
 
 
 def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
-                      config: TrajectoryConfig, codebook=None) -> EvalResult:
-    """Feedback every ``period`` slots regardless of state."""
+                      config: TrajectoryConfig) -> EvalResult:
+    """Perfect feedback every ``period`` slots regardless of state."""
     if int(period) < 1:
         raise ValueError("period must be positive")
-    _check_codebook(codebook, params)
     traj = _trajectory(params, config)
-    return _periodic_eval(int(period), traj, rewards, config, codebook)
+    return _periodic_eval(int(period), traj, rewards, config)
 
 
 def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
-                      config: TrajectoryConfig, codebook=None):
+                      config: TrajectoryConfig):
     """Best fixed feedback interval in 1..max_period at each price.
 
     Throughput and feedback rate of a fixed interval do not depend on the
@@ -422,15 +421,13 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
-    _check_codebook(codebook, params)
     traj = _trajectory(params, config)
-    base = [_periodic_eval(k, traj, RewardSpec(P=P, alpha=0.0), config, codebook)
+    base = [_periodic_eval(k, traj, RewardSpec(P=P, alpha=0.0), config)
             for k in range(1, int(max_period) + 1)]
     best = []
     for a in alphas:
         k = 1 + int(np.argmax([r.throughput - a * r.feedback_rate for r in base]))
-        best.append((k, _periodic_eval(k, traj, RewardSpec(P=P, alpha=a), config,
-                                       codebook)))
+        best.append((k, _periodic_eval(k, traj, RewardSpec(P=P, alpha=a), config)))
     return best
 
 
@@ -458,12 +455,12 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
     model = estimate_transition_model(params, spec, model_samples,
-                                      _streams(config.seed, 1),
+                                      _streams(config.seed, _MODEL_STREAM),
                                       codebook=codebook)
     eps = None
     if codebook is not None:
         eps = epsilon_statistics(codebook, params.L, P, spec.g_points,
-                                 model_samples, _streams(config.seed, 2))
+                                 model_samples, _streams(config.seed, _EPS_STREAM))
     quantized = codebook is not None
     points = []
     for a in alphas:

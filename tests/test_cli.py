@@ -1,6 +1,7 @@
 """Tests for the command-line driver: config parsing, outputs, exit codes."""
 
 import ast
+import dataclasses
 import glob
 import importlib
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import beamfeedback
-from beamfeedback import cli
+from beamfeedback import cli, simulator
 from beamfeedback.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -152,13 +153,43 @@ class TestConfigParsing:
         ("doppler_slot", -0.1),
         ("warmup", 20_000),
         ("codebook_method", "kmeans"),
+        ("codebook_size", 0),
+        ("codebook_iterations", 0),
+        ("codebook_training", 4),
+        ("seed", -3),
     ])
     def test_invalid_settings_rejected(self, field, value):
         kwargs = {field: value}
         if field == "warmup":
             kwargs["slots"] = 20_000
+        if field == "codebook_training":
+            kwargs["codebook_size"] = 8
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[grid]\nsampels = 5000\n", "grid.sampels"),
+        ("[trajectroy]\nslots = 5000\n", "trajectroy.slots"),
+        ("[trajectroy]\n", "trajectroy"),
+        ("[channel]\nsnr_db = 20\n", "channel.snr_db"),
+        ("[DEFAULT]\nseed = 3\n[trajectory]\n", "DEFAULT.seed"),
+    ])
+    def test_unknown_sections_and_keys_rejected(self, tmp_path, text, named):
+        path = tmp_path / "typo.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(str(path))
+
+    def test_empty_default_section_is_harmless(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\n[rewards]\nP = 10\n")
+        assert load_config(str(path)) == ExperimentConfig(P=10.0)
+
+    def test_codebook_section_without_method_trains_lloyd(self, tmp_path):
+        path = tmp_path / "cb.ini"
+        path.write_text("[codebook]\nsize = 8\n")
+        cfg = load_config(str(path))
+        assert (cfg.codebook_method, cfg.codebook_size) == ("lloyd", 8)
 
     def test_resolved_echo_round_trips(self, tmp_path):
         cfg = ExperimentConfig(L=4, doppler_slot=0.02, M=5, N=6,
@@ -191,6 +222,20 @@ class TestExitCodes:
         path, _ = write_config(tmp_path)
         assert run("reproduce-fig", path) == EXIT_USAGE
         assert run("reproduce-fig", path, figure=9) == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra, argv", [
+        ("[grid]\nsampels = 5000\n", []),
+        ("[codebook]\nsize = 0\n", []),
+        ("[codebook]\nsize = 8\ntraining = 4\n", []),
+        ("", ["--seed", "-3"]),
+    ])
+    def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, extra, argv):
+        path, prefix = write_config(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(extra)
+        assert main(["sweep", "--config", path, *argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(os.path.dirname(prefix))
 
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch,
                                               capsys):
@@ -342,6 +387,78 @@ class TestOtherCommands:
         assert spec.g_points.shape == (3,)
         assert model.P0.shape == (4, 4)
         np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestSharedStreams:
+    """model, solve and evaluate draw the kernels and statistics sweep uses."""
+
+    @pytest.fixture(scope="class")
+    def quantized(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("cli-streams")
+        return write_config(directory, alpha="0.5 1.5", codebook=True)
+
+    def test_evaluate_equals_the_sweep_row_at_the_first_price(self, quantized):
+        path, prefix = quantized
+        assert run("sweep", path, quiet=True) == EXIT_OK
+        assert run("evaluate", path, quiet=True) == EXIT_OK
+        with open(prefix + ".sweep.csv", encoding="utf-8") as fh:
+            row = [float(x) for x in fh.read().split("\n")[1].split(",")]
+        with open(prefix + ".eval.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert row == [doc[k] for k in CSV_HEADER.split(",")]
+
+    def test_model_holds_the_kernels_sweep_solves_on(self, quantized, monkeypatch):
+        path, prefix = quantized
+        estimate, estimated = simulator.estimate_transition_model, []
+
+        def recording(*args, **kwargs):
+            estimated.append(estimate(*args, **kwargs))
+            return estimated[-1]
+
+        monkeypatch.setattr(simulator, "estimate_transition_model", recording)
+        assert run("sweep", path, quiet=True) == EXIT_OK
+        assert run("model", path, quiet=True) == EXIT_OK
+        with open(prefix + ".model.json", encoding="utf-8") as fh:
+            _, model = model_from_json(fh.read())
+        [swept] = estimated
+        for name in ("Ptilde", "P0", "P1_row", "Peps1_row"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(swept, name))
+
+
+class TestSchema:
+    """One declaration per key drives parsing, the echo, metadata and --help."""
+
+    def test_every_field_has_exactly_one_key(self):
+        fields = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert sorted(key.field for key in cli._SCHEMA) == fields
+
+    def test_help_names_every_key_with_its_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        defaults = ExperimentConfig()
+        for key in cli._SCHEMA:
+            default = getattr(defaults, key.field)
+            if key.field == "codebook_method":
+                assert default is None  # no codebook; a [codebook] section trains Lloyd
+                default = "lloyd"
+            elif isinstance(default, tuple):
+                default = " ".join(str(v) for v in default)
+            assert f"{key.name} ({default})" in text or \
+                f"{key.name} or snr_db ({default})" in text, key.name
+            assert f"[{key.section}]" in text
+
+    def test_readme_config_example_loads(self, tmp_path):
+        with open(os.path.join(TestPublicApi.ROOT, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cfg = load_config(str(path))
+        assert cfg.codebook_method == "lloyd"
+        assert cfg.P == pytest.approx(100.0)
+        assert cfg.alphas == (0.0, 0.5, 1.0)
+        assert cfg.prefix == "out/run"
 
 
 class TestReproduceFigures:

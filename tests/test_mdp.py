@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
+from beamfeedback import mdp
 from beamfeedback.mdp import (
     ConvergenceError,
     Policy,
@@ -432,12 +433,13 @@ class TestPolicyIterationOptimality:
         # differential values solve the evaluation equations: anchored last state
         assert res.A[-1, -1] == 0.0
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
         rng = np.random.default_rng(66)
         spec, model = synthetic_setup(rng, M=2, N=3)
         r = RewardSpec(P=30.0, alpha=0.5)
+        monkeypatch.setattr(mdp, "_POLICY_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            policy_iteration_average(model, r, spec, max_iter=0)
+            policy_iteration_average(model, r, spec)
 
     def test_alignment_frozen_chain_is_rejected(self):
         # a prohibitive price starts from never feeding back, whose chain
@@ -715,12 +717,13 @@ class TestExhaustiveSearch:
         res = exhaustive_threshold_search(model, r, spec)
         assert 1 <= res.iterations <= (spec.N + 1) ** spec.M
 
-    def test_candidate_guard(self):
+    def test_candidate_guard(self, monkeypatch):
         rng = np.random.default_rng(83)
         spec, model = synthetic_setup(rng, M=3, N=6)
         r = RewardSpec(P=30.0, alpha=2.0)
+        monkeypatch.setattr(mdp, "_SEARCH_CANDIDATES", 1)
         with pytest.raises(ValueError, match="guard"):
-            exhaustive_threshold_search(model, r, spec, max_candidates=1)
+            exhaustive_threshold_search(model, r, spec)
 
     def test_search_result_is_threshold_by_construction(self):
         rng = np.random.default_rng(84)

@@ -129,7 +129,7 @@ class TestTypes:
 
 def lfilter_trajectory(params, config):
     """Reference trajectory: the AR(1) recursion as one IIR filter pass."""
-    rng = simulator._streams(config.seed, 0)
+    rng = simulator._streams(config.seed, simulator._TRAJECTORY_STREAM)
     T, L, rho = config.slots, params.L, params.rho
     h0 = _complex_normal(rng, (L,))
     f0 = _complex_normal(rng, (L,))
@@ -424,13 +424,6 @@ class TestCodebookDimension:
         with pytest.raises(ValueError, match="codebook has 4 antennas"):
             simulate_policy(Policy(decide[table]), grid8, PARAMS, REWARDS, cfg,
                             codebook=codebook)
-
-    def test_periodic_rejects_mismatch(self, mismatched):
-        codebook, cfg = mismatched
-        with pytest.raises(ValueError, match="codebook has 4 antennas"):
-            simulate_periodic(4, PARAMS, REWARDS, cfg, codebook=codebook)
-        with pytest.raises(ValueError, match="codebook has 4 antennas"):
-            periodic_baseline(PARAMS, 100.0, [0.5], 4, cfg, codebook=codebook)
 
 
 class TestOptimalPolicyDominance:
