@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import FadingParams, _ar1_step, _as_rng, _complex_normal
 from .codebook import _quantize_rows
@@ -133,8 +132,8 @@ class StationaryDistribution:
 def build_g_grid(L: int, M: int, sample_count: int, rng):
     """Equiprobable power bins under the stationary Gamma(L, 1) law.
 
-    Edges come from the Gamma quantile function, so each bin carries mass
-    exactly 1/M; representative points are Monte Carlo conditional means.
+    Edges are the Gamma quantiles at 1/M, ..., (M-1)/M, so each bin carries
+    mass 1/M; representative points are Monte Carlo conditional means.
 
     Returns:
         (g_edges, g_points): arrays of length M+1 (last edge inf) and M.
@@ -143,7 +142,7 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
         raise ValueError("L and M must be positive")
     if int(sample_count) < 1:
         raise ValueError("sample_count must be positive")
-    edges = special.gammaincinv(L, np.arange(M + 1) / M)
+    edges = np.concatenate(([0.0], _gamma_quantile(int(L), np.arange(1, M) / M), [np.inf]))
     rng = _as_rng(rng)
     g = rng.gamma(float(L), 1.0, size=int(sample_count))
     bins = _bin_g(g, edges)
@@ -158,6 +157,56 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
             points[m] = 0.5 * (edges[m] + edges[m + 1]) if m < M - 1 else edges[m] + 1.0
             warnings.warn(f"power bin {m} received no samples; using a fallback point")
     return edges, points
+
+
+def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
+    """Quantiles of the Gamma(L, 1) law at probabilities 0 < q < 1, for integer L.
+
+    Each q is solved on the tail that holds at most half the mass, as a sum
+    of positive Poisson(x) probabilities: the lower tail
+    P(L, x) = e^-x sum_{k>=L} x^k/k! = q when q <= 1/2, else the upper tail
+    Q(L, x) = e^-x sum_{k<L} x^k/k! = 1 - q.  Newton's method runs from
+    x = L on the log of that tail, which is concave (the Gamma law is
+    log-concave), so after the first step the iterates close in on the root
+    from one side: the lower tail in log x, which keeps x positive, the upper
+    tail in x, which stops the first step from overshooting exponentially.
+
+    Raises ValueError once an iterate passes x = 708, where e^-x leaves the
+    normal double range; with M up to 4096 bins that first happens near
+    L = 500.
+    """
+    x = np.full(q.shape, float(L))
+    lo = q <= 0.5
+    up = ~lo
+    # on the lower tail x <= L, where the k-th term of its series is below
+    # exp(-k^2 / (2 (L + k))); K terms take it under 2^-60
+    K = math.ceil(42.0 + math.sqrt(42.0 * 42.0 + 84.0 * L))
+    for _ in range(64):  # a bound only: the iterates converge in under ten steps
+        # Poisson(x) probability of L - 1, built as a product whose partial
+        # products are Poisson probabilities too, so it cannot overflow
+        pmf = np.exp(-x)
+        if not np.all(pmf >= np.finfo(float).tiny):
+            raise ValueError(f"Gamma({L}) quantiles are too large: e^-x underflows")
+        for k in range(1, L):
+            pmf *= x / k
+        step = np.empty_like(x)
+        # P = pmf x/L (1 + x/(L+1) (1 + x/(L+2) (...))), d log P / d log x = L / s
+        xl = x[lo]
+        s = np.ones_like(xl)
+        for k in range(L + K, L, -1):
+            s = 1.0 + xl / k * s
+        step[lo] = xl * np.expm1(-np.log(pmf[lo] * xl / L * s / q[lo]) * s / L)
+        # Q = pmf (1 + (L-1)/x (1 + (L-2)/x (...))), d log Q / dx = -1 / s
+        xu = x[up]
+        s = np.ones_like(xu)
+        for k in range(1, L):
+            s = 1.0 + k / xu * s
+        step[up] = np.log(pmf[up] * s / (1.0 - q[up])) * s
+        x += step
+        if np.all(np.abs(step) < 2.0 ** -30 * x):
+            # the error after a Newton step is of order step^2, below rounding
+            return x
+    raise ArithmeticError(f"Gamma({L}) quantiles did not converge")
 
 
 def build_z_grid(N: int):

@@ -3,8 +3,9 @@
 The tests compare the product code against these: a discounted and a
 relative value iteration for the policy-iteration gain, an occupancy-
 weighted reward for policy evaluation, a tail-mass check for kernel
-monotonicity, a per-shape quantizer for the batch quantizer, and a reader
-for the serialized decision table.
+monotonicity, a per-shape quantizer for the batch quantizer, a reader
+for the serialized decision table, and the complex Gaussians summed from
+their real and imaginary parts.
 """
 
 import json
@@ -23,6 +24,12 @@ from beamfeedback.mdp import (
     stationary_distribution,
 )
 from beamfeedback.state_grid import GridSpec, TransitionModel
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance complex Gaussians as (re + 1j im) / sqrt(2) of a normal pair."""
+    pair = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
+    return (pair[..., 0] + 1j * pair[..., 1]) / math.sqrt(2.0)
 
 
 def dp_operator(V: np.ndarray, beta: float, model: TransitionModel, rewards: RewardSpec,

@@ -2,9 +2,9 @@
 
 The laws are checked on the code the pipeline runs: the simulator's own
 trajectory, the one AR(1) step and the simulator's alignment.  Oracles are
-independent of the implementation: a truncated power series and mpmath for
-the Bessel factor, closed-form Exp/Gamma/Beta facts for the power and
-alignment laws.
+independent of the implementation: a truncated power series, mpmath and, at
+the timed Doppler values, scipy for the Bessel factor, closed-form
+Exp/Gamma/Beta facts for the power and alignment laws.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from beamfeedback import simulator
 from beamfeedback.channel import FadingParams, _ar1_step, _complex_normal, bessel_j0
 from beamfeedback.simulator import TrajectoryConfig, _alignment, _row_inner
+from oracles import complex_normal
 
 # first positive zero of J0, to 16 digits
 J0_FIRST_ZERO = 2.4048255576957724
@@ -84,6 +85,24 @@ class TestBesselJ0:
         with pytest.raises(ValueError):
             bessel_j0(np.array([1.0, float("inf")]))
 
+    def test_within_rounding_of_high_precision_on_slot_correlation_range(self):
+        # [0, pi] holds 2 pi doppler_slot for every doppler_slot up to 1/2
+        import mpmath
+
+        xs = np.linspace(0.0, math.pi, 2001)
+        got = bessel_j0(xs)
+        with mpmath.workprec(200):
+            err = [abs(mpmath.mpf(float(v)) - mpmath.besselj(0, mpmath.mpf(float(x))))
+                   for x, v in zip(xs, got)]
+        assert max(err) <= 2.0 ** -53
+
+    @pytest.mark.parametrize("doppler", [0.1, 0.05])
+    def test_equals_scipy_at_timed_dopplers(self, doppler):
+        from scipy import special
+
+        x = 2.0 * math.pi * doppler
+        assert bessel_j0(x) == special.j0(x)
+
 
 class TestFadingParams:
     def test_rho_derived_from_doppler(self):
@@ -111,6 +130,13 @@ class TestFadingParams:
 
 
 class TestIsotropicSampling:
+    @pytest.mark.parametrize("shape", [(3,), (7,), (1000, 3), (1 << 18, 3)])
+    def test_complex_normal_bit_identical_to_pair_sum(self, shape):
+        got = _complex_normal(np.random.default_rng(21), shape)
+        want = complex_normal(np.random.default_rng(21), shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_mean_power_equals_antenna_count(self):
         # law check on the sampling core: g = ||h||^2 has mean L
         rng = np.random.default_rng(101)

@@ -551,8 +551,8 @@ class TestMainEntry:
 
 class TestImportFootprint:
     def test_cli_import_skips_heavy_scipy_subpackages(self):
-        # scipy.special is the only subpackage the runtime needs; the others
-        # cost over a second of start-up in every command
+        # each of these subpackages costs up to a second of start-up in every
+        # command; the test below checks that no scipy module loads at all
         heavy = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.sparse",
                  "scipy.optimize", "scipy.integrate", "scipy.interpolate")
         src = os.path.dirname(os.path.dirname(os.path.abspath(beamfeedback.__file__)))
@@ -563,6 +563,19 @@ class TestImportFootprint:
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ""
+
+    def test_sweep_loads_no_scipy(self, tmp_path):
+        # run a command, not just the import, so a lazy import would show too
+        path, _ = write_config(tmp_path, samples=4000, slots=3000, codebook=True)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(beamfeedback.__file__)))
+        code = ("import sys, beamfeedback.cli; "
+                f"status = beamfeedback.cli.main(['sweep', '--config', {path!r}, '--quiet']); "
+                "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        child = subprocess.run([sys.executable, "-c", code],
+                               env=dict(os.environ, PYTHONPATH=src),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == [str(EXIT_OK)]
 
 
 class TestPublicApi:

@@ -1,7 +1,8 @@
 """State-grid tests: bin layout, kernel estimation, monotone structure, I/O.
 
-Independent oracles: Gamma/Exp quantile and conditional-mean closed forms via
-the incomplete gamma function, the closed-form binned law of the alignment of
+Independent oracles: Gamma quantiles as high-precision mpmath roots, Exp
+quantile and Gamma conditional-mean closed forms via the incomplete gamma
+function, the closed-form binned law of the alignment of
 two isotropic vectors, exponentially tilted row families whose tail-mass
 ordering holds by construction, and a rejection estimator of the alignment
 kernels that conditions on the source bin by drawing until it is filled.
@@ -117,6 +118,41 @@ def homogeneity_pvalue(a, b, pool_below=20):
     return stats.chi2_contingency(table, correction=False)[1]
 
 
+QUANTILE_ANTENNAS = (*range(1, 9), 16, 64)
+QUANTILE_BINS = (1, 16, 40, 128)
+
+
+def gamma_quantile_root(L, q):
+    """Gamma(L, 1) quantile at q, rounded from a 160-bit root of the smaller tail."""
+    import mpmath
+
+    with mpmath.workprec(160):
+        q = mpmath.mpf(q)
+        if q <= 0.5:
+            tail = lambda x: mpmath.gammainc(L, 0, x, regularized=True) - q
+        else:
+            tail = lambda x: mpmath.gammainc(L, x, mpmath.inf, regularized=True) - (1 - q)
+        return float(mpmath.findroot(tail, mpmath.mpf(float(stats.gamma.ppf(float(q), a=L)))))
+
+
+def ulp_distance(a, b):
+    """Count of doubles between positive finite a and b, elementwise."""
+    bits = [np.asarray(v, dtype=float).view(np.int64) for v in (a, b)]
+    return np.abs(bits[0] - bits[1])
+
+
+@pytest.fixture(scope="module")
+def quantile_roots():
+    return {(L, M): np.array([gamma_quantile_root(L, m / M) for m in range(1, M)])
+            for L in QUANTILE_ANTENNAS for M in QUANTILE_BINS}
+
+
+@pytest.fixture(scope="module")
+def scipy_worst_ulps(quantile_roots):
+    return max(ulp_distance(stats.gamma.ppf(np.arange(1, M) / M, a=L), roots).max(initial=0)
+               for (L, M), roots in quantile_roots.items())
+
+
 class TestPowerGrid:
     def test_single_bin_covers_everything(self):
         edges, points = build_g_grid(3, 1, 1_000_000, 5)
@@ -151,11 +187,20 @@ class TestPowerGrid:
             with pytest.raises(ValueError):
                 build_g_grid(*args)
 
-    @pytest.mark.parametrize("L", range(1, 9))
-    def test_edges_equal_gamma_quantiles(self, L):
-        for M in (1, 16, 40, 128):
+    def test_rejects_antenna_count_beyond_double_range(self):
+        # the Gamma(1000) quantiles sit where e^-x underflows
+        with pytest.raises(ValueError, match="underflows"):
+            build_g_grid(1000, 2, 100, 0)
+
+    @pytest.mark.parametrize("L", QUANTILE_ANTENNAS)
+    def test_edges_equal_gamma_quantiles(self, L, quantile_roots, scipy_worst_ulps):
+        # no worse than scipy's rounding of the same quantiles, which is off
+        # the correctly rounded root by up to several ulp
+        for M in QUANTILE_BINS:
             edges, _ = build_g_grid(L, M, 20_000, 0)
-            assert np.array_equal(edges, stats.gamma.ppf(np.arange(M + 1) / M, a=L))
+            assert edges[0] == 0.0 and edges[-1] == math.inf
+            assert ulp_distance(edges[1:-1], quantile_roots[L, M]).max(initial=0) \
+                <= scipy_worst_ulps
 
 
 class TestAlignmentGrid:
