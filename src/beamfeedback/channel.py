@@ -77,8 +77,9 @@ class FadingParams:
         if int(self.L) < 1:
             raise ValueError("antenna count L must be a positive integer")
         object.__setattr__(self, "L", int(self.L))
-        if not (self.doppler_slot >= 0.0):
-            raise ValueError("doppler_slot must be nonnegative")
+        if not (math.isfinite(self.doppler_slot) and self.doppler_slot >= 0.0):
+            raise ValueError(f"doppler_slot must be finite and nonnegative, "
+                             f"got {self.doppler_slot}")
         object.__setattr__(self, "rho", bessel_j0(2.0 * math.pi * self.doppler_slot))
 
 

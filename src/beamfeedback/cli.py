@@ -94,16 +94,12 @@ class ExperimentConfig:
     prefix: str = "run"
 
     def __post_init__(self):
-        if self.L < 1 or self.M < 1 or self.N < 1:
-            raise ConfigError("L, M and N must be positive")
-        if self.doppler_slot < 0:
-            raise ConfigError("doppler_slot must be nonnegative")
-        if self.model_samples < 1 or self.slots < 1:
-            raise ConfigError("sample and slot counts must be positive")
-        if not self.P > 0:
-            raise ConfigError("transmit SNR must be positive")
-        if not self.alphas or any(a < 0 for a in self.alphas):
-            raise ConfigError("alphas must be nonempty and nonnegative")
+        if self.M < 1 or self.N < 1:
+            raise ConfigError("M and N must be positive")
+        if self.model_samples < 1:
+            raise ConfigError("model sample count must be positive")
+        if not self.alphas:
+            raise ConfigError("alphas must be nonempty")
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ConfigError("alphas must be strictly increasing")
         if self.codebook_method not in (None, "lloyd", "random"):
@@ -112,10 +108,10 @@ class ExperimentConfig:
             raise ConfigError("codebook size and iterations must be positive")
         if self.codebook_training < self.codebook_size:
             raise ConfigError("codebook training set must be at least the codebook size")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if not 0 <= self.warmup < self.slots:
-            raise ConfigError("warmup must be nonnegative and smaller than slots")
+        try:  # building the library's own types checks every other setting
+            self.params, self.trajectory, *map(self.rewards, self.alphas)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def params(self) -> FadingParams:

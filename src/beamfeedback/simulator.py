@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .mdp import (
     extract_threshold,
     policy_iteration_average,
 )
-from .state_grid import GridSpec, _bin_g, _bin_z, estimate_transition_model, make_grid
+from .state_grid import GridSpec, _bin, estimate_transition_model, make_grid
 
 __all__ = [
     "TrajectoryConfig",
@@ -56,6 +56,7 @@ _BATCHES = 100
 _TRAJECTORY_STREAM = 0
 _MODEL_STREAM = 1
 _EPS_STREAM = 2
+_REFINEMENT_STREAM = 3
 _GRID_STREAM = 4
 _CODEBOOK_STREAM = 6
 
@@ -68,16 +69,19 @@ class TrajectoryConfig:
 
     slots: int
     warmup: int = 1000
-    seed: int | None = None
+    seed: int = field(kw_only=True)
 
     def __post_init__(self):
-        slots, warmup = int(self.slots), int(self.warmup)
+        slots, warmup, seed = int(self.slots), int(self.warmup), int(self.seed)
         if slots < 1:
             raise ValueError("slots must be positive")
         if warmup < 0 or warmup >= slots:
             raise ValueError("warmup must be nonnegative and smaller than slots")
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "warmup", warmup)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -120,47 +124,31 @@ class Curve:
         object.__setattr__(self, "points", pts)
 
 
-def _streams(seed, tag: int):
-    """Independent generator for one purpose of a seeded run.
+def _streams(seed: int, *tag: int):
+    """Independent generator for one purpose of a run.
 
     Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
     same ones, so its model, solve and evaluate commands see the kernels and
     quantized-rate statistics that ``sweep_alpha`` solves on.  Refinement
-    size i of ``refinement_study`` draws from tag 3 + i.
+    size i of ``refinement_study`` draws from the tag pair
+    (_REFINEMENT_STREAM, i), a family no other purpose shares.
     """
-    if seed is None:
-        return np.random.default_rng()
-    return np.random.default_rng([int(seed), tag])
+    return np.random.default_rng([int(seed), *tag])
 
 
+@functools.lru_cache(maxsize=1)
 def _trajectory(params: FadingParams, config: TrajectoryConfig):
     """Channel power, unit shapes, and an initial beam for a whole run.
 
     The policy cannot influence the channel, so every policy, price and
-    baseline of a seeded run shares one trajectory: the last seeded one is
-    kept, read-only, and handed back while the same run asks for it.
+    baseline of a run shares one trajectory: the last one is kept, read-only,
+    and handed back while the same run asks for it.  It is one pass of the
+    first-order recursion h' = rho h + sqrt(1 - rho^2) w; each antenna runs
+    it as a sequential Python loop, which keeps scipy.signal out of the
+    import path and rounds exactly as a direct-form IIR filter does.
     """
-    if config.seed is None:
-        return _build_trajectory(params.L, params.rho, config.slots, None)
-    return _shared_trajectory(params.L, params.rho, config.slots, config.seed)
-
-
-@functools.lru_cache(maxsize=1)
-def _shared_trajectory(L: int, rho: float, slots: int, seed):
-    traj = _build_trajectory(L, rho, slots, seed)
-    for arr in traj:
-        arr.setflags(write=False)
-    return traj
-
-
-def _build_trajectory(L: int, rho: float, slots: int, seed):
-    """One pass of the first-order recursion h' = rho h + sqrt(1 - rho^2) w.
-
-    Each antenna runs the recursion as a sequential Python loop, which keeps
-    scipy.signal out of the import path and rounds exactly as a direct-form
-    IIR filter does.
-    """
-    rng = _streams(seed, _TRAJECTORY_STREAM)
+    L, rho, slots = params.L, params.rho, config.slots
+    rng = _streams(config.seed, _TRAJECTORY_STREAM)
     h0 = _complex_normal(rng, (L,))
     f0 = _complex_normal(rng, (L,))
     f0 /= np.linalg.norm(f0)
@@ -174,6 +162,8 @@ def _build_trajectory(L: int, rho: float, slots: int, seed):
                 initial=complex(h0[l])), dtype=complex, count=slots)
     g = np.einsum("tl,tl->t", H.conj(), H).real
     S = H / np.sqrt(g)[:, None]
+    for arr in (g, S, f0):
+        arr.setflags(write=False)
     return g, S, f0
 
 
@@ -250,7 +240,7 @@ class _EventTable:
         self.decide, self.spec, self.codebook = decide, spec, codebook
         self.S, self.Sc, self.f = S, S.conj(), f
         self.T = g.size
-        self.m = _bin_g(g, spec.g_edges)
+        self.m = _bin(g, spec.g_edges)
         self.depth = 0
         self.first = self.scan(0, f)
         if codebook is None:
@@ -261,7 +251,7 @@ class _EventTable:
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
-        return self.decide[self.m[slots], _bin_z(z, self.spec.z_edges)]
+        return self.decide[self.m[slots], _bin(z, self.spec.z_edges)]
 
     def scan(self, start: int, beam) -> int:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
@@ -492,7 +482,7 @@ def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,
         raise ValueError("sizes must be nonempty and increasing")
     out = []
     for i, (M, N) in enumerate(sizes):
-        rng = _streams(config.seed, 3 + i)
+        rng = _streams(config.seed, _REFINEMENT_STREAM, i)
         samples = max(1000 * max(M, N), config.slots * max(M, N) // 16)
         spec = make_grid(params.L, M, N, samples, rng)
         model = estimate_transition_model(params, spec, samples, rng)

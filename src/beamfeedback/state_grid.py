@@ -145,7 +145,7 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
     edges = np.concatenate(([0.0], _gamma_quantile(int(L), np.arange(1, M) / M), [np.inf]))
     rng = _as_rng(rng)
     g = rng.gamma(float(L), 1.0, size=int(sample_count))
-    bins = _bin_g(g, edges)
+    bins = _bin(g, edges)
     totals = np.bincount(bins, weights=g, minlength=M)
     counts = np.bincount(bins, minlength=M)
     points = np.empty(M)
@@ -226,15 +226,10 @@ def make_grid(L: int, M: int, N: int, sample_count: int, rng) -> GridSpec:
                     z_edges=z_edges, z_points=z_points)
 
 
-def _bin_g(g: np.ndarray, g_edges: np.ndarray) -> np.ndarray:
-    """Power bin of each value; bins are half-open [lo, hi)."""
-    return np.clip(np.searchsorted(g_edges, g, side="right") - 1, 0, g_edges.size - 2)
-
-
-def _bin_z(z: np.ndarray, z_edges: np.ndarray) -> np.ndarray:
-    """Alignment bin of each value; bins are half-open [lo, hi), and z = 1
-    falls in the top bin."""
-    return np.clip(np.searchsorted(z_edges, z, side="right") - 1, 0, z_edges.size - 2)
+def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each power or alignment value; bins are half-open [lo, hi), and
+    a value at the last edge (alignment z = 1) falls in the top bin."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
@@ -294,9 +289,9 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     while remaining:
         c = min(remaining, _CHUNK)
         H = _complex_normal(g_stream, (c, L))
-        m0 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
+        m0 = _bin(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
         H = _ar1_step(g_stream, H, rho, sig)
-        m1 = _bin_g(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
+        m1 = _bin(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
         counts_g += np.bincount(m0 * M + m1, minlength=M * M)
         remaining -= c
     Ptilde = _normalize_rows(counts_g.reshape(M, M), "power kernel")
@@ -365,8 +360,8 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
         H[:, 0] *= np.sqrt((head + rest) * z / head)
         H[:, 1:] *= np.sqrt((head + rest) * (1.0 - z) / rest)[:, None]
         H = _ar1_step(stream, H, rho, sig)
-        n1[s:s + _CHUNK] = _bin_z(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1),
-                                  spec.z_edges)
+        n1[s:s + _CHUNK] = _bin(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1),
+                                spec.z_edges)
     return n1
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: config parsing, outputs, exit codes."""
 
 import ast
+import configparser
 import dataclasses
 import glob
 import importlib
@@ -35,10 +36,11 @@ from beamfeedback.state_grid import TransitionModel, model_from_json
 def config_text(prefix, *, L=3, doppler=0.1, M=4, N=4, samples=30_000,
                 snr_db=20.0, alpha="0.0 0.5", slots=20_000, warmup=500,
                 seed=77, codebook=False):
+    power = [] if snr_db is None else [f"snr_db = {snr_db}"]  # None: default P
     lines = [
         "[channel]", f"L = {L}", f"doppler_slot = {doppler}", "",
         "[grid]", f"M = {M}", f"N = {N}", f"samples = {samples}", "",
-        "[rewards]", f"snr_db = {snr_db}", f"alpha = {alpha}", "",
+        "[rewards]", *power, f"alpha = {alpha}", "",
         "[trajectory]", f"slots = {slots}", f"warmup = {warmup}",
         f"seed = {seed}", "",
         "[output]", f"prefix = {prefix}", "",
@@ -228,11 +230,20 @@ class TestExitCodes:
         ("[codebook]\nsize = 0\n", []),
         ("[codebook]\nsize = 8\ntraining = 4\n", []),
         ("", ["--seed", "-3"]),
+        # non-finite values the library types reject
+        ("[channel]\ndoppler_slot = nan\n", []),
+        ("[channel]\ndoppler_slot = inf\n", []),
+        ("[rewards]\nalpha = 0.2 inf\n", []),
+        ("[rewards]\nalpha = 0.2 nan\n", []),
+        ("[rewards]\nP = inf\n", []),
     ])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, extra, argv):
-        path, prefix = write_config(tmp_path)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(extra)
+        path, prefix = write_config(tmp_path, snr_db=None)
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        cp.read_string(extra)  # a second source: its keys join or replace the file's
+        with open(path, "w", encoding="utf-8") as handle:
+            cp.write(handle)
         assert main(["sweep", "--config", path, *argv]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not os.path.exists(os.path.dirname(prefix))

@@ -103,11 +103,18 @@ class TestTypes:
         cfg = TrajectoryConfig(slots=5000, warmup=100, seed=1)
         assert cfg.slots == 5000 and cfg.warmup == 100
         with pytest.raises(ValueError):
-            TrajectoryConfig(slots=0)
+            TrajectoryConfig(slots=0, seed=1)
         with pytest.raises(ValueError):
-            TrajectoryConfig(slots=100, warmup=100)
+            TrajectoryConfig(slots=100, warmup=100, seed=1)
         with pytest.raises(ValueError):
-            TrajectoryConfig(slots=100, warmup=-1)
+            TrajectoryConfig(slots=100, warmup=-1, seed=1)
+        # every run is seeded, so its policies and prices share one trajectory
+        with pytest.raises(TypeError):
+            TrajectoryConfig(slots=100)
+        with pytest.raises(TypeError):
+            TrajectoryConfig(100, 10, 1)  # the seed is keyword-only
+        with pytest.raises(ValueError, match="seed"):
+            TrajectoryConfig(slots=100, warmup=0, seed=-1)
 
     def test_eval_result_validation(self):
         with pytest.raises(ValueError):
@@ -169,12 +176,6 @@ class TestTrajectory:
         for arr in (g, S, f):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-    def test_unseeded_runs_draw_fresh_trajectories(self):
-        cfg = TrajectoryConfig(slots=3000)
-        a = simulator._trajectory(PARAMS, cfg)
-        b = simulator._trajectory(PARAMS, cfg)
-        assert not np.array_equal(a[0], b[0])
 
     def test_switching_configs_restores_exact_values(self):
         A = TrajectoryConfig(slots=3000, seed=43)

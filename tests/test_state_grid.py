@@ -22,8 +22,7 @@ from beamfeedback.state_grid import (
     GridSpec,
     StationaryDistribution,
     TransitionModel,
-    _bin_g,
-    _bin_z,
+    _bin,
     _in_bin_alignments,
     build_g_grid,
     build_z_grid,
@@ -222,16 +221,16 @@ def spec16() -> GridSpec:
 
 class TestQuantize:
     def test_interior_and_boundary_values(self, spec16):
-        assert _bin_g(np.array([0.0]), spec16.g_edges)[0] == 0
-        assert _bin_z(np.array([0.0]), spec16.z_edges)[0] == 0
-        assert _bin_g(np.array([1e9]), spec16.g_edges)[0] == 15
-        assert _bin_z(np.array([1.0]), spec16.z_edges)[0] == 15
+        assert _bin(np.array([0.0]), spec16.g_edges)[0] == 0
+        assert _bin(np.array([0.0]), spec16.z_edges)[0] == 0
+        assert _bin(np.array([1e9]), spec16.g_edges)[0] == 15
+        assert _bin(np.array([1.0]), spec16.z_edges)[0] == 15
         # alignment edges are n/N and bins are half-open below
         below = np.nextafter(0.25, 0.0)
-        assert _bin_z(np.array([0.25, below]), spec16.z_edges).tolist() == [4, 3]
+        assert _bin(np.array([0.25, below]), spec16.z_edges).tolist() == [4, 3]
         # a power value exactly at an interior edge belongs to the upper bin
         at_edge = np.array([spec16.g_edges[7], np.nextafter(spec16.g_edges[7], 0.0)])
-        assert _bin_g(at_edge, spec16.g_edges).tolist() == [7, 6]
+        assert _bin(at_edge, spec16.g_edges).tolist() == [7, 6]
 
 
 class TestTransitionEstimation:
