@@ -50,7 +50,7 @@ from .simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import estimate_transition_model, make_grid, model_to_json
+from .state_grid import _power_edges, estimate_transition_model, make_grid, model_to_json
 
 __all__ = ["ExperimentConfig", "ConfigError", "UsageError", "load_config", "run", "main"]
 
@@ -110,6 +110,7 @@ class ExperimentConfig:
             raise ConfigError("codebook training set must be at least the codebook size")
         try:  # building the library's own types checks every other setting
             self.params, self.trajectory, *map(self.rewards, self.alphas)
+            _power_edges(self.L, self.M)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

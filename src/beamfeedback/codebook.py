@@ -96,9 +96,11 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
     Each round assigns every training shape to its best-aligned codeword and
     replaces each codeword by the principal eigenvector of its cluster's
     outer-product sum, which maximizes the cluster's total squared alignment;
-    the mean alignment objective is therefore nondecreasing.  Empty clusters
-    are re-seeded from random training shapes.  Stops early once the
-    objective improves by less than 1e-6.
+    the mean alignment objective is therefore nondecreasing.  All sums come
+    from one pass: each lower-triangle product s_i conj(s_j) is summed per
+    cluster by ``bincount``, and one batched ``eigh`` takes every cluster.
+    Empty clusters are re-seeded from random training shapes, in codeword
+    order.  Stops early once the objective improves by less than 1e-6.
     """
     if int(L) < 1 or int(size) < 1 or int(iterations) < 1:
         raise ValueError("L, size and iterations must be positive")
@@ -109,6 +111,11 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
     S = _complex_normal(rng, (int(training_count), int(L)))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
     C = S[rng.choice(int(training_count), int(size), replace=False)].copy()
+    K = int(size)
+    rows, cols = np.tril_indices(int(L))
+    products = S[:, rows] * S[:, cols].conj()
+    re, im = products.real.ravel(), products.imag.ravel()
+    slots = np.arange(rows.size)
     history = []
     prev = -math.inf
     for _ in range(int(iterations)):
@@ -119,14 +126,15 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
         if obj - prev < 1e-6:
             break
         prev = obj
-        for k in range(int(size)):
-            members = S[assign == k]
-            if members.shape[0] == 0:
-                C[k] = S[int(rng.integers(S.shape[0]))]
-                continue
-            R = members.T @ members.conj()
-            _, vecs = np.linalg.eigh(R)
-            C[k] = vecs[:, -1]
+        cell = (assign[:, None] * rows.size + slots).ravel()
+        R = np.zeros((K, int(L), int(L)), dtype=complex)
+        R[:, rows, cols] = (
+            np.bincount(cell, re, K * rows.size)
+            + 1j * np.bincount(cell, im, K * rows.size)
+        ).reshape(K, rows.size)
+        C[:] = np.linalg.eigh(R)[1][:, :, -1]  # eigh reads the lower triangle
+        for k in np.flatnonzero(np.bincount(assign, minlength=K) == 0):
+            C[k] = S[int(rng.integers(S.shape[0]))]
     return Codebook(vectors=C, method="lloyd", seed=seed,
                     objective_history=tuple(history))
 
@@ -134,17 +142,20 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
 def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):
     """Codebook quantization of many conjugated unit shapes: (indices, eps).
 
-    Scores are built one codeword at a time, so no rows-by-codewords matrix
-    is ever held; ties resolve to the lowest codeword index.
+    Scores are built one codeword at a time in reused buffers, so no
+    rows-by-codewords matrix is ever held; ties resolve to the lowest
+    codeword index.
     """
-    best = np.abs(Sc @ vectors[0]) ** 2
+    best = np.square(np.abs(Sc @ vectors[0]))
     idx = np.zeros(best.size, dtype=np.intp)
+    score = np.empty_like(best)
+    better = np.empty(best.size, dtype=bool)
     for k in range(1, vectors.shape[0]):
-        score = np.abs(Sc @ vectors[k]) ** 2
-        better = score > best
-        idx[better] = k
-        best[better] = score[better]
-    return idx, np.minimum(best, 1.0)
+        np.square(np.abs(Sc @ vectors[k], out=score), out=score)
+        np.greater(score, best, out=better)
+        np.copyto(idx, k, where=better)
+        np.maximum(best, score, out=best)
+    return idx, np.minimum(best, 1.0, out=best)
 
 
 def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_count: int,
@@ -169,6 +180,7 @@ def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_co
     zero_count = 0
     sum_rate = np.zeros(M)
     sumsq_rate = np.zeros(M)
+    rate = np.empty(min(n, _CHUNK))
     remaining = n
     while remaining:
         c = min(remaining, _CHUNK)
@@ -182,9 +194,11 @@ def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_co
         logs = np.log2(eps[pos])
         sum_log += logs.sum()
         sumsq_log += (logs**2).sum()
-        rate = np.log2(1.0 + P * g_points[:, None] * eps[None, :])
-        sum_rate += rate.sum(axis=1)
-        sumsq_rate += (rate**2).sum(axis=1)
+        for m, Pg in enumerate(P * g_points):  # one power point at a time
+            r = rate[:c]
+            np.log2(np.add(1.0, np.multiply(Pg, eps, out=r), out=r), out=r)
+            sum_rate[m] += r.sum()
+            sumsq_rate[m] += np.square(r, out=r).sum()
         remaining -= c
 
     def moments(total, total_sq, count):

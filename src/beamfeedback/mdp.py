@@ -133,11 +133,11 @@ def _stage_tables(spec: GridSpec, rewards: RewardSpec, eps):
 
 
 def _feedback_vector(model: TransitionModel, quantized_row: bool) -> np.ndarray:
-    if quantized_row:
-        if model.Peps1_row is None:
-            raise ValueError("model carries no quantized feedback row")
-        return model.Peps1_row
-    return model.P1_row
+    row = model.Peps1_row if quantized_row else model.P1_row
+    if row is None:
+        raise ValueError(f"model carries no {'quantized' if quantized_row else 'exact'} "
+                         "feedback row")
+    return row
 
 
 def _backup(h: np.ndarray, model: TransitionModel, p1: np.ndarray):

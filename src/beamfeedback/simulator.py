@@ -208,14 +208,32 @@ def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
     return w
 
 
-def _next_hit_after(hit: np.ndarray) -> np.ndarray:
-    """For every slot t, the first later slot s with hit[s], else len(hit)."""
-    T = hit.size
-    later = np.where(hit[1:], np.arange(1, T), T)
-    out = np.empty(T, dtype=np.intp)
-    out[:-1] = np.minimum.accumulate(later[::-1])[::-1]
-    out[-1] = T
-    return out
+def _next_hits(hit: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """For each of the given slots t, the first later slot s with hit[s],
+    else len(hit)."""
+    at = np.flatnonzero(hit)
+    return np.append(at, hit.size)[np.searchsorted(at, slots, side="right")]
+
+
+class _Run:
+    """The arrays of one trajectory that no policy or price changes.
+
+    A sweep builds them once and measures every price on them: the
+    conjugated shapes, the power bin of every slot and, with a codebook,
+    the codeword and eps of every shape and the slots each codeword holds.
+    """
+
+    def __init__(self, spec: GridSpec, g, S, f, codebook):
+        if codebook is not None and codebook.L != S.shape[1]:
+            raise ValueError(f"codebook has {codebook.L} antennas but the channel "
+                             f"has {S.shape[1]}")
+        self.spec, self.g, self.S, self.f, self.codebook = spec, g, S, f, codebook
+        self.Sc = S.conj()
+        self.m = _bin(g, spec.g_edges)
+        if codebook is not None:
+            self.code, self.eps = _quantize_rows(self.Sc, codebook.vectors)
+            self.members = [np.flatnonzero(self.code == k)
+                            for k in range(codebook.size)]
 
 
 class _EventTable:
@@ -234,24 +252,31 @@ class _EventTable:
     scans it would save: resolving a slot saves a scan only if an event
     falls there, about one slot in the mean gap, so slow fading with long
     gaps stops after a few lags and fast fading resolves nearly every slot.
+
+    The trajectory comes as (spec, g, S, f, codebook) or as its ``_Run``.
+    When every row of the policy feeds back exactly below an alignment edge,
+    a decision is one comparison with that edge (``ym``, per slot); any
+    other policy looks its decisions up by bin.
     """
 
-    def __init__(self, decide, spec: GridSpec, g, S, f, codebook):
-        self.decide, self.spec, self.codebook = decide, spec, codebook
-        self.S, self.Sc, self.f = S, S.conj(), f
-        self.T = g.size
-        self.m = _bin(g, spec.g_edges)
+    def __init__(self, decide, *trajectory, run=None):
+        self.run = run = run or _Run(*trajectory)
+        self.decide, self.codebook = decide, run.codebook
+        self.S, self.Sc, self.f, self.T = run.S, run.Sc, run.f, run.g.size
+        y = _threshold_edges(decide, run.spec.z_edges)
+        self.ym = None if y is None else y[run.m]
         self.depth = 0
-        self.first = self.scan(0, f)
-        if codebook is None:
+        self.first = self.scan(0, self.f)
+        if self.codebook is None:
             self.successor = self._lag_successors()
         else:
-            self.code, self.eps = _quantize_rows(self.Sc, codebook.vectors)
             self.successor = self._codeword_successors()
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
-        return self.decide[self.m[slots], _bin(z, self.spec.z_edges)]
+        if self.ym is None:
+            return self.decide[self.run.m[slots], _bin(z, self.run.spec.z_edges)]
+        return z < self.ym[slots]
 
     def scan(self, start: int, beam) -> int:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
@@ -264,10 +289,10 @@ class _EventTable:
 
     def _codeword_successors(self):
         successor = np.empty(self.T, dtype=np.intp)
-        for k, c in enumerate(self.codebook.vectors):
-            nxt = _next_hit_after(self.hit(slice(None), _alignment(self.Sc @ c)))
-            mine = self.code == k
-            successor[mine] = nxt[mine]
+        for c, mine in zip(self.codebook.vectors, self.run.members):
+            if mine.size:
+                hit = self.hit(slice(None), _alignment(self.Sc @ c))
+                successor[mine] = _next_hits(hit, mine)
         return successor
 
     def _lag_successors(self):
@@ -318,27 +343,44 @@ class _EventTable:
             z[first:] = _alignment(_row_inner(Sc[first:], self.S[owner]))
             z[events] = 1.0
         else:
-            code = self.code[owner]
+            code = self.run.code[owner]
             tail = z[first:]
             for k, c in enumerate(self.codebook.vectors):
                 mine = code == k
                 tail[mine] = _alignment(Sc[first:][mine] @ c)
-            z[events] = self.eps[events]
+            z[events] = self.run.eps[events]
         return z
 
 
-def _feedback_trace(decide, spec: GridSpec, g, S, f, codebook):
-    """Per-slot alignment z and feedback flags of a policy on a trajectory."""
-    T = g.size
+def _threshold_edges(decide, z_edges):
+    """Per-power-bin edge y with decide[m, n] == (z < y[m]) for every z in
+    alignment bin n, or None when some row is not a threshold row.
+
+    The leading run of each row is found as ``extract_threshold`` finds it;
+    a row that always feeds back gets y = inf, since z = 1 lies in the top
+    bin, not above it.
+    """
+    N = decide.shape[1]
+    lead = np.where(decide.all(axis=1), N, np.argmin(decide, axis=1))
+    if not np.array_equal(decide, np.arange(N) < lead[:, None]):
+        return None
+    return np.append(z_edges[:-1], np.inf)[lead]
+
+
+def _feedback_trace(decide, *trajectory, run=None):
+    """Per-slot alignment z and feedback flags of a policy on a trajectory,
+    given as for ``_EventTable``."""
+    run = run or _Run(*trajectory)
+    T = run.g.size
     fb = np.zeros(T, dtype=bool)
     if not decide.any():
-        return _alignment(S.conj() @ f), fb
+        return _alignment(run.Sc @ run.f), fb
     if decide.all():
         fb[:] = True
-        if codebook is None:
+        if run.codebook is None:
             return np.ones(T), fb
-        return _quantize_rows(S.conj(), codebook.vectors)[1], fb
-    table = _EventTable(decide, spec, g, S, f, codebook)
+        return run.eps, fb
+    table = _EventTable(decide, run=run)
     events = table.events()
     fb[events] = True
     return table.alignment(events), fb
@@ -346,7 +388,7 @@ def _feedback_trace(decide, spec: GridSpec, g, S, f, codebook):
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
                     rewards: RewardSpec, config: TrajectoryConfig,
-                    codebook=None) -> EvalResult:
+                    codebook=None, *, _run=None) -> EvalResult:
     """Run a feedback policy over one simulated trajectory.
 
     Each slot the true state is binned, the policy consulted, and on
@@ -357,16 +399,15 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     table (see _EventTable): vectorised passes over the whole trajectory
     find, for every slot, the next feedback slot had the beam been refreshed
     there, and a walk over those slot indices yields the feedback events.
+    ``sweep_alpha`` passes the ``_Run`` of these arguments, built once for
+    all its prices.
     """
     decide = policy.decide
     if decide.shape != (spec.M, spec.N):
         raise ValueError("policy dimensions do not match the grid")
-    if codebook is not None and codebook.L != params.L:
-        raise ValueError(f"codebook has {codebook.L} antennas but the channel "
-                         f"has {params.L}")
-    g, S, f = _trajectory(params, config)
-    z, fb = _feedback_trace(decide, spec, g, S, f, codebook)
-    return _aggregate(g, z, fb, rewards, config)
+    run = _run or _Run(spec, *_trajectory(params, config), codebook)
+    z, fb = _feedback_trace(decide, run=run)
+    return _aggregate(run.g, z, fb, rewards, config)
 
 
 def _periodic_eval(period: int, traj, rewards: RewardSpec,
@@ -452,13 +493,14 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
         eps = epsilon_statistics(codebook, params.L, P, spec.g_points,
                                  model_samples, _streams(config.seed, _EPS_STREAM))
     quantized = codebook is not None
+    run = _Run(spec, *_trajectory(params, config), codebook)
     points = []
     for a in alphas:
         r = RewardSpec(P=P, alpha=a)
         solved = policy_iteration_average(model, r, spec, eps=eps,
                                           quantized_row=quantized)
         measured = simulate_policy(solved.policy, spec, params, r, config,
-                                   codebook=codebook)
+                                   codebook=codebook, _run=run)
         profile = extract_threshold(solved.policy, spec)
         avg_y = average_threshold(profile, solved.pi) if profile.is_threshold \
             else math.nan

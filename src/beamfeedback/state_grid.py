@@ -11,6 +11,7 @@ alignments, so each source bin is sampled directly, without rejection.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -76,11 +77,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Bin-level Markov kernels estimated from the channel recursion."""
+    """Bin-level Markov kernels estimated from the channel recursion.
+
+    At least one feedback row is present: ``P1_row`` after exact feedback,
+    ``Peps1_row`` after quantized feedback.
+    """
 
     Ptilde: np.ndarray
     P0: np.ndarray
-    P1_row: np.ndarray
+    P1_row: np.ndarray | None
     Peps1_row: np.ndarray | None
     sample_count: int
     seed: int | None = None
@@ -88,20 +93,21 @@ class TransitionModel:
     def __post_init__(self):
         Pt = np.asarray(self.Ptilde, dtype=float)
         P0 = np.asarray(self.P0, dtype=float)
-        p1 = np.asarray(self.P1_row, dtype=float)
         if Pt.ndim != 2 or Pt.shape[0] != Pt.shape[1]:
             raise ValueError("power kernel must be square")
         if P0.ndim != 2 or P0.shape[0] != P0.shape[1]:
             raise ValueError("alignment kernel must be square")
-        if p1.shape != (P0.shape[0],):
-            raise ValueError("feedback row size must match the alignment kernel")
-        rows = [Pt, P0, p1[None, :]]
-        pe = self.Peps1_row
-        if pe is not None:
-            pe = np.asarray(pe, dtype=float)
-            if pe.shape != p1.shape:
-                raise ValueError("quantized feedback row size must match the alignment kernel")
-            rows.append(pe[None, :])
+        if self.P1_row is None and self.Peps1_row is None:
+            raise ValueError("model needs an exact or a quantized feedback row")
+        rows = [Pt, P0]
+        for name in ("P1_row", "Peps1_row"):
+            row = getattr(self, name)
+            if row is not None:
+                row = np.asarray(row, dtype=float)
+                if row.shape != (P0.shape[0],):
+                    raise ValueError(f"{name} size must match the alignment kernel")
+                rows.append(row[None, :])
+                object.__setattr__(self, name, row)
         for arr in rows:
             if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("kernel rows must be distributions")
@@ -109,8 +115,6 @@ class TransitionModel:
             raise ValueError("sample_count must be positive")
         object.__setattr__(self, "Ptilde", Pt)
         object.__setattr__(self, "P0", P0)
-        object.__setattr__(self, "P1_row", p1)
-        object.__setattr__(self, "Peps1_row", pe)
         object.__setattr__(self, "sample_count", int(self.sample_count))
 
 
@@ -142,7 +146,7 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
         raise ValueError("L and M must be positive")
     if int(sample_count) < 1:
         raise ValueError("sample_count must be positive")
-    edges = np.concatenate(([0.0], _gamma_quantile(int(L), np.arange(1, M) / M), [np.inf]))
+    edges = _power_edges(int(L), int(M))
     rng = _as_rng(rng)
     g = rng.gamma(float(L), 1.0, size=int(sample_count))
     bins = _bin(g, edges)
@@ -157,6 +161,16 @@ def build_g_grid(L: int, M: int, sample_count: int, rng):
             points[m] = 0.5 * (edges[m] + edges[m + 1]) if m < M - 1 else edges[m] + 1.0
             warnings.warn(f"power bin {m} received no samples; using a fallback point")
     return edges, points
+
+
+@functools.lru_cache(maxsize=8)
+def _power_edges(L: int, M: int) -> np.ndarray:
+    """Read-only edges of the M equiprobable power bins: 0, the Gamma(L, 1)
+    quantiles at 1/M, ..., (M-1)/M, and inf.  Kept per (L, M), since the
+    config check and the grid of a run both need them."""
+    edges = np.concatenate(([0.0], _gamma_quantile(L, np.arange(1, M) / M), [np.inf]))
+    edges.setflags(write=False)
+    return edges
 
 
 def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
@@ -232,6 +246,15 @@ def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
+def _power(H: np.ndarray) -> np.ndarray:
+    """Squared norm of each channel row, the antennas summed in index order."""
+    sq = np.abs(H) ** 2
+    g = sq[:, 0].copy()
+    for l in range(1, sq.shape[1]):
+        g += sq[:, l]
+    return g
+
+
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
     out = np.empty(counts.shape, dtype=float)
     for r in range(counts.shape[0]):
@@ -252,10 +275,11 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     Every alignment row steps channels drawn at given alignments with a beam
     pinned to the first basis vector (see _step_alignment_bins): each
     no-feedback row from exactly ``sample_count // N`` alignments inside its
-    source bin, the feedback row from perfect alignment and, when
-    ``codebook`` is given, a second row from the codebook-quantized alignment
-    of isotropic shapes.  With one antenna the alignment is identically 1,
-    and every alignment row is the exact point mass on the top bin.
+    source bin, and the feedback row from perfect alignment or, when
+    ``codebook`` is given, from the codebook-quantized alignment of isotropic
+    shapes instead (``P1_row`` is then None: no solve with a codebook reads
+    it).  With one antenna the alignment is identically 1, and every
+    alignment row is the exact point mass on the top bin.
 
     Args:
         params: fading model (antenna count and slot correlation).
@@ -289,9 +313,9 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     while remaining:
         c = min(remaining, _CHUNK)
         H = _complex_normal(g_stream, (c, L))
-        m0 = _bin(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
+        m0 = _bin(_power(H), spec.g_edges)
         H = _ar1_step(g_stream, H, rho, sig)
-        m1 = _bin(np.sum(np.abs(H) ** 2, axis=1), spec.g_edges)
+        m1 = _bin(_power(H), spec.g_edges)
         counts_g += np.bincount(m0 * M + m1, minlength=M * M)
         remaining -= c
     Ptilde = _normalize_rows(counts_g.reshape(M, M), "power kernel")
@@ -301,7 +325,8 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         # every slot and all alignment rows are the point mass on the top bin
         top = np.zeros(N)
         top[-1] = 1.0
-        return TransitionModel(Ptilde=Ptilde, P0=np.tile(top, (N, 1)), P1_row=top,
+        return TransitionModel(Ptilde=Ptilde, P0=np.tile(top, (N, 1)),
+                               P1_row=top if vectors is None else None,
                                Peps1_row=None if vectors is None else top,
                                sample_count=sample_count, seed=seed)
 
@@ -310,10 +335,11 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     n1 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
     P0 = np.bincount(np.repeat(np.arange(N), target) * N + n1,
                      minlength=N * N).reshape(N, N) / float(target)
-    n1 = _step_alignment_bins(f_stream, np.ones(sample_count), L, rho, sig, spec)
-    P1_row = np.bincount(n1, minlength=N) / float(sample_count)
-    Peps1_row = None
-    if vectors is not None:
+    P1_row = Peps1_row = None
+    if vectors is None:
+        n1 = _step_alignment_bins(f_stream, np.ones(sample_count), L, rho, sig, spec)
+        P1_row = np.bincount(n1, minlength=N) / float(sample_count)
+    else:
         # w is isotropic, so the next alignment depends on the channel only
         # through |h_1| and its norm orthogonal to the beam: given (g, eps),
         # which codeword was chosen does not matter
@@ -356,12 +382,11 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
         z = z0[s:s + _CHUNK]
         H = _complex_normal(stream, (z.size, L))
         head = np.abs(H[:, 0]) ** 2
-        rest = np.sum(np.abs(H[:, 1:]) ** 2, axis=1)
+        rest = _power(H[:, 1:])
         H[:, 0] *= np.sqrt((head + rest) * z / head)
         H[:, 1:] *= np.sqrt((head + rest) * (1.0 - z) / rest)[:, None]
         H = _ar1_step(stream, H, rho, sig)
-        n1[s:s + _CHUNK] = _bin(np.abs(H[:, 0]) ** 2 / np.sum(np.abs(H) ** 2, axis=1),
-                                spec.z_edges)
+        n1[s:s + _CHUNK] = _bin(np.abs(H[:, 0]) ** 2 / _power(H), spec.z_edges)
     return n1
 
 
@@ -376,7 +401,7 @@ def model_to_json(spec: GridSpec, model: TransitionModel) -> str:
         "z_points": [float(v) for v in spec.z_points],
         "Ptilde": model.Ptilde.tolist(),
         "P0": model.P0.tolist(),
-        "P1_row": model.P1_row.tolist(),
+        "P1_row": None if model.P1_row is None else model.P1_row.tolist(),
         "Peps1_row": None if model.Peps1_row is None else model.Peps1_row.tolist(),
         "sample_count": model.sample_count,
         "seed": model.seed,
@@ -396,11 +421,11 @@ def model_from_json(text: str):
         z_edges=np.array(doc["z_edges"], dtype=float),
         z_points=np.array(doc["z_points"], dtype=float),
     )
-    pe = doc.get("Peps1_row")
+    p1, pe = doc["P1_row"], doc.get("Peps1_row")
     model = TransitionModel(
         Ptilde=np.array(doc["Ptilde"], dtype=float),
         P0=np.array(doc["P0"], dtype=float),
-        P1_row=np.array(doc["P1_row"], dtype=float),
+        P1_row=None if p1 is None else np.array(p1, dtype=float),
         Peps1_row=None if pe is None else np.array(pe, dtype=float),
         sample_count=int(doc["sample_count"]),
         seed=None if doc.get("seed") is None else int(doc["seed"]),

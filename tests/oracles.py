@@ -3,9 +3,10 @@
 The tests compare the product code against these: a discounted and a
 relative value iteration for the policy-iteration gain, an occupancy-
 weighted reward for policy evaluation, a tail-mass check for kernel
-monotonicity, a per-shape quantizer for the batch quantizer, a reader
-for the serialized decision table, and the complex Gaussians summed from
-their real and imaginary parts.
+monotonicity, a per-shape quantizer for the batch quantizer, a
+cluster-by-cluster Lloyd training for the one-pass one, a reader for the
+serialized decision table, and the complex Gaussians summed from their real
+and imaginary parts.
 """
 
 import json
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 
+from beamfeedback import codebook as codebook_module
+from beamfeedback.channel import _as_rng
 from beamfeedback.codebook import Codebook
 from beamfeedback.mdp import (
     ConvergenceError,
@@ -128,6 +131,39 @@ def quantize_shape(s: np.ndarray, codebook: Codebook):
     scores = np.abs(codebook.vectors.conj() @ s) ** 2
     idx = int(np.argmax(scores))
     return codebook.vectors[idx], float(min(1.0, scores[idx]))
+
+
+def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng) -> Codebook:
+    """Lloyd training with one mask, gather, outer-product sum and eigh per
+    cluster and round.
+
+    Draws the training set and the starting codewords as the package does;
+    the normal draws go through ``beamfeedback.codebook``, so a test that
+    substitutes them there feeds both versions the same training set.
+    """
+    rng = _as_rng(rng)
+    S = codebook_module._complex_normal(rng, (int(training_count), int(L)))
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    C = S[rng.choice(int(training_count), int(size), replace=False)].copy()
+    history = []
+    prev = -math.inf
+    for _ in range(int(iterations)):
+        scores = np.abs(S @ C.conj().T) ** 2
+        assign = np.argmax(scores, axis=1)
+        obj = float(scores[np.arange(S.shape[0]), assign].mean())
+        history.append(obj)
+        if obj - prev < 1e-6:
+            break
+        prev = obj
+        for k in range(int(size)):
+            members = S[assign == k]
+            if members.shape[0] == 0:
+                C[k] = S[int(rng.integers(S.shape[0]))]
+                continue
+            R = members.T @ members.conj()
+            _, vecs = np.linalg.eigh(R)
+            C[k] = vecs[:, -1]
+    return Codebook(vectors=C, method="lloyd", objective_history=tuple(history))
 
 
 def policy_from_json(text: str) -> Policy:

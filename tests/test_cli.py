@@ -236,6 +236,8 @@ class TestExitCodes:
         ("[rewards]\nalpha = 0.2 inf\n", []),
         ("[rewards]\nalpha = 0.2 nan\n", []),
         ("[rewards]\nP = inf\n", []),
+        # power edges the Gamma quantile cannot represent
+        ("[channel]\nL = 800\n", []),
     ])
     def test_bad_settings_exit_2_before_any_work(self, tmp_path, capsys, extra, argv):
         path, prefix = write_config(tmp_path, snr_db=None)

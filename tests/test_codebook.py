@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from beamfeedback import codebook as codebook_module
 from beamfeedback.codebook import (
     Codebook,
     codebook_from_json,
@@ -16,6 +17,7 @@ from beamfeedback.codebook import (
     random_codebook,
 )
 
+from oracles import lloyd_codebook as reference_lloyd
 from oracles import quantize_shape
 
 
@@ -124,6 +126,40 @@ class TestLloydTraining:
     def test_training_set_must_cover_the_codebook(self):
         with pytest.raises(ValueError, match="training"):
             lloyd_codebook(3, 16, 8, 5, 137)
+
+    @staticmethod
+    def _assert_matches_reference(L, size, count, iterations, seed):
+        got = lloyd_codebook(L, size, count, iterations, seed)
+        want = reference_lloyd(L, size, count, iterations, seed)
+        # the cluster sums differ only in summation order: the same rounds,
+        # the same objective, and each codeword up to its phase
+        assert len(got.objective_history) == len(want.objective_history)
+        np.testing.assert_allclose(got.objective_history, want.objective_history,
+                                   rtol=0.0, atol=1e-12)
+        overlap = np.abs(np.sum(got.vectors * want.vectors.conj(), axis=1))
+        np.testing.assert_allclose(overlap, 1.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [150, 151, 152])
+    @pytest.mark.parametrize("size", [1, 4, 16, 64])
+    @pytest.mark.parametrize("L", [2, 3, 4, 8])
+    def test_one_pass_clusters_match_the_reference(self, L, size, seed):
+        self._assert_matches_reference(L, size, 2000, 20, seed)
+
+    def test_empty_clusters_reseed_as_the_reference_does(self, monkeypatch):
+        # 48 shapes, each twice: each shape the 32 starting codewords hold
+        # twice leaves the higher copy with no members in round one, and the
+        # re-seeds must go to the empty codewords in index order.  (A shape
+        # tied between a re-seeded codeword and a cluster's principal
+        # direction can go either way, since the two versions' sums differ in
+        # the last bit; this draw meets no such tie.)
+        rng = np.random.default_rng(153)
+        shapes = unit_rows(rng, 48, 3)
+        training = np.concatenate([shapes, shapes])
+        start = np.random.default_rng(155).choice(training.shape[0], 32, replace=False)
+        assert 32 - np.unique(start % 48).size >= 2
+        monkeypatch.setattr(codebook_module, "_complex_normal",
+                            lambda rng, shape: training.copy())
+        self._assert_matches_reference(3, 32, 96, 20, 155)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

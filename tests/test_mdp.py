@@ -7,6 +7,7 @@ table on grids small enough to afford it.  The dense linear solves that the
 matrix-free solver replaced stay here as its reference.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -271,6 +272,11 @@ class TestContinuation:
         spec, model = synthetic_setup(rng, M=2, N=3, quantized=False)
         with pytest.raises(ValueError, match="quantized"):
             _feedback_vector(model, True)
+        # a codebook model carries the quantized row only
+        lossy = dataclasses.replace(model, P1_row=None, Peps1_row=model.P1_row)
+        with pytest.raises(ValueError, match="exact"):
+            _feedback_vector(lossy, False)
+        assert _feedback_vector(lossy, True) is lossy.Peps1_row
 
 
 class TestDpOperator:

@@ -41,6 +41,7 @@ from beamfeedback.simulator import (
     sweep_alpha,
 )
 from beamfeedback.state_grid import (
+    GridSpec,
     StationaryDistribution,
     estimate_transition_model,
     make_grid,
@@ -410,6 +411,58 @@ class TestEventTableAgreesWithReference:
         assert _quantize_rows(half.conj(), pair.vectors)[0][0] == 0
 
 
+class TestThresholdCompare:
+    """A threshold policy decides by comparing z with its row's edge; the
+    decisions must be those of the bin lookup, at every edge included."""
+
+    @staticmethod
+    def _table(decide, spec):
+        cfg = TrajectoryConfig(slots=600, warmup=10, seed=5)
+        g, S, f = simulator._trajectory(PARAMS, cfg)
+        table = simulator._EventTable(decide, spec, g, S, f, None)
+        assert np.unique(table.run.m).size == spec.M  # every row is read
+        return table
+
+    @staticmethod
+    def _probe(table, decide, spec):
+        edges = spec.z_edges
+        z = np.concatenate(([0.0, 1.0], edges, np.nextafter(edges[1:], -np.inf)))
+        slots = np.repeat(np.arange(table.T), z.size)
+        z = np.tile(z, table.T)
+        want = decide[table.run.m[slots], simulator._bin(z, edges)]
+        np.testing.assert_array_equal(table.hit(slots, z), want)
+
+    @pytest.fixture(params=["uniform", "warped"])
+    def spec(self, request, grid8):
+        if request.param == "uniform":
+            return grid8
+        u = np.arange(9) / 8
+        edges = 1.0 - (1.0 - u) ** 3  # fine bins near z = 1
+        return GridSpec(M=8, N=8, g_edges=grid8.g_edges, g_points=grid8.g_points,
+                        z_edges=edges, z_points=0.5 * (edges[:-1] + edges[1:]))
+
+    def test_threshold_tables_compare(self, spec):
+        rng = np.random.default_rng(780)
+        cols = np.arange(spec.N)
+        leads = [np.full(spec.M, spec.N), np.zeros(spec.M, int),  # all True, all False
+                 np.arange(spec.M) % (spec.N + 1)]
+        leads += [rng.integers(0, spec.N + 1, spec.M) for _ in range(5)]
+        for lead in leads:
+            decide = cols < lead[:, None]
+            table = self._table(decide, spec)
+            assert table.ym is not None
+            self._probe(table, decide, spec)
+
+    def test_other_tables_look_up(self, spec):
+        rng = np.random.default_rng(781)
+        for _ in range(5):
+            decide = rng.random((spec.M, spec.N)) < 0.5
+            decide[0] = [False, True] * (spec.N // 2)  # feeds back above a gap
+            table = self._table(decide, spec)
+            assert table.ym is None
+            self._probe(table, decide, spec)
+
+
 class TestCodebookDimension:
     @pytest.fixture
     def mismatched(self):
@@ -583,6 +636,21 @@ class TestSweep:
                         model_samples=5000)
         with pytest.raises(ValueError, match="increasing"):
             sweep_alpha([], grid8, PARAMS, 100.0, cfg, model_samples=5000)
+
+    def test_quantized_sweep_quantizes_the_trajectory_once(self, grid8, monkeypatch):
+        calls = []
+        quantize = simulator._quantize_rows
+
+        def spy(Sc, vectors):
+            calls.append(Sc.shape[0])
+            return quantize(Sc, vectors)
+
+        monkeypatch.setattr(simulator, "_quantize_rows", spy)
+        cfg = TrajectoryConfig(slots=20_000, seed=56)
+        curve = sweep_alpha([0.2, 0.8, 2.0], grid8, PARAMS, 100.0, cfg,
+                            codebook=random_codebook(3, 8, 57), model_samples=20_000)
+        assert all(0.0 < p.feedback_rate < 1.0 for p in curve.points)
+        assert calls == [cfg.slots]
 
     def test_quantized_sweep_stays_below_perfect(self):
         spec = make_grid(3, 6, 6, 100_000, np.random.default_rng(53))

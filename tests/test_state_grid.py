@@ -284,13 +284,15 @@ class TestTransitionEstimation:
         model = estimate_transition_model(
             FadingParams(L=3, doppler_slot=0.1), spec16, 200_000, 7, codebook=vectors
         )
+        exact = estimate_transition_model(FadingParams(L=3, doppler_slot=0.1),
+                                          spec16, 200_000, 7)
         assert model.Peps1_row is not None
         np.testing.assert_allclose(model.Peps1_row.sum(), 1.0, atol=1e-9)
         tol = 3.0 / math.sqrt(200_000 / 16)
         tails = lambda v: np.cumsum(v[::-1])[::-1]
         # quantized feedback is never better than exact feedback, but beats
         # evolving from a badly aligned beam
-        assert np.all(tails(model.P1_row) >= tails(model.Peps1_row) - tol)
+        assert np.all(tails(exact.P1_row) >= tails(model.Peps1_row) - tol)
         assert np.all(tails(model.Peps1_row) >= tails(model.P0[0]) - tol)
 
     def test_single_antenna_alignment_rows_are_exact(self):
@@ -302,11 +304,13 @@ class TestTransitionEstimation:
         model = estimate_transition_model(
             FadingParams(L=1, doppler_slot=0.1), spec, 20_000, 12, codebook=codebook
         )
+        exact = estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
+                                          20_000, 12)
         assert time.perf_counter() - start < 1.0
         top = np.zeros(6)
         top[-1] = 1.0
         np.testing.assert_array_equal(model.P0, np.tile(top, (6, 1)))
-        np.testing.assert_array_equal(model.P1_row, top)
+        np.testing.assert_array_equal(exact.P1_row, top)
         np.testing.assert_array_equal(model.Peps1_row, top)
         np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-12)
         with pytest.raises(ValueError, match="codebook"):
@@ -381,11 +385,12 @@ class TestExactAlignmentSampling:
         codebook = random_codebook(L, 4, 50 + L)
         n = 30_000
         model = estimate_transition_model(params, spec, n, 60 + L, codebook=codebook)
+        exact = estimate_transition_model(params, spec, n, 60 + L)
         P0, p1, pe = reference_alignment_counts(params, spec, n, 70 + L, codebook.vectors)
         target = n // spec.N
         pvalues = [homogeneity_pvalue(np.round(model.P0[r] * target), P0[r])
                    for r in range(spec.N)]
-        pvalues.append(homogeneity_pvalue(np.round(model.P1_row * n), p1))
+        pvalues.append(homogeneity_pvalue(np.round(exact.P1_row * n), p1))
         pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
         assert min(pvalues) > 1e-4, pvalues
 
@@ -458,8 +463,14 @@ class TestSerialization:
         model = estimate_transition_model(
             FadingParams(L=3, doppler_slot=0.1), spec16, 20_000, 14, codebook=vectors
         )
-        _, model2 = model_from_json(model_to_json(spec16, model))
+        text = model_to_json(spec16, model)
+        assert '"P1_row": null' in text
+        _, model2 = model_from_json(text)
         np.testing.assert_array_equal(model2.Peps1_row, model.Peps1_row)
+        np.testing.assert_array_equal(model2.P0, model.P0)
+        # only the quantized row is estimated: no solve with a codebook reads
+        # the exact one
+        assert model.P1_row is None and model2.P1_row is None
 
 
 class TestTypes:
@@ -480,6 +491,13 @@ class TestTypes:
                             Peps1_row=None, sample_count=10)
         with pytest.raises(ValueError):
             TransitionModel(Ptilde=eye, P0=eye, P1_row=row, Peps1_row=None, sample_count=0)
+        with pytest.raises(ValueError, match="feedback row"):
+            TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=None,
+                            sample_count=10)
+        with pytest.raises(ValueError, match="Peps1_row size"):
+            TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=row[:2],
+                            sample_count=10)
+        TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=row, sample_count=10)
 
     def test_stationary_distribution_validation(self):
         with pytest.raises(ValueError):
