@@ -18,6 +18,7 @@ from beamfeedback import (
     lloyd_codebook,
     make_grid,
     price_increment_bound,
+    quantization_errors,
     random_codebook,
     sweep_alpha,
 )
@@ -47,7 +48,7 @@ def main():
     trained = lloyd_codebook(L, args.codebook_size, args.training, 50, rng)
     untrained = random_codebook(L, args.codebook_size, rng)
     for label, book in (("lloyd", trained), ("random", untrained)):
-        moments = epsilon_statistics(book, L, P, spec.g_points, 200_000, rng)
+        moments = epsilon_statistics(quantization_errors(book, 200_000, rng), P, spec.g_points)
         print(f"{label:>6} codebook: mean alignment {moments.mean_eps:.4f}, "
               f"rate cost {-moments.mean_log2_eps:.4f} bit/s/Hz "
               f"(bound {price_increment_bound(L, args.codebook_size):.4f})")

@@ -10,14 +10,22 @@ link-level simulation, with either perfect or codebook-quantized feedback.
 Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
 ``policy_iteration_average`` solves it, ``simulate_policy`` and
 ``sweep_alpha`` measure the result, and ``lloyd_codebook`` supplies the
-finite-rate feedback alphabet.  ``exhaustive_threshold_search`` cross-checks
-the solver; discounted value iteration is a test oracle (tests/oracles.py).
+finite-rate feedback alphabet, whose ``quantization_errors`` feed both the
+quantized feedback row and ``epsilon_statistics``.
+``exhaustive_threshold_search`` cross-checks the solver; discounted value
+iteration is a test oracle (tests/oracles.py).
 The exports are the names the command line, the demos and the acceptance
 suite use; everything else is reached through its module.
 """
 
 from .channel import FadingParams
-from .codebook import epsilon_statistics, lloyd_codebook, price_increment_bound, random_codebook
+from .codebook import (
+    epsilon_statistics,
+    lloyd_codebook,
+    price_increment_bound,
+    quantization_errors,
+    random_codebook,
+)
 from .mdp import (
     Policy,
     RewardSpec,
@@ -60,6 +68,7 @@ __all__ = [
     "periodic_baseline",
     "policy_iteration_average",
     "price_increment_bound",
+    "quantization_errors",
     "random_codebook",
     "refinement_study",
     "simulate_periodic",

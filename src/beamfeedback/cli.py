@@ -25,7 +25,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import FadingParams
-from .codebook import codebook_to_json, epsilon_statistics, lloyd_codebook, random_codebook
+from .codebook import (
+    codebook_to_json,
+    epsilon_statistics,
+    lloyd_codebook,
+    quantization_errors,
+    random_codebook,
+)
 from .mdp import (
     ConvergenceError,
     RewardSpec,
@@ -251,20 +257,23 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _build_model(cfg: ExperimentConfig, codebook):
+    """Grid, kernels and, with a codebook, the quantization-error sample the
+    feedback row stepped from, drawn as ``sweep_alpha`` draws them."""
     spec = _grid(cfg)
+    errors = None
+    if codebook is not None:
+        errors = quantization_errors(codebook, cfg.model_samples,
+                                     _streams(cfg.seed, _EPS_STREAM))
     model = estimate_transition_model(cfg.params, spec, cfg.model_samples,
-                                      _streams(cfg.seed, _MODEL_STREAM), codebook=codebook)
-    return spec, model
+                                      _streams(cfg.seed, _MODEL_STREAM), eps=errors)
+    return spec, model, errors
 
 
 def _solve(cfg: ExperimentConfig):
     """Solve at the first configured price, as solve and evaluate report."""
     codebook = _build_codebook(cfg)
-    spec, model = _build_model(cfg, codebook)
-    eps = None
-    if codebook is not None:
-        eps = epsilon_statistics(codebook, cfg.L, cfg.P, spec.g_points,
-                                 cfg.model_samples, _streams(cfg.seed, _EPS_STREAM))
+    spec, model, errors = _build_model(cfg, codebook)
+    eps = None if errors is None else epsilon_statistics(errors, cfg.P, spec.g_points)
     result = policy_iteration_average(model, cfg.rewards(cfg.alphas[0]), spec, eps=eps,
                                       quantized_row=codebook is not None)
     return spec, codebook, result
@@ -327,7 +336,8 @@ def _combined_csv(curves) -> str:
 # written under the command's stem (prefix.stem) once all of them are ready.
 
 def _cmd_model(cfg):
-    return [(".json", model_to_json(*_build_model(cfg, _build_codebook(cfg))))]
+    spec, model, _ = _build_model(cfg, _build_codebook(cfg))
+    return [(".json", model_to_json(spec, model))]
 
 
 def _cmd_codebook(cfg):
@@ -428,11 +438,16 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
 
 
 def _config_help() -> str:
-    """The --help epilog: every section and key with its default value."""
-    defaults = ExperimentConfig().quantized()
+    """The --help epilog: every section and key with its default value.
+
+    The defaults are read off the dataclass fields, so printing them checks
+    no config; a [codebook] section without a method trains Lloyd.
+    """
+    defaults = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+    defaults["codebook_method"] = "lloyd"
     sections = []
     for section in _SECTIONS:
-        keys = [f"{key.spellings} ({_text(getattr(defaults, key.field))})"
+        keys = [f"{key.spellings} ({_text(defaults[key.field])})"
                 for key in _SCHEMA if key.section == section]
         sections.append(f"[{section}] " + ", ".join(keys))
     return ("Config sections and keys, defaults in parentheses: " + "; ".join(sections)

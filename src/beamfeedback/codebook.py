@@ -22,6 +22,7 @@ __all__ = [
     "EpsStats",
     "random_codebook",
     "lloyd_codebook",
+    "quantization_errors",
     "epsilon_statistics",
     "price_increment_bound",
     "codebook_to_json",
@@ -93,14 +94,15 @@ def random_codebook(L: int, size: int, rng) -> Codebook:
 def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng) -> Codebook:
     """Train codewords on isotropic shapes by alternating maximization.
 
-    Each round assigns every training shape to its best-aligned codeword and
-    replaces each codeword by the principal eigenvector of its cluster's
-    outer-product sum, which maximizes the cluster's total squared alignment;
-    the mean alignment objective is therefore nondecreasing.  All sums come
-    from one pass: each lower-triangle product s_i conj(s_j) is summed per
-    cluster by ``bincount``, and one batched ``eigh`` takes every cluster.
-    Empty clusters are re-seeded from random training shapes, in codeword
-    order.  Stops early once the objective improves by less than 1e-6.
+    Each round assigns every training shape to its best-aligned codeword
+    (see ``_nearest``) and replaces each codeword by the principal
+    eigenvector of its cluster's outer-product sum, which maximizes the
+    cluster's total squared alignment; the mean alignment objective is
+    therefore nondecreasing.  The sums are those of the lower-triangle
+    product features the scores use: one ``bincount`` per feature, in
+    training order, and one batched ``eigh`` takes every cluster.  Empty
+    clusters are re-seeded from random training shapes, in codeword order.
+    Stops early once the objective improves by less than 1e-6.
     """
     if int(L) < 1 or int(size) < 1 or int(iterations) < 1:
         raise ValueError("L, size and iterations must be positive")
@@ -113,30 +115,66 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
     C = S[rng.choice(int(training_count), int(size), replace=False)].copy()
     K = int(size)
     rows, cols = np.tril_indices(int(L))
-    products = S[:, rows] * S[:, cols].conj()
-    re, im = products.real.ravel(), products.imag.ravel()
-    slots = np.arange(rows.size)
+    off = rows > cols
+    features = _shape_features(S)
     history = []
     prev = -math.inf
     for _ in range(int(iterations)):
-        scores = np.abs(S @ C.conj().T) ** 2
-        assign = np.argmax(scores, axis=1)
-        obj = float(scores[np.arange(S.shape[0]), assign].mean())
+        assign, best = _nearest(S, features, C)
+        obj = float(best.mean())
         history.append(obj)
         if obj - prev < 1e-6:
             break
         prev = obj
-        cell = (assign[:, None] * rows.size + slots).ravel()
+        sums = [np.bincount(assign, weights=f, minlength=K) for f in features]
         R = np.zeros((K, int(L), int(L)), dtype=complex)
-        R[:, rows, cols] = (
-            np.bincount(cell, re, K * rows.size)
-            + 1j * np.bincount(cell, im, K * rows.size)
-        ).reshape(K, rows.size)
+        R.real[:, rows, cols] = np.transpose(sums[:rows.size])
+        R.imag[:, rows[off], cols[off]] = np.transpose(sums[rows.size:])
         C[:] = np.linalg.eigh(R)[1][:, :, -1]  # eigh reads the lower triangle
         for k in np.flatnonzero(np.bincount(assign, minlength=K) == 0):
             C[k] = S[int(rng.integers(S.shape[0]))]
     return Codebook(vectors=C, method="lloyd", seed=seed,
                     objective_history=tuple(history))
+
+
+def _shape_features(S: np.ndarray) -> np.ndarray:
+    """Real features of unit shapes, one contiguous row each: the real part
+    of every lower-triangle product s_i conj(s_j) (i >= j, in ``tril_indices``
+    order), then the imaginary part of the off-diagonal ones (a diagonal
+    product is real)."""
+    rows, cols = np.tril_indices(S.shape[1])
+    products = S[:, rows] * S[:, cols].conj()
+    return np.concatenate([products.real.T, products.imag.T[rows > cols]])
+
+
+def _nearest(S: np.ndarray, features: np.ndarray, C: np.ndarray):
+    """First best-aligned codeword of every shape and its squared alignment.
+
+    |<s, c>|^2 = sum_i |s_i|^2 |c_i|^2 + 2 sum_{i>j} Re(s_i conj(s_j) conj(c_i) c_j)
+    is linear in the shape's features, so one real GEMM against each
+    codeword's weights scores every shape, and the best score is a column
+    reduction.  A shape with a runner-up within 1e-12 of its best is
+    rescored by the complex inner products, so ties and near-ties resolve
+    as ``argmax`` of the complex scores does: to the lowest index.
+    """
+    K = C.shape[0]
+    rows, cols = np.tril_indices(C.shape[1])
+    off = rows > cols
+    q = C[:, rows].conj() * C[:, cols]
+    weights = np.concatenate([np.where(off, 2.0, 1.0) * q.real, -2.0 * q.imag[:, off]], axis=1)
+    scores = weights @ features
+    best = scores.max(axis=0)
+    # per shape: how many codewords score within 1e-12 of the best, and the
+    # index of the best when it is the only one
+    np.greater_equal(scores, best - 1e-12, out=scores)
+    count, first = np.stack([np.ones(K), np.arange(K)]) @ scores
+    assign = first.astype(np.intp)
+    near = np.flatnonzero(count > 1)
+    if near.size:
+        exact = np.abs(S[near] @ C.conj().T) ** 2
+        assign[near] = np.argmax(exact, axis=1)
+        best[near] = exact[np.arange(near.size), assign[near]]
+    return assign, best
 
 
 def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):
@@ -158,69 +196,64 @@ def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):
     return idx, np.minimum(best, 1.0, out=best)
 
 
-def epsilon_statistics(codebook: Codebook, L: int, P: float, g_points, sample_count: int,
-                       rng) -> EpsStats:
-    """Monte Carlo moments of eps over isotropic shapes.
+def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
+    """eps of ``count`` isotropic shapes quantized with the codebook.
+
+    One sample serves both the quantized feedback row of the transition
+    model and ``epsilon_statistics``; the shapes are drawn in chunks, so no
+    more than a chunk of them is held at once.
+    """
+    if int(count) < 1:
+        raise ValueError("count must be positive")
+    count = int(count)
+    rng = _as_rng(rng)
+    eps = np.empty(count)
+    for s in range(0, count, _CHUNK):
+        S = _complex_normal(rng, (min(_CHUNK, count - s), codebook.L))
+        S /= np.linalg.norm(S, axis=1, keepdims=True)
+        eps[s:s + _CHUNK] = _quantize_rows(S.conj(), codebook.vectors)[1]
+    return eps
+
+
+def epsilon_statistics(eps, P: float, g_points) -> EpsStats:
+    """Moments of a quantization-error sample (see ``quantization_errors``).
 
     All moments come from the same draws, so per-sample inequalities between
     them survive the estimation exactly.
     """
-    if int(L) != codebook.L:
-        raise ValueError("L does not match the codebook")
-    if int(sample_count) < 1:
-        raise ValueError("sample_count must be positive")
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 1 or eps.size < 1:
+        raise ValueError("eps must be a nonempty 1-D sample")
     if not P > 0:
         raise ValueError("P must be positive")
     g_points = np.asarray(g_points, dtype=float)
-    rng = _as_rng(rng)
-    M = g_points.size
-    n = int(sample_count)
-    sum_eps = sumsq_eps = 0.0
-    sum_log = sumsq_log = 0.0
-    zero_count = 0
-    sum_rate = np.zeros(M)
-    sumsq_rate = np.zeros(M)
-    rate = np.empty(min(n, _CHUNK))
-    remaining = n
-    while remaining:
-        c = min(remaining, _CHUNK)
-        S = _complex_normal(rng, (c, L))
-        S /= np.linalg.norm(S, axis=1, keepdims=True)
-        eps = _quantize_rows(S.conj(), codebook.vectors)[1]
-        sum_eps += eps.sum()
-        sumsq_eps += (eps**2).sum()
-        pos = eps > 0.0
-        zero_count += int(c - pos.sum())
-        logs = np.log2(eps[pos])
-        sum_log += logs.sum()
-        sumsq_log += (logs**2).sum()
-        for m, Pg in enumerate(P * g_points):  # one power point at a time
-            r = rate[:c]
-            np.log2(np.add(1.0, np.multiply(Pg, eps, out=r), out=r), out=r)
-            sum_rate[m] += r.sum()
-            sumsq_rate[m] += np.square(r, out=r).sum()
-        remaining -= c
+    n = eps.size
+    logs = np.log2(eps[eps > 0.0])
+    rate = np.empty(n)
+    rate_sums = np.empty((2, g_points.size))
+    for m, Pg in enumerate(P * g_points):  # one power point at a time
+        np.log2(np.add(1.0, np.multiply(Pg, eps, out=rate), out=rate), out=rate)
+        rate_sums[0, m] = rate.sum()
+        rate_sums[1, m] = np.square(rate, out=rate).sum()
 
     def moments(total, total_sq, count):
         mean = total / count
-        var = max(0.0, total_sq / count - mean * mean)
-        return mean, math.sqrt(var / count)
+        var = np.maximum(0.0, total_sq / count - mean * mean)
+        return mean, np.sqrt(var / count)
 
-    mean_eps, se_eps = moments(sum_eps, sumsq_eps, n)
-    n_log = n - zero_count
-    mean_log, se_log = moments(sum_log, sumsq_log, max(1, n_log))
-    rate_mean = sum_rate / n
-    rate_var = np.maximum(0.0, sumsq_rate / n - rate_mean**2)
+    mean_eps, se_eps = moments(eps.sum(), np.square(eps).sum(), n)
+    mean_log, se_log = moments(logs.sum(), np.square(logs).sum(), max(1, logs.size))
+    rate_mean, rate_se = moments(*rate_sums, n)
     return EpsStats(
-        mean_eps=mean_eps,
-        mean_log2_eps=mean_log,
+        mean_eps=float(mean_eps),
+        mean_log2_eps=float(mean_log),
         per_g_rate=rate_mean,
         g_points=g_points,
         sample_count=n,
-        stderr_mean_eps=se_eps,
-        stderr_log2_eps=se_log,
-        per_g_rate_stderr=np.sqrt(rate_var / n),
-        zero_eps_excluded=zero_count,
+        stderr_mean_eps=float(se_eps),
+        stderr_log2_eps=float(se_log),
+        per_g_rate_stderr=rate_se,
+        zero_eps_excluded=n - logs.size,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import FadingParams, _complex_normal
-from .codebook import _quantize_rows, epsilon_statistics
+from .codebook import _quantize_rows, epsilon_statistics, quantization_errors
 from .mdp import (
     Policy,
     RewardSpec,
@@ -221,6 +221,8 @@ class _Run:
     A sweep builds them once and measures every price on them: the
     conjugated shapes, the power bin of every slot and, with a codebook,
     the codeword and eps of every shape and the slots each codeword holds.
+    Those last three are computed on first use, so a policy that never
+    feeds back quantizes nothing.
     """
 
     def __init__(self, spec: GridSpec, g, S, f, codebook):
@@ -230,10 +232,22 @@ class _Run:
         self.spec, self.g, self.S, self.f, self.codebook = spec, g, S, f, codebook
         self.Sc = S.conj()
         self.m = _bin(g, spec.g_edges)
-        if codebook is not None:
-            self.code, self.eps = _quantize_rows(self.Sc, codebook.vectors)
-            self.members = [np.flatnonzero(self.code == k)
-                            for k in range(codebook.size)]
+
+    @functools.cached_property
+    def _quantized(self):
+        return _quantize_rows(self.Sc, self.codebook.vectors)
+
+    @property
+    def code(self) -> np.ndarray:
+        return self._quantized[0]
+
+    @property
+    def eps(self) -> np.ndarray:
+        return self._quantized[1]
+
+    @functools.cached_property
+    def members(self) -> list:
+        return [np.flatnonzero(self.code == k) for k in range(self.codebook.size)]
 
 
 class _EventTable:
@@ -463,14 +477,19 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
 
 
 def average_threshold(profile, pi) -> float:
-    """Occupancy-weighted feedback threshold over the power bins."""
+    """Occupancy-weighted feedback threshold over the power bins.
+
+    The weighted sum is divided by the total weight, summed the same way,
+    so thresholds that are all 1 (or all 0) average to exactly 1 (or 0)
+    whatever the rounding of the occupancy.
+    """
     if not profile.is_threshold:
         raise ValueError("average threshold needs a threshold policy")
     y = np.asarray(profile.y, dtype=float)
     marginal = pi.pi.sum(axis=1)
     if marginal.shape != y.shape:
         raise ValueError("occupancy and threshold sizes do not match")
-    return float(min(1.0, max(0.0, marginal @ y)))
+    return float((marginal * y).sum() / marginal.sum())
 
 
 def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
@@ -479,20 +498,21 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
     One transition model (and, with a codebook, one set of quantized-rate
-    statistics) serves every price; each price is solved exactly on the
+    statistics, from the quantization-error sample the model's feedback row
+    stepped from) serves every price; each price is solved exactly on the
     model and then measured on the common simulated trajectory.
     """
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
-    model = estimate_transition_model(params, spec, model_samples,
-                                      _streams(config.seed, _MODEL_STREAM),
-                                      codebook=codebook)
-    eps = None
-    if codebook is not None:
-        eps = epsilon_statistics(codebook, params.L, P, spec.g_points,
-                                 model_samples, _streams(config.seed, _EPS_STREAM))
     quantized = codebook is not None
+    errors = None
+    if quantized:
+        errors = quantization_errors(codebook, model_samples,
+                                     _streams(config.seed, _EPS_STREAM))
+    model = estimate_transition_model(params, spec, model_samples,
+                                      _streams(config.seed, _MODEL_STREAM), eps=errors)
+    eps = epsilon_statistics(errors, P, spec.g_points) if quantized else None
     run = _Run(spec, *_trajectory(params, config), codebook)
     points = []
     for a in alphas:

@@ -6,7 +6,9 @@ cells are estimated by Monte Carlo from the slot-to-slot channel recursion:
 a power kernel, an alignment kernel for slots without feedback, and a single
 shared alignment row for slots with feedback (exact or codebook-quantized).
 Every alignment kernel steps isotropic channels drawn exactly at given
-alignments, so each source bin is sampled directly, without rejection.
+alignments, so each source bin is sampled directly, without rejection; by
+isotropy a step needs a few scalars, not a whole channel, and the power
+kernel counts the power pair of every such step.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, _ar1_step, _as_rng, _complex_normal
-from .codebook import _quantize_rows
+from .channel import FadingParams, _as_rng, _complex_normal
 
 __all__ = [
     "GridSpec",
@@ -246,15 +247,6 @@ def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
-def _power(H: np.ndarray) -> np.ndarray:
-    """Squared norm of each channel row, the antennas summed in index order."""
-    sq = np.abs(H) ** 2
-    g = sq[:, 0].copy()
-    for l in range(1, sq.shape[1]):
-        g += sq[:, l]
-    return g
-
-
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
     out = np.empty(counts.shape, dtype=float)
     for r in range(counts.shape[0]):
@@ -268,26 +260,28 @@ def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
 
 
 def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count: int,
-                              rng, codebook=None) -> TransitionModel:
+                              rng, eps=None) -> TransitionModel:
     """Estimate the bin-level kernels by simulating one-slot transitions.
 
-    The power kernel is counted from a single pass of stationary draws.
-    Every alignment row steps channels drawn at given alignments with a beam
-    pinned to the first basis vector (see _step_alignment_bins): each
-    no-feedback row from exactly ``sample_count // N`` alignments inside its
-    source bin, and the feedback row from perfect alignment or, when
-    ``codebook`` is given, from the codebook-quantized alignment of isotropic
-    shapes instead (``P1_row`` is then None: no solve with a codebook reads
-    it).  With one antenna the alignment is identically 1, and every
-    alignment row is the exact point mass on the top bin.
+    Every row steps channels drawn at given alignments with a beam pinned
+    to the first basis vector (see _step_alignment_bins): each no-feedback
+    row from exactly ``sample_count // N`` alignments inside its source bin,
+    and the feedback row from perfect alignment or, when ``eps`` is given,
+    from those quantization errors instead (``P1_row`` is then None: no
+    solve with a codebook reads it).  The step's innovation is isotropic, so
+    given (g, eps) which codeword was chosen does not matter.
+    The power kernel counts the (g, g') pair of every step of both passes.
+    With one antenna the alignment is identically 1, and every alignment
+    row is the exact point mass on the top bin.
 
     Args:
         params: fading model (antenna count and slot correlation).
         spec: bin layout; its sizes fix the kernel dimensions.
-        sample_count: Monte Carlo budget per kernel.
+        sample_count: Monte Carlo budget per alignment kernel.
         rng: seed or numpy Generator; an integer seed is recorded for
             serialization.
-        codebook: optional codebook (object with unit-norm ``vectors`` rows).
+        eps: optional quantization errors of ``sample_count`` isotropic
+            shapes (``codebook.quantization_errors``).
 
     Returns:
         TransitionModel with rows normalized to distributions.
@@ -296,62 +290,32 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     if int(sample_count) < 1:
         raise ValueError("sample_count must be positive")
     sample_count = int(sample_count)
-    rng = _as_rng(rng)
-    g_stream, z_stream, f_stream, q_stream = rng.spawn(4)
+    if eps is not None:
+        eps = np.asarray(eps, dtype=float)
+        if eps.shape != (sample_count,):
+            raise ValueError("eps must hold one quantization error per sample")
+    z_stream, f_stream = _as_rng(rng).spawn(2)
     L, rho = params.L, params.rho
     sig = math.sqrt(max(0.0, 1.0 - rho * rho))
     M, N = spec.M, spec.N
-    vectors = None
-    if codebook is not None:
-        vectors = np.asarray(getattr(codebook, "vectors", codebook), dtype=complex)
-        if vectors.ndim != 2 or vectors.shape[1] != L:
-            raise ValueError("codebook vectors must be rows of length L")
-
-    # power kernel: one pass, rows keyed by the source power bin
-    counts_g = np.zeros(M * M, dtype=np.int64)
-    remaining = sample_count
-    while remaining:
-        c = min(remaining, _CHUNK)
-        H = _complex_normal(g_stream, (c, L))
-        m0 = _bin(_power(H), spec.g_edges)
-        H = _ar1_step(g_stream, H, rho, sig)
-        m1 = _bin(_power(H), spec.g_edges)
-        counts_g += np.bincount(m0 * M + m1, minlength=M * M)
-        remaining -= c
-    Ptilde = _normalize_rows(counts_g.reshape(M, M), "power kernel")
-
-    if L == 1:
-        # one antenna: every beam is the channel's own phase, so z is 1 in
-        # every slot and all alignment rows are the point mass on the top bin
-        top = np.zeros(N)
-        top[-1] = 1.0
-        return TransitionModel(Ptilde=Ptilde, P0=np.tile(top, (N, 1)),
-                               P1_row=top if vectors is None else None,
-                               Peps1_row=None if vectors is None else top,
-                               sample_count=sample_count, seed=seed)
 
     target = max(1, sample_count // N)
-    z0 = _in_bin_alignments(z_stream, spec.z_edges, L, target)
-    n1 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
-    P0 = np.bincount(np.repeat(np.arange(N), target) * N + n1,
-                     minlength=N * N).reshape(N, N) / float(target)
-    P1_row = Peps1_row = None
-    if vectors is None:
-        n1 = _step_alignment_bins(f_stream, np.ones(sample_count), L, rho, sig, spec)
-        P1_row = np.bincount(n1, minlength=N) / float(sample_count)
+    if L == 1:
+        # one antenna: every beam is the channel's own phase, so z is 1 in
+        # every slot, and every row steps from z = 1 to the top bin
+        z0 = np.ones(N * target)
     else:
-        # w is isotropic, so the next alignment depends on the channel only
-        # through |h_1| and its norm orthogonal to the beam: given (g, eps),
-        # which codeword was chosen does not matter
-        eps = np.empty(sample_count)
-        for s in range(0, sample_count, _CHUNK):
-            S = _complex_normal(q_stream, (min(_CHUNK, sample_count - s), L))
-            S /= np.linalg.norm(S, axis=1, keepdims=True)
-            eps[s:s + _CHUNK] = _quantize_rows(S.conj(), vectors)[1]
-        n1 = _step_alignment_bins(q_stream, eps, L, rho, sig, spec)
-        Peps1_row = np.bincount(n1, minlength=N) / float(sample_count)
-
-    return TransitionModel(Ptilde=Ptilde, P0=P0, P1_row=P1_row, Peps1_row=Peps1_row,
+        z0 = _in_bin_alignments(z_stream, spec.z_edges, L, target)
+    n0, power0 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
+    n1, power1 = _step_alignment_bins(f_stream, np.ones(sample_count) if eps is None else eps,
+                                      L, rho, sig, spec)
+    P0 = np.bincount(np.repeat(np.arange(N), target) * N + n0,
+                     minlength=N * N).reshape(N, N) / float(target)
+    row = np.bincount(n1, minlength=N) / float(sample_count)
+    counts_g = np.bincount(power0, minlength=M * M) + np.bincount(power1, minlength=M * M)
+    return TransitionModel(Ptilde=_normalize_rows(counts_g.reshape(M, M), "power kernel"),
+                           P0=P0, P1_row=row if eps is None else None,
+                           Peps1_row=None if eps is None else row,
                            sample_count=sample_count, seed=seed)
 
 
@@ -369,25 +333,33 @@ def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.n
 
 
 def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
-                         spec: GridSpec) -> np.ndarray:
-    """Alignment bins one slot after channels at alignment z0 with the beam e_1.
+                         spec: GridSpec):
+    """Alignment bins one slot after channels at alignment z0 with the beam
+    e_1, and the power-bin pair (source * M + destination) of each step.
 
-    Power g ~ Gamma(L), alignment z = |h_1|^2 / g, the phase of h_1 and the
-    direction orthogonal to e_1 are independent, so a CN(0, I) draw whose
-    first entry is rescaled to power g z0 and the rest to g (1 - z0) has the
-    channel law given z = z0.
+    Drawn from scalars, exact in law by isotropy: the power g ~ Gamma(L)
+    is independent of the alignment z0 and of the phase of h_1, so the
+    channel is sqrt(g z0) e_1 + sqrt(g (1 - z0)) u with u the unit direction
+    of its part orthogonal to e_1.  The innovation w of the step is CN(0, I):
+    its components along e_1 and u are two complex normals, and the rest,
+    on the L - 2 other directions, has power Gamma(L - 2).  The next power
+    and alignment follow from the three parts; with one antenna there is
+    only the first, and the alignment stays 1.
     """
     n1 = np.empty(z0.size, dtype=np.intp)
+    pairs = np.empty(z0.size, dtype=np.intp)
     for s in range(0, z0.size, _CHUNK):
         z = z0[s:s + _CHUNK]
-        H = _complex_normal(stream, (z.size, L))
-        head = np.abs(H[:, 0]) ** 2
-        rest = _power(H[:, 1:])
-        H[:, 0] *= np.sqrt((head + rest) * z / head)
-        H[:, 1:] *= np.sqrt((head + rest) * (1.0 - z) / rest)[:, None]
-        H = _ar1_step(stream, H, rho, sig)
-        n1[s:s + _CHUNK] = _bin(np.abs(H[:, 0]) ** 2 / _power(H), spec.z_edges)
-    return n1
+        g = stream.gamma(float(L), size=z.size)
+        head = np.abs(rho * np.sqrt(g * z) + sig * _complex_normal(stream, z.size)) ** 2
+        g1 = head.copy()
+        if L > 1:
+            g1 += np.abs(rho * np.sqrt(g * (1.0 - z)) + sig * _complex_normal(stream, z.size)) ** 2
+        if L > 2:
+            g1 += sig * sig * stream.gamma(float(L - 2), size=z.size)
+        n1[s:s + _CHUNK] = spec.N - 1 if L == 1 else _bin(head / g1, spec.z_edges)
+        pairs[s:s + _CHUNK] = _bin(g, spec.g_edges) * spec.M + _bin(g1, spec.g_edges)
+    return n1, pairs
 
 
 def model_to_json(spec: GridSpec, model: TransitionModel) -> str:

@@ -5,8 +5,9 @@ relative value iteration for the policy-iteration gain, an occupancy-
 weighted reward for policy evaluation, a tail-mass check for kernel
 monotonicity, a per-shape quantizer for the batch quantizer, a
 cluster-by-cluster Lloyd training for the one-pass one, a reader for the
-serialized decision table, and the complex Gaussians summed from their real
-and imaginary parts.
+serialized decision table, the complex Gaussians summed from their real
+and imaginary parts, and the one-slot step of whole L-antenna channels that
+the kernel estimator reduces to scalars.
 """
 
 import json
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from beamfeedback import codebook as codebook_module
-from beamfeedback.channel import _as_rng
+from beamfeedback.channel import _as_rng, _complex_normal
 from beamfeedback.codebook import Codebook
 from beamfeedback.mdp import (
     ConvergenceError,
@@ -26,13 +27,59 @@ from beamfeedback.mdp import (
     _stage_tables,
     stationary_distribution,
 )
-from beamfeedback.state_grid import GridSpec, TransitionModel
+from beamfeedback.state_grid import GridSpec, TransitionModel, _bin
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-variance complex Gaussians as (re + 1j im) / sqrt(2) of a normal pair."""
     pair = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
     return (pair[..., 0] + 1j * pair[..., 1]) / math.sqrt(2.0)
+
+
+def ar1_step(stream, H: np.ndarray, rho: float, sig: float) -> np.ndarray:
+    """One slot of the channel recursion h' = rho h + sqrt(1 - rho^2) w."""
+    return rho * H + sig * _complex_normal(stream, H.shape)
+
+
+def power(H: np.ndarray) -> np.ndarray:
+    """Squared norm of each channel row, the antennas summed in index order."""
+    sq = np.abs(H) ** 2
+    g = sq[:, 0].copy()
+    for l in range(1, sq.shape[1]):
+        g += sq[:, l]
+    return g
+
+
+def full_channel_step(stream, z0: np.ndarray, L: int, rho: float, sig: float,
+                      spec: GridSpec):
+    """``state_grid._step_alignment_bins`` on whole L-antenna channels.
+
+    A CN(0, I) channel whose first entry is rescaled to power g z0 and the
+    rest to g (1 - z0) has the channel law given alignment z0 with the beam
+    e_1; it takes one recursion step.  Returns the next alignment bins and
+    the (source * M + destination) power-bin pairs.
+    """
+    H = _complex_normal(stream, (z0.size, L))
+    g = power(H)
+    if L > 1:
+        head = np.abs(H[:, 0]) ** 2
+        rest = power(H[:, 1:])
+        H[:, 0] *= np.sqrt(g * z0 / head)
+        H[:, 1:] *= np.sqrt(g * (1.0 - z0) / rest)[:, None]
+    H = ar1_step(stream, H, rho, sig)
+    g1 = power(H)
+    n1 = _bin(np.abs(H[:, 0]) ** 2 / g1, spec.z_edges)
+    return n1, _bin(g, spec.g_edges) * spec.M + _bin(g1, spec.g_edges)
+
+
+def power_pass_counts(stream, L: int, rho: float, sig: float, spec: GridSpec,
+                      count: int) -> np.ndarray:
+    """Power-kernel counts (M x M) of ``count`` stationary channels stepped
+    once, the power of each counted before and after."""
+    H = _complex_normal(stream, (count, L))
+    m0 = _bin(power(H), spec.g_edges)
+    m1 = _bin(power(ar1_step(stream, H, rho, sig)), spec.g_edges)
+    return np.bincount(m0 * spec.M + m1, minlength=spec.M ** 2).reshape(spec.M, spec.M)
 
 
 def dp_operator(V: np.ndarray, beta: float, model: TransitionModel, rewards: RewardSpec,

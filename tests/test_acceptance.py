@@ -18,7 +18,12 @@ import pytest
 from scipy import integrate, stats
 
 from beamfeedback.channel import FadingParams
-from beamfeedback.codebook import epsilon_statistics, lloyd_codebook, random_codebook
+from beamfeedback.codebook import (
+    epsilon_statistics,
+    lloyd_codebook,
+    quantization_errors,
+    random_codebook,
+)
 from beamfeedback.mdp import (
     Policy,
     RewardSpec,
@@ -225,13 +230,15 @@ def test_07_quantization_inequality_suite():
     spec = make_grid(3, 8, 8, 300_000, rng)
     codebook = random_codebook(3, 16, rng)
     model = estimate_transition_model(PARAMS, spec, 300_000, rng,
-                                      codebook=codebook)
+                                      eps=quantization_errors(codebook, 300_000, rng))
     # a codebook model has no exact feedback row; an estimate without one,
-    # from a generator that spawns the same streams, has the same kernels
+    # from a generator that spawns the same streams, has the same
+    # no-feedback kernel
     exact = estimate_transition_model(PARAMS, spec, 300_000,
                                       np.random.default_rng(3301))
     model = dataclasses.replace(model, P1_row=exact.P1_row)
-    moments = epsilon_statistics(codebook, 3, SNR, spec.g_points, 400_000, rng)
+    moments = epsilon_statistics(quantization_errors(codebook, 400_000, rng), SNR,
+                                 spec.g_points)
     tol = 1e-8
     for alpha in (0.25, 0.5, 1.0, 2.0):
         gains = {}

@@ -1,7 +1,8 @@
 """Channel-layer tests: stationary laws, slot correlation, alignment statistics.
 
-The laws are checked on the code the pipeline runs: the simulator's own
-trajectory, the one AR(1) step and the simulator's alignment.  Oracles are
+The laws are checked on the code the pipeline runs, the simulator's own
+trajectory and alignment, and on the AR(1) step of the full-channel oracle
+the kernel estimator is tested against (tests/oracles.py).  Oracles are
 independent of the implementation: a truncated power series, mpmath and, at
 the timed Doppler values, scipy for the Bessel factor, closed-form
 Exp/Gamma/Beta facts for the power and alignment laws.
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from beamfeedback import simulator
-from beamfeedback.channel import FadingParams, _ar1_step, _complex_normal, bessel_j0
+from beamfeedback.channel import FadingParams, _complex_normal, bessel_j0
 from beamfeedback.simulator import TrajectoryConfig, _alignment, _row_inner
+from oracles import ar1_step as oracle_step
 from oracles import complex_normal
 
 # first positive zero of J0, to 16 digits
@@ -40,7 +42,7 @@ def trajectory(params: FadingParams, slots: int, seed: int):
 
 def ar1_step(params: FadingParams, rng: np.random.Generator, H: np.ndarray) -> np.ndarray:
     """One slot of the channel recursion at the parameters' correlation."""
-    return _ar1_step(rng, H, params.rho, math.sqrt(max(0.0, 1.0 - params.rho * params.rho)))
+    return oracle_step(rng, H, params.rho, math.sqrt(max(0.0, 1.0 - params.rho * params.rho)))
 
 
 def isotropic_shapes(rng: np.random.Generator, count: int, L: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import beamfeedback
-from beamfeedback import cli, simulator
+from beamfeedback import cli, simulator, state_grid
 from beamfeedback.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -544,6 +544,18 @@ class TestMainEntry:
         path, _ = write_config(tmp_path, name="b.ini")
         assert main(["solve", "--config", path]) == EXIT_OK
         assert "wrote" in capsys.readouterr().out
+
+    def test_run_computes_its_power_edges_once(self, tmp_path, monkeypatch):
+        # the --help epilog reads the defaults without building a config, so
+        # a 40x40 run computes the Gamma quantiles of its own grid only
+        calls = []
+        quantile = state_grid._gamma_quantile
+        monkeypatch.setattr(state_grid, "_gamma_quantile",
+                            lambda L, q: calls.append((L, q.size)) or quantile(L, q))
+        state_grid._power_edges.cache_clear()
+        path, _ = write_config(tmp_path, M=40, N=40, samples=2000, slots=2000)
+        assert main(["model", "--config", path, "--quiet"]) == EXIT_OK
+        assert calls == [(3, 39)]
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["solve", "--bogus"]) == EXIT_USAGE

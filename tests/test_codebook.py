@@ -11,9 +11,12 @@ from beamfeedback.codebook import (
     Codebook,
     codebook_from_json,
     codebook_to_json,
+    _nearest,
+    _shape_features,
     epsilon_statistics,
     lloyd_codebook,
     price_increment_bound,
+    quantization_errors,
     random_codebook,
 )
 
@@ -104,8 +107,8 @@ class TestLloydTraining:
         # paired comparison on one held-out draw of shapes
         trained = lloyd_codebook(3, 8, 40_000, 30, 131)
         rand = random_codebook(3, 8, 132)
-        stats_t = epsilon_statistics(trained, 3, 10.0, [1.0], 40_000, 133)
-        stats_r = epsilon_statistics(rand, 3, 10.0, [1.0], 40_000, 133)
+        stats_t = epsilon_statistics(quantization_errors(trained, 40_000, 133), 10.0, [1.0])
+        stats_r = epsilon_statistics(quantization_errors(rand, 40_000, 133), 10.0, [1.0])
         assert stats_t.mean_eps > stats_r.mean_eps + 0.01
 
     def test_memorizing_the_training_set_is_exact(self):
@@ -161,6 +164,32 @@ class TestLloydTraining:
                             lambda rng, shape: training.copy())
         self._assert_matches_reference(3, 32, 96, 20, 155)
 
+    @staticmethod
+    def _assert_complex_argmax(S, C):
+        assign, best = _nearest(S, _shape_features(S), C)
+        exact = np.abs(S @ C.conj().T) ** 2
+        np.testing.assert_array_equal(assign, np.argmax(exact, axis=1))
+        np.testing.assert_allclose(best, exact.max(axis=1), rtol=0.0, atol=1e-15)
+        return assign
+
+    def test_identical_codewords_go_to_the_lowest_index(self):
+        rng = np.random.default_rng(156)
+        S = unit_rows(rng, 2000, 3)
+        C = np.concatenate([S[:4], unit_rows(rng, 4, 3), S[:4]])
+        assign = self._assert_complex_argmax(S, C)
+        assert np.isin(np.arange(4), assign).all() and not np.isin(assign, np.arange(8, 12)).any()
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_equidistant_shapes_get_the_complex_argmax(self, L):
+        # c0 + e^{it} c1 is as well aligned with c0 as with c1 for every t;
+        # the real and the complex scores round such ties independently
+        rng = np.random.default_rng(157 + L)
+        C = unit_rows(rng, 6, L)
+        phases = np.exp(2j * math.pi * rng.random((3000, 1)))
+        S = np.concatenate([C[0] + phases * C[1], C[3] + phases * C[5]])
+        S /= np.linalg.norm(S, axis=1, keepdims=True)
+        self._assert_complex_argmax(S, C)
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             lloyd_codebook(0, 4, 100, 5, 138)
@@ -174,7 +203,7 @@ class TestEpsilonStatistics:
     def test_single_codeword_matches_the_isotropic_law(self):
         # one codeword: eps is the plain squared alignment, mean 1/L
         cb = random_codebook(3, 1, 140)
-        stats = epsilon_statistics(cb, 3, 10.0, [1.0], 200_000, 141)
+        stats = epsilon_statistics(quantization_errors(cb, 200_000, 141), 10.0, [1.0])
         assert abs(stats.mean_eps - 1.0 / 3.0) < 4.0 * stats.stderr_mean_eps
         # Beta(1, 2) variance pins the reported standard error
         np.testing.assert_allclose(stats.stderr_mean_eps,
@@ -182,7 +211,7 @@ class TestEpsilonStatistics:
 
     def test_single_antenna_is_lossless(self):
         cb = random_codebook(1, 4, 142)
-        stats = epsilon_statistics(cb, 1, 10.0, [2.0], 5000, 143)
+        stats = epsilon_statistics(quantization_errors(cb, 5000, 143), 10.0, [2.0])
         assert stats.mean_eps >= 1.0 - 1e-12
         assert abs(stats.mean_log2_eps) <= 1e-12
         np.testing.assert_allclose(stats.per_g_rate, math.log2(21.0), rtol=1e-12)
@@ -192,7 +221,7 @@ class TestEpsilonStatistics:
         # estimation exactly, not just in expectation
         cb = lloyd_codebook(3, 8, 20_000, 20, 144)
         g = np.array([0.5, 1.0, 4.0])
-        stats = epsilon_statistics(cb, 3, 25.0, g, 50_000, 145)
+        stats = epsilon_statistics(quantization_errors(cb, 50_000, 145), 25.0, g)
         assert stats.zero_eps_excluded == 0
         assert stats.mean_log2_eps <= math.log2(stats.mean_eps) + 1e-12
         perfect = np.log2(1.0 + 25.0 * g)
@@ -202,12 +231,13 @@ class TestEpsilonStatistics:
 
     def test_rate_table_is_monotone_in_power(self):
         cb = random_codebook(3, 8, 146)
-        stats = epsilon_statistics(cb, 3, 10.0, [0.3, 1.0, 2.5, 7.0], 20_000, 147)
+        stats = epsilon_statistics(quantization_errors(cb, 20_000, 147), 10.0,
+                                   [0.3, 1.0, 2.5, 7.0])
         assert np.all(np.diff(stats.per_g_rate) > 0)
 
     def test_bookkeeping_fields(self):
         cb = random_codebook(3, 8, 148)
-        stats = epsilon_statistics(cb, 3, 10.0, [1.0, 2.0], 10_000, 149)
+        stats = epsilon_statistics(quantization_errors(cb, 10_000, 149), 10.0, [1.0, 2.0])
         assert stats.sample_count == 10_000
         np.testing.assert_array_equal(stats.g_points, [1.0, 2.0])
         assert stats.stderr_mean_eps > 0
@@ -217,18 +247,18 @@ class TestEpsilonStatistics:
 
     def test_chunked_and_plain_paths_agree(self):
         cb = random_codebook(2, 4, 150)
-        a = epsilon_statistics(cb, 2, 10.0, [1.0], 70_000, 151)
-        b = epsilon_statistics(cb, 2, 10.0, [1.0], 70_000, 151)
+        a = epsilon_statistics(quantization_errors(cb, 70_000, 151), 10.0, [1.0])
+        b = epsilon_statistics(quantization_errors(cb, 70_000, 151), 10.0, [1.0])
         assert a.mean_eps == b.mean_eps
 
     def test_bad_arguments_rejected(self):
         cb = random_codebook(3, 4, 152)
-        with pytest.raises(ValueError, match="match"):
-            epsilon_statistics(cb, 2, 10.0, [1.0], 100, 153)
         with pytest.raises(ValueError):
-            epsilon_statistics(cb, 3, 10.0, [1.0], 0, 153)
+            quantization_errors(cb, 0, 153)
         with pytest.raises(ValueError):
-            epsilon_statistics(cb, 3, 0.0, [1.0], 100, 153)
+            epsilon_statistics(np.empty(0), 10.0, [1.0])
+        with pytest.raises(ValueError):
+            epsilon_statistics(quantization_errors(cb, 100, 153), 0.0, [1.0])
 
 
 class TestPriceIncrementBound:
@@ -250,7 +280,7 @@ class TestPriceIncrementBound:
         # good enough to be used for feedback
         for L, size, seed in ((2, 8, 160), (3, 16, 161)):
             cb = lloyd_codebook(L, size, 40_000, 30, seed)
-            stats = epsilon_statistics(cb, L, 10.0, [1.0], 40_000, seed + 50)
+            stats = epsilon_statistics(quantization_errors(cb, 40_000, seed + 50), 10.0, [1.0])
             bound = price_increment_bound(L, size)
             assert -stats.mean_log2_eps <= bound - 3.0 * stats.stderr_log2_eps
 

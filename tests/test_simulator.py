@@ -207,6 +207,18 @@ class TestSimulatePolicy:
         assert res.feedback_rate == 1.0
         assert abs(res.throughput - want) <= 3.0 * res.stderr + 1e-9
 
+    def test_never_feedback_with_a_codebook_quantizes_nothing(self, grid8, monkeypatch):
+        # a policy that never feeds back reads no quantized shape
+        calls = []
+        quantize = simulator._quantize_rows
+        monkeypatch.setattr(simulator, "_quantize_rows",
+                            lambda *args: calls.append(args) or quantize(*args))
+        cfg = TrajectoryConfig(slots=20_000, seed=58)
+        res = simulate_policy(never(grid8), grid8, PARAMS, REWARDS, cfg,
+                              codebook=random_codebook(3, 8, 59))
+        assert calls == []
+        assert res == simulate_policy(never(grid8), grid8, PARAMS, REWARDS, cfg)
+
     def test_net_identity(self, grid8, model8):
         solved = policy_iteration_average(model8, REWARDS, grid8)
         res = simulate_policy(solved.policy, grid8, PARAMS, REWARDS,
@@ -574,6 +586,14 @@ class TestAverageThreshold:
         zeros = ThresholdProfile(y=np.zeros(2), is_threshold=True)
         assert average_threshold(ones, pi) == 1.0
         assert average_threshold(zeros, pi) == 0.0
+
+    def test_all_feedback_reads_exactly_one(self):
+        # ten bins of 0.1: summed in order they land 1 ulp below 1, as the
+        # plain weighted sum of an all-ones profile did
+        pi = StationaryDistribution(np.full((10, 1), 0.1))
+        assert sum([0.1] * 10) == np.nextafter(1.0, 0.0)
+        ones = ThresholdProfile(y=np.ones(10), is_threshold=True)
+        assert average_threshold(ones, pi) == 1.0
 
     def test_weighted_value(self):
         pi = StationaryDistribution(np.array([[0.25, 0.0], [0.25, 0.5]]))

@@ -17,13 +17,14 @@ import pytest
 from scipy import special, stats
 
 from beamfeedback.channel import FadingParams, _complex_normal
-from beamfeedback.codebook import random_codebook
+from beamfeedback.codebook import Codebook, quantization_errors, random_codebook
 from beamfeedback.state_grid import (
     GridSpec,
     StationaryDistribution,
     TransitionModel,
     _bin,
     _in_bin_alignments,
+    _step_alignment_bins,
     build_g_grid,
     build_z_grid,
     estimate_transition_model,
@@ -32,7 +33,7 @@ from beamfeedback.state_grid import (
     model_to_json,
 )
 
-from oracles import is_monotone_stochastic
+from oracles import full_channel_step, is_monotone_stochastic, power_pass_counts
 
 DECORRELATING_DOPPLER = 2.4048255576957724 / (2 * math.pi)
 
@@ -281,8 +282,9 @@ class TestTransitionEstimation:
         rng = np.random.default_rng(8)
         raw = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        eps = quantization_errors(Codebook(vectors), 200_000, 9)
         model = estimate_transition_model(
-            FadingParams(L=3, doppler_slot=0.1), spec16, 200_000, 7, codebook=vectors
+            FadingParams(L=3, doppler_slot=0.1), spec16, 200_000, 7, eps=eps
         )
         exact = estimate_transition_model(FadingParams(L=3, doppler_slot=0.1),
                                           spec16, 200_000, 7)
@@ -299,10 +301,11 @@ class TestTransitionEstimation:
         # z is identically 1, so the rows are point masses drawn without
         # sampling; rejection would starve every lower bin
         spec = make_grid(1, 6, 6, 20_000, 11)
-        codebook = np.exp(2j * math.pi * np.arange(4) / 4)[:, None]
+        codebook = Codebook(np.exp(2j * math.pi * np.arange(4) / 4)[:, None])
         start = time.perf_counter()
         model = estimate_transition_model(
-            FadingParams(L=1, doppler_slot=0.1), spec, 20_000, 12, codebook=codebook
+            FadingParams(L=1, doppler_slot=0.1), spec, 20_000, 12,
+            eps=quantization_errors(codebook, 20_000, 13)
         )
         exact = estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
                                           20_000, 12)
@@ -313,9 +316,9 @@ class TestTransitionEstimation:
         np.testing.assert_array_equal(exact.P1_row, top)
         np.testing.assert_array_equal(model.Peps1_row, top)
         np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-12)
-        with pytest.raises(ValueError, match="codebook"):
+        with pytest.raises(ValueError, match="eps"):
             estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
-                                      20_000, 12, codebook=np.eye(2))
+                                      20_000, 12, eps=np.ones(19_999))
 
     @pytest.mark.parametrize("N", [32, 64])
     def test_eight_antennas_fill_every_alignment_row(self, N):
@@ -334,9 +337,10 @@ class TestTransitionEstimation:
             np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_empty_power_rows_fall_back_to_uniform(self, spec16):
+        # 8 samples count 16 + 8 power pairs, which leave some of the 16 rows empty
         with pytest.warns(UserWarning, match="uniform"):
             model = estimate_transition_model(
-                FadingParams(L=3, doppler_slot=0.1), spec16, 40, 10
+                FadingParams(L=3, doppler_slot=0.1), spec16, 8, 10
             )
         row_is_uniform = np.all(np.abs(model.Ptilde - 1.0 / 16.0) < 1e-12, axis=1)
         assert row_is_uniform.any()
@@ -384,7 +388,8 @@ class TestExactAlignmentSampling:
         spec = make_grid(L, 2, 6, 1000, 0)
         codebook = random_codebook(L, 4, 50 + L)
         n = 30_000
-        model = estimate_transition_model(params, spec, n, 60 + L, codebook=codebook)
+        model = estimate_transition_model(params, spec, n, 60 + L,
+                                          eps=quantization_errors(codebook, n, 80 + L))
         exact = estimate_transition_model(params, spec, n, 60 + L)
         P0, p1, pe = reference_alignment_counts(params, spec, n, 70 + L, codebook.vectors)
         target = n // spec.N
@@ -392,6 +397,42 @@ class TestExactAlignmentSampling:
                    for r in range(spec.N)]
         pvalues.append(homogeneity_pvalue(np.round(exact.P1_row * n), p1))
         pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
+        assert min(pvalues) > 1e-4, pvalues
+
+    @pytest.mark.parametrize("doppler", [0.01, 0.1])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    def test_scalar_step_agrees_with_full_channel_oracle(self, L, doppler):
+        # the kernels stepped from scalars against the same inputs stepped as
+        # whole L-antenna channels, and the power pairs against stationary
+        # channels stepped once (the power kernel's former separate pass)
+        params = FadingParams(L=L, doppler_slot=doppler)
+        rho, sig = params.rho, math.sqrt(1.0 - params.rho ** 2)
+        spec = make_grid(L, 4, 6, 1000, 0)
+        N, n = spec.N, 30_000
+        target = n // N
+        codebook = random_codebook(L, 4, 20 + L)
+        model = estimate_transition_model(params, spec, n, 30 + L,
+                                          eps=quantization_errors(codebook, n, 40 + L))
+        exact = estimate_transition_model(params, spec, n, 30 + L)
+        stream = np.random.default_rng(50 + L)
+        z0 = (np.ones(N * target) if L == 1
+              else _in_bin_alignments(stream, spec.z_edges, L, target))
+        n0, _ = full_channel_step(stream, z0, L, rho, sig, spec)
+        P0 = np.bincount(np.repeat(np.arange(N), target) * N + n0,
+                         minlength=N * N).reshape(N, N)
+        p1 = np.bincount(full_channel_step(stream, np.ones(n), L, rho, sig, spec)[0],
+                         minlength=N)
+        pe = np.bincount(full_channel_step(stream, quantization_errors(codebook, n, 60 + L),
+                                           L, rho, sig, spec)[0], minlength=N)
+        pvalues = [homogeneity_pvalue(np.round(model.P0[r] * target), P0[r])
+                   for r in range(N)]
+        pvalues.append(homogeneity_pvalue(np.round(exact.P1_row * n), p1))
+        pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
+        pairs = np.concatenate([_step_alignment_bins(stream, z, L, rho, sig, spec)[1]
+                                for z in (z0, np.ones(n))])
+        Ptilde = np.bincount(pairs, minlength=spec.M ** 2).reshape(spec.M, spec.M)
+        reference = power_pass_counts(stream, L, rho, sig, spec, pairs.size)
+        pvalues += [homogeneity_pvalue(Ptilde[m], reference[m]) for m in range(spec.M)]
         assert min(pvalues) > 1e-4, pvalues
 
 
@@ -461,7 +502,8 @@ class TestSerialization:
         raw = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         model = estimate_transition_model(
-            FadingParams(L=3, doppler_slot=0.1), spec16, 20_000, 14, codebook=vectors
+            FadingParams(L=3, doppler_slot=0.1), spec16, 20_000, 14,
+            eps=quantization_errors(Codebook(vectors), 20_000, 15)
         )
         text = model_to_json(spec16, model)
         assert '"P1_row": null' in text
