@@ -3,9 +3,10 @@
 The channel vector has independent unit-variance complex Gaussian entries
 and evolves slot to slot through a first-order autoregression whose
 coefficient follows the classic Doppler autocorrelation (Bessel J0 of the
-normalized Doppler-slot product).  This module holds that law and the
-complex normal draws; the simulator runs the recursion on whole channels,
-and the kernel estimator steps the scalars it reduces to by isotropy.
+normalized Doppler-slot product).  This module holds that law, the
+complex normal draws and the beam alignment of a shape; the simulator runs
+the recursion on whole channels, and the kernel estimator steps the scalars
+it reduces to by isotropy.
 """
 
 from __future__ import annotations
@@ -64,6 +65,26 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     pairs = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
     pairs *= 1.0 / math.sqrt(2.0)
     return pairs.view(np.complex128)[..., 0]
+
+
+def _alignment(w: np.ndarray) -> np.ndarray:
+    """Squared beam alignment from inner products, clipped at one."""
+    return np.minimum(np.abs(w) ** 2, 1.0)
+
+
+def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
+    """Inner product of each conjugated shape row with its own beam row.
+
+    np.multiply keeps the operand order fixed (an operator expression may
+    reuse a temporary's buffer with the operands swapped, which rounds the
+    fused complex product differently), and the antenna sum runs in index
+    order, as a BLAS matrix-vector product does.
+    """
+    prod = np.multiply(Sc_rows, beams)
+    w = prod[:, 0].copy()
+    for l in range(1, prod.shape[1]):
+        w += prod[:, l]
+    return w
 
 
 @dataclass(frozen=True)

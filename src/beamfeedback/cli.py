@@ -25,13 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import FadingParams
-from .codebook import (
-    codebook_to_json,
-    epsilon_statistics,
-    lloyd_codebook,
-    quantization_errors,
-    random_codebook,
-)
+from .codebook import codebook_to_json, epsilon_statistics, lloyd_codebook, random_codebook
 from .mdp import (
     ConvergenceError,
     RewardSpec,
@@ -42,13 +36,12 @@ from .mdp import (
 )
 from .simulator import (
     _CODEBOOK_STREAM,
-    _EPS_STREAM,
     _GRID_STREAM,
-    _MODEL_STREAM,
     CSV_HEADER,
     Curve,
     CurvePoint,
     TrajectoryConfig,
+    _model,
     _streams,
     average_threshold,
     curve_to_csv,
@@ -56,7 +49,7 @@ from .simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import _power_edges, estimate_transition_model, make_grid, model_to_json
+from .state_grid import _power_edges, make_grid, model_to_json
 
 __all__ = ["ExperimentConfig", "ConfigError", "UsageError", "load_config", "run", "main"]
 
@@ -260,13 +253,7 @@ def _build_model(cfg: ExperimentConfig, codebook):
     """Grid, kernels and, with a codebook, the quantization-error sample the
     feedback row stepped from, drawn as ``sweep_alpha`` draws them."""
     spec = _grid(cfg)
-    errors = None
-    if codebook is not None:
-        errors = quantization_errors(codebook, cfg.model_samples,
-                                     _streams(cfg.seed, _EPS_STREAM))
-    model = estimate_transition_model(cfg.params, spec, cfg.model_samples,
-                                      _streams(cfg.seed, _MODEL_STREAM), eps=errors)
-    return spec, model, errors
+    return (spec, *_model(cfg.params, spec, cfg.seed, cfg.model_samples, codebook))
 
 
 def _solve(cfg: ExperimentConfig):

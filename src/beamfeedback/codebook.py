@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_rng, _complex_normal
+from .channel import _alignment, _as_rng, _complex_normal, _row_inner
 
 __all__ = [
     "Codebook",
@@ -29,7 +29,10 @@ __all__ = [
     "codebook_from_json",
 ]
 
-_CHUNK = 1 << 16
+# Shapes drawn and scored at once.  The heap a block's features and scores
+# take stays resident after the trajectory is quantized, so the block size
+# sets a quantized sweep's peak memory (8192 rows raised it by 0.5 MB).
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class Codebook:
 
     vectors: np.ndarray
     method: str = "random"
-    seed: int | None = None
     objective_history: tuple = None
 
     def __post_init__(self):
@@ -84,11 +86,10 @@ def random_codebook(L: int, size: int, rng) -> Codebook:
     """Isotropically drawn unit-norm codewords."""
     if int(L) < 1 or int(size) < 1:
         raise ValueError("L and size must be positive")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = _as_rng(rng)
     V = _complex_normal(rng, (int(size), int(L)))
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return Codebook(vectors=V, method="random", seed=seed)
+    return Codebook(vectors=V, method="random")
 
 
 def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng) -> Codebook:
@@ -108,7 +109,6 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
         raise ValueError("L, size and iterations must be positive")
     if int(training_count) < int(size):
         raise ValueError("need at least as many training shapes as codewords")
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     rng = _as_rng(rng)
     S = _complex_normal(rng, (int(training_count), int(L)))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
@@ -133,8 +133,7 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
         C[:] = np.linalg.eigh(R)[1][:, :, -1]  # eigh reads the lower triangle
         for k in np.flatnonzero(np.bincount(assign, minlength=K) == 0):
             C[k] = S[int(rng.integers(S.shape[0]))]
-    return Codebook(vectors=C, method="lloyd", seed=seed,
-                    objective_history=tuple(history))
+    return Codebook(vectors=C, method="lloyd", objective_history=tuple(history))
 
 
 def _shape_features(S: np.ndarray) -> np.ndarray:
@@ -177,23 +176,22 @@ def _nearest(S: np.ndarray, features: np.ndarray, C: np.ndarray):
     return assign, best
 
 
-def _quantize_rows(Sc: np.ndarray, vectors: np.ndarray):
-    """Codebook quantization of many conjugated unit shapes: (indices, eps).
+def _quantize(S: np.ndarray, vectors: np.ndarray):
+    """Codebook quantization of unit shape rows: (codeword index, eps).
 
-    Scores are built one codeword at a time in reused buffers, so no
-    rows-by-codewords matrix is ever held; ties resolve to the lowest
-    codeword index.
+    The codeword is the one ``_nearest`` assigns, as in Lloyd training, and
+    eps is its squared alignment with the shape, clipped at one.  Rows are
+    scored a block at a time, so no more than a block's features and scores
+    are held at once.
     """
-    best = np.square(np.abs(Sc @ vectors[0]))
-    idx = np.zeros(best.size, dtype=np.intp)
-    score = np.empty_like(best)
-    better = np.empty(best.size, dtype=bool)
-    for k in range(1, vectors.shape[0]):
-        np.square(np.abs(Sc @ vectors[k], out=score), out=score)
-        np.greater(score, best, out=better)
-        np.copyto(idx, k, where=better)
-        np.maximum(best, score, out=best)
-    return idx, np.minimum(best, 1.0, out=best)
+    code = np.empty(S.shape[0], dtype=np.intp)
+    eps = np.empty(S.shape[0])
+    for s in range(0, S.shape[0], _CHUNK):
+        block = S[s:s + _CHUNK]
+        k = _nearest(block, _shape_features(block), vectors)[0]
+        code[s:s + _CHUNK] = k
+        eps[s:s + _CHUNK] = _alignment(_row_inner(block.conj(), vectors[k]))
+    return code, eps
 
 
 def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
@@ -211,7 +209,7 @@ def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
     for s in range(0, count, _CHUNK):
         S = _complex_normal(rng, (min(_CHUNK, count - s), codebook.L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        eps[s:s + _CHUNK] = _quantize_rows(S.conj(), codebook.vectors)[1]
+        eps[s:s + _CHUNK] = _quantize(S, codebook.vectors)[1]
     return eps
 
 
@@ -282,7 +280,6 @@ def codebook_to_json(codebook: Codebook) -> str:
         "L": codebook.L,
         "size": codebook.size,
         "method": codebook.method,
-        "seed": codebook.seed,
         "vectors": rows,
     }
     return json.dumps(doc, indent=2)
@@ -295,4 +292,4 @@ def codebook_from_json(text: str) -> Codebook:
     if rows.ndim != 2 or rows.shape != (int(doc["size"]), 2 * int(doc["L"])):
         raise ValueError("vector block does not match the stated dimensions")
     V = rows[:, 0::2] + 1j * rows[:, 1::2]
-    return Codebook(vectors=V, method=str(doc["method"]), seed=doc.get("seed"))
+    return Codebook(vectors=V, method=str(doc["method"]))

@@ -114,21 +114,15 @@ class SolveResult:
     residual: float
 
 
-def _eps_rate(eps, gbar: float) -> float:
-    pts = np.asarray(eps.g_points, dtype=float)
-    hits = np.nonzero(np.isclose(pts, gbar, rtol=1e-9, atol=1e-12))[0]
-    if hits.size == 0:
-        raise ValueError(f"no quantized-rate entry for power point {gbar}")
-    return float(np.asarray(eps.per_g_rate, dtype=float)[hits[0]])
-
-
 def _stage_tables(spec: GridSpec, rewards: RewardSpec, eps):
     """Reward tables on the grid: G0 over (m, n), G1 over m only."""
     G0 = np.log2(1.0 + rewards.P * spec.g_points[:, None] * spec.z_points[None, :])
     if eps is None:
         G1 = np.log2(1.0 + rewards.P * spec.g_points) - rewards.alpha
+    elif np.array_equal(eps.g_points, spec.g_points):
+        G1 = eps.per_g_rate - rewards.alpha
     else:
-        G1 = np.array([_eps_rate(eps, g) for g in spec.g_points]) - rewards.alpha
+        raise ValueError("quantized rates are not tabled on the grid's power points")
     return G0, G1
 
 
@@ -343,17 +337,12 @@ def extract_threshold(policy: Policy, spec: GridSpec) -> ThresholdProfile:
     the profile non-threshold; their entry still reports the leading run.
     """
     decide = policy.decide
-    if decide.shape[1] + 1 != spec.z_edges.size or decide.shape[0] != spec.M:
+    M, N = decide.shape
+    if N + 1 != spec.z_edges.size or M != spec.M:
         raise ValueError("policy shape does not match the grid")
-    y = np.empty(spec.M)
-    ok = True
-    for m in range(spec.M):
-        row = decide[m]
-        lead = row.size if row.all() else int(np.argmin(row))
-        if row[lead:].any():
-            ok = False
-        y[m] = spec.z_edges[lead]
-    return ThresholdProfile(y=y, is_threshold=ok)
+    lead = np.where(decide.all(axis=1), N, np.argmin(decide, axis=1))
+    return ThresholdProfile(y=spec.z_edges[lead],
+                            is_threshold=np.array_equal(decide, np.arange(N) < lead[:, None]))
 
 
 def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import FadingParams, _complex_normal
-from .codebook import _quantize_rows, epsilon_statistics, quantization_errors
+from .channel import FadingParams, _alignment, _complex_normal, _row_inner
+from .codebook import _quantize, epsilon_statistics, quantization_errors
 from .mdp import (
     Policy,
     RewardSpec,
@@ -128,9 +128,9 @@ def _streams(seed: int, *tag: int):
     """Independent generator for one purpose of a run.
 
     Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
-    same ones, so its model, solve and evaluate commands see the kernels and
-    quantized-rate statistics that ``sweep_alpha`` solves on.  Refinement
-    size i of ``refinement_study`` draws from the tag pair
+    same ones (its model through ``_model``), so its model, solve and evaluate
+    commands see the kernels and statistics that ``sweep_alpha`` solves on.
+    Refinement size i of ``refinement_study`` draws from the tag pair
     (_REFINEMENT_STREAM, i), a family no other purpose shares.
     """
     return np.random.default_rng([int(seed), *tag])
@@ -188,26 +188,6 @@ def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig) -> EvalR
                       net=net, stderr=_batch_stderr(series))
 
 
-def _alignment(w: np.ndarray) -> np.ndarray:
-    """Squared beam alignment from inner products, clipped at one."""
-    return np.minimum(np.abs(w) ** 2, 1.0)
-
-
-def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
-    """Inner product of each conjugated shape row with its own beam row.
-
-    np.multiply keeps the operand order fixed (an operator expression may
-    reuse a temporary's buffer with the operands swapped, which rounds the
-    fused complex product differently), and the antenna sum runs in index
-    order, as a BLAS matrix-vector product does.
-    """
-    prod = np.multiply(Sc_rows, beams)
-    w = prod[:, 0].copy()
-    for l in range(1, prod.shape[1]):
-        w += prod[:, l]
-    return w
-
-
 def _next_hits(hit: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """For each of the given slots t, the first later slot s with hit[s],
     else len(hit)."""
@@ -235,7 +215,7 @@ class _Run:
 
     @functools.cached_property
     def _quantized(self):
-        return _quantize_rows(self.Sc, self.codebook.vectors)
+        return _quantize(self.S, self.codebook.vectors)
 
     @property
     def code(self) -> np.ndarray:
@@ -267,18 +247,18 @@ class _EventTable:
     falls there, about one slot in the mean gap, so slow fading with long
     gaps stops after a few lags and fast fading resolves nearly every slot.
 
-    The trajectory comes as (spec, g, S, f, codebook) or as its ``_Run``.
-    When every row of the policy feeds back exactly below an alignment edge,
-    a decision is one comparison with that edge (``ym``, per slot); any
-    other policy looks its decisions up by bin.
+    When the policy is a threshold policy (``extract_threshold``), a
+    decision is one comparison with its row's threshold (``ym``, per slot);
+    a row that always feeds back compares with inf, since z = 1 lies in the
+    top bin, not above it.  Any other policy looks its decisions up by bin.
     """
 
-    def __init__(self, decide, *trajectory, run=None):
-        self.run = run = run or _Run(*trajectory)
-        self.decide, self.codebook = decide, run.codebook
+    def __init__(self, decide, run: _Run):
+        self.run, self.decide, self.codebook = run, decide, run.codebook
         self.S, self.Sc, self.f, self.T = run.S, run.Sc, run.f, run.g.size
-        y = _threshold_edges(decide, run.spec.z_edges)
-        self.ym = None if y is None else y[run.m]
+        profile = extract_threshold(Policy(decide), run.spec)
+        y = np.where(profile.y == 1.0, np.inf, profile.y)
+        self.ym = y[run.m] if profile.is_threshold else None
         self.depth = 0
         self.first = self.scan(0, self.f)
         if self.codebook is None:
@@ -366,25 +346,8 @@ class _EventTable:
         return z
 
 
-def _threshold_edges(decide, z_edges):
-    """Per-power-bin edge y with decide[m, n] == (z < y[m]) for every z in
-    alignment bin n, or None when some row is not a threshold row.
-
-    The leading run of each row is found as ``extract_threshold`` finds it;
-    a row that always feeds back gets y = inf, since z = 1 lies in the top
-    bin, not above it.
-    """
-    N = decide.shape[1]
-    lead = np.where(decide.all(axis=1), N, np.argmin(decide, axis=1))
-    if not np.array_equal(decide, np.arange(N) < lead[:, None]):
-        return None
-    return np.append(z_edges[:-1], np.inf)[lead]
-
-
-def _feedback_trace(decide, *trajectory, run=None):
-    """Per-slot alignment z and feedback flags of a policy on a trajectory,
-    given as for ``_EventTable``."""
-    run = run or _Run(*trajectory)
+def _feedback_trace(decide, run: _Run):
+    """Per-slot alignment z and feedback flags of a policy on a run."""
     T = run.g.size
     fb = np.zeros(T, dtype=bool)
     if not decide.any():
@@ -394,7 +357,7 @@ def _feedback_trace(decide, *trajectory, run=None):
         if run.codebook is None:
             return np.ones(T), fb
         return run.eps, fb
-    table = _EventTable(decide, run=run)
+    table = _EventTable(decide, run)
     events = table.events()
     fb[events] = True
     return table.alignment(events), fb
@@ -420,7 +383,7 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     if decide.shape != (spec.M, spec.N):
         raise ValueError("policy dimensions do not match the grid")
     run = _run or _Run(spec, *_trajectory(params, config), codebook)
-    z, fb = _feedback_trace(decide, run=run)
+    z, fb = _feedback_trace(decide, run)
     return _aggregate(run.g, z, fb, rewards, config)
 
 
@@ -435,11 +398,10 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     nseg, rem = divmod(T, period)
     if nseg:
         body = S[:nseg * period].conj().reshape(nseg, period, -1)
-        z[:nseg * period] = np.abs(
-            np.einsum("skl,sl->sk", body, anchors[:nseg])).reshape(-1) ** 2
+        z[:nseg * period] = _alignment(
+            np.einsum("skl,sl->sk", body, anchors[:nseg])).reshape(-1)
     if rem:
-        z[nseg * period:] = np.abs(S[nseg * period:].conj() @ anchors[nseg]) ** 2
-    np.minimum(z, 1.0, out=z)
+        z[nseg * period:] = _alignment(S[nseg * period:].conj() @ anchors[nseg])
     z[::period] = 1.0  # realigned in the feedback slot itself
     return _aggregate(g, z, fb, rewards, config)
 
@@ -492,6 +454,18 @@ def average_threshold(profile, pi) -> float:
     return float((marginal * y).sum() / marginal.sum())
 
 
+def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebook):
+    """The transition model of a seeded run and, with a codebook, the
+    quantization-error sample its feedback row stepped from (else None).
+    Every command of the run solves on this one draw."""
+    errors = None
+    if codebook is not None:
+        errors = quantization_errors(codebook, samples, _streams(seed, _EPS_STREAM))
+    model = estimate_transition_model(params, spec, samples, _streams(seed, _MODEL_STREAM),
+                                      eps=errors)
+    return model, errors
+
+
 def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
                 config: TrajectoryConfig, codebook=None,
                 model_samples: int = 1_000_000) -> Curve:
@@ -506,12 +480,7 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
     quantized = codebook is not None
-    errors = None
-    if quantized:
-        errors = quantization_errors(codebook, model_samples,
-                                     _streams(config.seed, _EPS_STREAM))
-    model = estimate_transition_model(params, spec, model_samples,
-                                      _streams(config.seed, _MODEL_STREAM), eps=errors)
+    model, errors = _model(params, spec, config.seed, model_samples, codebook)
     eps = epsilon_statistics(errors, P, spec.g_points) if quantized else None
     run = _Run(spec, *_trajectory(params, config), codebook)
     points = []

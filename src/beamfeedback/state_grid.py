@@ -89,7 +89,6 @@ class TransitionModel:
     P1_row: np.ndarray | None
     Peps1_row: np.ndarray | None
     sample_count: int
-    seed: int | None = None
 
     def __post_init__(self):
         Pt = np.asarray(self.Ptilde, dtype=float)
@@ -278,15 +277,13 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         params: fading model (antenna count and slot correlation).
         spec: bin layout; its sizes fix the kernel dimensions.
         sample_count: Monte Carlo budget per alignment kernel.
-        rng: seed or numpy Generator; an integer seed is recorded for
-            serialization.
+        rng: seed or numpy Generator.
         eps: optional quantization errors of ``sample_count`` isotropic
             shapes (``codebook.quantization_errors``).
 
     Returns:
         TransitionModel with rows normalized to distributions.
     """
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     if int(sample_count) < 1:
         raise ValueError("sample_count must be positive")
     sample_count = int(sample_count)
@@ -316,7 +313,7 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     return TransitionModel(Ptilde=_normalize_rows(counts_g.reshape(M, M), "power kernel"),
                            P0=P0, P1_row=row if eps is None else None,
                            Peps1_row=None if eps is None else row,
-                           sample_count=sample_count, seed=seed)
+                           sample_count=sample_count)
 
 
 def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.ndarray:
@@ -376,7 +373,6 @@ def model_to_json(spec: GridSpec, model: TransitionModel) -> str:
         "P1_row": None if model.P1_row is None else model.P1_row.tolist(),
         "Peps1_row": None if model.Peps1_row is None else model.Peps1_row.tolist(),
         "sample_count": model.sample_count,
-        "seed": model.seed,
     }
     return json.dumps(doc, indent=2)
 
@@ -400,6 +396,5 @@ def model_from_json(text: str):
         P1_row=None if p1 is None else np.array(p1, dtype=float),
         Peps1_row=None if pe is None else np.array(pe, dtype=float),
         sample_count=int(doc["sample_count"]),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
     )
     return spec, model

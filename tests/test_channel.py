@@ -14,8 +14,14 @@ import numpy as np
 import pytest
 
 from beamfeedback import simulator
-from beamfeedback.channel import FadingParams, _complex_normal, bessel_j0
-from beamfeedback.simulator import TrajectoryConfig, _alignment, _row_inner
+from beamfeedback.channel import (
+    FadingParams,
+    _alignment,
+    _complex_normal,
+    _row_inner,
+    bessel_j0,
+)
+from beamfeedback.simulator import TrajectoryConfig
 from oracles import ar1_step as oracle_step
 from oracles import complex_normal
 

@@ -274,7 +274,7 @@ class TestExitCodes:
                                    P0=np.eye(spec.N), P1_row=top, Peps1_row=None,
                                    sample_count=1)
 
-        monkeypatch.setattr(cli, "estimate_transition_model", frozen_alignment)
+        monkeypatch.setattr(simulator, "estimate_transition_model", frozen_alignment)
         assert run("solve", path, quiet=True) == EXIT_NUMERICAL
         assert "singular" in capsys.readouterr().err
         assert not os.path.exists(os.path.dirname(prefix))
@@ -433,8 +433,9 @@ class TestSharedStreams:
         assert run("model", path, quiet=True) == EXIT_OK
         with open(prefix + ".model.json", encoding="utf-8") as fh:
             _, model = model_from_json(fh.read())
-        [swept] = estimated
+        swept, modeled = estimated
         for name in ("Ptilde", "P0", "P1_row", "Peps1_row"):
+            np.testing.assert_array_equal(getattr(modeled, name), getattr(swept, name))
             np.testing.assert_array_equal(getattr(model, name), getattr(swept, name))
 
 

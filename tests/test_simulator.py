@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy import integrate, signal, stats
 
+from beamfeedback import codebook as codebook_module
 from beamfeedback import simulator
 from beamfeedback.channel import FadingParams, _complex_normal
 from beamfeedback.codebook import (
     Codebook,
-    _quantize_rows,
+    _quantize,
     lloyd_codebook,
     random_codebook,
 )
@@ -210,8 +211,8 @@ class TestSimulatePolicy:
     def test_never_feedback_with_a_codebook_quantizes_nothing(self, grid8, monkeypatch):
         # a policy that never feeds back reads no quantized shape
         calls = []
-        quantize = simulator._quantize_rows
-        monkeypatch.setattr(simulator, "_quantize_rows",
+        quantize = simulator._quantize
+        monkeypatch.setattr(simulator, "_quantize",
                             lambda *args: calls.append(args) or quantize(*args))
         cfg = TrajectoryConfig(slots=20_000, seed=58)
         res = simulate_policy(never(grid8), grid8, PARAMS, REWARDS, cfg,
@@ -360,7 +361,8 @@ def _assert_agrees(policy, spec, params, rewards, cfg, codebook):
     want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params,
                                                      rewards, cfg, codebook)
     g, S, f = simulator._trajectory(params, cfg)
-    z, fb = simulator._feedback_trace(policy.decide, spec, g, S, f, codebook)
+    z, fb = simulator._feedback_trace(policy.decide,
+                                      simulator._Run(spec, g, S, f, codebook))
     got = simulate_policy(policy, spec, params, rewards, cfg, codebook=codebook)
     assert np.array_equal(fb, fb_ref)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
@@ -403,24 +405,30 @@ class TestEventTableAgreesWithReference:
         assert events.size >= 3
         assert np.diff(events).max() > simulator._HORIZON
         g, S, f = simulator._trajectory(params, cfg)
-        table = simulator._EventTable(decide, spec, g, S, f, None)
+        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, None))
         assert np.any(table.successor[events] == 0)
 
 
-    def test_batch_quantizer_matches_quantize_shape(self):
-        rng = np.random.default_rng(770)
-        cb = random_codebook(3, 8, 771)
-        S = _complex_normal(rng, (500, 3))
+    @pytest.mark.parametrize("K", [1, 16, 64])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    def test_batch_quantizer_matches_quantize_shape(self, L, K):
+        rng = np.random.default_rng(770 + L)
+        cb = random_codebook(L, K, 771 + K)
+        # three full blocks and a partial one
+        S = _complex_normal(rng, (3 * codebook_module._CHUNK + 5, L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        idx, eps = _quantize_rows(S.conj(), cb.vectors)
+        idx, eps = _quantize(S, cb.vectors)
         for s, k, e in zip(S, idx, eps):
             v, want = quantize_shape(s, cb)
             assert np.array_equal(cb.vectors[k], v)
             assert abs(e - want) <= 1e-12
+        if L in (2, 3):  # where the matrix-vector product rounds as _row_inner
+            scores = np.stack([np.abs(S.conj() @ c) ** 2 for c in cb.vectors])
+            assert np.array_equal(eps, np.minimum(scores[idx, np.arange(idx.size)], 1.0))
         # a shape halfway between two codewords ties; the lower index wins
         pair = Codebook(vectors=np.eye(2, dtype=complex))
         half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
-        assert _quantize_rows(half.conj(), pair.vectors)[0][0] == 0
+        assert _quantize(half, pair.vectors)[0][0] == 0
 
 
 class TestThresholdCompare:
@@ -431,7 +439,7 @@ class TestThresholdCompare:
     def _table(decide, spec):
         cfg = TrajectoryConfig(slots=600, warmup=10, seed=5)
         g, S, f = simulator._trajectory(PARAMS, cfg)
-        table = simulator._EventTable(decide, spec, g, S, f, None)
+        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, None))
         assert np.unique(table.run.m).size == spec.M  # every row is read
         return table
 
@@ -659,13 +667,13 @@ class TestSweep:
 
     def test_quantized_sweep_quantizes_the_trajectory_once(self, grid8, monkeypatch):
         calls = []
-        quantize = simulator._quantize_rows
+        quantize = simulator._quantize
 
-        def spy(Sc, vectors):
-            calls.append(Sc.shape[0])
-            return quantize(Sc, vectors)
+        def spy(S, vectors):
+            calls.append(S.shape[0])
+            return quantize(S, vectors)
 
-        monkeypatch.setattr(simulator, "_quantize_rows", spy)
+        monkeypatch.setattr(simulator, "_quantize", spy)
         cfg = TrajectoryConfig(slots=20_000, seed=56)
         curve = sweep_alpha([0.2, 0.8, 2.0], grid8, PARAMS, 100.0, cfg,
                             codebook=random_codebook(3, 8, 57), model_samples=20_000)
