@@ -55,21 +55,39 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussians.
+def _complex_normal(rng: np.random.Generator, shape=None, *, out=None) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussians, of the given
+    shape or drawn into ``out`` (a C-contiguous complex array), which draws
+    the same values.
 
     The normal pairs are scaled as real floats by fl(1 / fl(sqrt 2)), the
     factor a complex division by sqrt(2) multiplies both parts by, so the
     result is that division's to the bit at a fraction of its cost.
     """
-    pairs = rng.standard_normal(tuple(np.atleast_1d(shape)) + (2,))
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    pairs = out.view(np.float64).reshape(out.shape + (2,))
+    rng.standard_normal(out=pairs)
     pairs *= 1.0 / math.sqrt(2.0)
-    return pairs.view(np.complex128)[..., 0]
+    return out
 
 
 def _alignment(w: np.ndarray) -> np.ndarray:
     """Squared beam alignment from inner products, clipped at one."""
     return np.minimum(np.abs(w) ** 2, 1.0)
+
+
+def _beam_inner(Sc_rows: np.ndarray, beam: np.ndarray) -> np.ndarray:
+    """Inner product of each conjugated shape row with one beam.
+
+    Every product with one beam (a codeword, or a beam held since an
+    earlier slot) is this BLAS matrix-vector product, which rounds each row
+    alike whichever rows share the call; a lone row would go to a dot
+    product instead, which rounds differently, so it is taken twice over.
+    """
+    if Sc_rows.shape[0] == 1:
+        return (np.concatenate((Sc_rows, Sc_rows)) @ beam)[:1]
+    return Sc_rows @ beam
 
 
 def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:

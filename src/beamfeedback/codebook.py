@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _alignment, _as_rng, _complex_normal, _row_inner
+from .channel import _alignment, _as_rng, _beam_inner, _complex_normal
 
 __all__ = [
     "Codebook",
@@ -140,10 +140,25 @@ def _shape_features(S: np.ndarray) -> np.ndarray:
     """Real features of unit shapes, one contiguous row each: the real part
     of every lower-triangle product s_i conj(s_j) (i >= j, in ``tril_indices``
     order), then the imaginary part of the off-diagonal ones (a diagonal
-    product is real)."""
-    rows, cols = np.tril_indices(S.shape[1])
-    products = S[:, rows] * S[:, cols].conj()
-    return np.concatenate([products.real.T, products.imag.T[rows > cols]])
+    product is real).
+
+    The rows are filled one product at a time, each taken as
+    np.multiply(conj(s_j), s_i): one operand order, so a shape's features
+    do not depend on how many shapes share the call (an operator expression
+    rounds the complex product with its operands swapped once numpy reuses
+    a large temporary's buffer for it).
+    """
+    L = S.shape[1]
+    rows, cols = np.tril_indices(L)
+    features = np.empty((L * L, S.shape[0]))
+    imag = rows.size
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        product = np.multiply(S[:, j].conj(), S[:, i])
+        features[p] = product.real
+        if i > j:
+            features[imag] = product.imag
+            imag += 1
+    return features
 
 
 def _nearest(S: np.ndarray, features: np.ndarray, C: np.ndarray):
@@ -180,7 +195,9 @@ def _quantize(S: np.ndarray, vectors: np.ndarray):
     """Codebook quantization of unit shape rows: (codeword index, eps).
 
     The codeword is the one ``_nearest`` assigns, as in Lloyd training, and
-    eps is its squared alignment with the shape, clipped at one.  Rows are
+    eps is its squared alignment with the shape, clipped at one, computed
+    per codeword on the rows assigned to it by the product the simulator
+    takes for a held codeword (``channel._beam_inner``).  Rows are
     scored a block at a time, so no more than a block's features and scores
     are held at once.
     """
@@ -190,7 +207,13 @@ def _quantize(S: np.ndarray, vectors: np.ndarray):
         block = S[s:s + _CHUNK]
         k = _nearest(block, _shape_features(block), vectors)[0]
         code[s:s + _CHUNK] = k
-        eps[s:s + _CHUNK] = _alignment(_row_inner(block.conj(), vectors[k]))
+        # each codeword's rows, gathered in codeword order
+        order = np.argsort(k, kind="stable")
+        ends = np.cumsum(np.bincount(k, minlength=len(vectors))).tolist()
+        inner = np.empty(k.size, dtype=complex)
+        for c, lo, hi in zip(vectors, [0] + ends, ends):
+            inner[lo:hi] = _beam_inner(block[order[lo:hi]].conj(), c)
+        eps[s:s + _CHUNK][order] = _alignment(inner)
     return code, eps
 
 

@@ -79,7 +79,7 @@ class Policy:
     decide: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.decide, dtype=bool)
+        d = np.array(self.decide, dtype=bool)  # a copy: the caller's array stays writable
         if d.ndim != 2:
             raise ValueError("decision table must be 2-D over (power, alignment) bins")
         d.setflags(write=False)

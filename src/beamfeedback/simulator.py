@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import FadingParams, _alignment, _complex_normal, _row_inner
+from .channel import FadingParams, _alignment, _beam_inner, _complex_normal, _row_inner
 from .codebook import _quantize, epsilon_statistics, quantization_errors
 from .mdp import (
     Policy,
@@ -51,6 +51,7 @@ _HORIZON = 64      # most lags in the perfect-feedback event table
 _SCAN_BLOCK = 256  # slots per step of a scan past the table
 _SCAN_COST = 200   # one scan costs about this many table slot-lags
 _BATCHES = 100
+_SLOT_BLOCK = 1 << 14  # slots per block of a pass that needs a temporary per slot
 
 # Tag of the generator each purpose of a seeded run draws from (``_streams``).
 _TRAJECTORY_STREAM = 0
@@ -143,28 +144,34 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     The policy cannot influence the channel, so every policy, price and
     baseline of a run shares one trajectory: the last one is kept, read-only,
     and handed back while the same run asks for it.  It is one pass of the
-    first-order recursion h' = rho h + sqrt(1 - rho^2) w; each antenna runs
-    it as a sequential Python loop, which keeps scipy.signal out of the
-    import path and rounds exactly as a direct-form IIR filter does.
+    first-order recursion h' = rho h + sqrt(1 - rho^2) w, built in one
+    channel array: the innovations are drawn into its rows 1.., each antenna
+    then runs the recursion over its column as a sequential Python loop,
+    which keeps scipy.signal out of the import path and rounds exactly as a
+    direct-form IIR filter does, and the rows are scaled to unit shapes in
+    place, a block of slots at a time.
     """
     L, rho, slots = params.L, params.rho, config.slots
     rng = _streams(config.seed, _TRAJECTORY_STREAM)
-    h0 = _complex_normal(rng, (L,))
+    H = np.empty((slots, L), dtype=complex)
+    _complex_normal(rng, out=H[0])
     f0 = _complex_normal(rng, (L,))
     f0 /= np.linalg.norm(f0)
-    H = np.empty((slots, L), dtype=complex)
-    H[0] = h0
     if slots > 1:
-        drive = math.sqrt(1.0 - rho * rho) * _complex_normal(rng, (slots - 1, L))
+        _complex_normal(rng, out=H[1:])
+        H[1:] *= math.sqrt(1.0 - rho * rho)
         for l in range(L):
             H[:, l] = np.fromiter(itertools.accumulate(
-                drive[:, l].tolist(), lambda y, x: x + rho * y,
-                initial=complex(h0[l])), dtype=complex, count=slots)
-    g = np.einsum("tl,tl->t", H.conj(), H).real
-    S = H / np.sqrt(g)[:, None]
-    for arr in (g, S, f0):
+                H[1:, l].tolist(), lambda y, x: x + rho * y,
+                initial=complex(H[0, l])), dtype=complex, count=slots)
+    g = np.empty(slots)
+    for blk in _slot_blocks(0, slots):
+        rows = H[blk]
+        g[blk] = np.einsum("tl,tl->t", rows.conj(), rows).real
+        rows /= np.sqrt(g[blk])[:, None]
+    for arr in (g, H, f0):
         arr.setflags(write=False)
-    return g, S, f0
+    return g, H, f0
 
 
 def _batch_stderr(series: np.ndarray, batches: int = _BATCHES) -> float:
@@ -198,11 +205,12 @@ def _next_hits(hit: np.ndarray, slots: np.ndarray) -> np.ndarray:
 class _Run:
     """The arrays of one trajectory that no policy or price changes.
 
-    A sweep builds them once and measures every price on them: the
-    conjugated shapes, the power bin of every slot and, with a codebook,
-    the codeword and eps of every shape and the slots each codeword holds.
-    Those last three are computed on first use, so a policy that never
-    feeds back quantizes nothing.
+    A sweep builds them once and measures every price on them: the power
+    bin of every slot and, with a codebook, the codeword and eps of every
+    shape and the slots each codeword holds.  Those last three are computed
+    on first use, so a policy that never feeds back quantizes nothing.  No
+    conjugated copy of the shapes is kept: a pass conjugates the shapes it
+    reads a block of slots at a time.
     """
 
     def __init__(self, spec: GridSpec, g, S, f, codebook):
@@ -210,7 +218,6 @@ class _Run:
             raise ValueError(f"codebook has {codebook.L} antennas but the channel "
                              f"has {S.shape[1]}")
         self.spec, self.g, self.S, self.f, self.codebook = spec, g, S, f, codebook
-        self.Sc = S.conj()
         self.m = _bin(g, spec.g_edges)
 
     @functools.cached_property
@@ -230,6 +237,12 @@ class _Run:
         return [np.flatnonzero(self.code == k) for k in range(self.codebook.size)]
 
 
+def _slot_blocks(start: int, stop: int):
+    """Slices of at most _SLOT_BLOCK slots that cover start..stop in order."""
+    return (slice(s, min(stop, s + _SLOT_BLOCK))
+            for s in range(start, stop, _SLOT_BLOCK))
+
+
 class _EventTable:
     """Feedback events of one policy on one trajectory.
 
@@ -246,6 +259,8 @@ class _EventTable:
     scans it would save: resolving a slot saves a scan only if an event
     falls there, about one slot in the mean gap, so slow fading with long
     gaps stops after a few lags and fast fading resolves nearly every slot.
+    Both passes take the slots in blocks of _SLOT_BLOCK, so no copy of the
+    shapes they read grows with the trajectory.
 
     When the policy is a threshold policy (``extract_threshold``), a
     decision is one comparison with its row's threshold (``ym``, per slot);
@@ -255,7 +270,7 @@ class _EventTable:
 
     def __init__(self, decide, run: _Run):
         self.run, self.decide, self.codebook = run, decide, run.codebook
-        self.S, self.Sc, self.f, self.T = run.S, run.Sc, run.f, run.g.size
+        self.S, self.f, self.T = run.S, run.f, run.g.size
         profile = extract_threshold(Policy(decide), run.spec)
         y = np.where(profile.y == 1.0, np.inf, profile.y)
         self.ym = y[run.m] if profile.is_threshold else None
@@ -276,42 +291,46 @@ class _EventTable:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
         for t in range(start, self.T, _SCAN_BLOCK):
             blk = slice(t, min(self.T, t + _SCAN_BLOCK))
-            hit = self.hit(blk, _alignment(self.Sc[blk] @ beam))
+            hit = self.hit(blk, _alignment(_beam_inner(self.S[blk].conj(), beam)))
             if hit.any():
                 return t + int(np.argmax(hit))
         return self.T
 
     def _codeword_successors(self):
         successor = np.empty(self.T, dtype=np.intp)
+        hit = np.empty(self.T, dtype=bool)
         for c, mine in zip(self.codebook.vectors, self.run.members):
             if mine.size:
-                hit = self.hit(slice(None), _alignment(self.Sc @ c))
+                for blk in _slot_blocks(0, self.T):
+                    hit[blk] = self.hit(blk, _alignment(_beam_inner(self.S[blk].conj(), c)))
                 successor[mine] = _next_hits(hit, mine)
         return successor
 
     def _lag_successors(self):
-        T, Sc = self.T, self.Sc
+        T, S = self.T, self.S
         successor = np.zeros(T, dtype=np.intp)
-        t, beam = np.arange(T), self.S
+        t = np.arange(T)
         work = 0  # slot-lags evaluated, so work / T bounds the mean gap below
         for k in range(1, _HORIZON + 1):
             # t is ascending, so the slots with no slot k later form its tail
             keep = int(np.searchsorted(t, T - k))
             successor[t[keep:]] = T
-            t, beam = t[:keep], beam[:keep]
+            t = t[:keep]
             self.depth = k
             if not t.size:
                 break
-            later = t + k
-            hit = self.hit(later, _alignment(
-                _row_inner(np.take(Sc, later, axis=0), beam)))
-            successor[t[hit]] = later[hit]
-            miss = ~hit
+            hit = np.empty(t.size, dtype=bool)
+            for blk in _slot_blocks(0, t.size):
+                now = t[blk]  # each refreshed at its own shape
+                later = now + k
+                hit[blk] = self.hit(later, _alignment(_row_inner(S[later].conj(), S[now])))
+            done = t[hit]
+            successor[done] = done + k
             work += t.size
-            resolved = t.size - int(miss.sum())
+            resolved = int(np.count_nonzero(hit))
             if resolved * _SCAN_COST < t.size * work / T:
                 break
-            t, beam = t[miss], np.compress(miss, beam, axis=0)
+            t = t[~hit]
         return successor
 
     def events(self) -> np.ndarray:
@@ -324,43 +343,45 @@ class _EventTable:
             e = successor[e] or self.scan(e + self.depth + 1, self.S[e])
         return np.array(out, dtype=np.intp)
 
-    def alignment(self, events) -> np.ndarray:
-        """Per-slot alignment: the initial beam, then each event's beam."""
-        T, Sc = self.T, self.Sc
-        z = np.empty(T)
-        first = events[0] if events.size else T
-        z[:first] = _alignment(Sc[:first] @ self.f)
-        if not events.size:
-            return z
-        owner = np.repeat(events, np.diff(events, append=T))
-        if self.codebook is None:
-            z[first:] = _alignment(_row_inner(Sc[first:], self.S[owner]))
-            z[events] = 1.0
-        else:
-            code = self.run.code[owner]
-            tail = z[first:]
-            for k, c in enumerate(self.codebook.vectors):
-                mine = code == k
-                tail[mine] = _alignment(Sc[first:][mine] @ c)
-            z[events] = self.run.eps[events]
+
+def _held_alignment(run: _Run, events) -> np.ndarray:
+    """Per-slot alignment: the initial beam, then each event's beam, taken a
+    block of slots at a time."""
+    S, T = run.S, run.g.size
+    z = np.empty(T)
+    first = events[0] if events.size else T
+    for blk in _slot_blocks(0, first):
+        z[blk] = _alignment(_beam_inner(S[blk].conj(), run.f))
+    if not events.size:
         return z
+    owner = np.repeat(events, np.diff(events, append=T))
+    for blk in _slot_blocks(first, T):
+        own = owner[blk.start - first:blk.stop - first]
+        if run.codebook is None:
+            z[blk] = _alignment(_row_inner(S[blk].conj(), S[own]))
+        else:
+            code, shapes, held = run.code[own], S[blk], z[blk]
+            for k, c in enumerate(run.codebook.vectors):
+                mine = code == k
+                held[mine] = _alignment(_beam_inner(shapes[mine].conj(), c))
+    z[events] = 1.0 if run.codebook is None else run.eps[events]
+    return z
 
 
 def _feedback_trace(decide, run: _Run):
     """Per-slot alignment z and feedback flags of a policy on a run."""
     T = run.g.size
     fb = np.zeros(T, dtype=bool)
-    if not decide.any():
-        return _alignment(run.Sc @ run.f), fb
     if decide.all():
         fb[:] = True
         if run.codebook is None:
             return np.ones(T), fb
         return run.eps, fb
-    table = _EventTable(decide, run)
-    events = table.events()
+    events = np.empty(0, dtype=np.intp)
+    if decide.any():
+        events = _EventTable(decide, run).events()
     fb[events] = True
-    return table.alignment(events), fb
+    return _held_alignment(run, events), fb
 
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
@@ -482,6 +503,7 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     quantized = codebook is not None
     model, errors = _model(params, spec, config.seed, model_samples, codebook)
     eps = epsilon_statistics(errors, P, spec.g_points) if quantized else None
+    del errors  # read by the model and the statistics only
     run = _Run(spec, *_trajectory(params, config), codebook)
     points = []
     for a in alphas:

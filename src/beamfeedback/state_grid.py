@@ -243,7 +243,9 @@ def make_grid(L: int, M: int, N: int, sample_count: int, rng) -> GridSpec:
 def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin of each power or alignment value; bins are half-open [lo, hi), and
     a value at the last edge (alignment z = 1) falls in the top bin."""
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
+    b = np.searchsorted(edges, x, side="right")
+    b -= 1
+    return np.clip(b, 0, edges.size - 2, out=b)
 
 
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
@@ -300,16 +302,20 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     if L == 1:
         # one antenna: every beam is the channel's own phase, so z is 1 in
         # every slot, and every row steps from z = 1 to the top bin
-        z0 = np.ones(N * target)
+        z0 = np.broadcast_to(1.0, (N * target,))
     else:
         z0 = _in_bin_alignments(z_stream, spec.z_edges, L, target)
+    # each pass is counted, and its per-sample arrays dropped, before the next draws
     n0, power0 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
-    n1, power1 = _step_alignment_bins(f_stream, np.ones(sample_count) if eps is None else eps,
-                                      L, rho, sig, spec)
-    P0 = np.bincount(np.repeat(np.arange(N), target) * N + n0,
-                     minlength=N * N).reshape(N, N) / float(target)
+    del z0
+    n0.reshape(N, target)[...] += N * np.arange(N)[:, None]  # source bin * N + next bin
+    P0 = np.bincount(n0, minlength=N * N).reshape(N, N) / float(target)
+    counts_g = np.bincount(power0, minlength=M * M)
+    del n0, power0
+    z1 = np.broadcast_to(1.0, (sample_count,)) if eps is None else eps
+    n1, power1 = _step_alignment_bins(f_stream, z1, L, rho, sig, spec)
     row = np.bincount(n1, minlength=N) / float(sample_count)
-    counts_g = np.bincount(power0, minlength=M * M) + np.bincount(power1, minlength=M * M)
+    counts_g += np.bincount(power1, minlength=M * M)
     return TransitionModel(Ptilde=_normalize_rows(counts_g.reshape(M, M), "power kernel"),
                            P0=P0, P1_row=row if eps is None else None,
                            Peps1_row=None if eps is None else row,
@@ -323,10 +329,13 @@ def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.n
     of a uniform draw between S at a bin's edges is that law on the bin.
     """
     tail = (1.0 - z_edges[:, None]) ** (L - 1)
-    u = stream.random((z_edges.size - 1, target))
-    z0 = 1.0 - (tail[:-1] - u * (tail[:-1] - tail[1:])) ** (1.0 / (L - 1))
+    z0 = stream.random((z_edges.size - 1, target))
+    z0 *= tail[:-1] - tail[1:]
+    np.subtract(tail[:-1], z0, out=z0)
+    z0 **= 1.0 / (L - 1)
+    np.subtract(1.0, z0, out=z0)
     # rounding can step a draw just past its bin's edges
-    return np.clip(z0, z_edges[:-1, None], z_edges[1:, None]).ravel()
+    return np.clip(z0, z_edges[:-1, None], z_edges[1:, None], out=z0).ravel()
 
 
 def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
@@ -348,15 +357,43 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
     for s in range(0, z0.size, _CHUNK):
         z = z0[s:s + _CHUNK]
         g = stream.gamma(float(L), size=z.size)
-        head = np.abs(rho * np.sqrt(g * z) + sig * _complex_normal(stream, z.size)) ** 2
-        g1 = head.copy()
-        if L > 1:
-            g1 += np.abs(rho * np.sqrt(g * (1.0 - z)) + sig * _complex_normal(stream, z.size)) ** 2
-        if L > 2:
-            g1 += sig * sig * stream.gamma(float(L - 2), size=z.size)
-        n1[s:s + _CHUNK] = spec.N - 1 if L == 1 else _bin(head / g1, spec.z_edges)
-        pairs[s:s + _CHUNK] = _bin(g, spec.g_edges) * spec.M + _bin(g1, spec.g_edges)
+        head = np.multiply(g, z)
+        _step_power(stream, head, rho, sig)
+        if L == 1:
+            g1 = head
+            n1[s:s + _CHUNK] = spec.N - 1
+        else:
+            g1 = np.subtract(1.0, z)
+            g1 *= g
+            _step_power(stream, g1, rho, sig)
+            g1 += head
+            if L > 2:
+                other = stream.gamma(float(L - 2), size=z.size)
+                other *= sig * sig
+                g1 += other
+                del other
+            n1[s:s + _CHUNK] = _bin(np.divide(head, g1, out=head), spec.z_edges)
+        # drop each per-sample array once read, so fewer are held at a time
+        del head
+        pair = _bin(g, spec.g_edges)
+        del g
+        pair *= spec.M
+        pair += _bin(g1, spec.g_edges)
+        pairs[s:s + _CHUNK] = pair
+        del g1, pair
     return n1, pairs
+
+
+def _step_power(stream, power, rho, sig):
+    """Replace each power p by |rho sqrt(p) + sig w|^2, drawing a fresh
+    complex normal w per sample."""
+    np.sqrt(power, out=power)
+    power *= rho
+    w = _complex_normal(stream, power.size)
+    w *= sig
+    w += power
+    np.abs(w, out=power)
+    power **= 2
 
 
 def model_to_json(spec: GridSpec, model: TransitionModel) -> str:

@@ -173,6 +173,17 @@ class TestLloydTraining:
         np.testing.assert_allclose(best, exact.max(axis=1), rtol=0.0, atol=1e-15)
         return assign
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    def test_features_do_not_depend_on_the_block_size(self, L):
+        # blocks on both sides of numpy's temporary-elision size (256 KiB),
+        # above which an operator expression swaps the complex product's
+        # operands; 25,000 shapes in 4096-row blocks end in a 424-row one
+        S = unit_rows(np.random.default_rng(158 + L), 25_000, L)
+        whole = _shape_features(S)
+        for size in (7, 424, 4096):
+            blocks = [_shape_features(S[s:s + size]) for s in range(0, S.shape[0], size)]
+            np.testing.assert_array_equal(np.concatenate(blocks, axis=1), whole)
+
     def test_identical_codewords_go_to_the_lowest_index(self):
         rng = np.random.default_rng(156)
         S = unit_rows(rng, 2000, 3)

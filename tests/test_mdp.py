@@ -657,6 +657,16 @@ class TestThresholdLowerBound:
             threshold_lower_bound(1.0, 100.0, -0.5)
 
 
+class TestPolicy:
+    def test_decisions_are_a_frozen_copy(self):
+        d = np.zeros((2, 2), bool)
+        policy = Policy(d)
+        d[0, 0] = True  # the caller's own array stays writable
+        assert not policy.decide.any()
+        with pytest.raises(ValueError, match="read-only"):
+            policy.decide[0, 0] = True
+
+
 class TestThresholdStructure:
     def test_optimal_policies_are_thresholds(self):
         rng = np.random.default_rng(80)

@@ -1,0 +1,70 @@
+"""Working-set bounds of the stages of a sweep.
+
+Each stage should hold only the arrays that later stages read, so its peak
+of traced heap bytes (tracemalloc, which counts numpy's buffers and is
+deterministic where the resident set size is not) stays a small multiple of
+its output.  The peaks are taken after a warm-up call, so lazy imports and
+caches do not count, with n model samples or T slots and L = 3; a bound is
+stated in units of one float per sample (8 n bytes) or one channel shape
+per slot (16 L T bytes).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from beamfeedback import simulator
+from beamfeedback.channel import FadingParams
+from beamfeedback.codebook import random_codebook
+from beamfeedback.mdp import Policy, RewardSpec
+from beamfeedback.simulator import TrajectoryConfig, simulate_policy
+from beamfeedback.state_grid import estimate_transition_model, make_grid
+
+L = 3
+n = T = 1 << 16
+PARAMS = FadingParams(L=L, doppler_slot=0.1)
+SAMPLE = 8 * n
+SHAPES = 16 * L * T
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak traced bytes of one call, after an untraced warm-up call."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def spec():
+    return make_grid(L, 16, 16, 20_000, 1)
+
+
+def test_make_grid():
+    assert traced_peak(make_grid, L, 16, 16, n, 2) <= 2.5 * SAMPLE
+
+
+def test_estimate_transition_model(spec):
+    assert traced_peak(estimate_transition_model, PARAMS, spec, n, 3) <= 10 * SAMPLE
+
+
+def test_trajectory():
+    build = simulator._trajectory.__wrapped__  # the uncached build
+    assert traced_peak(build, PARAMS, TrajectoryConfig(T, seed=4)) <= 2.5 * SHAPES
+
+
+@pytest.mark.parametrize("codebook, bound", [(None, 2.0), (16, 2.5)])
+def test_simulate_policy_on_a_cached_trajectory(spec, codebook, bound):
+    if codebook is not None:
+        codebook = random_codebook(L, codebook, 5)
+    y = np.linspace(0.3, 0.9, spec.M)
+    policy = Policy(spec.z_points[None, :] < y[:, None])
+    cfg = TrajectoryConfig(T, seed=6)
+    simulator._trajectory(PARAMS, cfg)
+    peak = traced_peak(simulate_policy, policy, spec, PARAMS,
+                       RewardSpec(P=100.0, alpha=0.5), cfg, codebook)
+    assert peak <= bound * SHAPES

@@ -408,6 +408,37 @@ class TestEventTableAgreesWithReference:
         table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, None))
         assert np.any(table.successor[events] == 0)
 
+    @pytest.mark.parametrize("feedback", ["perfect", "random"])
+    @pytest.mark.parametrize("L", [1, 3, 4])
+    def test_slot_blocks_change_no_bit(self, monkeypatch, L, feedback):
+        # the trajectory and every pass of the event table run in slot
+        # blocks; 7-slot blocks, which split every gap, must give the bits
+        # that one block over the whole run gives
+        params = FadingParams(L=L, doppler_slot=0.1)
+        cfg = TrajectoryConfig(slots=3000, warmup=100, seed=11)
+        spec = make_grid(L, 8, 8, 20_000, np.random.default_rng(12))
+        codebook = _feedback_codebook(feedback, L, 13)
+        rng = np.random.default_rng(14)
+        y = np.linspace(0.3, 0.9, spec.M)
+        tables = [spec.z_points[None, :] < y[:, None], rng.random((8, 8)) < 0.5,
+                  np.zeros((8, 8), bool)]
+
+        def traces():
+            traj = simulator._trajectory.__wrapped__(params, cfg)
+            run = simulator._Run(spec, *traj, codebook)
+            return traj, [simulator._feedback_trace(d, run) for d in tables]
+
+        monkeypatch.setattr(simulator, "_SLOT_BLOCK", cfg.slots)
+        want_traj, want = traces()
+        monkeypatch.setattr(simulator, "_SLOT_BLOCK", 7)
+        got_traj, got = traces()
+        for a, b in zip(want_traj, got_traj):
+            assert np.array_equal(a, b)
+        assert 0 < want[1][1].sum() < cfg.slots
+        for (z0, fb0), (z1, fb1) in zip(want, got):
+            assert np.array_equal(fb0, fb1)
+            assert np.array_equal(z0, z1)
+
 
     @pytest.mark.parametrize("K", [1, 16, 64])
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
@@ -422,9 +453,9 @@ class TestEventTableAgreesWithReference:
             v, want = quantize_shape(s, cb)
             assert np.array_equal(cb.vectors[k], v)
             assert abs(e - want) <= 1e-12
-        if L in (2, 3):  # where the matrix-vector product rounds as _row_inner
-            scores = np.stack([np.abs(S.conj() @ c) ** 2 for c in cb.vectors])
-            assert np.array_equal(eps, np.minimum(scores[idx, np.arange(idx.size)], 1.0))
+        # eps is the held codeword's alignment, as the simulator computes it
+        scores = np.stack([np.abs(S.conj() @ c) ** 2 for c in cb.vectors])
+        assert np.array_equal(eps, np.minimum(scores[idx, np.arange(idx.size)], 1.0))
         # a shape halfway between two codewords ties; the lower index wins
         pair = Codebook(vectors=np.eye(2, dtype=complex))
         half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
