@@ -80,9 +80,9 @@ def _alignment(w: np.ndarray) -> np.ndarray:
 def _beam_inner(Sc_rows: np.ndarray, beam: np.ndarray) -> np.ndarray:
     """Inner product of each conjugated shape row with one beam.
 
-    Every product with one beam (a codeword, or a beam held since an
-    earlier slot) is this BLAS matrix-vector product, which rounds each row
-    alike whichever rows share the call; a lone row would go to a dot
+    A product of many rows with one beam (the initial beam, or the beam an
+    event scan holds) is this BLAS matrix-vector product, which rounds each
+    row alike whichever rows share the call; a lone row would go to a dot
     product instead, which rounds differently, so it is taken twice over.
     """
     if Sc_rows.shape[0] == 1:

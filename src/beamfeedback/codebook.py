@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _alignment, _as_rng, _beam_inner, _complex_normal
+from .channel import _alignment, _as_rng, _complex_normal, _row_inner
 
 __all__ = [
     "Codebook",
@@ -195,11 +195,11 @@ def _quantize(S: np.ndarray, vectors: np.ndarray):
     """Codebook quantization of unit shape rows: (codeword index, eps).
 
     The codeword is the one ``_nearest`` assigns, as in Lloyd training, and
-    eps is its squared alignment with the shape, clipped at one, computed
-    per codeword on the rows assigned to it by the product the simulator
-    takes for a held codeword (``channel._beam_inner``).  Rows are
-    scored a block at a time, so no more than a block's features and scores
-    are held at once.
+    eps is its squared alignment with the shape, clipped at one, by the
+    per-row product the simulator takes for a held codeword
+    (``channel._row_inner``), so a feedback slot and the slots that keep its
+    codeword round alike.  Rows are scored a block at a time, so no more
+    than a block's features and scores are held at once.
     """
     code = np.empty(S.shape[0], dtype=np.intp)
     eps = np.empty(S.shape[0])
@@ -207,13 +207,7 @@ def _quantize(S: np.ndarray, vectors: np.ndarray):
         block = S[s:s + _CHUNK]
         k = _nearest(block, _shape_features(block), vectors)[0]
         code[s:s + _CHUNK] = k
-        # each codeword's rows, gathered in codeword order
-        order = np.argsort(k, kind="stable")
-        ends = np.cumsum(np.bincount(k, minlength=len(vectors))).tolist()
-        inner = np.empty(k.size, dtype=complex)
-        for c, lo, hi in zip(vectors, [0] + ends, ends):
-            inner[lo:hi] = _beam_inner(block[order[lo:hi]].conj(), c)
-        eps[s:s + _CHUNK][order] = _alignment(inner)
+        eps[s:s + _CHUNK] = _alignment(_row_inner(block.conj(), vectors[k]))
     return code, eps
 
 

@@ -6,12 +6,12 @@ with the true power and alignment.  The policy cannot change the channel,
 only the beam, and the beam changes only on feedback, so the whole
 trajectory is precomputed and a policy is reduced to an event table: for
 every slot, the next feedback slot had the beam been refreshed there.  A
-walk over that table from the first feedback slot visits every event.  With
-a codebook the table is exact, one vectorised pass per codeword; with
-perfect feedback it is built lag by lag, and an event whose next feedback
-lies past the table continues with a block scan.  All randomness derives
-from one trajectory seed, giving common random numbers across policies,
-prices, and baselines.
+walk over that table from the first feedback slot visits every event.  The
+table is built lag by lag, and an event whose next feedback lies past it
+continues with a block scan.  Perfect and quantized feedback share that
+machinery; they differ only in the beam a feedback slot refreshes: the
+channel shape, or its codeword.  All randomness derives from one trajectory
+seed, giving common random numbers across policies, prices, and baselines.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ __all__ = [
     "curve_to_csv",
 ]
 
-_HORIZON = 64      # most lags in the perfect-feedback event table
+_HORIZON = 64      # most lags in the event table
 _SCAN_BLOCK = 256  # slots per step of a scan past the table
 _SCAN_COST = 200   # one scan costs about this many table slot-lags
 _BATCHES = 100
-_SLOT_BLOCK = 1 << 14  # slots per block of a pass that needs a temporary per slot
+_SLOT_BLOCK = 1 << 12  # slots per block of a pass that needs a temporary per slot
 
 # Tag of the generator each purpose of a seeded run draws from (``_streams``).
 _TRAJECTORY_STREAM = 0
@@ -195,22 +195,14 @@ def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig) -> EvalR
                       net=net, stderr=_batch_stderr(series))
 
 
-def _next_hits(hit: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """For each of the given slots t, the first later slot s with hit[s],
-    else len(hit)."""
-    at = np.flatnonzero(hit)
-    return np.append(at, hit.size)[np.searchsorted(at, slots, side="right")]
-
-
 class _Run:
     """The arrays of one trajectory that no policy or price changes.
 
     A sweep builds them once and measures every price on them: the power
     bin of every slot and, with a codebook, the codeword and eps of every
-    shape and the slots each codeword holds.  Those last three are computed
-    on first use, so a policy that never feeds back quantizes nothing.  No
-    conjugated copy of the shapes is kept: a pass conjugates the shapes it
-    reads a block of slots at a time.
+    shape.  Those last two are computed on first use, so a policy that never
+    feeds back quantizes nothing.  No conjugated copy of the shapes is kept:
+    a pass conjugates the shapes it reads a block of slots at a time.
     """
 
     def __init__(self, spec: GridSpec, g, S, f, codebook):
@@ -232,9 +224,12 @@ class _Run:
     def eps(self) -> np.ndarray:
         return self._quantized[1]
 
-    @functools.cached_property
-    def members(self) -> list:
-        return [np.flatnonzero(self.code == k) for k in range(self.codebook.size)]
+    def beams(self, slots):
+        """The beam held after feedback at the given slots: the shape
+        itself, or its codeword."""
+        if self.codebook is None:
+            return self.S[slots]
+        return self.codebook.vectors[self.code[slots]]
 
 
 def _slot_blocks(start: int, stop: int):
@@ -250,17 +245,16 @@ class _EventTable:
     at slot t (the trajectory length when none follows), so a walk over it
     from the first feedback slot visits every event in order.
 
-    With a codebook the refreshed beam is one of finitely many codewords,
-    so one pass per codeword over the whole trajectory gives every
-    successor exactly.  With perfect feedback the table is built lag by lag
-    over the slots not yet resolved, for ``depth`` <= _HORIZON lags; a slot
-    left open holds 0, and an event there continues with a block scan past
-    the table.  Building stops early once the next lag costs more than the
-    scans it would save: resolving a slot saves a scan only if an event
-    falls there, about one slot in the mean gap, so slow fading with long
-    gaps stops after a few lags and fast fading resolves nearly every slot.
-    Both passes take the slots in blocks of _SLOT_BLOCK, so no copy of the
-    shapes they read grows with the trajectory.
+    The table is built lag by lag over the slots not yet resolved, for
+    ``depth`` <= _HORIZON lags, each slot refreshed to its own beam
+    (``_Run.beams``: its shape, or its codeword); a slot left open holds 0,
+    and an event there continues with a block scan past the table.  Building stops early once the next
+    lag costs more than the scans it would save: resolving a slot saves a
+    scan only if an event falls there, about one slot in the mean gap, so
+    slow fading with long gaps stops after a few lags and fast fading
+    resolves nearly every slot.  Each lag takes the slots in blocks of
+    _SLOT_BLOCK, so no copy of the shapes or beams it reads grows with the
+    trajectory.
 
     When the policy is a threshold policy (``extract_threshold``), a
     decision is one comparison with its row's threshold (``ym``, per slot);
@@ -269,17 +263,14 @@ class _EventTable:
     """
 
     def __init__(self, decide, run: _Run):
-        self.run, self.decide, self.codebook = run, decide, run.codebook
+        self.run, self.decide = run, decide
         self.S, self.f, self.T = run.S, run.f, run.g.size
         profile = extract_threshold(Policy(decide), run.spec)
         y = np.where(profile.y == 1.0, np.inf, profile.y)
         self.ym = y[run.m] if profile.is_threshold else None
         self.depth = 0
         self.first = self.scan(0, self.f)
-        if self.codebook is None:
-            self.successor = self._lag_successors()
-        else:
-            self.successor = self._codeword_successors()
+        self.successor = self._lag_successors()
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
@@ -296,18 +287,8 @@ class _EventTable:
                 return t + int(np.argmax(hit))
         return self.T
 
-    def _codeword_successors(self):
-        successor = np.empty(self.T, dtype=np.intp)
-        hit = np.empty(self.T, dtype=bool)
-        for c, mine in zip(self.codebook.vectors, self.run.members):
-            if mine.size:
-                for blk in _slot_blocks(0, self.T):
-                    hit[blk] = self.hit(blk, _alignment(_beam_inner(self.S[blk].conj(), c)))
-                successor[mine] = _next_hits(hit, mine)
-        return successor
-
     def _lag_successors(self):
-        T, S = self.T, self.S
+        T, S, run = self.T, self.S, self.run
         successor = np.zeros(T, dtype=np.intp)
         t = np.arange(T)
         work = 0  # slot-lags evaluated, so work / T bounds the mean gap below
@@ -321,9 +302,10 @@ class _EventTable:
                 break
             hit = np.empty(t.size, dtype=bool)
             for blk in _slot_blocks(0, t.size):
-                now = t[blk]  # each refreshed at its own shape
+                now = t[blk]
                 later = now + k
-                hit[blk] = self.hit(later, _alignment(_row_inner(S[later].conj(), S[now])))
+                hit[blk] = self.hit(later, _alignment(_row_inner(S[later].conj(),
+                                                                 run.beams(now))))
             done = t[hit]
             successor[done] = done + k
             work += t.size
@@ -340,13 +322,14 @@ class _EventTable:
         e = self.first
         while e < self.T:
             out.append(e)
-            e = successor[e] or self.scan(e + self.depth + 1, self.S[e])
+            e = successor[e] or self.scan(e + self.depth + 1, self.run.beams(e))
         return np.array(out, dtype=np.intp)
 
 
 def _held_alignment(run: _Run, events) -> np.ndarray:
     """Per-slot alignment: the initial beam, then each event's beam, taken a
-    block of slots at a time."""
+    block of slots at a time.  With a codebook, an event slot's product is
+    its eps; with perfect feedback it is 1."""
     S, T = run.S, run.g.size
     z = np.empty(T)
     first = events[0] if events.size else T
@@ -357,14 +340,9 @@ def _held_alignment(run: _Run, events) -> np.ndarray:
     owner = np.repeat(events, np.diff(events, append=T))
     for blk in _slot_blocks(first, T):
         own = owner[blk.start - first:blk.stop - first]
-        if run.codebook is None:
-            z[blk] = _alignment(_row_inner(S[blk].conj(), S[own]))
-        else:
-            code, shapes, held = run.code[own], S[blk], z[blk]
-            for k, c in enumerate(run.codebook.vectors):
-                mine = code == k
-                held[mine] = _alignment(_beam_inner(shapes[mine].conj(), c))
-    z[events] = 1.0 if run.codebook is None else run.eps[events]
+        z[blk] = _alignment(_row_inner(S[blk].conj(), run.beams(own)))
+    if run.codebook is None:
+        z[events] = 1.0
     return z
 
 
@@ -386,7 +364,7 @@ def _feedback_trace(decide, run: _Run):
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
                     rewards: RewardSpec, config: TrajectoryConfig,
-                    codebook=None, *, _run=None) -> EvalResult:
+                    codebook=None) -> EvalResult:
     """Run a feedback policy over one simulated trajectory.
 
     Each slot the true state is binned, the policy consulted, and on
@@ -397,15 +375,12 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     table (see _EventTable): vectorised passes over the whole trajectory
     find, for every slot, the next feedback slot had the beam been refreshed
     there, and a walk over those slot indices yields the feedback events.
-    ``sweep_alpha`` passes the ``_Run`` of these arguments, built once for
-    all its prices.
     """
     decide = policy.decide
     if decide.shape != (spec.M, spec.N):
         raise ValueError("policy dimensions do not match the grid")
-    run = _run or _Run(spec, *_trajectory(params, config), codebook)
-    z, fb = _feedback_trace(decide, run)
-    return _aggregate(run.g, z, fb, rewards, config)
+    run = _Run(spec, *_trajectory(params, config), codebook)
+    return _aggregate(run.g, *_feedback_trace(decide, run), rewards, config)
 
 
 def _periodic_eval(period: int, traj, rewards: RewardSpec,
@@ -495,7 +470,8 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     One transition model (and, with a codebook, one set of quantized-rate
     statistics, from the quantization-error sample the model's feedback row
     stepped from) serves every price; each price is solved exactly on the
-    model and then measured on the common simulated trajectory.
+    model and then measured on the common simulated trajectory, whose
+    power bins and quantized shapes are computed once for every price.
     """
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
@@ -510,8 +486,7 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
         r = RewardSpec(P=P, alpha=a)
         solved = policy_iteration_average(model, r, spec, eps=eps,
                                           quantized_row=quantized)
-        measured = simulate_policy(solved.policy, spec, params, r, config,
-                                   codebook=codebook, _run=run)
+        measured = _aggregate(run.g, *_feedback_trace(solved.policy.decide, run), r, config)
         profile = extract_threshold(solved.policy, spec)
         avg_y = average_threshold(profile, solved.pi) if profile.is_threshold \
             else math.nan

@@ -14,7 +14,7 @@ from scipy import integrate, signal, stats
 
 from beamfeedback import codebook as codebook_module
 from beamfeedback import simulator
-from beamfeedback.channel import FadingParams, _complex_normal
+from beamfeedback.channel import FadingParams, _alignment, _complex_normal, _row_inner
 from beamfeedback.codebook import (
     Codebook,
     _quantize,
@@ -390,22 +390,30 @@ class TestEventTableAgreesWithReference:
                 _assert_agrees(Policy(decide), spec, params, rewards, cfg,
                                codebook)
 
+    @pytest.mark.parametrize("feedback", ["perfect", "lloyd16"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_slow_fading_scans_past_the_table(self, seed):
+    def test_slow_fading_scans_past_the_table(self, seed, feedback):
         # at doppler 0.001 the alignment takes thousands of slots to fall
-        # below 15/16, so every gap runs far past the lag table
+        # below 15/16, so every gap runs far past the lag table; a codeword
+        # starts below 1, so with a codebook only a lower edge is used, or
+        # eps alone would trigger feedback again at every slot
         params = FadingParams(L=3, doppler_slot=0.001)
         spec = make_grid(3, 16, 16, 20_000, np.random.default_rng(760))
         decide = np.zeros((spec.M, spec.N), dtype=bool)
-        decide[:, :-1] = True
+        codebook = None
+        if feedback == "perfect":
+            decide[:, :-1] = True
+        else:
+            decide[:, :9] = True
+            codebook = lloyd_codebook(3, 16, 5000, 20, 761)
         cfg = TrajectoryConfig(slots=40_000, warmup=100, seed=seed)
         fb = _assert_agrees(Policy(decide), spec, params,
-                            RewardSpec(P=100.0, alpha=2.0), cfg, None)
+                            RewardSpec(P=100.0, alpha=2.0), cfg, codebook)
         events = np.flatnonzero(fb)
         assert events.size >= 3
         assert np.diff(events).max() > simulator._HORIZON
         g, S, f = simulator._trajectory(params, cfg)
-        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, None))
+        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, codebook))
         assert np.any(table.successor[events] == 0)
 
     @pytest.mark.parametrize("feedback", ["perfect", "random"])
@@ -454,8 +462,7 @@ class TestEventTableAgreesWithReference:
             assert np.array_equal(cb.vectors[k], v)
             assert abs(e - want) <= 1e-12
         # eps is the held codeword's alignment, as the simulator computes it
-        scores = np.stack([np.abs(S.conj() @ c) ** 2 for c in cb.vectors])
-        assert np.array_equal(eps, np.minimum(scores[idx, np.arange(idx.size)], 1.0))
+        assert np.array_equal(eps, _alignment(_row_inner(S.conj(), cb.vectors[idx])))
         # a shape halfway between two codewords ties; the lower index wins
         pair = Codebook(vectors=np.eye(2, dtype=complex))
         half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
