@@ -12,10 +12,10 @@ Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
 ``sweep_alpha`` measure the result, and ``lloyd_codebook`` supplies the
 finite-rate feedback alphabet, whose ``quantization_errors`` feed both the
 quantized feedback row and ``epsilon_statistics``.
-``exhaustive_threshold_search`` cross-checks the solver; discounted value
-iteration is a test oracle (tests/oracles.py).
-The exports are the names the command line, the demos and the acceptance
-suite use; everything else is reached through its module.
+The exports are the names the command line and the demos use; everything
+else is reached through its module.  The reference versions the tests check
+against (an exhaustive threshold search, value iteration, periodic feedback
+simulated on its own) live in tests/oracles.py.
 """
 
 from .channel import FadingParams
@@ -27,9 +27,7 @@ from .codebook import (
     random_codebook,
 )
 from .mdp import (
-    Policy,
     RewardSpec,
-    exhaustive_threshold_search,
     extract_threshold,
     policy_iteration_average,
     threshold_lower_bound,
@@ -41,8 +39,6 @@ from .simulator import (
     average_threshold,
     curve_to_csv,
     periodic_baseline,
-    refinement_study,
-    simulate_periodic,
     simulate_policy,
     sweep_alpha,
 )
@@ -54,14 +50,12 @@ __all__ = [
     "Curve",
     "CurvePoint",
     "FadingParams",
-    "Policy",
     "RewardSpec",
     "TrajectoryConfig",
     "average_threshold",
     "curve_to_csv",
     "epsilon_statistics",
     "estimate_transition_model",
-    "exhaustive_threshold_search",
     "extract_threshold",
     "lloyd_codebook",
     "make_grid",
@@ -70,8 +64,6 @@ __all__ = [
     "price_increment_bound",
     "quantization_errors",
     "random_codebook",
-    "refinement_study",
-    "simulate_periodic",
     "simulate_policy",
     "sweep_alpha",
     "threshold_lower_bound",

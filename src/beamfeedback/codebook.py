@@ -26,7 +26,6 @@ __all__ = [
     "epsilon_statistics",
     "price_increment_bound",
     "codebook_to_json",
-    "codebook_from_json",
 ]
 
 # Shapes drawn and scored at once.  The heap a block's features and scores
@@ -300,13 +299,3 @@ def codebook_to_json(codebook: Codebook) -> str:
         "vectors": rows,
     }
     return json.dumps(doc, indent=2)
-
-
-def codebook_from_json(text: str) -> Codebook:
-    """Inverse of codebook_to_json."""
-    doc = json.loads(text)
-    rows = np.asarray(doc["vectors"], dtype=float)
-    if rows.ndim != 2 or rows.shape != (int(doc["size"]), 2 * int(doc["L"])):
-        raise ValueError("vector block does not match the stated dimensions")
-    V = rows[:, 0::2] + 1j * rows[:, 1::2]
-    return Codebook(vectors=V, method=str(doc["method"]))

@@ -2,10 +2,9 @@
 
 Each slot the controller either requests feedback (beam realigned this slot,
 price charged) or keeps the stale beam.  Stage reward is spectral efficiency
-minus the price; the solvers maximize its long-run average.  An exhaustive
-search over threshold policies cross-checks the primary policy-iteration
-path; discounted and relative value iteration are test oracles
-(tests/oracles.py).
+minus the price; policy iteration maximizes its long-run average.  An
+exhaustive search over threshold policies and discounted and relative value
+iteration cross-check it as test oracles (tests/oracles.py).
 
 The chain a policy induces factorizes: T[(m,n),(k,l)] = Ptilde[m,k] Pz[m,n,l],
 where Pz[m,n,:] is the feedback row where the policy feeds back and P0[n,:]
@@ -17,7 +16,6 @@ ever built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +35,6 @@ __all__ = [
     "stationary_distribution",
     "extract_threshold",
     "threshold_lower_bound",
-    "exhaustive_threshold_search",
     "solve_result_to_json",
 ]
 
@@ -153,8 +150,7 @@ _GMRES_TOL = 1e-14
 _GMRES_RESTART = 80
 _GMRES_MAX_ITER = 4000
 
-_POLICY_ITERATIONS = 50         # improvement steps before policy iteration fails
-_SEARCH_CANDIDATES = 1_000_000  # guard on the exhaustive threshold search
+_POLICY_ITERATIONS = 50  # improvement steps before policy iteration fails
 
 
 def _gmres(apply, b: np.ndarray):
@@ -356,45 +352,6 @@ def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
         return 0.0
     val = (2.0 ** (-alpha) * (1.0 + P * gbar) - 1.0) / (P * gbar)
     return max(0.0, val)
-
-
-def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
-                                spec: GridSpec, eps=None,
-                                quantized_row: bool = False) -> SolveResult:
-    """Evaluate every admissible threshold vector and keep the best.
-
-    Candidate thresholds live on the alignment bin edges, with each component
-    cut below by the per-stage bound less half a bin (grid-resolution optima
-    can sit that far under the continuous-state bound).  Intended as an
-    independent oracle for small grids; the candidate count is guarded.
-    """
-    G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
-    candidates = []
-    slack = 0.5 / spec.N + 1e-12
-    for m in range(spec.M):
-        lb = threshold_lower_bound(float(spec.g_points[m]), rewards.P, rewards.alpha)
-        allowed = [n for n in range(spec.N + 1) if spec.z_edges[n] >= lb - slack]
-        candidates.append(allowed)
-    total = math.prod(len(c) for c in candidates)
-    if total > _SEARCH_CANDIDATES:
-        raise ValueError(
-            f"{total} threshold candidates exceed the search guard; use policy iteration"
-        )
-    best = None
-    evaluated = 0
-    for combo in itertools.product(*candidates):
-        y = spec.z_edges[list(combo)]
-        decide = spec.z_points[None, :] < y[:, None]
-        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
-        evaluated += 1
-        if best is None or J > best[0]:
-            best = (J, decide, A, residual)
-    J, decide, A, residual = best
-    policy = Policy(decide)
-    pi = stationary_distribution(policy, model, quantized_row)
-    return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi,
-                       residual=residual)
 
 
 def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:

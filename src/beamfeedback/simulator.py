@@ -31,7 +31,7 @@ from .mdp import (
     extract_threshold,
     policy_iteration_average,
 )
-from .state_grid import GridSpec, _bin, estimate_transition_model, make_grid
+from .state_grid import GridSpec, _bin, estimate_transition_model
 
 __all__ = [
     "TrajectoryConfig",
@@ -39,11 +39,9 @@ __all__ = [
     "CurvePoint",
     "Curve",
     "simulate_policy",
-    "simulate_periodic",
     "periodic_baseline",
     "sweep_alpha",
     "average_threshold",
-    "refinement_study",
     "curve_to_csv",
 ]
 
@@ -57,7 +55,6 @@ _SLOT_BLOCK = 1 << 12  # slots per block of a pass that needs a temporary per sl
 _TRAJECTORY_STREAM = 0
 _MODEL_STREAM = 1
 _EPS_STREAM = 2
-_REFINEMENT_STREAM = 3
 _GRID_STREAM = 4
 _CODEBOOK_STREAM = 6
 
@@ -131,8 +128,8 @@ def _streams(seed: int, *tag: int):
     Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
     same ones (its model through ``_model``), so its model, solve and evaluate
     commands see the kernels and statistics that ``sweep_alpha`` solves on.
-    Refinement size i of ``refinement_study`` draws from the tag pair
-    (_REFINEMENT_STREAM, i), a family no other purpose shares.
+    Tag 3 is left to the grid-refinement reference in the tests, whose grid
+    size i draws from the tag pair (3, i), a family no other purpose shares.
     """
     return np.random.default_rng([int(seed), *tag])
 
@@ -174,9 +171,9 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     return g, H, f0
 
 
-def _batch_stderr(series: np.ndarray, batches: int = _BATCHES) -> float:
+def _batch_stderr(series: np.ndarray) -> float:
     """Batch-means standard error of the mean of a correlated series."""
-    b = min(batches, series.size)
+    b = min(_BATCHES, series.size)
     if b < 2:
         return 0.0
     n = (series.size // b) * b
@@ -402,15 +399,6 @@ def _periodic_eval(period: int, traj, rewards: RewardSpec,
     return _aggregate(g, z, fb, rewards, config)
 
 
-def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
-                      config: TrajectoryConfig) -> EvalResult:
-    """Perfect feedback every ``period`` slots regardless of state."""
-    if int(period) < 1:
-        raise ValueError("period must be positive")
-    traj = _trajectory(params, config)
-    return _periodic_eval(int(period), traj, rewards, config)
-
-
 def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
                       config: TrajectoryConfig):
     """Best fixed feedback interval in 1..max_period at each price.
@@ -495,28 +483,6 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
                                  feedback_rate=measured.feedback_rate,
                                  avg_threshold=avg_y, stderr=measured.stderr))
     return Curve(points=tuple(points))
-
-
-def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,
-                     config: TrajectoryConfig):
-    """Model-based gain at increasing grid resolutions.
-
-    Monte Carlo budgets scale with the grid so that binning error, not
-    estimation noise, dominates the differences.  Returns [(M, N, J), ...].
-    """
-    sizes = [(int(M), int(N)) for M, N in sizes]
-    if not sizes or any(m2 * n2 <= m1 * n1 for (m1, n1), (m2, n2)
-                        in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be nonempty and increasing")
-    out = []
-    for i, (M, N) in enumerate(sizes):
-        rng = _streams(config.seed, _REFINEMENT_STREAM, i)
-        samples = max(1000 * max(M, N), config.slots * max(M, N) // 16)
-        spec = make_grid(params.L, M, N, samples, rng)
-        model = estimate_transition_model(params, spec, samples, rng)
-        J = policy_iteration_average(model, rewards, spec).J
-        out.append((M, N, float(J)))
-    return out
 
 
 def curve_to_csv(curve: Curve) -> str:

@@ -32,7 +32,6 @@ __all__ = [
     "make_grid",
     "estimate_transition_model",
     "model_to_json",
-    "model_from_json",
 ]
 
 _CHUNK = 1 << 18
@@ -412,26 +411,3 @@ def model_to_json(spec: GridSpec, model: TransitionModel) -> str:
         "sample_count": model.sample_count,
     }
     return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str):
-    """Inverse of model_to_json; returns (GridSpec, TransitionModel)."""
-    doc = json.loads(text)
-    edges = [math.inf if e == "inf" else float(e) for e in doc["g_edges"]]
-    spec = GridSpec(
-        M=int(doc["M"]),
-        N=int(doc["N"]),
-        g_edges=np.array(edges),
-        g_points=np.array(doc["g_points"], dtype=float),
-        z_edges=np.array(doc["z_edges"], dtype=float),
-        z_points=np.array(doc["z_points"], dtype=float),
-    )
-    p1, pe = doc["P1_row"], doc.get("Peps1_row")
-    model = TransitionModel(
-        Ptilde=np.array(doc["Ptilde"], dtype=float),
-        P0=np.array(doc["P0"], dtype=float),
-        P1_row=None if p1 is None else np.array(p1, dtype=float),
-        Peps1_row=None if pe is None else np.array(pe, dtype=float),
-        sample_count=int(doc["sample_count"]),
-    )
-    return spec, model

@@ -1,33 +1,56 @@
 """Slow, per-state reference versions of laws the package computes in batch.
 
 The tests compare the product code against these: a discounted and a
-relative value iteration for the policy-iteration gain, an occupancy-
-weighted reward for policy evaluation, a tail-mass check for kernel
-monotonicity, a per-shape quantizer for the batch quantizer, a
-cluster-by-cluster Lloyd training for the one-pass one, a reader for the
-serialized decision table, the complex Gaussians summed from their real
-and imaginary parts, and the one-slot step of whole L-antenna channels that
-the kernel estimator reduces to scalars.
+relative value iteration for the policy-iteration gain, an exhaustive
+search over threshold policies for the optimal one, an occupancy-weighted
+reward for policy evaluation, a tail-mass check for kernel monotonicity, a
+per-shape quantizer for the batch quantizer, a cluster-by-cluster Lloyd
+training for the one-pass one, readers for the serialized decision table,
+model and codebook, periodic feedback at one fixed interval and the model
+gain over a sequence of grid refinements, the complex Gaussians summed from
+their real and imaginary parts, and the one-slot step of whole L-antenna
+channels that the kernel estimator reduces to scalars.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
 
 from beamfeedback import codebook as codebook_module
-from beamfeedback.channel import _as_rng, _complex_normal
+from beamfeedback.channel import FadingParams, _as_rng, _complex_normal
 from beamfeedback.codebook import Codebook
 from beamfeedback.mdp import (
     ConvergenceError,
     Policy,
     RewardSpec,
+    SolveResult,
     _backup,
+    _evaluate_policy,
     _feedback_vector,
     _stage_tables,
+    policy_iteration_average,
     stationary_distribution,
+    threshold_lower_bound,
 )
-from beamfeedback.state_grid import GridSpec, TransitionModel, _bin
+from beamfeedback.simulator import (
+    EvalResult,
+    TrajectoryConfig,
+    _periodic_eval,
+    _streams,
+    _trajectory,
+)
+from beamfeedback.state_grid import (
+    GridSpec,
+    TransitionModel,
+    _bin,
+    estimate_transition_model,
+    make_grid,
+)
+
+_SEARCH_CANDIDATES = 1_000_000  # guard on the exhaustive threshold search
+_REFINEMENT_STREAM = 3  # ``simulator._streams`` tag of the refinement draws
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -217,3 +240,106 @@ def policy_from_json(text: str) -> Policy:
     """Read back the decision table of a serialized solve."""
     doc = json.loads(text)
     return Policy(np.asarray(doc["policy"], dtype=bool))
+
+
+def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
+                                spec: GridSpec, eps=None,
+                                quantized_row: bool = False) -> SolveResult:
+    """Evaluate every admissible threshold vector and keep the best.
+
+    Candidate thresholds live on the alignment bin edges, with each component
+    cut below by the per-stage bound less half a bin (grid-resolution optima
+    can sit that far under the continuous-state bound).  Intended as an
+    independent oracle for small grids; the candidate count is guarded.
+    """
+    G0, G1 = _stage_tables(spec, rewards, eps)
+    p1 = _feedback_vector(model, quantized_row)
+    candidates = []
+    slack = 0.5 / spec.N + 1e-12
+    for m in range(spec.M):
+        lb = threshold_lower_bound(float(spec.g_points[m]), rewards.P, rewards.alpha)
+        allowed = [n for n in range(spec.N + 1) if spec.z_edges[n] >= lb - slack]
+        candidates.append(allowed)
+    total = math.prod(len(c) for c in candidates)
+    if total > _SEARCH_CANDIDATES:
+        raise ValueError(
+            f"{total} threshold candidates exceed the search guard; use policy iteration"
+        )
+    best = None
+    evaluated = 0
+    for combo in itertools.product(*candidates):
+        y = spec.z_edges[list(combo)]
+        decide = spec.z_points[None, :] < y[:, None]
+        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
+        evaluated += 1
+        if best is None or J > best[0]:
+            best = (J, decide, A, residual)
+    J, decide, A, residual = best
+    policy = Policy(decide)
+    pi = stationary_distribution(policy, model, quantized_row)
+    return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi,
+                       residual=residual)
+
+
+def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
+                      config: TrajectoryConfig) -> EvalResult:
+    """Perfect feedback every ``period`` slots regardless of state."""
+    if int(period) < 1:
+        raise ValueError("period must be positive")
+    traj = _trajectory(params, config)
+    return _periodic_eval(int(period), traj, rewards, config)
+
+
+def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,
+                     config: TrajectoryConfig):
+    """Model-based gain at increasing grid resolutions.
+
+    Monte Carlo budgets scale with the grid so that binning error, not
+    estimation noise, dominates the differences.  Returns [(M, N, J), ...].
+    """
+    sizes = [(int(M), int(N)) for M, N in sizes]
+    if not sizes or any(m2 * n2 <= m1 * n1 for (m1, n1), (m2, n2)
+                        in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be nonempty and increasing")
+    out = []
+    for i, (M, N) in enumerate(sizes):
+        rng = _streams(config.seed, _REFINEMENT_STREAM, i)
+        samples = max(1000 * max(M, N), config.slots * max(M, N) // 16)
+        spec = make_grid(params.L, M, N, samples, rng)
+        model = estimate_transition_model(params, spec, samples, rng)
+        J = policy_iteration_average(model, rewards, spec).J
+        out.append((M, N, float(J)))
+    return out
+
+
+def model_from_json(text: str):
+    """Inverse of model_to_json; returns (GridSpec, TransitionModel)."""
+    doc = json.loads(text)
+    edges = [math.inf if e == "inf" else float(e) for e in doc["g_edges"]]
+    spec = GridSpec(
+        M=int(doc["M"]),
+        N=int(doc["N"]),
+        g_edges=np.array(edges),
+        g_points=np.array(doc["g_points"], dtype=float),
+        z_edges=np.array(doc["z_edges"], dtype=float),
+        z_points=np.array(doc["z_points"], dtype=float),
+    )
+    p1, pe = doc["P1_row"], doc.get("Peps1_row")
+    model = TransitionModel(
+        Ptilde=np.array(doc["Ptilde"], dtype=float),
+        P0=np.array(doc["P0"], dtype=float),
+        P1_row=None if p1 is None else np.array(p1, dtype=float),
+        Peps1_row=None if pe is None else np.array(pe, dtype=float),
+        sample_count=int(doc["sample_count"]),
+    )
+    return spec, model
+
+
+def codebook_from_json(text: str) -> Codebook:
+    """Inverse of codebook_to_json."""
+    doc = json.loads(text)
+    rows = np.asarray(doc["vectors"], dtype=float)
+    if rows.ndim != 2 or rows.shape != (int(doc["size"]), 2 * int(doc["L"])):
+        raise ValueError("vector block does not match the stated dimensions")
+    V = rows[:, 0::2] + 1j * rows[:, 1::2]
+    return Codebook(vectors=V, method=str(doc["method"]))

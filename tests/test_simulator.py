@@ -36,8 +36,6 @@ from beamfeedback.simulator import (
     average_threshold,
     curve_to_csv,
     periodic_baseline,
-    refinement_study,
-    simulate_periodic,
     simulate_policy,
     sweep_alpha,
 )
@@ -48,7 +46,7 @@ from beamfeedback.state_grid import (
     make_grid,
 )
 
-from oracles import average_reward, quantize_shape
+from oracles import average_reward, quantize_shape, refinement_study, simulate_periodic
 
 
 # ----------------------------------------------------------------------------

@@ -29,11 +29,10 @@ from beamfeedback.state_grid import (
     build_z_grid,
     estimate_transition_model,
     make_grid,
-    model_from_json,
     model_to_json,
 )
 
-from oracles import full_channel_step, is_monotone_stochastic, power_pass_counts
+from oracles import full_channel_step, is_monotone_stochastic, model_from_json, power_pass_counts
 
 DECORRELATING_DOPPLER = 2.4048255576957724 / (2 * math.pi)
 
