@@ -9,8 +9,6 @@ have achieved on the same channel trajectory.
 
 import argparse
 
-import numpy as np
-
 from beamfeedback import (
     FadingParams,
     TrajectoryConfig,
@@ -37,8 +35,7 @@ def main():
     params = FadingParams(L=args.antennas, doppler_slot=args.doppler)
     P = 10.0 ** (args.snr_db / 10.0)
     run = TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed)
-    spec = make_grid(args.antennas, args.bins, args.bins, args.samples,
-                     np.random.default_rng(args.seed))
+    spec = make_grid(args.antennas, args.bins, args.bins)
 
     curve = sweep_alpha(args.alphas, spec, params, P, run, model_samples=args.samples)
 

@@ -42,8 +42,8 @@ def main():
     L = args.antennas
     P = 10.0 ** (args.snr_db / 10.0)
     params = FadingParams(L=L, doppler_slot=args.doppler)
+    spec = make_grid(L, args.bins, args.bins)
     rng = np.random.default_rng(args.seed)
-    spec = make_grid(L, args.bins, args.bins, args.samples, rng)
 
     trained = lloyd_codebook(L, args.codebook_size, args.training, 50, rng)
     untrained = random_codebook(L, args.codebook_size, rng)

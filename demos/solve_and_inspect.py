@@ -43,7 +43,7 @@ def main():
     rewards = RewardSpec(P=10.0 ** (args.snr_db / 10.0), alpha=args.alpha)
     rng = np.random.default_rng(args.seed)
 
-    spec = make_grid(args.antennas, args.bins, args.bins, args.samples, rng)
+    spec = make_grid(args.antennas, args.bins, args.bins)
     model = estimate_transition_model(params, spec, args.samples, rng)
     result = policy_iteration_average(model, rewards, spec)
     profile = extract_threshold(result.policy, spec)

@@ -36,7 +36,6 @@ from .mdp import (
 )
 from .simulator import (
     _CODEBOOK_STREAM,
-    _GRID_STREAM,
     CSV_HEADER,
     Curve,
     CurvePoint,
@@ -245,14 +244,10 @@ def _build_codebook(cfg: ExperimentConfig):
                           cfg.codebook_iterations, rng)
 
 
-def _grid(cfg: ExperimentConfig):
-    return make_grid(cfg.L, cfg.M, cfg.N, cfg.model_samples, _streams(cfg.seed, _GRID_STREAM))
-
-
 def _build_model(cfg: ExperimentConfig, codebook):
     """Grid, kernels and, with a codebook, the quantization-error sample the
     feedback row stepped from, drawn as ``sweep_alpha`` draws them."""
-    spec = _grid(cfg)
+    spec = make_grid(cfg.L, cfg.M, cfg.N)
     return (spec, *_model(cfg.params, spec, cfg.seed, cfg.model_samples, codebook))
 
 
@@ -287,8 +282,9 @@ def _periodic_curve(cfg: ExperimentConfig) -> Curve:
 
 
 def _controlled_curve(cfg: ExperimentConfig) -> Curve:
-    return sweep_alpha(list(cfg.alphas), _grid(cfg), cfg.params, cfg.P, cfg.trajectory,
-                       codebook=_build_codebook(cfg), model_samples=cfg.model_samples)
+    return sweep_alpha(list(cfg.alphas), make_grid(cfg.L, cfg.M, cfg.N), cfg.params, cfg.P,
+                       cfg.trajectory, codebook=_build_codebook(cfg),
+                       model_samples=cfg.model_samples)
 
 
 def _figure_curves(figure: int, cfg: ExperimentConfig):
@@ -440,7 +436,9 @@ def _config_help() -> str:
         sections.append(f"[{section}] " + ", ".join(keys))
     return ("Config sections and keys, defaults in parentheses: " + "; ".join(sections)
             + ". The [codebook] section is optional and enables quantized feedback "
-              "(method lloyd or random). Unknown sections and keys are errors. "
+              "(method lloyd or random). [grid] samples budgets the Monte Carlo "
+              "kernels only: the bins and their points are exact. "
+              "Unknown sections and keys are errors. "
               "solve and evaluate use the first alpha; sweep uses the whole list.")
 
 

@@ -55,7 +55,6 @@ _SLOT_BLOCK = 1 << 12  # slots per block of a pass that needs a temporary per sl
 _TRAJECTORY_STREAM = 0
 _MODEL_STREAM = 1
 _EPS_STREAM = 2
-_GRID_STREAM = 4
 _CODEBOOK_STREAM = 6
 
 CSV_HEADER = "alpha,net,throughput,feedback_rate,avg_threshold,stderr"
@@ -130,6 +129,9 @@ def _streams(seed: int, *tag: int):
     commands see the kernels and statistics that ``sweep_alpha`` solves on.
     Tag 3 is left to the grid-refinement reference in the tests, whose grid
     size i draws from the tag pair (3, i), a family no other purpose shares.
+    Tag 4 is retired: the grid drew from it when its power points were
+    sampled, and no purpose takes it over, so every other purpose keeps the
+    draws it had.
     """
     return np.random.default_rng([int(seed), *tag])
 

@@ -1,14 +1,17 @@
 """Finite state space for the feedback controller.
 
 Channel power is binned into equiprobable cells of its stationary Gamma law,
-alignment into equal-length cells of [0, 1].  Transition kernels between the
-cells are estimated by Monte Carlo from the slot-to-slot channel recursion:
-a power kernel, an alignment kernel for slots without feedback, and a single
-shared alignment row for slots with feedback (exact or codebook-quantized).
-Every alignment kernel steps isotropic channels drawn exactly at given
-alignments, so each source bin is sampled directly, without rejection; by
-isotropy a step needs a few scalars, not a whole channel, and the power
-kernel counts the power pair of every such step.
+alignment into equal-length cells of [0, 1].  The grid draws nothing: the
+power edges are Gamma quantiles and the power points the cells' conditional
+means, both exact through the Gamma tails, which are sums of Poisson
+probabilities.  Transition kernels between the cells are estimated by Monte
+Carlo from the slot-to-slot channel recursion: a power kernel, an alignment
+kernel for slots without feedback, and a single shared alignment row for
+slots with feedback (exact or codebook-quantized).  Every alignment kernel
+steps isotropic channels drawn exactly at given alignments, so each source
+bin is sampled directly, without rejection; by isotropy a step needs a few
+scalars, not a whole channel, and the power kernel counts the power pair of
+every such step.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ __all__ = [
     "GridSpec",
     "TransitionModel",
     "StationaryDistribution",
-    "build_g_grid",
-    "build_z_grid",
     "make_grid",
     "estimate_transition_model",
     "model_to_json",
@@ -39,7 +40,12 @@ _CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Bin edges and in-bin representative points for power and alignment."""
+    """Bin edges and in-bin representative points for power and alignment.
+
+    ``make_grid`` builds the grid of the channel law; the class takes any
+    edges and points that pass its checks, such as a grid read back from
+    JSON or a synthetic one.
+    """
 
     M: int
     N: int
@@ -132,34 +138,24 @@ class StationaryDistribution:
         object.__setattr__(self, "pi", pi)
 
 
-def build_g_grid(L: int, M: int, sample_count: int, rng):
-    """Equiprobable power bins under the stationary Gamma(L, 1) law.
+def make_grid(L: int, M: int, N: int) -> GridSpec:
+    """The grid of L antennas with M power bins and N alignment bins.
 
-    Edges are the Gamma quantiles at 1/M, ..., (M-1)/M, so each bin carries
-    mass 1/M; representative points are Monte Carlo conditional means.
-
-    Returns:
-        (g_edges, g_points): arrays of length M+1 (last edge inf) and M.
+    Power bins are equiprobable under the stationary Gamma(L, 1) law, and
+    each power point is its bin's conditional mean, in closed form: with
+    f(x) = x^L e^-x / L!, the Poisson(x) probability of L, the lower tails
+    satisfy P(L+1, x) = P(L, x) - f(x), so a bin [a, b) of mass 1/M has
+    mean L (1 - M (f(b) - f(a))).  Alignment bins split [0, 1] into equal
+    lengths, with midpoint representatives.
     """
-    if int(L) < 1 or int(M) < 1:
-        raise ValueError("L and M must be positive")
-    if int(sample_count) < 1:
-        raise ValueError("sample_count must be positive")
-    edges = _power_edges(int(L), int(M))
-    rng = _as_rng(rng)
-    g = rng.gamma(float(L), 1.0, size=int(sample_count))
-    bins = _bin(g, edges)
-    totals = np.bincount(bins, weights=g, minlength=M)
-    counts = np.bincount(bins, minlength=M)
-    points = np.empty(M)
-    for m in range(M):
-        if counts[m] > 0:
-            points[m] = totals[m] / counts[m]
-        else:
-            # fall back to a finite in-bin value when no sample landed here
-            points[m] = 0.5 * (edges[m] + edges[m + 1]) if m < M - 1 else edges[m] + 1.0
-            warnings.warn(f"power bin {m} received no samples; using a fallback point")
-    return edges, points
+    L, M, N = int(L), int(M), int(N)
+    if L < 1 or M < 1 or N < 1:
+        raise ValueError("L, M and N must be positive")
+    g_edges = _power_edges(L, M)
+    f = np.zeros(M + 1)  # f(0) = f(inf) = 0
+    f[1:-1] = _poisson_pmf(L, g_edges[1:-1])
+    return GridSpec(M=M, N=N, g_edges=g_edges, g_points=L * (1.0 - M * np.diff(f)),
+                    z_edges=np.arange(N + 1) / N, z_points=(np.arange(N) + 0.5) / N)
 
 
 @functools.lru_cache(maxsize=8)
@@ -195,13 +191,7 @@ def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
     # exp(-k^2 / (2 (L + k))); K terms take it under 2^-60
     K = math.ceil(42.0 + math.sqrt(42.0 * 42.0 + 84.0 * L))
     for _ in range(64):  # a bound only: the iterates converge in under ten steps
-        # Poisson(x) probability of L - 1, built as a product whose partial
-        # products are Poisson probabilities too, so it cannot overflow
-        pmf = np.exp(-x)
-        if not np.all(pmf >= np.finfo(float).tiny):
-            raise ValueError(f"Gamma({L}) quantiles are too large: e^-x underflows")
-        for k in range(1, L):
-            pmf *= x / k
+        pmf = _poisson_pmf(L - 1, x)
         step = np.empty_like(x)
         # P = pmf x/L (1 + x/(L+1) (1 + x/(L+2) (...))), d log P / d log x = L / s
         xl = x[lo]
@@ -222,21 +212,22 @@ def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
     raise ArithmeticError(f"Gamma({L}) quantiles did not converge")
 
 
-def build_z_grid(N: int):
-    """Equal-length alignment bins on [0, 1] with midpoint representatives."""
-    if int(N) < 1:
-        raise ValueError("N must be positive")
-    edges = np.arange(N + 1) / N
-    points = (np.arange(N) + 0.5) / N
-    return edges, points
+def _poisson_pmf(k: int, x: np.ndarray) -> np.ndarray:
+    """Poisson(x) probability of k, e^-x x^k / k!, at each x >= 0.
 
-
-def make_grid(L: int, M: int, N: int, sample_count: int, rng) -> GridSpec:
-    """Convenience constructor combining the power and alignment grids."""
-    g_edges, g_points = build_g_grid(L, M, sample_count, rng)
-    z_edges, z_points = build_z_grid(N)
-    return GridSpec(M=M, N=N, g_edges=g_edges, g_points=g_points,
-                    z_edges=z_edges, z_points=z_points)
+    The Gamma(L, 1) tails are series of these: d P(L, x) / dx is the
+    probability of L - 1, and P(L, x) - P(L+1, x) that of L.  Built as a
+    product whose partial products are Poisson probabilities too, so it
+    cannot overflow; raises ValueError where e^-x leaves the normal double
+    range (x past about 708).
+    """
+    pmf = np.exp(-x)
+    if not np.all(pmf >= np.finfo(float).tiny):
+        raise ValueError(f"Gamma tails at x = {np.max(x):.6g} leave the double range: "
+                         "e^-x underflows")
+    for j in range(1, k + 1):
+        pmf *= x / j
+    return pmf
 
 
 def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -305,7 +305,7 @@ def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,
     for i, (M, N) in enumerate(sizes):
         rng = _streams(config.seed, _REFINEMENT_STREAM, i)
         samples = max(1000 * max(M, N), config.slots * max(M, N) // 16)
-        spec = make_grid(params.L, M, N, samples, rng)
+        spec = make_grid(params.L, M, N)
         model = estimate_transition_model(params, spec, samples, rng)
         J = policy_iteration_average(model, rewards, spec).J
         out.append((M, N, float(J)))

@@ -74,7 +74,7 @@ def memoryless_alignment_setup(rng, M, N):
 
 @pytest.fixture(scope="module")
 def paper_grid():
-    return make_grid(3, 16, 16, 1_000_000, np.random.default_rng(617))
+    return make_grid(3, 16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def paper_model(paper_grid):
 def harness_grid():
     # Evaluation of the two open-loop policies never consults the bins, so a
     # coarse grid is enough to host them.
-    return make_grid(3, 4, 4, 40_000, np.random.default_rng(88))
+    return make_grid(3, 4, 4)
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +225,7 @@ def test_07_quantization_inequality_suite():
     start = time.perf_counter()
     failures = []
     rng = np.random.default_rng(3301)
-    spec = make_grid(3, 8, 8, 300_000, rng)
+    spec = make_grid(3, 8, 8)
     codebook = random_codebook(3, 16, rng)
     model = estimate_transition_model(PARAMS, spec, 300_000, rng,
                                       eps=quantization_errors(codebook, 300_000, rng))

@@ -602,7 +602,7 @@ class TestMatrixFreeAgreesWithDense:
     def test_slow_fading_solve_matches_dense_evaluation(self):
         # at doppler 0.001 the differential values reach thousands, so the
         # rounding floor of the operator sits above 1e-14 of the rewards
-        spec = make_grid(3, 12, 12, 30_000, 1)
+        spec = make_grid(3, 12, 12)
         model = estimate_transition_model(
             FadingParams(L=3, doppler_slot=0.001), spec, 30_000, 11)
         r = RewardSpec(P=100.0, alpha=1.0)

@@ -6,7 +6,8 @@ deterministic where the resident set size is not) stays a small multiple of
 its output.  The peaks are taken after a warm-up call, so lazy imports and
 caches do not count, with n model samples or T slots and L = 3; a bound is
 stated in units of one float per sample (8 n bytes) or one channel shape
-per slot (16 L T bytes).
+per slot (16 L T bytes).  The grid draws no samples, so its bound is in
+floats per bin (8 (M + N) bytes).
 """
 
 import tracemalloc
@@ -41,11 +42,12 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 @pytest.fixture(scope="module")
 def spec():
-    return make_grid(L, 16, 16, 20_000, 1)
+    return make_grid(L, 16, 16)
 
 
 def test_make_grid():
-    assert traced_peak(make_grid, L, 16, 16, n, 2) <= 2.5 * SAMPLE
+    M = N = 1 << 12
+    assert traced_peak(make_grid, L, M, N) <= 4 * 8 * (M + N)
 
 
 def test_estimate_transition_model(spec):

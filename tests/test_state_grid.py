@@ -1,11 +1,12 @@
 """State-grid tests: bin layout, kernel estimation, monotone structure, I/O.
 
-Independent oracles: Gamma quantiles as high-precision mpmath roots, Exp
-quantile and Gamma conditional-mean closed forms via the incomplete gamma
-function, the closed-form binned law of the alignment of
-two isotropic vectors, exponentially tilted row families whose tail-mass
-ordering holds by construction, and a rejection estimator of the alignment
-kernels that conditions on the source bin by drawing until it is filled.
+Independent oracles: Gamma quantiles as high-precision mpmath roots, Gamma
+conditional bin means as high-precision mpmath ratios, the Exp quantile and
+the same means via scipy's incomplete gamma function, sampled bin means, the
+closed-form binned law of the alignment of two isotropic vectors,
+exponentially tilted row families whose tail-mass ordering holds by
+construction, and a rejection estimator of the alignment kernels that
+conditions on the source bin by drawing until it is filled.
 """
 
 import json
@@ -25,8 +26,6 @@ from beamfeedback.state_grid import (
     _bin,
     _in_bin_alignments,
     _step_alignment_bins,
-    build_g_grid,
-    build_z_grid,
     estimate_transition_model,
     make_grid,
     model_to_json,
@@ -152,18 +151,35 @@ def scipy_worst_ulps(quantile_roots):
                for (L, M), roots in quantile_roots.items())
 
 
+EXACT_ANTENNAS = (1, 2, 3, 4, 8, 50)
+EXACT_BINS = (1, 2, 16, 40, 4096)
+
+
+def mpmath_bin_means(L, edges):
+    """E[g | a <= g < b] for g ~ Gamma(L, 1) on each bin [a, b) of the given
+    edges, as a ratio of 100-bit regularized incomplete gamma integrals over
+    the bin, so the mass is the bin's own, not 1/M."""
+    import mpmath
+
+    with mpmath.workprec(100):
+        e = [mpmath.mpf(float(x)) for x in edges[:-1]] + [mpmath.inf]
+        return np.array([float(L * mpmath.gammainc(L + 1, a, b, regularized=True)
+                               / mpmath.gammainc(L, a, b, regularized=True))
+                         for a, b in zip(e[:-1], e[1:])])
+
+
 class TestPowerGrid:
     def test_single_bin_covers_everything(self):
-        edges, points = build_g_grid(3, 1, 1_000_000, 5)
-        assert edges[0] == 0.0 and np.isinf(edges[1])
-        np.testing.assert_allclose(points[0], 3.0, atol=0.02)
+        spec = make_grid(3, 1, 1)
+        assert spec.g_edges[0] == 0.0 and np.isinf(spec.g_edges[1])
+        assert spec.g_points[0] == 3.0
 
     def test_single_antenna_median_edge(self):
-        edges, _ = build_g_grid(1, 2, 1000, 0)
+        edges = make_grid(1, 2, 1).g_edges
         np.testing.assert_allclose(edges[1], math.log(2.0), atol=1e-4)
 
     def test_bins_are_equiprobable(self):
-        edges, _ = build_g_grid(3, 16, 1000, 1)
+        edges = make_grid(3, 16, 1).g_edges
         g = np.random.default_rng(77).gamma(3.0, 1.0, size=1_000_000)
         occupancy = np.bincount(
             np.clip(np.searchsorted(edges, g, side="right") - 1, 0, 15), minlength=16
@@ -172,31 +188,52 @@ class TestPowerGrid:
 
     def test_points_are_conditional_bin_means(self):
         L, M = 3, 8
-        edges, points = build_g_grid(L, M, 2_000_000, 9)
+        spec = make_grid(L, M, 1)
+        edges = spec.g_edges
         want = [gamma_bin_mean(L, edges[m], edges[m + 1]) for m in range(M)]
-        np.testing.assert_allclose(points, want, atol=0.02)
+        np.testing.assert_allclose(spec.g_points, want, rtol=1e-12, atol=0)
 
-    def test_points_increase_and_lie_inside_bins(self):
-        edges, points = build_g_grid(4, 12, 200_000, 2)
-        assert np.all(np.diff(points) > 0)
-        assert np.all(points > edges[:-1]) and np.all(points[:-1] < edges[1:-1])
+    def test_points_match_sampled_bin_means(self):
+        L, M = 3, 8
+        spec = make_grid(L, M, 1)
+        g = np.random.default_rng(9).gamma(float(L), 1.0, size=2_000_000)
+        bins = np.searchsorted(spec.g_edges, g, side="right") - 1
+        for m in range(M):
+            inside = g[bins == m]
+            se = inside.std(ddof=1) / math.sqrt(inside.size)
+            assert abs(inside.mean() - spec.g_points[m]) <= 4.0 * se
+
+    @pytest.mark.parametrize("L", EXACT_ANTENNAS)
+    def test_points_equal_mpmath_bin_means(self, L):
+        for M in EXACT_BINS:
+            spec = make_grid(L, M, 1)
+            np.testing.assert_allclose(spec.g_points, mpmath_bin_means(L, spec.g_edges),
+                                       rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("L", EXACT_ANTENNAS)
+    def test_points_increase_and_lie_inside_bins(self, L):
+        for M in EXACT_BINS:
+            spec = make_grid(L, M, 1)
+            edges, points = spec.g_edges, spec.g_points
+            assert np.all(np.diff(points) > 0)
+            assert np.all(points > edges[:-1]) and np.all(points < edges[1:])
 
     def test_rejects_bad_arguments(self):
-        for args in [(0, 4, 100, 0), (3, 0, 100, 0), (3, 4, 0, 0)]:
+        for args in [(0, 4, 4), (3, 0, 4), (3, 4, 0)]:
             with pytest.raises(ValueError):
-                build_g_grid(*args)
+                make_grid(*args)
 
     def test_rejects_antenna_count_beyond_double_range(self):
         # the Gamma(1000) quantiles sit where e^-x underflows
         with pytest.raises(ValueError, match="underflows"):
-            build_g_grid(1000, 2, 100, 0)
+            make_grid(1000, 2, 1)
 
     @pytest.mark.parametrize("L", QUANTILE_ANTENNAS)
     def test_edges_equal_gamma_quantiles(self, L, quantile_roots, scipy_worst_ulps):
         # no worse than scipy's rounding of the same quantiles, which is off
         # the correctly rounded root by up to several ulp
         for M in QUANTILE_BINS:
-            edges, _ = build_g_grid(L, M, 20_000, 0)
+            edges = make_grid(L, M, 1).g_edges
             assert edges[0] == 0.0 and edges[-1] == math.inf
             assert ulp_distance(edges[1:-1], quantile_roots[L, M]).max(initial=0) \
                 <= scipy_worst_ulps
@@ -204,19 +241,19 @@ class TestPowerGrid:
 
 class TestAlignmentGrid:
     def test_edges_and_midpoints(self):
-        edges, points = build_z_grid(4)
-        np.testing.assert_array_equal(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
-        np.testing.assert_array_equal(points, [0.125, 0.375, 0.625, 0.875])
+        spec = make_grid(3, 1, 4)
+        np.testing.assert_array_equal(spec.z_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(spec.z_points, [0.125, 0.375, 0.625, 0.875])
 
     def test_single_bin(self):
-        edges, points = build_z_grid(1)
-        np.testing.assert_array_equal(edges, [0.0, 1.0])
-        np.testing.assert_array_equal(points, [0.5])
+        spec = make_grid(3, 1, 1)
+        np.testing.assert_array_equal(spec.z_edges, [0.0, 1.0])
+        np.testing.assert_array_equal(spec.z_points, [0.5])
 
 
 @pytest.fixture(scope="module")
 def spec16() -> GridSpec:
-    return make_grid(3, 16, 16, 400_000, 12345)
+    return make_grid(3, 16, 16)
 
 
 class TestQuantize:
@@ -298,7 +335,7 @@ class TestTransitionEstimation:
     def test_single_antenna_alignment_rows_are_exact(self):
         # z is identically 1, so the rows are point masses drawn without
         # sampling; rejection would starve every lower bin
-        spec = make_grid(1, 6, 6, 20_000, 11)
+        spec = make_grid(1, 6, 6)
         codebook = Codebook(np.exp(2j * math.pi * np.arange(4) / 4)[:, None])
         start = time.perf_counter()
         model = estimate_transition_model(
@@ -321,7 +358,7 @@ class TestTransitionEstimation:
     @pytest.mark.parametrize("N", [32, 64])
     def test_eight_antennas_fill_every_alignment_row(self, N):
         # the top alignment bin carries mass N^-7, out of reach of rejection
-        spec = make_grid(8, 16, N, 20_000, 1)
+        spec = make_grid(8, 16, N)
         start = time.perf_counter()
         model = estimate_transition_model(
             FadingParams(L=8, doppler_slot=0.1), spec, 64_000, 2
@@ -365,14 +402,14 @@ class TestExactAlignmentSampling:
     @pytest.mark.parametrize("L", [2, 3, 4, 8])
     @pytest.mark.parametrize("N", [1, 3, 16, 40, 64])
     def test_in_bin_draws_stay_in_their_bins(self, L, N):
-        edges, _ = build_z_grid(N)
+        edges = make_grid(2, 1, N).z_edges
         for stream in (np.random.default_rng(L * 100 + N), self.ExtremeUniforms()):
             z0 = _in_bin_alignments(stream, edges, L, 5000).reshape(N, 5000)
             assert np.all(z0 >= edges[:-1, None]) and np.all(z0 <= edges[1:, None])
 
     @pytest.mark.parametrize("L", [2, 3, 5])
     def test_in_bin_draws_follow_the_conditioned_alignment_law(self, L):
-        edges, _ = build_z_grid(4)
+        edges = make_grid(2, 1, 4).z_edges
         tail = lambda z: (1.0 - z) ** (L - 1)
         z0 = _in_bin_alignments(np.random.default_rng(L), edges, L, 4000).reshape(4, -1)
         for n, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -383,7 +420,7 @@ class TestExactAlignmentSampling:
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_kernels_agree_with_rejection_oracle(self, L, doppler):
         params = FadingParams(L=L, doppler_slot=doppler)
-        spec = make_grid(L, 2, 6, 1000, 0)
+        spec = make_grid(L, 2, 6)
         codebook = random_codebook(L, 4, 50 + L)
         n = 30_000
         model = estimate_transition_model(params, spec, n, 60 + L,
@@ -405,7 +442,7 @@ class TestExactAlignmentSampling:
         # channels stepped once (the power kernel's former separate pass)
         params = FadingParams(L=L, doppler_slot=doppler)
         rho, sig = params.rho, math.sqrt(1.0 - params.rho ** 2)
-        spec = make_grid(L, 4, 6, 1000, 0)
+        spec = make_grid(L, 4, 6)
         N, n = spec.N, 30_000
         target = n // N
         codebook = random_codebook(L, 4, 20 + L)
@@ -515,7 +552,7 @@ class TestSerialization:
 
 class TestTypes:
     def test_grid_spec_validation(self):
-        z_edges, z_points = build_z_grid(2)
+        z_edges, z_points = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.75])
         with pytest.raises(ValueError):
             GridSpec(M=1, N=2, g_edges=np.array([0.0, 5.0]), g_points=np.array([1.0]),
                      z_edges=z_edges, z_points=z_points)  # last edge not inf
