@@ -77,28 +77,20 @@ def _alignment(w: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(w) ** 2, 1.0)
 
 
-def _beam_inner(Sc_rows: np.ndarray, beam: np.ndarray) -> np.ndarray:
-    """Inner product of each conjugated shape row with one beam.
-
-    A product of many rows with one beam (the initial beam, or the beam an
-    event scan holds) is this BLAS matrix-vector product, which rounds each
-    row alike whichever rows share the call; a lone row would go to a dot
-    product instead, which rounds differently, so it is taken twice over.
-    """
-    if Sc_rows.shape[0] == 1:
-        return (np.concatenate((Sc_rows, Sc_rows)) @ beam)[:1]
-    return Sc_rows @ beam
-
-
 def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
-    """Inner product of each conjugated shape row with its own beam row.
+    """Inner product of each conjugated shape row with its own beam row, or
+    with one beam shared by every row.
 
-    np.multiply keeps the operand order fixed (an operator expression may
-    reuse a temporary's buffer with the operands swapped, which rounds the
-    fused complex product differently), and the antenna sum runs in index
-    order, as a BLAS matrix-vector product does.
+    Every alignment the simulator records or decides on is this product, so
+    it rounds each row alike whichever rows share the call.  np.multiply
+    keeps the operand order fixed (an operator expression may reuse a
+    temporary's buffer with the operands swapped, which rounds the fused
+    complex product differently); one beam is broadcast as a (1, L) row,
+    since a lone row times a 1-D beam takes numpy's unfused scalar product,
+    which rounds differently too; and the antenna sum runs in index order,
+    as a BLAS matrix-vector product does.
     """
-    prod = np.multiply(Sc_rows, beams)
+    prod = np.multiply(Sc_rows, np.atleast_2d(beams))
     w = prod[:, 0].copy()
     for l in range(1, prod.shape[1]):
         w += prod[:, l]

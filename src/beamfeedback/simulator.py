@@ -10,8 +10,13 @@ walk over that table from the first feedback slot visits every event.  The
 table is built lag by lag, and an event whose next feedback lies past it
 continues with a block scan.  Perfect and quantized feedback share that
 machinery; they differ only in the beam a feedback slot refreshes: the
-channel shape, or its codeword.  All randomness derives from one trajectory
-seed, giving common random numbers across policies, prices, and baselines.
+channel shape, or its codeword.  A feedback schedule is then a list of
+event slots, and one held-beam pass measures every schedule alike: a
+policy's events, every slot for always-on feedback, or every k-th slot for
+the periodic baseline.  Every alignment it records, and every alignment a
+policy decides on, is one per-row product (``channel._row_inner``).  All
+randomness derives from one trajectory seed, giving common random numbers
+across policies, prices, and baselines.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import FadingParams, _alignment, _beam_inner, _complex_normal, _row_inner
+from .channel import FadingParams, _alignment, _complex_normal, _row_inner
 from .codebook import _quantize, epsilon_statistics, quantization_errors
 from .mdp import (
     Policy,
@@ -198,30 +203,27 @@ class _Run:
     """The arrays of one trajectory that no policy or price changes.
 
     A sweep builds them once and measures every price on them: the power
-    bin of every slot and, with a codebook, the codeword and eps of every
-    shape.  Those last two are computed on first use, so a policy that never
-    feeds back quantizes nothing.  No conjugated copy of the shapes is kept:
-    a pass conjugates the shapes it reads a block of slots at a time.
+    bin ``m`` of every slot and, with a codebook, the codeword index
+    ``code`` of every shape.  Both are computed on first use, so a policy
+    that never feeds back quantizes nothing, and a periodic schedule, which
+    reads no state, bins nothing and needs no grid (``spec`` may be None).
+    No conjugated copy of the shapes is kept: a pass conjugates the shapes
+    it reads a block of slots at a time.
     """
 
-    def __init__(self, spec: GridSpec, g, S, f, codebook):
+    def __init__(self, spec: GridSpec | None, g, S, f, codebook):
         if codebook is not None and codebook.L != S.shape[1]:
             raise ValueError(f"codebook has {codebook.L} antennas but the channel "
                              f"has {S.shape[1]}")
         self.spec, self.g, self.S, self.f, self.codebook = spec, g, S, f, codebook
-        self.m = _bin(g, spec.g_edges)
 
     @functools.cached_property
-    def _quantized(self):
-        return _quantize(self.S, self.codebook.vectors)
+    def m(self) -> np.ndarray:
+        return _bin(self.g, self.spec.g_edges)
 
-    @property
+    @functools.cached_property
     def code(self) -> np.ndarray:
-        return self._quantized[0]
-
-    @property
-    def eps(self) -> np.ndarray:
-        return self._quantized[1]
+        return _quantize(self.S, self.codebook.vectors)[0]
 
     def beams(self, slots):
         """The beam held after feedback at the given slots: the shape
@@ -281,7 +283,7 @@ class _EventTable:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
         for t in range(start, self.T, _SCAN_BLOCK):
             blk = slice(t, min(self.T, t + _SCAN_BLOCK))
-            hit = self.hit(blk, _alignment(_beam_inner(self.S[blk].conj(), beam)))
+            hit = self.hit(blk, _alignment(_row_inner(self.S[blk].conj(), beam)))
             if hit.any():
                 return t + int(np.argmax(hit))
         return self.T
@@ -326,39 +328,42 @@ class _EventTable:
 
 
 def _held_alignment(run: _Run, events) -> np.ndarray:
-    """Per-slot alignment: the initial beam, then each event's beam, taken a
-    block of slots at a time.  With a codebook, an event slot's product is
-    its eps; with perfect feedback it is 1."""
+    """Per-slot alignment under a schedule of feedback slots: the initial
+    beam until the first event, then the beam of the latest event, taken a
+    block of slots at a time.  Each block searches the schedule for the
+    events it holds, so no per-slot array spans the run.  With a codebook,
+    an event slot's product is its eps; with perfect feedback it is 1."""
     S, T = run.S, run.g.size
     z = np.empty(T)
     first = events[0] if events.size else T
     for blk in _slot_blocks(0, first):
-        z[blk] = _alignment(_beam_inner(S[blk].conj(), run.f))
-    if not events.size:
-        return z
-    owner = np.repeat(events, np.diff(events, append=T))
+        z[blk] = _alignment(_row_inner(S[blk].conj(), run.f))
     for blk in _slot_blocks(first, T):
-        own = owner[blk.start - first:blk.stop - first]
+        lo, hi = np.searchsorted(events, (blk.start, blk.stop), side="right")
+        held = events[lo - 1:hi]  # the events whose beams the block holds
+        own = np.repeat(held, np.diff(np.maximum(held, blk.start), append=blk.stop))
         z[blk] = _alignment(_row_inner(S[blk].conj(), run.beams(own)))
     if run.codebook is None:
         z[events] = 1.0
     return z
 
 
-def _feedback_trace(decide, run: _Run):
-    """Per-slot alignment z and feedback flags of a policy on a run."""
-    T = run.g.size
-    fb = np.zeros(T, dtype=bool)
-    if decide.all():
-        fb[:] = True
-        if run.codebook is None:
-            return np.ones(T), fb
-        return run.eps, fb
-    events = np.empty(0, dtype=np.intp)
-    if decide.any():
-        events = _EventTable(decide, run).events()
+def _schedule_trace(run: _Run, events):
+    """Per-slot alignment z and feedback flags of a schedule of feedback slots."""
+    fb = np.zeros(run.g.size, dtype=bool)
     fb[events] = True
     return _held_alignment(run, events), fb
+
+
+def _feedback_trace(decide, run: _Run):
+    """Per-slot alignment z and feedback flags of a policy on a run."""
+    if decide.all():
+        events = np.arange(run.g.size)
+    elif decide.any():
+        events = _EventTable(decide, run).events()
+    else:
+        events = np.empty(0, dtype=np.intp)
+    return _schedule_trace(run, events)
 
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
@@ -382,23 +387,11 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     return _aggregate(run.g, *_feedback_trace(decide, run), rewards, config)
 
 
-def _periodic_eval(period: int, traj, rewards: RewardSpec,
+def _periodic_eval(period: int, run: _Run, rewards: RewardSpec,
                    config: TrajectoryConfig) -> EvalResult:
-    g, S, _ = traj
-    T = config.slots
-    z = np.empty(T)
-    fb = np.zeros(T, dtype=bool)
-    fb[::period] = True
-    anchors = S[::period]
-    nseg, rem = divmod(T, period)
-    if nseg:
-        body = S[:nseg * period].conj().reshape(nseg, period, -1)
-        z[:nseg * period] = _alignment(
-            np.einsum("skl,sl->sk", body, anchors[:nseg])).reshape(-1)
-    if rem:
-        z[nseg * period:] = _alignment(S[nseg * period:].conj() @ anchors[nseg])
-    z[::period] = 1.0  # realigned in the feedback slot itself
-    return _aggregate(g, z, fb, rewards, config)
+    """Perfect feedback at every ``period``-th slot, from slot 0."""
+    z, fb = _schedule_trace(run, np.arange(0, run.g.size, period))
+    return _aggregate(run.g, z, fb, rewards, config)
 
 
 def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
@@ -414,13 +407,13 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
-    traj = _trajectory(params, config)
-    base = [_periodic_eval(k, traj, RewardSpec(P=P, alpha=0.0), config)
+    run = _Run(None, *_trajectory(params, config), None)
+    base = [_periodic_eval(k, run, RewardSpec(P=P, alpha=0.0), config)
             for k in range(1, int(max_period) + 1)]
     best = []
     for a in alphas:
         k = 1 + int(np.argmax([r.throughput - a * r.feedback_rate for r in base]))
-        best.append((k, _periodic_eval(k, traj, RewardSpec(P=P, alpha=a), config)))
+        best.append((k, _periodic_eval(k, run, RewardSpec(P=P, alpha=a), config)))
     return best
 
 

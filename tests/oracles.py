@@ -6,10 +6,11 @@ search over threshold policies for the optimal one, an occupancy-weighted
 reward for policy evaluation, a tail-mass check for kernel monotonicity, a
 per-shape quantizer for the batch quantizer, a cluster-by-cluster Lloyd
 training for the one-pass one, readers for the serialized decision table,
-model and codebook, periodic feedback at one fixed interval and the model
-gain over a sequence of grid refinements, the complex Gaussians summed from
-their real and imaginary parts, and the one-slot step of whole L-antenna
-channels that the kernel estimator reduces to scalars.
+model and codebook, periodic feedback at one fixed interval and the
+segment law of its alignment, the model gain over a sequence of grid
+refinements, the complex Gaussians summed from their real and imaginary
+parts, and the one-slot step of whole L-antenna channels that the kernel
+estimator reduces to scalars.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from beamfeedback import codebook as codebook_module
-from beamfeedback.channel import FadingParams, _as_rng, _complex_normal
+from beamfeedback.channel import FadingParams, _alignment, _as_rng, _complex_normal
 from beamfeedback.codebook import Codebook
 from beamfeedback.mdp import (
     ConvergenceError,
@@ -37,7 +38,9 @@ from beamfeedback.mdp import (
 from beamfeedback.simulator import (
     EvalResult,
     TrajectoryConfig,
+    _aggregate,
     _periodic_eval,
+    _Run,
     _streams,
     _trajectory,
 )
@@ -286,8 +289,33 @@ def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
     """Perfect feedback every ``period`` slots regardless of state."""
     if int(period) < 1:
         raise ValueError("period must be positive")
-    traj = _trajectory(params, config)
-    return _periodic_eval(int(period), traj, rewards, config)
+    run = _Run(None, *_trajectory(params, config), None)
+    return _periodic_eval(int(period), run, rewards, config)
+
+
+def periodic_segments(period: int, g: np.ndarray, S: np.ndarray,
+                      rewards: RewardSpec, config: TrajectoryConfig):
+    """Perfect feedback every ``period`` slots, segment by segment.
+
+    The trajectory splits into whole segments of ``period`` slots, each
+    holding the shape of its first slot, and a shorter remainder: one einsum
+    takes every whole segment's alignment at once and a matrix-vector
+    product the remainder's.  Returns (EvalResult, z).
+    """
+    T = g.size
+    z = np.empty(T)
+    fb = np.zeros(T, dtype=bool)
+    fb[::period] = True
+    anchors = S[::period]
+    nseg, rem = divmod(T, period)
+    if nseg:
+        body = S[:nseg * period].conj().reshape(nseg, period, -1)
+        z[:nseg * period] = _alignment(
+            np.einsum("skl,sl->sk", body, anchors[:nseg])).reshape(-1)
+    if rem:
+        z[nseg * period:] = _alignment(S[nseg * period:].conj() @ anchors[nseg])
+    z[::period] = 1.0  # realigned in the feedback slot itself
+    return _aggregate(g, z, fb, rewards, config), z
 
 
 def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,

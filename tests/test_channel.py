@@ -257,6 +257,19 @@ class TestAlignment:
             want = (1.0 - tau) ** (L - 1)
             assert abs(np.mean(z >= tau) - want) < 0.01
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
+    def test_one_beam_rounds_each_row_alike(self, L):
+        # the simulator takes one held beam over blocks of any length, a lone
+        # row included, and over its own copy per row; every call must give
+        # each row the same bits
+        rng = np.random.default_rng(10 + L)
+        s = isotropic_shapes(rng, 500, L)
+        f = isotropic_shapes(rng, 1, L)[0]
+        bulk = _row_inner(s.conj(), f)
+        assert np.array_equal(bulk, _row_inner(s.conj(), np.tile(f, (500, 1))))
+        lone = np.concatenate([_row_inner(s[i:i + 1].conj(), f) for i in range(500)])
+        assert np.array_equal(bulk, lone)
+
     def test_matches_vectorized_inner_product(self):
         rng = np.random.default_rng(8)
         s = isotropic_shapes(rng, 16, 3)

@@ -19,7 +19,7 @@ from beamfeedback import simulator
 from beamfeedback.channel import FadingParams
 from beamfeedback.codebook import random_codebook
 from beamfeedback.mdp import Policy, RewardSpec
-from beamfeedback.simulator import TrajectoryConfig, simulate_policy
+from beamfeedback.simulator import TrajectoryConfig, periodic_baseline, simulate_policy
 from beamfeedback.state_grid import estimate_transition_model, make_grid
 
 L = 3
@@ -70,3 +70,10 @@ def test_simulate_policy_on_a_cached_trajectory(spec, codebook, bound):
     peak = traced_peak(simulate_policy, policy, spec, PARAMS,
                        RewardSpec(P=100.0, alpha=0.5), cfg, codebook)
     assert peak <= bound * SHAPES
+
+
+def test_periodic_baseline_on_a_cached_trajectory():
+    cfg = TrajectoryConfig(T, seed=6)
+    simulator._trajectory(PARAMS, cfg)
+    peak = traced_peak(periodic_baseline, PARAMS, 100.0, [0.5, 1.5], 32, cfg)
+    assert peak <= 1.0 * SHAPES

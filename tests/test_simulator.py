@@ -49,6 +49,7 @@ from beamfeedback.state_grid import (
 from oracles import (
     _REFINEMENT_STREAM,
     average_reward,
+    periodic_segments,
     quantize_shape,
     refinement_study,
     simulate_periodic,
@@ -432,9 +433,10 @@ class TestEventTableAgreesWithReference:
     @pytest.mark.parametrize("feedback", ["perfect", "random"])
     @pytest.mark.parametrize("L", [1, 3, 4])
     def test_slot_blocks_change_no_bit(self, monkeypatch, L, feedback):
-        # the trajectory and every pass of the event table run in slot
-        # blocks; 7-slot blocks, which split every gap, must give the bits
-        # that one block over the whole run gives
+        # the trajectory, every pass of the event table and the held-beam
+        # pass of a periodic schedule run in slot blocks; 7-slot blocks,
+        # which split every gap, must give the bits that one block over the
+        # whole run gives
         params = FadingParams(L=L, doppler_slot=0.1)
         cfg = TrajectoryConfig(slots=3000, warmup=100, seed=11)
         spec = make_grid(L, 8, 8)
@@ -447,7 +449,8 @@ class TestEventTableAgreesWithReference:
         def traces():
             traj = simulator._trajectory.__wrapped__(params, cfg)
             run = simulator._Run(spec, *traj, codebook)
-            return traj, [simulator._feedback_trace(d, run) for d in tables]
+            periodic = simulator._schedule_trace(run, np.arange(0, cfg.slots, 9))
+            return traj, [simulator._feedback_trace(d, run) for d in tables] + [periodic]
 
         monkeypatch.setattr(simulator, "_SLOT_BLOCK", cfg.slots)
         want_traj, want = traces()
@@ -460,6 +463,39 @@ class TestEventTableAgreesWithReference:
             assert np.array_equal(fb0, fb1)
             assert np.array_equal(z0, z1)
 
+
+    def test_decisions_agree_with_recorded_alignments_past_the_table(self):
+        # at L = 4 a BLAS matrix-vector product and the per-row product
+        # round many alignments differently; an alignment edge placed on a
+        # per-row alignment that the BLAS product rounds below it, in a gap
+        # that only a scan past the table reaches, must leave the decision
+        # the recorded z gives
+        params = FadingParams(L=4, doppler_slot=0.001)
+        cfg = TrajectoryConfig(slots=20_000, warmup=100, seed=1)
+        g, S, f = simulator._trajectory(params, cfg)
+        zr = _alignment(_row_inner(S.conj(), S[0]))
+        zb = _alignment(S.conj() @ S[0])
+        low = np.minimum.accumulate(np.minimum(zr, zb))
+        before = np.concatenate(([np.inf], low[:-1]))
+        t = np.flatnonzero((zb < zr) & (zr < before) & (zr < 0.8))[0]
+        edge = zr[t]
+        power = make_grid(4, 1, 2)
+        spec = GridSpec(M=1, N=2, g_edges=power.g_edges, g_points=power.g_points,
+                        z_edges=[0.0, edge, 1.0], z_points=[0.5 * edge, 0.5 + 0.5 * edge])
+        decide = np.array([[True, False]])
+        run = simulator._Run(spec, g, S, f, None)
+        table = simulator._EventTable(decide, run)
+        assert table.first == 0 and table.successor[0] == 0 and t > table.depth
+
+        def feeds_back(slots, z):
+            return decide[run.m[slots], simulator._bin(z, spec.z_edges)]
+
+        z, fb = simulator._feedback_trace(decide, run)
+        events = np.flatnonzero(fb)
+        kept = np.flatnonzero(~fb)
+        assert events.size >= 2 and not feeds_back(kept, z[kept]).any()
+        held = np.concatenate((f[None], S[events[:-1]]))
+        assert feeds_back(events, _alignment(_row_inner(S[events].conj(), held))).all()
 
     @pytest.mark.parametrize("K", [1, 16, 64])
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 8])
@@ -572,6 +608,25 @@ class TestPeriodic:
         a = simulate_periodic(1, PARAMS, REWARDS, cfg)
         b = simulate_policy(always(grid8), grid8, PARAMS, REWARDS, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_matches_the_segment_law(self, L):
+        # the held-beam pass against whole segments plus a remainder, with
+        # intervals that divide the run, leave a remainder, or exceed it
+        params = FadingParams(L=L, doppler_slot=0.1)
+        cfg = TrajectoryConfig(slots=2000, warmup=100, seed=61)
+        g, S, f = simulator._trajectory(params, cfg)
+        run = simulator._Run(None, g, S, f, None)
+        for k in (1, 3, 7, 64, 2500):
+            want, z_ref = periodic_segments(k, g, S, REWARDS, cfg)
+            z, fb = simulator._schedule_trace(run, np.arange(0, cfg.slots, k))
+            got = simulate_periodic(k, params, REWARDS, cfg)
+            assert np.array_equal(fb, np.arange(cfg.slots) % k == 0)
+            assert np.max(np.abs(z - z_ref)) <= 1e-12
+            assert got.feedback_rate == want.feedback_rate
+            for a, b in ((got.net, want.net), (got.throughput, want.throughput),
+                         (got.stderr, want.stderr)):
+                assert abs(a - b) <= 1e-12
 
     def test_period_one_matches_integral(self):
         res = simulate_periodic(1, PARAMS, REWARDS, RUN)
