@@ -257,8 +257,7 @@ def _solve(cfg: ExperimentConfig):
     spec, model, errors = _build_model(cfg, codebook)
     eps = None if errors is None else epsilon_statistics(errors, cfg.P, spec.g_points)
     del errors  # read by the model and the statistics only
-    result = policy_iteration_average(model, cfg.rewards(cfg.alphas[0]), spec, eps=eps,
-                                      quantized_row=codebook is not None)
+    result = policy_iteration_average(model, cfg.rewards(cfg.alphas[0]), spec, eps=eps)
     return spec, codebook, result
 
 

@@ -7,11 +7,12 @@ exhaustive search over threshold policies and discounted and relative value
 iteration cross-check it as test oracles (tests/oracles.py).
 
 The chain a policy induces factorizes: T[(m,n),(k,l)] = Ptilde[m,k] Pz[m,n,l],
-where Pz[m,n,:] is the feedback row where the policy feeds back and P0[n,:]
-elsewhere.  Every solver goes through one backup that applies it to a value
-table in O(M^2 N + M N^2), and policy evaluation and stationary laws solve
-their linear systems with GMRES on that operator, so no (MN)^2 matrix is
-ever built.
+where Pz[m,n,:] is the model's one feedback row (exact or quantized, as the
+model was estimated) where the policy feeds back and P0[n,:] elsewhere.
+Every solver goes through one backup that applies it to a value table in
+O(M^2 N + M N^2), and policy evaluation and stationary laws solve their
+linear systems with GMRES on that operator, so no (MN)^2 matrix is ever
+built.
 """
 
 from __future__ import annotations
@@ -123,23 +124,15 @@ def _stage_tables(spec: GridSpec, rewards: RewardSpec, eps):
     return G0, G1
 
 
-def _feedback_vector(model: TransitionModel, quantized_row: bool) -> np.ndarray:
-    row = model.Peps1_row if quantized_row else model.P1_row
-    if row is None:
-        raise ValueError(f"model carries no {'quantized' if quantized_row else 'exact'} "
-                         "feedback row")
-    return row
-
-
-def _backup(h: np.ndarray, model: TransitionModel, p1: np.ndarray):
+def _backup(h: np.ndarray, model: TransitionModel):
     """Expected next-slot value of the table h under each decision.
 
     Returns W0 over (power, alignment) bins for keeping the beam and W1 over
-    power bins for feeding back, after which the alignment law is p1
-    whatever the current bin.
+    power bins for feeding back, after which the alignment law is the
+    model's feedback row whatever the current bin.
     """
     W0 = model.Ptilde @ h @ model.P0.T
-    W1 = model.Ptilde @ (h @ p1)
+    W1 = model.Ptilde @ (h @ model.feedback_row)
     return W0, W1
 
 
@@ -216,7 +209,7 @@ def _agree(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
-                     G1: np.ndarray, p1: np.ndarray):
+                     G1: np.ndarray):
     """Solve gain J and differential values A for a fixed policy.
 
     GMRES solves (I - T + 1 u') x = G_pi through the factorized operator;
@@ -232,7 +225,7 @@ def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
     Gpi = np.where(decide, G1[:, None], G0).ravel()
 
     def chain(x):   # (T x)[m, n], the expected next-slot value of x
-        W0, W1 = _backup(x.reshape(M, N), model, p1)
+        W0, W1 = _backup(x.reshape(M, N), model)
         return np.where(decide, W1[:, None], W0).ravel()
 
     def pinned(x):
@@ -251,8 +244,7 @@ def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
 
 
 def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
-                             spec: GridSpec, eps=None,
-                             quantized_row: bool = False) -> SolveResult:
+                             spec: GridSpec, eps=None) -> SolveResult:
     """Howard policy iteration on the average-reward criterion.
 
     Matrix-free evaluation (GMRES on the factorized chain, to a residual of
@@ -263,22 +255,20 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
     more than one closed class raises SingularChainError.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
     decide = G1[:, None] > G0
     for it in range(1, _POLICY_ITERATIONS + 1):
-        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
-        W0, W1 = _backup(A, model, p1)
+        J, A, residual = _evaluate_policy(decide, model, G0, G1)
+        W0, W1 = _backup(A, model)
         improved = G1[:, None] + W1[:, None] > G0 + W0
         if np.array_equal(improved, decide):
-            pi = stationary_distribution(Policy(decide), model, quantized_row)
+            pi = stationary_distribution(Policy(decide), model)
             return SolveResult(policy=Policy(decide), J=J, A=A, iterations=it, pi=pi,
                                residual=residual)
         decide = improved
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
 
-def stationary_distribution(policy: Policy, model: TransitionModel,
-                            quantized_row: bool = False) -> StationaryDistribution:
+def stationary_distribution(policy: Policy, model: TransitionModel) -> StationaryDistribution:
     """Long-run state occupancy under a fixed policy.
 
     GMRES solves pi (I - T + 1 u') = u' through the factorized chain, once
@@ -290,13 +280,12 @@ def stationary_distribution(policy: Policy, model: TransitionModel,
     M, N = decide.shape
     if model.P0.shape[0] != N or model.Ptilde.shape[0] != M:
         raise ValueError("policy shape does not match the model")
-    p1 = _feedback_vector(model, quantized_row)
 
     def flow(pi):   # pi T: one slot of occupancy flow
         pi = pi.reshape(M, N)
         kept = np.where(decide, 0.0, pi)
         fed = np.where(decide, pi, 0.0).sum(axis=1)
-        return (model.Ptilde.T @ (kept @ model.P0 + fed[:, None] * p1[None, :])).ravel()
+        return (model.Ptilde.T @ (kept @ model.P0 + np.outer(fed, model.feedback_row))).ravel()
 
     def pinned(pi):
         out = pi - flow(pi)

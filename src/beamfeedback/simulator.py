@@ -459,16 +459,14 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
-    quantized = codebook is not None
     model, errors = _model(params, spec, config.seed, model_samples, codebook)
-    eps = epsilon_statistics(errors, P, spec.g_points) if quantized else None
+    eps = None if errors is None else epsilon_statistics(errors, P, spec.g_points)
     del errors  # read by the model and the statistics only
     run = _Run(spec, *_trajectory(params, config), codebook)
     points = []
     for a in alphas:
         r = RewardSpec(P=P, alpha=a)
-        solved = policy_iteration_average(model, r, spec, eps=eps,
-                                          quantized_row=quantized)
+        solved = policy_iteration_average(model, r, spec, eps=eps)
         measured = _aggregate(run.g, *_feedback_trace(solved.policy.decide, run), r, config)
         profile = extract_threshold(solved.policy, spec)
         avg_y = average_threshold(profile, solved.pi) if profile.is_threshold \

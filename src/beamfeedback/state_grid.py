@@ -6,12 +6,12 @@ power edges are Gamma quantiles and the power points the cells' conditional
 means, both exact through the Gamma tails, which are sums of Poisson
 probabilities.  Transition kernels between the cells are estimated by Monte
 Carlo from the slot-to-slot channel recursion: a power kernel, an alignment
-kernel for slots without feedback, and a single shared alignment row for
-slots with feedback (exact or codebook-quantized).  Every alignment kernel
-steps isotropic channels drawn exactly at given alignments, so each source
-bin is sampled directly, without rejection; by isotropy a step needs a few
-scalars, not a whole channel, and the power kernel counts the power pair of
-every such step.
+kernel for slots without feedback, and the one alignment row a model carries
+for slots with feedback, exact or codebook-quantized as the model was
+estimated.  Every alignment kernel steps isotropic channels drawn exactly at
+given alignments, so each source bin is sampled directly, without rejection;
+by isotropy a step needs a few scalars, not a whole channel, and the power
+kernel counts the power pair of every such step.
 """
 
 from __future__ import annotations
@@ -85,42 +85,37 @@ class GridSpec:
 class TransitionModel:
     """Bin-level Markov kernels estimated from the channel recursion.
 
-    At least one feedback row is present: ``P1_row`` after exact feedback,
-    ``Peps1_row`` after quantized feedback.
+    ``feedback_row`` is the alignment law after feedback, the one row every
+    solve on the model uses: after exact feedback, or after codebook
+    feedback when ``quantized`` is true.
     """
 
     Ptilde: np.ndarray
     P0: np.ndarray
-    P1_row: np.ndarray | None
-    Peps1_row: np.ndarray | None
+    feedback_row: np.ndarray
     sample_count: int
+    quantized: bool = False
 
     def __post_init__(self):
         Pt = np.asarray(self.Ptilde, dtype=float)
         P0 = np.asarray(self.P0, dtype=float)
+        row = np.asarray(self.feedback_row, dtype=float)
         if Pt.ndim != 2 or Pt.shape[0] != Pt.shape[1]:
             raise ValueError("power kernel must be square")
         if P0.ndim != 2 or P0.shape[0] != P0.shape[1]:
             raise ValueError("alignment kernel must be square")
-        if self.P1_row is None and self.Peps1_row is None:
-            raise ValueError("model needs an exact or a quantized feedback row")
-        rows = [Pt, P0]
-        for name in ("P1_row", "Peps1_row"):
-            row = getattr(self, name)
-            if row is not None:
-                row = np.asarray(row, dtype=float)
-                if row.shape != (P0.shape[0],):
-                    raise ValueError(f"{name} size must match the alignment kernel")
-                rows.append(row[None, :])
-                object.__setattr__(self, name, row)
-        for arr in rows:
+        if row.shape != (P0.shape[0],):
+            raise ValueError("feedback row size must match the alignment kernel")
+        for arr in (Pt, P0, row[None, :]):
             if np.any(arr < 0) or np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-9):
                 raise ValueError("kernel rows must be distributions")
         if int(self.sample_count) < 1:
             raise ValueError("sample_count must be positive")
         object.__setattr__(self, "Ptilde", Pt)
         object.__setattr__(self, "P0", P0)
+        object.__setattr__(self, "feedback_row", row)
         object.__setattr__(self, "sample_count", int(self.sample_count))
+        object.__setattr__(self, "quantized", bool(self.quantized))
 
 
 @dataclass(frozen=True)
@@ -258,9 +253,9 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     to the first basis vector (see _step_alignment_bins): each no-feedback
     row from exactly ``sample_count // N`` alignments inside its source bin,
     and the feedback row from perfect alignment or, when ``eps`` is given,
-    from those quantization errors instead (``P1_row`` is then None: no
-    solve with a codebook reads it).  The step's innovation is isotropic, so
-    given (g, eps) which codeword was chosen does not matter.
+    from those quantization errors instead (the model is then
+    ``quantized``).  The step's innovation is isotropic, so given (g, eps)
+    which codeword was chosen does not matter.
     The power kernel counts the (g, g') pair of every step of both passes.
     With one antenna the alignment is identically 1, and every alignment
     row is the exact point mass on the top bin.
@@ -307,9 +302,8 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
     row = np.bincount(n1, minlength=N) / float(sample_count)
     counts_g += np.bincount(power1, minlength=M * M)
     return TransitionModel(Ptilde=_normalize_rows(counts_g.reshape(M, M), "power kernel"),
-                           P0=P0, P1_row=row if eps is None else None,
-                           Peps1_row=None if eps is None else row,
-                           sample_count=sample_count)
+                           P0=P0, feedback_row=row, sample_count=sample_count,
+                           quantized=eps is not None)
 
 
 def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.ndarray:
@@ -397,8 +391,8 @@ def model_to_json(spec: GridSpec, model: TransitionModel) -> str:
         "z_points": [float(v) for v in spec.z_points],
         "Ptilde": model.Ptilde.tolist(),
         "P0": model.P0.tolist(),
-        "P1_row": None if model.P1_row is None else model.P1_row.tolist(),
-        "Peps1_row": None if model.Peps1_row is None else model.Peps1_row.tolist(),
+        "P1_row": None if model.quantized else model.feedback_row.tolist(),
+        "Peps1_row": model.feedback_row.tolist() if model.quantized else None,
         "sample_count": model.sample_count,
     }
     return json.dumps(doc, indent=2)

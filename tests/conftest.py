@@ -1,5 +1,7 @@
 """Shared helpers: small synthetic models whose structure is known by construction."""
 
+import dataclasses
+
 import numpy as np
 
 from beamfeedback.state_grid import GridSpec, TransitionModel
@@ -23,9 +25,8 @@ def synthetic_setup(rng: np.random.Generator, M: int = 3, N: int = 4, L: int = 3
 
     The no-feedback rows and the exact-feedback row come from one tilted
     family, drawn with the feedback row last, so the feedback row dominates
-    every no-feedback row.  The quantized row, when requested, is a mixture
-    of the exact row and the top no-feedback row, which places it between
-    them in the same order.
+    every no-feedback row.  With ``quantized`` the model is
+    ``lossy_model`` of that exact-row model.
     """
     g_pts = np.sort(rng.gamma(float(L), 1.0, size=M))
     inner = 0.5 * (g_pts[:-1] + g_pts[1:])
@@ -37,7 +38,15 @@ def synthetic_setup(rng: np.random.Generator, M: int = 3, N: int = 4, L: int = 3
     Ptilde = tilted_rows(rng, M, M)
     family = tilted_rows(rng, N + 1, N)
     P0, p1 = family[:N], family[N]
-    peps1 = 0.5 * p1 + 0.5 * P0[-1] if quantized else None
-    model = TransitionModel(Ptilde=Ptilde, P0=P0, P1_row=p1,
-                            Peps1_row=peps1, sample_count=1)
-    return spec, model
+    model = TransitionModel(Ptilde=Ptilde, P0=P0, feedback_row=p1, sample_count=1)
+    return spec, lossy_model(model) if quantized else model
+
+
+def lossy_model(model: TransitionModel) -> TransitionModel:
+    """The quantized counterpart of a ``synthetic_setup`` exact-row model.
+
+    Its one feedback row mixes the exact row with the top no-feedback row,
+    which places it between them in the tail-sum order.
+    """
+    row = 0.5 * model.feedback_row + 0.5 * model.P0[-1]
+    return dataclasses.replace(model, feedback_row=row, quantized=True)

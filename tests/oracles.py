@@ -29,7 +29,6 @@ from beamfeedback.mdp import (
     SolveResult,
     _backup,
     _evaluate_policy,
-    _feedback_vector,
     _stage_tables,
     policy_iteration_average,
     stationary_distribution,
@@ -109,13 +108,13 @@ def power_pass_counts(stream, L: int, rho: float, sig: float, spec: GridSpec,
 
 
 def dp_operator(V: np.ndarray, beta: float, model: TransitionModel, rewards: RewardSpec,
-                spec: GridSpec, eps=None, quantized_row: bool = False) -> np.ndarray:
+                spec: GridSpec, eps=None) -> np.ndarray:
     """One sweep of the discounted Bellman maximization on the value table V.
 
     Feedback is chosen only when strictly better, so ties keep the beam.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
-    W0, W1 = _backup(V, model, _feedback_vector(model, quantized_row))
+    W0, W1 = _backup(V, model)
     Q0 = G0 + beta * W0
     Q1 = G1[:, None] + beta * W1[:, None]
     return np.where(Q1 > Q0, Q1, Q0)
@@ -123,13 +122,12 @@ def dp_operator(V: np.ndarray, beta: float, model: TransitionModel, rewards: Rew
 
 def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
                                spec: GridSpec, beta: float, tol: float = 1e-10,
-                               max_iter: int = 100_000, eps=None,
-                               quantized_row: bool = False) -> np.ndarray:
+                               max_iter: int = 100_000, eps=None) -> np.ndarray:
     """Iterate the discounted operator to its fixed point (sup-norm stop)."""
     V = np.zeros((spec.M, spec.N))
     residual = math.inf
     for _ in range(max_iter):
-        nxt = dp_operator(V, beta, model, rewards, spec, eps, quantized_row)
+        nxt = dp_operator(V, beta, model, rewards, spec, eps)
         residual = float(np.max(np.abs(nxt - V)))
         V = nxt
         if residual <= tol:
@@ -139,18 +137,16 @@ def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
 
 def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
                              spec: GridSpec, tol: float = 1e-10,
-                             max_iter: int = 200_000, eps=None,
-                             quantized_row: bool = False):
+                             max_iter: int = 200_000, eps=None):
     """Undiscounted value iteration with the last state as offset anchor.
 
     Cross-check for the policy-iteration gain; returns (J, A).
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
     h = np.zeros((spec.M, spec.N))
     residual = math.inf
     for _ in range(max_iter):
-        W0, W1 = _backup(h, model, p1)
+        W0, W1 = _backup(h, model)
         Q0 = G0 + W0
         Q1 = G1[:, None] + W1[:, None]
         Th = np.where(Q1 > Q0, Q1, Q0)
@@ -164,10 +160,10 @@ def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
 
 
 def average_reward(policy: Policy, model: TransitionModel, rewards: RewardSpec,
-                   spec: GridSpec, eps=None, quantized_row: bool = False) -> float:
+                   spec: GridSpec, eps=None) -> float:
     """Occupancy-weighted stage reward of a fixed policy."""
     G0, G1 = _stage_tables(spec, rewards, eps)
-    pi = stationary_distribution(policy, model, quantized_row)
+    pi = stationary_distribution(policy, model)
     Gpi = np.where(policy.decide, G1[:, None], G0)
     return float(np.sum(pi.pi * Gpi))
 
@@ -246,8 +242,7 @@ def policy_from_json(text: str) -> Policy:
 
 
 def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
-                                spec: GridSpec, eps=None,
-                                quantized_row: bool = False) -> SolveResult:
+                                spec: GridSpec, eps=None) -> SolveResult:
     """Evaluate every admissible threshold vector and keep the best.
 
     Candidate thresholds live on the alignment bin edges, with each component
@@ -256,7 +251,6 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
     independent oracle for small grids; the candidate count is guarded.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
-    p1 = _feedback_vector(model, quantized_row)
     candidates = []
     slack = 0.5 / spec.N + 1e-12
     for m in range(spec.M):
@@ -273,13 +267,13 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
     for combo in itertools.product(*candidates):
         y = spec.z_edges[list(combo)]
         decide = spec.z_points[None, :] < y[:, None]
-        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
+        J, A, residual = _evaluate_policy(decide, model, G0, G1)
         evaluated += 1
         if best is None or J > best[0]:
             best = (J, decide, A, residual)
     J, decide, A, residual = best
     policy = Policy(decide)
-    pi = stationary_distribution(policy, model, quantized_row)
+    pi = stationary_distribution(policy, model)
     return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi,
                        residual=residual)
 
@@ -352,13 +346,13 @@ def model_from_json(text: str):
         z_edges=np.array(doc["z_edges"], dtype=float),
         z_points=np.array(doc["z_points"], dtype=float),
     )
-    p1, pe = doc["P1_row"], doc.get("Peps1_row")
+    quantized = doc["P1_row"] is None
     model = TransitionModel(
         Ptilde=np.array(doc["Ptilde"], dtype=float),
         P0=np.array(doc["P0"], dtype=float),
-        P1_row=None if p1 is None else np.array(p1, dtype=float),
-        Peps1_row=None if pe is None else np.array(pe, dtype=float),
+        feedback_row=np.array(doc["Peps1_row" if quantized else "P1_row"], dtype=float),
         sample_count=int(doc["sample_count"]),
+        quantized=quantized,
     )
     return spec, model
 

@@ -67,8 +67,8 @@ def memoryless_alignment_setup(rng, M, N):
     spec, _ = synthetic_setup(rng, M=M, N=N)
     row = tilted_rows(rng, 1, N)[0]
     model = TransitionModel(Ptilde=tilted_rows(rng, M, M),
-                            P0=np.tile(row, (N, 1)), P1_row=row.copy(),
-                            Peps1_row=None, sample_count=1)
+                            P0=np.tile(row, (N, 1)), feedback_row=row.copy(),
+                            sample_count=1)
     return spec, model
 
 
@@ -227,14 +227,16 @@ def test_07_quantization_inequality_suite():
     rng = np.random.default_rng(3301)
     spec = make_grid(3, 8, 8)
     codebook = random_codebook(3, 16, rng)
-    model = estimate_transition_model(PARAMS, spec, 300_000, rng,
-                                      eps=quantization_errors(codebook, 300_000, rng))
-    # a codebook model has no exact feedback row; an estimate without one,
-    # from a generator that spawns the same streams, has the same
-    # no-feedback kernel
+    lossy_model = estimate_transition_model(
+        PARAMS, spec, 300_000, rng, eps=quantization_errors(codebook, 300_000, rng))
+    # a codebook model carries only the lossy feedback row; an estimate
+    # without a codebook, from a generator that spawns the same streams, has
+    # the same no-feedback kernel, and lends its exact row to a copy
     exact = estimate_transition_model(PARAMS, spec, 300_000,
                                       np.random.default_rng(3301))
-    model = dataclasses.replace(model, P1_row=exact.P1_row)
+    exact_model = dataclasses.replace(lossy_model, feedback_row=exact.feedback_row,
+                                      quantized=False)
+    models = {False: exact_model, True: lossy_model}
     moments = epsilon_statistics(quantization_errors(codebook, 400_000, rng), SNR,
                                  spec.g_points)
     tol = 1e-8
@@ -243,13 +245,11 @@ def test_07_quantization_inequality_suite():
         for lossy_reward in (False, True):
             for lossy_row in (False, True):
                 gains[lossy_reward, lossy_row] = policy_iteration_average(
-                    model, RewardSpec(P=SNR, alpha=alpha), spec,
-                    eps=moments if lossy_reward else None,
-                    quantized_row=lossy_row).J
+                    models[lossy_row], RewardSpec(P=SNR, alpha=alpha), spec,
+                    eps=moments if lossy_reward else None).J
         raised = RewardSpec(P=SNR, alpha=alpha - moments.mean_log2_eps)
-        shifted_exact_row = policy_iteration_average(model, raised, spec).J
-        shifted_lossy_row = policy_iteration_average(model, raised, spec,
-                                                     quantized_row=True).J
+        shifted_exact_row = policy_iteration_average(exact_model, raised, spec).J
+        shifted_lossy_row = policy_iteration_average(lossy_model, raised, spec).J
         links = [
             ("exact reward, exact vs lossy row",
              gains[False, False], gains[False, True]),

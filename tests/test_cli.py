@@ -272,8 +272,7 @@ class TestExitCodes:
             top = np.zeros(spec.N)
             top[-1] = 1.0
             return TransitionModel(Ptilde=np.full((spec.M, spec.M), 1.0 / spec.M),
-                                   P0=np.eye(spec.N), P1_row=top, Peps1_row=None,
-                                   sample_count=1)
+                                   P0=np.eye(spec.N), feedback_row=top, sample_count=1)
 
         monkeypatch.setattr(simulator, "estimate_transition_model", frozen_alignment)
         assert run("solve", path, quiet=True) == EXIT_NUMERICAL
@@ -435,7 +434,7 @@ class TestSharedStreams:
         with open(prefix + ".model.json", encoding="utf-8") as fh:
             _, model = model_from_json(fh.read())
         swept, modeled = estimated
-        for name in ("Ptilde", "P0", "P1_row", "Peps1_row"):
+        for name in ("Ptilde", "P0", "feedback_row", "quantized"):
             np.testing.assert_array_equal(getattr(modeled, name), getattr(swept, name))
             np.testing.assert_array_equal(getattr(model, name), getattr(swept, name))
 

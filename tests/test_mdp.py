@@ -7,7 +7,6 @@ table on grids small enough to afford it.  The dense linear solves that the
 matrix-free solver replaced stay here as its reference.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +30,7 @@ from beamfeedback.mdp import (
     threshold_lower_bound,
 )
 from beamfeedback.channel import FadingParams
-from beamfeedback.mdp import _backup, _evaluate_policy, _feedback_vector, _stage_tables
+from beamfeedback.mdp import _backup, _evaluate_policy, _stage_tables
 from beamfeedback.state_grid import (
     GridSpec,
     TransitionModel,
@@ -40,7 +39,7 @@ from beamfeedback.state_grid import (
 )
 
 import oracles
-from conftest import synthetic_setup, tilted_rows
+from conftest import lossy_model, synthetic_setup, tilted_rows
 from oracles import (
     average_reward,
     dp_operator,
@@ -55,26 +54,26 @@ from oracles import (
 # independent oracles
 # ----------------------------------------------------------------------------
 
-def chain_matrix(decide, Ptilde, P0, p1):
+def chain_matrix(decide, model):
     """Product-chain transition matrix, written as explicit loops."""
     M, N = decide.shape
     T = np.zeros((M * N, M * N))
     for m in range(M):
         for n in range(N):
-            zrow = p1 if decide[m, n] else P0[n]
+            zrow = model.feedback_row if decide[m, n] else model.P0[n]
             for k in range(M):
                 for l in range(N):
-                    T[m * N + n, k * N + l] = Ptilde[m, k] * zrow[l]
+                    T[m * N + n, k * N + l] = model.Ptilde[m, k] * zrow[l]
     return T
 
 
-def dense_evaluate_policy(decide, model, G0, G1, p1):
+def dense_evaluate_policy(decide, model, G0, G1):
     """Gain J and differential values A from one dense (MN+1)-square solve.
 
     The last state's differential value is pinned to zero.
     """
     M, N = decide.shape
-    T = chain_matrix(decide, model.Ptilde, model.P0, p1)
+    T = chain_matrix(decide, model)
     size = M * N
     sys = np.zeros((size + 1, size + 1))
     sys[:size, :size] = np.eye(size) - T
@@ -85,11 +84,11 @@ def dense_evaluate_policy(decide, model, G0, G1, p1):
     return float(x[size]), x[:size].reshape(M, N)
 
 
-def dense_stationary(decide, model, p1):
+def dense_stationary(decide, model):
     """Occupancy from the balance equations with the last one replaced by
     normalization, solved densely."""
     M, N = decide.shape
-    sys = chain_matrix(decide, model.Ptilde, model.P0, p1).T - np.eye(M * N)
+    sys = chain_matrix(decide, model).T - np.eye(M * N)
     sys[-1, :] = 1.0
     rhs = np.zeros(M * N)
     rhs[-1] = 1.0
@@ -99,8 +98,8 @@ def dense_stationary(decide, model, p1):
 def alignment_frozen_model(rng, M=3, N=4):
     """Mixing power kernel, but the alignment never moves without feedback."""
     _, model = synthetic_setup(rng, M=M, N=N)
-    return TransitionModel(Ptilde=model.Ptilde, P0=np.eye(N), P1_row=model.P1_row,
-                           Peps1_row=None, sample_count=1)
+    return TransitionModel(Ptilde=model.Ptilde, P0=np.eye(N),
+                           feedback_row=model.feedback_row, sample_count=1)
 
 
 def occupancy_oracle(T):
@@ -122,7 +121,7 @@ def stage_tables_oracle(spec, rewards):
 def gain_oracle(decide, model, spec, rewards):
     """Average reward of a fixed decision table, end to end via the oracle."""
     G0, G1 = stage_tables_oracle(spec, rewards)
-    T = chain_matrix(decide, model.Ptilde, model.P0, model.P1_row)
+    T = chain_matrix(decide, model)
     pi = occupancy_oracle(T)
     return float(pi @ np.where(decide, G1[:, None], G0).ravel())
 
@@ -157,8 +156,8 @@ def stage_rewards(g, z, rewards, eps=None):
 def one_state_setup(z_point=0.5):
     spec = GridSpec(M=1, N=1, g_edges=[0.0, np.inf], g_points=[1.0],
                     z_edges=[0.0, 1.0], z_points=[z_point])
-    model = TransitionModel(Ptilde=[[1.0]], P0=[[1.0]], P1_row=[1.0],
-                            Peps1_row=None, sample_count=1)
+    model = TransitionModel(Ptilde=[[1.0]], P0=[[1.0]], feedback_row=[1.0],
+                            sample_count=1)
     return spec, model
 
 
@@ -247,11 +246,11 @@ class TestContinuation:
         rng = np.random.default_rng(31)
         spec, model = synthetic_setup(rng, M=3, N=4)
         V = rng.normal(size=(3, 4))
-        W0, W1 = _backup(V, model, model.P1_row)
+        W0, W1 = _backup(V, model)
         for mu in (0, 1):
             for m in range(3):
                 for n in range(4):
-                    zrow = model.P1_row if mu else model.P0[n]
+                    zrow = model.feedback_row if mu else model.P0[n]
                     want = sum(
                         model.Ptilde[m, k] * zrow[l] * V[k, l]
                         for k in range(3) for l in range(4)
@@ -265,19 +264,21 @@ class TestContinuation:
         rng = np.random.default_rng(32)
         spec, model = synthetic_setup(rng, M=3, N=4)
         V = rng.normal(size=(3, 4))
-        W0, W1 = _backup(V, model, model.P1_row)
+        W0, W1 = _backup(V, model)
         assert W0.shape == (3, 4) and W1.shape == (3,)
 
-    def test_quantized_row_requires_presence(self):
+    def test_feedback_continuation_reads_the_model_row(self):
+        # swapping the model's feedback row moves only the feedback backup
         rng = np.random.default_rng(34)
-        spec, model = synthetic_setup(rng, M=2, N=3, quantized=False)
-        with pytest.raises(ValueError, match="quantized"):
-            _feedback_vector(model, True)
-        # a codebook model carries the quantized row only
-        lossy = dataclasses.replace(model, P1_row=None, Peps1_row=model.P1_row)
-        with pytest.raises(ValueError, match="exact"):
-            _feedback_vector(lossy, False)
-        assert _feedback_vector(lossy, True) is lossy.Peps1_row
+        spec, model = synthetic_setup(rng, M=3, N=4)
+        lossy = lossy_model(model)
+        V = rng.normal(size=(3, 4))
+        W0, W1 = _backup(V, model)
+        L0, L1 = _backup(V, lossy)
+        np.testing.assert_array_equal(L0, W0)
+        np.testing.assert_allclose(L1, model.Ptilde @ (V @ lossy.feedback_row),
+                                   rtol=1e-12)
+        assert np.max(np.abs(L1 - W1)) > 1e-6
 
 
 class TestDpOperator:
@@ -512,7 +513,7 @@ class TestStationaryDistribution:
             spec, model = synthetic_setup(rng, M=3, N=4)
             decide = rng.random(size=(3, 4)) < 0.5
             pi = stationary_distribution(Policy(decide), model).pi
-            T = chain_matrix(decide, model.Ptilde, model.P0, model.P1_row)
+            T = chain_matrix(decide, model)
             np.testing.assert_allclose(pi.ravel(), occupancy_oracle(T), atol=1e-10)
 
     def test_rows_form_a_distribution(self):
@@ -525,8 +526,7 @@ class TestStationaryDistribution:
     def test_frozen_chain_is_rejected(self):
         # identity kernels leave every distribution stationary
         model = TransitionModel(Ptilde=np.eye(2), P0=np.eye(3),
-                                P1_row=[0.0, 0.0, 1.0], Peps1_row=None,
-                                sample_count=1)
+                                feedback_row=[0.0, 0.0, 1.0], sample_count=1)
         with pytest.raises(SingularChainError):
             stationary_distribution(Policy(np.zeros((2, 3), bool)), model)
 
@@ -534,8 +534,7 @@ class TestStationaryDistribution:
         # feedback pins alignment, but identity power mixing still leaves one
         # free class per power bin
         model = TransitionModel(Ptilde=np.eye(2), P0=np.eye(3),
-                                P1_row=[0.0, 0.0, 1.0], Peps1_row=None,
-                                sample_count=1)
+                                feedback_row=[0.0, 0.0, 1.0], sample_count=1)
         with pytest.raises(SingularChainError):
             stationary_distribution(Policy(np.ones((2, 3), bool)), model)
 
@@ -554,36 +553,35 @@ class TestStationaryDistribution:
 
 class TestMatrixFreeAgreesWithDense:
     @staticmethod
-    def _check(decide, model, spec, rewards, eps, quantized_row):
-        p1 = model.Peps1_row if quantized_row else model.P1_row
+    def _check(decide, model, spec, rewards, eps):
         G0, G1 = _stage_tables(spec, rewards, eps)
-        J, A, residual = _evaluate_policy(decide, model, G0, G1, p1)
-        J_ref, A_ref = dense_evaluate_policy(decide, model, G0, G1, p1)
+        J, A, residual = _evaluate_policy(decide, model, G0, G1)
+        J_ref, A_ref = dense_evaluate_policy(decide, model, G0, G1)
         assert abs(J - J_ref) <= 1e-10
         assert np.max(np.abs(A - A_ref)) <= 1e-9
         assert A[-1, -1] == 0.0
         assert residual <= 1e-10
-        pi = stationary_distribution(Policy(decide), model, quantized_row).pi
-        assert np.max(np.abs(pi - dense_stationary(decide, model, p1))) <= 1e-12
+        pi = stationary_distribution(Policy(decide), model).pi
+        assert np.max(np.abs(pi - dense_stationary(decide, model))) <= 1e-12
 
     def test_random_models_and_tables(self):
         rng = np.random.default_rng(120)
         for _ in range(25):
             M, N = (int(v) for v in rng.integers(1, 8, size=2))
-            spec, model = synthetic_setup(rng, M=M, N=N, quantized=True)
+            spec, model = synthetic_setup(rng, M=M, N=N)
             r = RewardSpec(P=30.0, alpha=float(rng.random() * 2.0))
             eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
             tables = [rng.random((M, N)) < 0.3, rng.random((M, N)) < 0.7,
                       np.ones((M, N), bool), np.zeros((M, N), bool)]
             for decide in tables:
-                self._check(decide, model, spec, r, None, False)
-                self._check(decide, model, spec, r, eps, True)
+                self._check(decide, model, spec, r, None)
+                self._check(decide, lossy_model(model), spec, r, eps)
 
     def test_one_state(self):
         spec, model = one_state_setup()
         r = RewardSpec(P=2.0, alpha=0.3)
         for decide in (np.ones((1, 1), bool), np.zeros((1, 1), bool)):
-            self._check(decide, model, spec, r, None, False)
+            self._check(decide, model, spec, r, None)
 
     def test_solver_results_match_dense_evaluation(self):
         rng = np.random.default_rng(121)
@@ -593,8 +591,7 @@ class TestMatrixFreeAgreesWithDense:
             G0, G1 = _stage_tables(spec, r, None)
             for res in (policy_iteration_average(model, r, spec),
                         exhaustive_threshold_search(model, r, spec)):
-                J_ref, A_ref = dense_evaluate_policy(
-                    res.policy.decide, model, G0, G1, model.P1_row)
+                J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1)
                 assert abs(res.J - J_ref) <= 1e-10
                 assert np.max(np.abs(res.A - A_ref)) <= 1e-9
                 assert res.residual <= 1e-10
@@ -608,8 +605,7 @@ class TestMatrixFreeAgreesWithDense:
         r = RewardSpec(P=100.0, alpha=1.0)
         res = policy_iteration_average(model, r, spec)
         G0, G1 = _stage_tables(spec, r, None)
-        J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1,
-                                             model.P1_row)
+        J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1)
         assert np.max(np.abs(A_ref)) > 1000.0
         assert abs(res.J - J_ref) <= 1e-10
         assert np.max(np.abs(res.A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
@@ -758,12 +754,11 @@ class TestQuantizedSolves:
     def test_quantization_never_helps(self):
         rng = np.random.default_rng(90)
         for _ in range(10):
-            spec, model = synthetic_setup(rng, M=3, N=4, quantized=True)
+            spec, model = synthetic_setup(rng, M=3, N=4)
             r = RewardSpec(P=30.0, alpha=0.5)
             eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
             J_perfect = policy_iteration_average(model, r, spec).J
-            J_quant = policy_iteration_average(
-                model, r, spec, eps=eps, quantized_row=True).J
+            J_quant = policy_iteration_average(lossy_model(model), r, spec, eps=eps).J
             assert J_quant <= J_perfect + 1e-10
 
     def test_quantized_option_still_beats_never_feeding_back(self):
@@ -771,18 +766,23 @@ class TestQuantizedSolves:
         spec, model = synthetic_setup(rng, M=3, N=4, quantized=True)
         r = RewardSpec(P=30.0, alpha=0.5)
         eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
-        J_quant = policy_iteration_average(
-            model, r, spec, eps=eps, quantized_row=True).J
+        J_quant = policy_iteration_average(model, r, spec, eps=eps).J
         J_never = average_reward(Policy(np.zeros((3, 4), bool)), model, r, spec)
         assert J_quant >= J_never - 1e-12
 
-    def test_quantized_row_required(self):
+    def test_solve_gain_uses_the_model_row(self):
+        # the solver's gain is the oracle gain of its policy on the lossy
+        # row, not on the exact row the lossy model was derived from
         rng = np.random.default_rng(92)
-        spec, model = synthetic_setup(rng, M=3, N=4, quantized=False)
-        r = RewardSpec(P=30.0, alpha=0.5)
-        eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
-        with pytest.raises(ValueError, match="quantized"):
-            policy_iteration_average(model, r, spec, eps=eps, quantized_row=True)
+        spec, model = synthetic_setup(rng, M=3, N=4)
+        lossy = lossy_model(model)
+        r = RewardSpec(P=30.0, alpha=1.0)
+        res = policy_iteration_average(lossy, r, spec)
+        # a mixed policy: always feeding back would make the row irrelevant
+        assert res.policy.decide.any() and not res.policy.decide.all()
+        assert abs(res.J - gain_oracle(res.policy.decide, lossy, spec, r)) <= 1e-10
+        J_exact_row = gain_oracle(res.policy.decide, model, spec, r)
+        assert abs(res.J - J_exact_row) > 1e-6
 
 
 # ----------------------------------------------------------------------------

@@ -308,7 +308,8 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
 
     From each event it bins 256-slot blocks until the policy next feeds
     back, and with a codebook it quantizes each feedback shape on its own.
-    Returns (EvalResult, z, fb).
+    Its alignments are the simulator's per-row products, so the two decide
+    on the same values to the last bit.  Returns (EvalResult, z, fb).
     """
     decide = policy.decide
     g, S, f = simulator._trajectory(params, config)
@@ -320,7 +321,7 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
     t = 0
     while t < T:
         end = min(T, t + 256)
-        blk = np.minimum(np.abs(S[t:end].conj() @ f) ** 2, 1.0)
+        blk = _alignment(_row_inner(S[t:end].conj(), f))
         n_blk = np.minimum(
             np.searchsorted(spec.z_edges, blk, side="right") - 1, spec.N - 1)
         hit = decide[m_idx[t:end], n_blk]

@@ -278,8 +278,8 @@ class TestTransitionEstimation:
         for A in (model.Ptilde, model.P0):
             assert np.all(A >= 0)
             np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(model.P1_row.sum(), 1.0, atol=1e-9)
-        assert model.Peps1_row is None
+        np.testing.assert_allclose(model.feedback_row.sum(), 1.0, atol=1e-9)
+        assert not model.quantized
 
     def test_static_channel_freezes_every_kernel(self, spec16):
         model = estimate_transition_model(
@@ -289,7 +289,7 @@ class TestTransitionEstimation:
         np.testing.assert_array_equal(model.P0, np.eye(16))
         one_hot = np.zeros(16)
         one_hot[15] = 1.0
-        np.testing.assert_array_equal(model.P1_row, one_hot)
+        np.testing.assert_array_equal(model.feedback_row, one_hot)
 
     def test_memoryless_channel_rows_match_isotropic_law(self, spec16):
         # at the decorrelating doppler the destination is a fresh isotropic draw
@@ -299,7 +299,7 @@ class TestTransitionEstimation:
         want = alignment_bin_masses(3, np.asarray(spec16.z_edges))
         for n in range(16):
             np.testing.assert_allclose(model.P0[n], want, atol=0.02)
-        np.testing.assert_allclose(model.P1_row, want, atol=0.01)
+        np.testing.assert_allclose(model.feedback_row, want, atol=0.01)
 
     def test_slow_fading_kernels_are_monotone(self, spec16):
         model = estimate_transition_model(
@@ -310,7 +310,7 @@ class TestTransitionEstimation:
         assert is_monotone_stochastic(model.Ptilde, tol=tol_g)
         assert is_monotone_stochastic(model.P0, tol=tol_z)
         # the exact-feedback row dominates every no-feedback row
-        stacked = np.vstack([model.P0, model.P1_row])
+        stacked = np.vstack([model.P0, model.feedback_row])
         assert is_monotone_stochastic(stacked, tol=tol_z)
 
     def test_quantized_feedback_row_sits_between(self, spec16):
@@ -323,14 +323,14 @@ class TestTransitionEstimation:
         )
         exact = estimate_transition_model(FadingParams(L=3, doppler_slot=0.1),
                                           spec16, 200_000, 7)
-        assert model.Peps1_row is not None
-        np.testing.assert_allclose(model.Peps1_row.sum(), 1.0, atol=1e-9)
+        assert model.quantized and not exact.quantized
+        np.testing.assert_allclose(model.feedback_row.sum(), 1.0, atol=1e-9)
         tol = 3.0 / math.sqrt(200_000 / 16)
         tails = lambda v: np.cumsum(v[::-1])[::-1]
         # quantized feedback is never better than exact feedback, but beats
         # evolving from a badly aligned beam
-        assert np.all(tails(exact.P1_row) >= tails(model.Peps1_row) - tol)
-        assert np.all(tails(model.Peps1_row) >= tails(model.P0[0]) - tol)
+        assert np.all(tails(exact.feedback_row) >= tails(model.feedback_row) - tol)
+        assert np.all(tails(model.feedback_row) >= tails(model.P0[0]) - tol)
 
     def test_single_antenna_alignment_rows_are_exact(self):
         # z is identically 1, so the rows are point masses drawn without
@@ -348,8 +348,8 @@ class TestTransitionEstimation:
         top = np.zeros(6)
         top[-1] = 1.0
         np.testing.assert_array_equal(model.P0, np.tile(top, (6, 1)))
-        np.testing.assert_array_equal(exact.P1_row, top)
-        np.testing.assert_array_equal(model.Peps1_row, top)
+        np.testing.assert_array_equal(exact.feedback_row, top)
+        np.testing.assert_array_equal(model.feedback_row, top)
         np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-12)
         with pytest.raises(ValueError, match="eps"):
             estimate_transition_model(FadingParams(L=1, doppler_slot=0.1), spec,
@@ -368,7 +368,7 @@ class TestTransitionEstimation:
         counts = model.P0 * target
         np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
         assert np.all(np.round(counts).sum(axis=1) == target)
-        for A in (model.Ptilde, model.P0, model.P1_row[None, :]):
+        for A in (model.Ptilde, model.P0, model.feedback_row[None, :]):
             np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_empty_power_rows_fall_back_to_uniform(self, spec16):
@@ -387,7 +387,7 @@ class TestTransitionEstimation:
         b = estimate_transition_model(params, spec16, 30_000, 42)
         np.testing.assert_array_equal(a.Ptilde, b.Ptilde)
         np.testing.assert_array_equal(a.P0, b.P0)
-        np.testing.assert_array_equal(a.P1_row, b.P1_row)
+        np.testing.assert_array_equal(a.feedback_row, b.feedback_row)
 
 
 class TestExactAlignmentSampling:
@@ -430,8 +430,8 @@ class TestExactAlignmentSampling:
         target = n // spec.N
         pvalues = [homogeneity_pvalue(np.round(model.P0[r] * target), P0[r])
                    for r in range(spec.N)]
-        pvalues.append(homogeneity_pvalue(np.round(exact.P1_row * n), p1))
-        pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
+        pvalues.append(homogeneity_pvalue(np.round(exact.feedback_row * n), p1))
+        pvalues.append(homogeneity_pvalue(np.round(model.feedback_row * n), pe))
         assert min(pvalues) > 1e-4, pvalues
 
     @pytest.mark.parametrize("doppler", [0.01, 0.1])
@@ -461,8 +461,8 @@ class TestExactAlignmentSampling:
                                            L, rho, sig, spec)[0], minlength=N)
         pvalues = [homogeneity_pvalue(np.round(model.P0[r] * target), P0[r])
                    for r in range(N)]
-        pvalues.append(homogeneity_pvalue(np.round(exact.P1_row * n), p1))
-        pvalues.append(homogeneity_pvalue(np.round(model.Peps1_row * n), pe))
+        pvalues.append(homogeneity_pvalue(np.round(exact.feedback_row * n), p1))
+        pvalues.append(homogeneity_pvalue(np.round(model.feedback_row * n), pe))
         pairs = np.concatenate([_step_alignment_bins(stream, z, L, rho, sig, spec)[1]
                                 for z in (z0, np.ones(n))])
         Ptilde = np.bincount(pairs, minlength=spec.M ** 2).reshape(spec.M, spec.M)
@@ -528,11 +528,12 @@ class TestSerialization:
         np.testing.assert_array_equal(spec2.z_edges, spec16.z_edges)
         np.testing.assert_array_equal(model2.Ptilde, model.Ptilde)
         np.testing.assert_array_equal(model2.P0, model.P0)
-        np.testing.assert_array_equal(model2.P1_row, model.P1_row)
-        assert model2.Peps1_row is None
+        np.testing.assert_array_equal(model2.feedback_row, model.feedback_row)
+        assert '"Peps1_row": null' in text
+        assert not model.quantized and not model2.quantized
         assert model2.sample_count == 20_000
 
-    def test_round_trip_with_quantized_row(self, spec16):
+    def test_round_trip_of_a_codebook_model(self, spec16):
         rng = np.random.default_rng(13)
         raw = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         vectors = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -543,11 +544,10 @@ class TestSerialization:
         text = model_to_json(spec16, model)
         assert '"P1_row": null' in text
         _, model2 = model_from_json(text)
-        np.testing.assert_array_equal(model2.Peps1_row, model.Peps1_row)
+        np.testing.assert_array_equal(model2.feedback_row, model.feedback_row)
         np.testing.assert_array_equal(model2.P0, model.P0)
-        # only the quantized row is estimated: no solve with a codebook reads
-        # the exact one
-        assert model.P1_row is None and model2.P1_row is None
+        # a codebook model carries the quantized row only, the one its solves read
+        assert model.quantized and model2.quantized
 
 
 class TestTypes:
@@ -564,17 +564,19 @@ class TestTypes:
         eye = np.eye(3)
         row = np.array([0.2, 0.3, 0.5])
         with pytest.raises(ValueError):
-            TransitionModel(Ptilde=eye, P0=eye, P1_row=np.array([0.5, 0.5, 0.5]),
-                            Peps1_row=None, sample_count=10)
+            TransitionModel(Ptilde=0.5 * eye, P0=eye, feedback_row=row, sample_count=10)
         with pytest.raises(ValueError):
-            TransitionModel(Ptilde=eye, P0=eye, P1_row=row, Peps1_row=None, sample_count=0)
-        with pytest.raises(ValueError, match="feedback row"):
-            TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=None,
-                            sample_count=10)
-        with pytest.raises(ValueError, match="Peps1_row size"):
-            TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=row[:2],
-                            sample_count=10)
-        TransitionModel(Ptilde=eye, P0=eye, P1_row=None, Peps1_row=row, sample_count=10)
+            TransitionModel(Ptilde=eye, P0=eye, feedback_row=row, sample_count=0)
+        TransitionModel(Ptilde=eye, P0=eye, feedback_row=row, sample_count=10,
+                        quantized=True)
+
+    def test_transition_model_rejects_a_bad_feedback_row(self):
+        eye = np.eye(3)
+        with pytest.raises(ValueError, match="feedback row size"):
+            TransitionModel(Ptilde=eye, P0=eye, feedback_row=[0.5, 0.5], sample_count=10)
+        for row in ([0.5, 0.5, 0.5], [1.5, -0.5, 0.0]):
+            with pytest.raises(ValueError, match="distributions"):
+                TransitionModel(Ptilde=eye, P0=eye, feedback_row=row, sample_count=10)
 
     def test_stationary_distribution_validation(self):
         with pytest.raises(ValueError):
