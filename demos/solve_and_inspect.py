@@ -15,7 +15,6 @@ from beamfeedback import (
     RewardSpec,
     TrajectoryConfig,
     estimate_transition_model,
-    extract_threshold,
     make_grid,
     policy_iteration_average,
     simulate_policy,
@@ -46,15 +45,13 @@ def main():
     spec = make_grid(args.antennas, args.bins, args.bins)
     model = estimate_transition_model(params, spec, args.samples, rng)
     result = policy_iteration_average(model, rewards, spec)
-    profile = extract_threshold(result.policy, spec)
 
     print(f"L={args.antennas}, doppler={args.doppler}, "
           f"P={rewards.P:.1f}, alpha={args.alpha}")
     print(f"policy iteration converged in {result.iterations} rounds, "
           f"model gain J = {result.J:.4f} bit/s/Hz")
-    print(f"threshold policy: {profile.is_threshold}")
     print(f"{'power bin':>10} {'threshold':>10} {'lower bound':>12}")
-    for g, y in zip(spec.g_points, profile.y):
+    for g, y in zip(spec.g_points, result.policy.y):
         bound = threshold_lower_bound(g, rewards.P, args.alpha)
         print(f"{g:10.3f} {y:10.3f} {bound:12.3f}")
 

@@ -28,7 +28,6 @@ from .codebook import (
 )
 from .mdp import (
     RewardSpec,
-    extract_threshold,
     policy_iteration_average,
     threshold_lower_bound,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "curve_to_csv",
     "epsilon_statistics",
     "estimate_transition_model",
-    "extract_threshold",
     "lloyd_codebook",
     "make_grid",
     "periodic_baseline",

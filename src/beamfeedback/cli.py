@@ -28,9 +28,9 @@ from .channel import FadingParams
 from .codebook import codebook_to_json, epsilon_statistics, lloyd_codebook, random_codebook
 from .mdp import (
     ConvergenceError,
+    NonThresholdError,
     RewardSpec,
     SingularChainError,
-    extract_threshold,
     policy_iteration_average,
     solve_result_to_json,
 )
@@ -337,7 +337,6 @@ def _cmd_evaluate(cfg):
     spec, codebook, result = _solve(cfg)
     measured = simulate_policy(result.policy, spec, cfg.params, cfg.rewards(alpha),
                                cfg.trajectory, codebook=codebook)
-    profile = extract_threshold(result.policy, spec)
     doc = {
         "alpha": alpha,
         "throughput": measured.throughput,
@@ -345,8 +344,7 @@ def _cmd_evaluate(cfg):
         "net": measured.net,
         "stderr": measured.stderr,
         "model_gain": result.J,
-        "avg_threshold": average_threshold(profile, result.pi)
-        if profile.is_threshold else None,
+        "avg_threshold": average_threshold(result.policy.y, result.pi),
     }
     return [(".json", json.dumps(doc, indent=2))]
 
@@ -414,8 +412,8 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, SingularChainError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (ConvergenceError, SingularChainError, NonThresholdError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

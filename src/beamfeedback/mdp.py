@@ -28,13 +28,12 @@ from .state_grid import GridSpec, StationaryDistribution, TransitionModel
 __all__ = [
     "RewardSpec",
     "Policy",
-    "ThresholdProfile",
     "SolveResult",
     "ConvergenceError",
     "SingularChainError",
+    "NonThresholdError",
     "policy_iteration_average",
     "stationary_distribution",
-    "extract_threshold",
     "threshold_lower_bound",
     "solve_result_to_json",
 ]
@@ -50,6 +49,11 @@ class ConvergenceError(RuntimeError):
 
 class SingularChainError(RuntimeError):
     """The induced chain has no unique stationary solution."""
+
+
+class NonThresholdError(RuntimeError):
+    """Policy iteration settled on a decision table that is not a threshold
+    rule, which the optimality of threshold policies rules out."""
 
 
 @dataclass(frozen=True)
@@ -72,28 +76,19 @@ class RewardSpec:
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback decision per (power bin, alignment bin); True requests feedback."""
-
-    decide: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.decide, dtype=bool)  # a copy: the caller's array stays writable
-        if d.ndim != 2:
-            raise ValueError("decision table must be 2-D over (power, alignment) bins")
-        d.setflags(write=False)
-        object.__setattr__(self, "decide", d)
-
-
-@dataclass(frozen=True)
-class ThresholdProfile:
-    """Per-power-bin alignment threshold; feedback below the threshold.
-
-    ``y`` holds bin-edge values; when ``is_threshold`` is true the policy is
-    exactly decide[m][n] = (z_points[n] < y[m]).
-    """
+    """Feedback threshold y[m] per power bin: feed back when the alignment
+    z < y[m].  y[m] = 1 feeds back at every alignment, y[m] = 0 never."""
 
     y: np.ndarray
-    is_threshold: bool
+
+    def __post_init__(self):
+        y = np.array(self.y, dtype=float)  # a copy: the caller's array stays writable
+        if y.ndim != 1:
+            raise ValueError("thresholds must be 1-D over the power bins")
+        if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both
+            raise ValueError("thresholds must lie in [0, 1]")
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)
@@ -249,10 +244,13 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
 
     Matrix-free evaluation (GMRES on the factorized chain, to a residual of
     1e-14 of |G_pi| + |solution|) alternates with a greedy improvement that
-    requests feedback only on strict improvement.  Terminates when the policy
-    repeats; the returned A solves the evaluation equations of that policy,
-    and ``residual`` is that final solve's relative residual.  A chain with
-    more than one closed class raises SingularChainError.
+    requests feedback only on strict improvement.  Terminates when the
+    decision table repeats; the returned A solves the evaluation equations of
+    that table, and ``residual`` is that final solve's relative residual.
+    Each row of the settled table feeds back on a leading run of alignment
+    bins, and the policy's threshold is the upper edge of that run; a row
+    that feeds back above a gap raises NonThresholdError.  A chain with more
+    than one closed class raises SingularChainError.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
     decide = G1[:, None] > G0
@@ -261,22 +259,25 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
         W0, W1 = _backup(A, model)
         improved = G1[:, None] + W1[:, None] > G0 + W0
         if np.array_equal(improved, decide):
-            pi = stationary_distribution(Policy(decide), model)
-            return SolveResult(policy=Policy(decide), J=J, A=A, iterations=it, pi=pi,
-                               residual=residual)
+            lead = np.cumprod(decide, axis=1).sum(axis=1)  # leading feedback run
+            if not np.array_equal(decide, np.arange(spec.N) < lead[:, None]):
+                raise NonThresholdError("policy iteration settled on a decision "
+                                        "table that is not a threshold rule")
+            return SolveResult(policy=Policy(spec.z_edges[lead]), J=J, A=A, iterations=it,
+                               pi=stationary_distribution(decide, model), residual=residual)
         decide = improved
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
 
-def stationary_distribution(policy: Policy, model: TransitionModel) -> StationaryDistribution:
-    """Long-run state occupancy under a fixed policy.
+def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> StationaryDistribution:
+    """Long-run state occupancy under a fixed decision table over
+    (power, alignment) bins, True where it feeds back.
 
     GMRES solves pi (I - T + 1 u') = u' through the factorized chain, once
     with u the last state's indicator and once uniform; a regular chain gives
     both the same answer.  The result is then verified against 50 slots of
     occupancy flow.
     """
-    decide = policy.decide
     M, N = decide.shape
     if model.P0.shape[0] != N or model.Ptilde.shape[0] != M:
         raise ValueError("policy shape does not match the model")
@@ -314,22 +315,6 @@ def stationary_distribution(policy: Policy, model: TransitionModel) -> Stationar
     return StationaryDistribution(pi.reshape(M, N))
 
 
-def extract_threshold(policy: Policy, spec: GridSpec) -> ThresholdProfile:
-    """Read per-power-bin thresholds off a decision table.
-
-    Each row should request feedback exactly below some alignment edge; the
-    reported threshold is that edge.  Rows that set feedback above a gap make
-    the profile non-threshold; their entry still reports the leading run.
-    """
-    decide = policy.decide
-    M, N = decide.shape
-    if N + 1 != spec.z_edges.size or M != spec.M:
-        raise ValueError("policy shape does not match the grid")
-    lead = np.where(decide.all(axis=1), N, np.argmin(decide, axis=1))
-    return ThresholdProfile(y=spec.z_edges[lead],
-                            is_threshold=np.array_equal(decide, np.arange(N) < lead[:, None]))
-
-
 def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
     """Alignment level below which feedback pays for itself within the slot.
 
@@ -344,12 +329,17 @@ def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
 
 
 def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:
-    """Serialize a solve: 0/1 policy rows, thresholds, gain, occupancy."""
-    profile = extract_threshold(result.policy, spec)
+    """Serialize a solve: 0/1 policy rows, thresholds, gain, occupancy.
+
+    A solved threshold is a bin edge, and every alignment point lies in
+    [lower edge, upper edge) of its bin, so comparing the points with the
+    thresholds rebuilds the solved decision table exactly.
+    """
+    y = result.policy.y
     doc = {
-        "policy": result.policy.decide.astype(int).tolist(),
-        "threshold": [float(v) for v in profile.y],
-        "is_threshold": profile.is_threshold,
+        "policy": (spec.z_points[None, :] < y[:, None]).astype(int).tolist(),
+        "threshold": [float(v) for v in y],
+        "is_threshold": True,
         "J": result.J,
         "iterations": result.iterations,
         "pi": result.pi.pi.tolist(),

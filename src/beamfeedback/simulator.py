@@ -1,12 +1,13 @@
 """Slot-level Monte Carlo evaluation of feedback policies.
 
-Trajectories follow the first-order channel recursion; the controller sees
-the binned state and decides feedback per slot, while throughput accrues
-with the true power and alignment.  The policy cannot change the channel,
-only the beam, and the beam changes only on feedback, so the whole
-trajectory is precomputed and a policy is reduced to an event table: for
-every slot, the next feedback slot had the beam been refreshed there.  A
-walk over that table from the first feedback slot visits every event.  The
+Trajectories follow the first-order channel recursion; each slot the
+controller bins the power and feeds back when the alignment lies below
+that bin's threshold, while throughput accrues with the true power and
+alignment.  The policy cannot change the channel, only the beam, and the
+beam changes only on feedback, so the whole trajectory is precomputed and
+a policy is reduced to an event table: for every slot, the next feedback
+slot had the beam been refreshed there.  A walk over that table from the
+first feedback slot visits every event.  The
 table is built lag by lag, and an event whose next feedback lies past it
 continues with a block scan.  Perfect and quantized feedback share that
 machinery; they differ only in the beam a feedback slot refreshes: the
@@ -30,12 +31,7 @@ import numpy as np
 
 from .channel import FadingParams, _alignment, _complex_normal, _row_inner
 from .codebook import _quantize, epsilon_statistics, quantization_errors
-from .mdp import (
-    Policy,
-    RewardSpec,
-    extract_threshold,
-    policy_iteration_average,
-)
+from .mdp import Policy, RewardSpec, policy_iteration_average
 from .state_grid import GridSpec, _bin, estimate_transition_model
 
 __all__ = [
@@ -102,7 +98,8 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One price point of a sweep; avg_threshold is NaN off threshold policies."""
+    """One price point of a sweep; avg_threshold is NaN on a periodic curve,
+    which has no threshold."""
 
     alpha: float
     net: float
@@ -257,26 +254,21 @@ class _EventTable:
     _SLOT_BLOCK, so no copy of the shapes or beams it reads grows with the
     trajectory.
 
-    When the policy is a threshold policy (``extract_threshold``), a
-    decision is one comparison with its row's threshold (``ym``, per slot);
-    a row that always feeds back compares with inf, since z = 1 lies in the
-    top bin, not above it.  Any other policy looks its decisions up by bin.
+    A decision is one comparison of the alignment with the threshold of
+    its slot's power bin (``ym``, per slot); a threshold of 1 feeds back at
+    every alignment and compares with inf, since z = 1 is an alignment too.
     """
 
-    def __init__(self, decide, run: _Run):
-        self.run, self.decide = run, decide
+    def __init__(self, y, run: _Run):
+        self.run = run
         self.S, self.f, self.T = run.S, run.f, run.g.size
-        profile = extract_threshold(Policy(decide), run.spec)
-        y = np.where(profile.y == 1.0, np.inf, profile.y)
-        self.ym = y[run.m] if profile.is_threshold else None
+        self.ym = np.where(y == 1.0, np.inf, y)[run.m]
         self.depth = 0
         self.first = self.scan(0, self.f)
         self.successor = self._lag_successors()
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
-        if self.ym is None:
-            return self.decide[self.run.m[slots], _bin(z, self.run.spec.z_edges)]
         return z < self.ym[slots]
 
     def scan(self, start: int, beam) -> int:
@@ -355,12 +347,12 @@ def _schedule_trace(run: _Run, events):
     return _held_alignment(run, events), fb
 
 
-def _feedback_trace(decide, run: _Run):
-    """Per-slot alignment z and feedback flags of a policy on a run."""
-    if decide.all():
+def _feedback_trace(y, run: _Run):
+    """Per-slot alignment z and feedback flags of the thresholds y on a run."""
+    if np.all(y == 1.0):
         events = np.arange(run.g.size)
-    elif decide.any():
-        events = _EventTable(decide, run).events()
+    elif np.any(y > 0.0):
+        events = _EventTable(y, run).events()
     else:
         events = np.empty(0, dtype=np.intp)
     return _schedule_trace(run, events)
@@ -371,20 +363,21 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
                     codebook=None) -> EvalResult:
     """Run a feedback policy over one simulated trajectory.
 
-    Each slot the true state is binned, the policy consulted, and on
-    feedback the beam is set to the current shape (or its codebook
-    quantization) within the same slot, so the slot's alignment is already
-    the realigned one.  Throughput always uses the true channel.  A policy
-    that feeds back in some states and not others runs through an event
-    table (see _EventTable): vectorised passes over the whole trajectory
-    find, for every slot, the next feedback slot had the beam been refreshed
-    there, and a walk over those slot indices yields the feedback events.
+    Each slot the true power is binned and the policy feeds back when the
+    true alignment lies below the bin's threshold; on feedback the beam is
+    set to the current shape (or its codebook quantization) within the same
+    slot, so the slot's alignment is already the realigned one.  Throughput
+    always uses the true channel.  Any thresholds in [0, 1], one per power
+    bin, are accepted.  A policy that feeds back in some states and not
+    others runs through an event table (see _EventTable): vectorised passes
+    over the whole trajectory find, for every slot, the next feedback slot
+    had the beam been refreshed there, and a walk over those slot indices
+    yields the feedback events.
     """
-    decide = policy.decide
-    if decide.shape != (spec.M, spec.N):
+    if policy.y.size != spec.M:
         raise ValueError("policy dimensions do not match the grid")
     run = _Run(spec, *_trajectory(params, config), codebook)
-    return _aggregate(run.g, *_feedback_trace(decide, run), rewards, config)
+    return _aggregate(run.g, *_feedback_trace(policy.y, run), rewards, config)
 
 
 def _periodic_eval(period: int, run: _Run, rewards: RewardSpec,
@@ -417,16 +410,14 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
     return best
 
 
-def average_threshold(profile, pi) -> float:
+def average_threshold(y, pi) -> float:
     """Occupancy-weighted feedback threshold over the power bins.
 
     The weighted sum is divided by the total weight, summed the same way,
     so thresholds that are all 1 (or all 0) average to exactly 1 (or 0)
     whatever the rounding of the occupancy.
     """
-    if not profile.is_threshold:
-        raise ValueError("average threshold needs a threshold policy")
-    y = np.asarray(profile.y, dtype=float)
+    y = np.asarray(y, dtype=float)
     marginal = pi.pi.sum(axis=1)
     if marginal.shape != y.shape:
         raise ValueError("occupancy and threshold sizes do not match")
@@ -467,14 +458,13 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     for a in alphas:
         r = RewardSpec(P=P, alpha=a)
         solved = policy_iteration_average(model, r, spec, eps=eps)
-        measured = _aggregate(run.g, *_feedback_trace(solved.policy.decide, run), r, config)
-        profile = extract_threshold(solved.policy, spec)
-        avg_y = average_threshold(profile, solved.pi) if profile.is_threshold \
-            else math.nan
+        y = solved.policy.y
+        measured = _aggregate(run.g, *_feedback_trace(y, run), r, config)
         points.append(CurvePoint(alpha=a, net=measured.net,
                                  throughput=measured.throughput,
                                  feedback_rate=measured.feedback_rate,
-                                 avg_threshold=avg_y, stderr=measured.stderr))
+                                 avg_threshold=average_threshold(y, solved.pi),
+                                 stderr=measured.stderr))
     return Curve(points=tuple(points))
 
 

@@ -50,3 +50,17 @@ def lossy_model(model: TransitionModel) -> TransitionModel:
     """
     row = 0.5 * model.feedback_row + 0.5 * model.P0[-1]
     return dataclasses.replace(model, feedback_row=row, quantized=True)
+
+
+def gapped_feedback_model() -> TransitionModel:
+    """One power bin over three alignment bins whose optimal table feeds
+    back in the middle bin alone.
+
+    Keeping the beam sends the lowest and the top bin to the top bin and
+    the middle one to the lowest, and feedback sends every bin to the top:
+    feeding back pays in the middle bin only.  On ``make_grid(3, 1, 3)`` at
+    SNR 100 and prices 2.6 to 3 the greedy table settles on [[0, 1, 0]].
+    """
+    top, low = [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+    return TransitionModel(Ptilde=[[1.0]], P0=[top, low, top], feedback_row=top,
+                           sample_count=1)

@@ -3,9 +3,12 @@
 The tests compare the product code against these: a discounted and a
 relative value iteration for the policy-iteration gain, an exhaustive
 search over threshold policies for the optimal one, an occupancy-weighted
-reward for policy evaluation, a tail-mass check for kernel monotonicity, a
+reward for policy evaluation, the greedy improvement of a value table, the
+decision table of a threshold curve, the leading feedback run of any table
+and its bin-by-bin decision, against which the simulator's comparison with
+a curve is checked, a tail-mass check for kernel monotonicity, a
 per-shape quantizer for the batch quantizer, a cluster-by-cluster Lloyd
-training for the one-pass one, readers for the serialized decision table,
+training for the one-pass one, readers for the serialized thresholds,
 model and codebook, periodic feedback at one fixed interval and the
 segment law of its alignment, the model gain over a sequence of grid
 refinements, the complex Gaussians summed from their real and imaginary
@@ -159,13 +162,50 @@ def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
     raise ConvergenceError("relative value iteration did not converge", residual)
 
 
-def average_reward(policy: Policy, model: TransitionModel, rewards: RewardSpec,
+def average_reward(decide: np.ndarray, model: TransitionModel, rewards: RewardSpec,
                    spec: GridSpec, eps=None) -> float:
-    """Occupancy-weighted stage reward of a fixed policy."""
+    """Occupancy-weighted stage reward of a fixed decision table."""
     G0, G1 = _stage_tables(spec, rewards, eps)
-    pi = stationary_distribution(policy, model)
-    Gpi = np.where(policy.decide, G1[:, None], G0)
+    pi = stationary_distribution(decide, model)
+    Gpi = np.where(decide, G1[:, None], G0)
     return float(np.sum(pi.pi * Gpi))
+
+
+def greedy_table(A: np.ndarray, model: TransitionModel, rewards: RewardSpec,
+                 spec: GridSpec, eps=None) -> np.ndarray:
+    """Decision table of one greedy step on the differential values A:
+    feedback exactly where it strictly beats keeping the beam."""
+    G0, G1 = _stage_tables(spec, rewards, eps)
+    W0, W1 = _backup(A, model)
+    return G1[:, None] + W1[:, None] > G0 + W0
+
+
+def threshold_table(y: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Decision table of the thresholds y: feedback where the alignment
+    point lies below its power bin's threshold."""
+    return spec.z_points[None, :] < np.asarray(y)[:, None]
+
+
+def extract_threshold(decide: np.ndarray, spec: GridSpec):
+    """Leading feedback run of each row of a decision table, as a bin edge.
+
+    Returns (y, is_threshold): y[m] is the upper edge of the run of
+    feedback bins that row m starts with, and is_threshold tells whether
+    every row feeds back on that run alone.  A row that feeds back above a
+    gap still reports its leading run.
+    """
+    M, N = decide.shape
+    if N + 1 != spec.z_edges.size or M != spec.M:
+        raise ValueError("policy shape does not match the grid")
+    lead = np.where(decide.all(axis=1), N, np.argmin(decide, axis=1))
+    return spec.z_edges[lead], np.array_equal(decide, np.arange(N) < lead[:, None])
+
+
+def bin_decision(decide: np.ndarray, m: np.ndarray, z: np.ndarray,
+                 spec: GridSpec) -> np.ndarray:
+    """Decisions of a table at power bins m and alignments z, looked up by
+    the alignment bin of each z."""
+    return decide[m, _bin(z, spec.z_edges)]
 
 
 def is_monotone_stochastic(A: np.ndarray, tol: float = 1e-9) -> bool:
@@ -236,9 +276,8 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
 
 
 def policy_from_json(text: str) -> Policy:
-    """Read back the decision table of a serialized solve."""
-    doc = json.loads(text)
-    return Policy(np.asarray(doc["policy"], dtype=bool))
+    """Read back the thresholds of a serialized solve."""
+    return Policy(json.loads(text)["threshold"])
 
 
 def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
@@ -266,16 +305,14 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
     evaluated = 0
     for combo in itertools.product(*candidates):
         y = spec.z_edges[list(combo)]
-        decide = spec.z_points[None, :] < y[:, None]
+        decide = threshold_table(y, spec)
         J, A, residual = _evaluate_policy(decide, model, G0, G1)
         evaluated += 1
         if best is None or J > best[0]:
-            best = (J, decide, A, residual)
-    J, decide, A, residual = best
-    policy = Policy(decide)
-    pi = stationary_distribution(policy, model)
-    return SolveResult(policy=policy, J=J, A=A, iterations=evaluated, pi=pi,
-                       residual=residual)
+            best = (J, y, decide, A, residual)
+    J, y, decide, A, residual = best
+    return SolveResult(policy=Policy(y), J=J, A=A, iterations=evaluated,
+                       pi=stationary_distribution(decide, model), residual=residual)
 
 
 def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,

@@ -27,7 +27,6 @@ from beamfeedback.codebook import (
 from beamfeedback.mdp import (
     Policy,
     RewardSpec,
-    extract_threshold,
     policy_iteration_average,
     threshold_lower_bound,
 )
@@ -39,7 +38,13 @@ from beamfeedback.simulator import (
 from beamfeedback.state_grid import TransitionModel, estimate_transition_model, make_grid
 
 from conftest import synthetic_setup, tilted_rows
-from oracles import exhaustive_threshold_search, refinement_study, simulate_periodic
+from oracles import (
+    exhaustive_threshold_search,
+    greedy_table,
+    refinement_study,
+    simulate_periodic,
+    threshold_table,
+)
 
 SNR = 100.0  # 20 dB transmit SNR used throughout the reference experiments
 PARAMS = FadingParams(L=3, doppler_slot=0.1)
@@ -92,9 +97,16 @@ def harness_grid():
 
 @pytest.fixture(scope="module")
 def stale_eval(harness_grid):
-    policy = Policy(np.zeros((harness_grid.M, harness_grid.N), dtype=bool))
+    policy = Policy(np.zeros(harness_grid.M))
     return simulate_policy(policy, harness_grid, PARAMS,
                            RewardSpec(P=SNR, alpha=0.0), LONG_RUN)
+
+
+def _settled(result, model, rewards, spec) -> bool:
+    """The table the solved thresholds rebuild is the greedy improvement of
+    the returned differential values: policy iteration settled on it."""
+    return np.array_equal(threshold_table(result.policy.y, spec),
+                          greedy_table(result.A, model, rewards, spec))
 
 
 def test_01_extreme_prices_solve_exactly():
@@ -103,21 +115,19 @@ def test_01_extreme_prices_solve_exactly():
     rng = np.random.default_rng(11)
     for M, N in ((3, 4), (5, 6), (8, 8)):
         spec, model = synthetic_setup(rng, M=M, N=N)
-        free = policy_iteration_average(model, RewardSpec(P=SNR, alpha=0.0), spec)
-        profile = extract_threshold(free.policy, spec)
-        if not (free.policy.decide.all() and profile.is_threshold
-                and np.all(profile.y == 1.0)):
+        rewards = RewardSpec(P=SNR, alpha=0.0)
+        free = policy_iteration_average(model, rewards, spec)
+        if not (np.all(free.policy.y == 1.0) and _settled(free, model, rewards, spec)):
             failures.append(f"free feedback is not taken everywhere on {M}x{N}")
 
         spec, model = memoryless_alignment_setup(rng, M, N)
-        free = policy_iteration_average(model, RewardSpec(P=SNR, alpha=0.0), spec)
-        if not free.policy.decide.all():
+        free = policy_iteration_average(model, rewards, spec)
+        if not (np.all(free.policy.y == 1.0) and _settled(free, model, rewards, spec)):
             failures.append(f"free feedback skipped on memoryless {M}x{N}")
         cutoff = 1.0 + math.log2(1.0 + SNR * spec.g_points[-1])
-        costly = policy_iteration_average(model, RewardSpec(P=SNR, alpha=cutoff),
-                                          spec)
-        profile = extract_threshold(costly.policy, spec)
-        if costly.policy.decide.any() or not np.all(profile.y == 0.0):
+        rewards = RewardSpec(P=SNR, alpha=cutoff)
+        costly = policy_iteration_average(model, rewards, spec)
+        if not (np.all(costly.policy.y == 0.0) and _settled(costly, model, rewards, spec)):
             failures.append(f"prohibitive price still buys feedback on {M}x{N}")
     _finish(1, "extreme prices give the all- and never-feedback policies",
             start, 1.0, failures)
@@ -128,16 +138,14 @@ def test_02_threshold_structure_with_lower_bound(paper_grid, paper_model):
     failures = []
     slack = 1.0 / paper_grid.N
     for alpha in (0.2, 0.7, 1.2):
-        result = policy_iteration_average(paper_model,
-                                          RewardSpec(P=SNR, alpha=alpha),
-                                          paper_grid)
-        profile = extract_threshold(result.policy, paper_grid)
-        if not profile.is_threshold:
+        rewards = RewardSpec(P=SNR, alpha=alpha)
+        result = policy_iteration_average(paper_model, rewards, paper_grid)
+        if not _settled(result, paper_model, rewards, paper_grid):
             failures.append(f"policy at alpha={alpha} is not a threshold rule")
             continue
         bounds = np.array([threshold_lower_bound(g, SNR, alpha)
                            for g in paper_grid.g_points])
-        worst = float(np.min(profile.y - (bounds - slack)))
+        worst = float(np.min(result.policy.y - (bounds - slack)))
         if worst < -1e-12:
             failures.append(f"threshold at alpha={alpha} sits {-worst:.3g} "
                             "below the per-power bound minus one bin")
@@ -184,7 +192,7 @@ def test_04_no_feedback_throughput_matches_integration(stale_eval):
 def test_05_feedback_gain(harness_grid, stale_eval):
     start = time.perf_counter()
     failures = []
-    policy = Policy(np.ones((harness_grid.M, harness_grid.N), dtype=bool))
+    policy = Policy(np.ones(harness_grid.M))
     fresh = simulate_policy(policy, harness_grid, PARAMS,
                             RewardSpec(P=SNR, alpha=0.0), LONG_RUN)
     gain = fresh.throughput - stale_eval.throughput

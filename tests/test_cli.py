@@ -31,6 +31,7 @@ from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
 from beamfeedback.state_grid import TransitionModel
 
+from conftest import gapped_feedback_model
 from oracles import codebook_from_json, model_from_json
 
 
@@ -277,6 +278,15 @@ class TestExitCodes:
         monkeypatch.setattr(simulator, "estimate_transition_model", frozen_alignment)
         assert run("solve", path, quiet=True) == EXIT_NUMERICAL
         assert "singular" in capsys.readouterr().err
+        assert not os.path.exists(os.path.dirname(prefix))
+
+    def test_non_threshold_optimum_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the settled table feeds back in the middle alignment bin alone
+        path, prefix = write_config(tmp_path, M=1, N=3, alpha="2.8")
+        monkeypatch.setattr(simulator, "estimate_transition_model",
+                            lambda *args, **kwargs: gapped_feedback_model())
+        assert run("solve", path, quiet=True) == EXIT_NUMERICAL
+        assert "not a threshold rule" in capsys.readouterr().err
         assert not os.path.exists(os.path.dirname(prefix))
 
     def test_failed_runs_leave_no_partial_outputs(self, tmp_path, monkeypatch):

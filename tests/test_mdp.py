@@ -20,10 +20,10 @@ from scipy import linalg
 from beamfeedback import mdp
 from beamfeedback.mdp import (
     ConvergenceError,
+    NonThresholdError,
     Policy,
     RewardSpec,
     SingularChainError,
-    extract_threshold,
     policy_iteration_average,
     solve_result_to_json,
     stationary_distribution,
@@ -39,13 +39,16 @@ from beamfeedback.state_grid import (
 )
 
 import oracles
-from conftest import lossy_model, synthetic_setup, tilted_rows
+from conftest import gapped_feedback_model, lossy_model, synthetic_setup, tilted_rows
 from oracles import (
     average_reward,
     dp_operator,
     exhaustive_threshold_search,
+    extract_threshold,
+    greedy_table,
     policy_from_json,
     relative_value_iteration,
+    threshold_table,
     value_iteration_discounted,
 )
 
@@ -358,7 +361,7 @@ class TestAverageRewardOracle:
         for _ in range(20):
             spec, model = synthetic_setup(rng, M=2, N=3)
             decide = rng.random(size=(2, 3)) < 0.5
-            got = average_reward(Policy(decide), model, r, spec)
+            got = average_reward(decide, model, r, spec)
             want = gain_oracle(decide, model, spec, r)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -367,7 +370,7 @@ class TestAverageRewardOracle:
         rng = np.random.default_rng(51)
         spec, model = synthetic_setup(rng, M=3, N=4)
         r = RewardSpec(P=30.0, alpha=0.4)
-        got = average_reward(Policy(np.ones((3, 4), bool)), model, r, spec)
+        got = average_reward(np.ones((3, 4), bool), model, r, spec)
         pit = occupancy_oracle(model.Ptilde)
         want = float(pit @ (np.log2(1.0 + 30.0 * spec.g_points) - 0.4))
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -375,7 +378,7 @@ class TestAverageRewardOracle:
     def test_price_enters_linearly_for_all_feedback(self):
         rng = np.random.default_rng(52)
         spec, model = synthetic_setup(rng, M=3, N=4)
-        all_on = Policy(np.ones((3, 4), bool))
+        all_on = np.ones((3, 4), bool)
         j0 = average_reward(all_on, model, RewardSpec(P=30.0, alpha=0.0), spec)
         j1 = average_reward(all_on, model, RewardSpec(P=30.0, alpha=0.9), spec)
         np.testing.assert_allclose(j0 - j1, 0.9, atol=1e-12)
@@ -414,7 +417,7 @@ class TestPolicyIterationOptimality:
         spec, model = synthetic_setup(rng, M=3, N=4)
         r = RewardSpec(P=30.0, alpha=0.0)
         res = policy_iteration_average(model, r, spec)
-        assert res.policy.decide.all()
+        assert np.all(res.policy.y == 1.0)
 
     def test_prohibitive_price_means_never_feed_back(self):
         rng = np.random.default_rng(64)
@@ -424,8 +427,8 @@ class TestPolicyIterationOptimality:
         J_span = math.log2(1.0 + 30.0 * spec.g_points[-1])
         r = RewardSpec(P=30.0, alpha=5.0 * J_span + 5.0)
         res = policy_iteration_average(model, r, spec)
-        assert not res.policy.decide.any()
-        want = average_reward(Policy(np.zeros((3, 4), bool)), model, r, spec)
+        assert np.all(res.policy.y == 0.0)
+        want = average_reward(np.zeros((3, 4), bool), model, r, spec)
         np.testing.assert_allclose(res.J, want, atol=1e-12)
 
     def test_result_is_self_consistent(self):
@@ -433,10 +436,11 @@ class TestPolicyIterationOptimality:
         spec, model = synthetic_setup(rng, M=3, N=4)
         r = RewardSpec(P=30.0, alpha=0.5)
         res = policy_iteration_average(model, r, spec)
+        table = threshold_table(res.policy.y, spec)
         np.testing.assert_allclose(
-            res.J, average_reward(res.policy, model, r, spec), atol=1e-10)
+            res.J, average_reward(table, model, r, spec), atol=1e-10)
         np.testing.assert_allclose(
-            res.pi.pi, stationary_distribution(res.policy, model).pi, atol=1e-12)
+            res.pi.pi, stationary_distribution(table, model).pi, atol=1e-12)
         assert res.iterations >= 1
         # differential values solve the evaluation equations: anchored last state
         assert res.A[-1, -1] == 0.0
@@ -476,7 +480,7 @@ class TestPolicyIterationOptimality:
         res = policy_iteration_average(model, RewardSpec(P=50.0, alpha=0.7), spec)
         np.testing.assert_allclose(res.J, 7.082346679418066, rtol=1e-12)
         want = [[1, 1, 1, 0]] * 3
-        assert res.policy.decide.astype(int).tolist() == want
+        assert threshold_table(res.policy.y, spec).astype(int).tolist() == want
 
     def test_deterministic_given_the_model(self):
         rng = np.random.default_rng(68)
@@ -485,7 +489,7 @@ class TestPolicyIterationOptimality:
         a = policy_iteration_average(model, r, spec)
         b = policy_iteration_average(model, r, spec)
         assert a.J == b.J
-        assert np.array_equal(a.policy.decide, b.policy.decide)
+        assert np.array_equal(a.policy.y, b.policy.y)
 
 
 class TestDecisionBoundary:
@@ -498,8 +502,8 @@ class TestDecisionBoundary:
             model, RewardSpec(P=2.0, alpha=gap + 1e-9), spec)
         below = policy_iteration_average(
             model, RewardSpec(P=2.0, alpha=gap - 1e-9), spec)
-        assert not above.policy.decide[0, 0]
-        assert below.policy.decide[0, 0]
+        assert above.policy.y[0] == 0.0
+        assert below.policy.y[0] == 1.0
 
 
 # ----------------------------------------------------------------------------
@@ -512,14 +516,14 @@ class TestStationaryDistribution:
         for _ in range(10):
             spec, model = synthetic_setup(rng, M=3, N=4)
             decide = rng.random(size=(3, 4)) < 0.5
-            pi = stationary_distribution(Policy(decide), model).pi
+            pi = stationary_distribution(decide, model).pi
             T = chain_matrix(decide, model)
             np.testing.assert_allclose(pi.ravel(), occupancy_oracle(T), atol=1e-10)
 
     def test_rows_form_a_distribution(self):
         rng = np.random.default_rng(71)
         spec, model = synthetic_setup(rng, M=3, N=4)
-        pi = stationary_distribution(Policy(np.zeros((3, 4), bool)), model).pi
+        pi = stationary_distribution(np.zeros((3, 4), bool), model).pi
         assert pi.min() >= 0.0
         np.testing.assert_allclose(pi.sum(), 1.0, rtol=1e-12)
 
@@ -528,7 +532,7 @@ class TestStationaryDistribution:
         model = TransitionModel(Ptilde=np.eye(2), P0=np.eye(3),
                                 feedback_row=[0.0, 0.0, 1.0], sample_count=1)
         with pytest.raises(SingularChainError):
-            stationary_distribution(Policy(np.zeros((2, 3), bool)), model)
+            stationary_distribution(np.zeros((2, 3), bool), model)
 
     def test_disconnected_power_classes_are_rejected(self):
         # feedback pins alignment, but identity power mixing still leaves one
@@ -536,19 +540,19 @@ class TestStationaryDistribution:
         model = TransitionModel(Ptilde=np.eye(2), P0=np.eye(3),
                                 feedback_row=[0.0, 0.0, 1.0], sample_count=1)
         with pytest.raises(SingularChainError):
-            stationary_distribution(Policy(np.ones((2, 3), bool)), model)
+            stationary_distribution(np.ones((2, 3), bool), model)
 
     def test_alignment_frozen_chain_is_rejected(self):
         # power mixes, but without feedback every alignment bin is closed
         model = alignment_frozen_model(np.random.default_rng(73))
         with pytest.raises(SingularChainError):
-            stationary_distribution(Policy(np.zeros((3, 4), bool)), model)
+            stationary_distribution(np.zeros((3, 4), bool), model)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(72)
         spec, model = synthetic_setup(rng, M=3, N=4)
         with pytest.raises(ValueError, match="shape"):
-            stationary_distribution(Policy(np.zeros((4, 3), bool)), model)
+            stationary_distribution(np.zeros((4, 3), bool), model)
 
 
 class TestMatrixFreeAgreesWithDense:
@@ -561,7 +565,7 @@ class TestMatrixFreeAgreesWithDense:
         assert np.max(np.abs(A - A_ref)) <= 1e-9
         assert A[-1, -1] == 0.0
         assert residual <= 1e-10
-        pi = stationary_distribution(Policy(decide), model).pi
+        pi = stationary_distribution(decide, model).pi
         assert np.max(np.abs(pi - dense_stationary(decide, model))) <= 1e-12
 
     def test_random_models_and_tables(self):
@@ -591,7 +595,8 @@ class TestMatrixFreeAgreesWithDense:
             G0, G1 = _stage_tables(spec, r, None)
             for res in (policy_iteration_average(model, r, spec),
                         exhaustive_threshold_search(model, r, spec)):
-                J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1)
+                J_ref, A_ref = dense_evaluate_policy(threshold_table(res.policy.y, spec),
+                                                     model, G0, G1)
                 assert abs(res.J - J_ref) <= 1e-10
                 assert np.max(np.abs(res.A - A_ref)) <= 1e-9
                 assert res.residual <= 1e-10
@@ -605,7 +610,8 @@ class TestMatrixFreeAgreesWithDense:
         r = RewardSpec(P=100.0, alpha=1.0)
         res = policy_iteration_average(model, r, spec)
         G0, G1 = _stage_tables(spec, r, None)
-        J_ref, A_ref = dense_evaluate_policy(res.policy.decide, model, G0, G1)
+        J_ref, A_ref = dense_evaluate_policy(threshold_table(res.policy.y, spec),
+                                             model, G0, G1)
         assert np.max(np.abs(A_ref)) > 1000.0
         assert abs(res.J - J_ref) <= 1e-10
         assert np.max(np.abs(res.A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
@@ -656,12 +662,28 @@ class TestThresholdLowerBound:
 
 class TestPolicy:
     def test_decisions_are_a_frozen_copy(self):
-        d = np.zeros((2, 2), bool)
-        policy = Policy(d)
-        d[0, 0] = True  # the caller's own array stays writable
-        assert not policy.decide.any()
+        y = np.zeros(2)
+        policy = Policy(y)
+        y[0] = 0.5  # the caller's own array stays writable
+        assert not policy.y.any()
         with pytest.raises(ValueError, match="read-only"):
-            policy.decide[0, 0] = True
+            policy.y[0] = 0.5
+
+    def test_every_curve_in_the_unit_cube_is_accepted(self):
+        y = Policy([0.0, 0.25, 1.0]).y
+        assert y.dtype == float and y.tolist() == [0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("y, match", [
+        (np.zeros((2, 2)), "1-D"),
+        (0.5, "1-D"),
+        ([0.5, math.nan], r"\[0, 1\]"),
+        ([0.5, -1e-12], r"\[0, 1\]"),
+        ([np.nextafter(1.0, 2.0)], r"\[0, 1\]"),
+        ([math.inf], r"\[0, 1\]"),
+    ])
+    def test_invalid_curves_rejected(self, y, match):
+        with pytest.raises(ValueError, match=match):
+            Policy(y)
 
 
 class TestThresholdStructure:
@@ -671,10 +693,11 @@ class TestThresholdStructure:
             spec, model = synthetic_setup(rng, M=3, N=5)
             r = RewardSpec(P=30.0, alpha=float(rng.random() * 2.0))
             res = policy_iteration_average(model, r, spec)
-            profile = extract_threshold(res.policy, spec)
-            assert profile.is_threshold
-            rebuilt = spec.z_points[None, :] < profile.y[:, None]
-            assert np.array_equal(rebuilt, res.policy.decide)
+            assert np.all(np.isin(res.policy.y, spec.z_edges))
+            # the table the thresholds rebuild is the greedy step on the
+            # returned values, so it is the table policy iteration settled on
+            assert np.array_equal(threshold_table(res.policy.y, spec),
+                                  greedy_table(res.A, model, r, spec))
 
     def test_feedback_taken_whenever_it_pays_immediately(self):
         # below the per-stage bound the realigned continuation also dominates,
@@ -687,7 +710,7 @@ class TestThresholdStructure:
             for m in range(3):
                 lb = threshold_lower_bound(float(spec.g_points[m]), r.P, r.alpha)
                 must = spec.z_points < lb - 1e-9
-                assert np.all(res.policy.decide[m][must])
+                assert np.all(threshold_table(res.policy.y, spec)[m][must])
 
     def test_extraction_patterns(self):
         spec = GridSpec(M=4, N=4, g_edges=[0.0, 1.0, 2.0, 3.0, np.inf],
@@ -700,9 +723,9 @@ class TestThresholdStructure:
             [True, True, False, False],
             [True, False, True, False],
         ])
-        profile = extract_threshold(Policy(decide), spec)
-        assert not profile.is_threshold  # last row feeds back above a gap
-        np.testing.assert_allclose(profile.y, [1.0, 0.0, 0.5, 0.25])
+        y, is_threshold = extract_threshold(decide, spec)
+        assert not is_threshold  # last row feeds back above a gap
+        np.testing.assert_allclose(y, [1.0, 0.0, 0.5, 0.25])
 
     def test_threshold_rows_alone_are_accepted(self):
         spec = GridSpec(M=2, N=4, g_edges=[0.0, 1.0, np.inf], g_points=[0.5, 1.5],
@@ -710,16 +733,29 @@ class TestThresholdStructure:
                         z_points=np.arange(4) / 4.0 + 0.125)
         decide = np.array([[True, True, False, False],
                            [True, False, False, False]])
-        profile = extract_threshold(Policy(decide), spec)
-        assert profile.is_threshold
-        np.testing.assert_allclose(profile.y, [0.5, 0.25])
+        y, is_threshold = extract_threshold(decide, spec)
+        assert is_threshold
+        np.testing.assert_allclose(y, [0.5, 0.25])
 
     def test_shape_mismatch_rejected(self):
         spec = GridSpec(M=2, N=4, g_edges=[0.0, 1.0, np.inf], g_points=[0.5, 1.5],
                         z_edges=np.arange(5) / 4.0,
                         z_points=np.arange(4) / 4.0 + 0.125)
         with pytest.raises(ValueError, match="shape"):
-            extract_threshold(Policy(np.zeros((2, 3), bool)), spec)
+            extract_threshold(np.zeros((2, 3), bool), spec)
+
+    @pytest.mark.parametrize("alpha", [2.6, 2.8, 3.0])
+    def test_gapped_optimum_fails_loudly(self, alpha):
+        # the middle bin alone feeds back: no threshold rule gives that table
+        spec, model = make_grid(3, 1, 3), gapped_feedback_model()
+        r = RewardSpec(P=100.0, alpha=alpha)
+        gapped = np.array([[False, True, False]])
+        G0, G1 = _stage_tables(spec, r, None)
+        _, A, _ = _evaluate_policy(gapped, model, G0, G1)
+        assert np.array_equal(greedy_table(A, model, r, spec), gapped)
+        assert not extract_threshold(gapped, spec)[1]
+        with pytest.raises(NonThresholdError, match="not a threshold rule"):
+            policy_iteration_average(model, r, spec)
 
 
 class TestExhaustiveSearch:
@@ -743,7 +779,9 @@ class TestExhaustiveSearch:
         spec, model = synthetic_setup(rng, M=2, N=4)
         r = RewardSpec(P=30.0, alpha=0.7)
         res = exhaustive_threshold_search(model, r, spec)
-        assert extract_threshold(res.policy, spec).is_threshold
+        assert np.all(np.isin(res.policy.y, spec.z_edges))
+        table = threshold_table(res.policy.y, spec)
+        assert abs(average_reward(table, model, r, spec) - res.J) <= 1e-10
 
 
 # ----------------------------------------------------------------------------
@@ -767,7 +805,7 @@ class TestQuantizedSolves:
         r = RewardSpec(P=30.0, alpha=0.5)
         eps = fake_eps_stats(spec.g_points, 30.0, 0.85)
         J_quant = policy_iteration_average(model, r, spec, eps=eps).J
-        J_never = average_reward(Policy(np.zeros((3, 4), bool)), model, r, spec)
+        J_never = average_reward(np.zeros((3, 4), bool), model, r, spec)
         assert J_quant >= J_never - 1e-12
 
     def test_solve_gain_uses_the_model_row(self):
@@ -778,10 +816,11 @@ class TestQuantizedSolves:
         lossy = lossy_model(model)
         r = RewardSpec(P=30.0, alpha=1.0)
         res = policy_iteration_average(lossy, r, spec)
+        table = threshold_table(res.policy.y, spec)
         # a mixed policy: always feeding back would make the row irrelevant
-        assert res.policy.decide.any() and not res.policy.decide.all()
-        assert abs(res.J - gain_oracle(res.policy.decide, lossy, spec, r)) <= 1e-10
-        J_exact_row = gain_oracle(res.policy.decide, model, spec, r)
+        assert table.any() and not table.all()
+        assert abs(res.J - gain_oracle(table, lossy, spec, r)) <= 1e-10
+        J_exact_row = gain_oracle(table, model, spec, r)
         assert abs(res.J - J_exact_row) > 1e-6
 
 
@@ -813,5 +852,6 @@ class TestSerialization:
         assert len(doc["threshold"]) == 3
         assert doc["is_threshold"] is True
         np.testing.assert_allclose(doc["J"], res.J, rtol=1e-15)
+        assert doc["policy"] == threshold_table(res.policy.y, spec).astype(int).tolist()
         back = policy_from_json(solve_result_to_json(res, spec))
-        assert np.array_equal(back.decide, res.policy.decide)
+        assert np.array_equal(back.y, res.policy.y)

@@ -63,8 +63,7 @@ def test_trajectory():
 def test_simulate_policy_on_a_cached_trajectory(spec, codebook, bound):
     if codebook is not None:
         codebook = random_codebook(L, codebook, 5)
-    y = np.linspace(0.3, 0.9, spec.M)
-    policy = Policy(spec.z_points[None, :] < y[:, None])
+    policy = Policy(np.linspace(0.3, 0.9, spec.M))
     cfg = TrajectoryConfig(T, seed=6)
     simulator._trajectory(PARAMS, cfg)
     peak = traced_peak(simulate_policy, policy, spec, PARAMS,

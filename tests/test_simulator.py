@@ -21,12 +21,7 @@ from beamfeedback.codebook import (
     lloyd_codebook,
     random_codebook,
 )
-from beamfeedback.mdp import (
-    Policy,
-    RewardSpec,
-    ThresholdProfile,
-    policy_iteration_average,
-)
+from beamfeedback.mdp import Policy, RewardSpec, policy_iteration_average
 from beamfeedback.simulator import (
     CSV_HEADER,
     Curve,
@@ -49,10 +44,12 @@ from beamfeedback.state_grid import (
 from oracles import (
     _REFINEMENT_STREAM,
     average_reward,
+    bin_decision,
     periodic_segments,
     quantize_shape,
     refinement_study,
     simulate_periodic,
+    threshold_table,
 )
 
 
@@ -94,11 +91,11 @@ def model8(grid8):
 
 
 def never(spec):
-    return Policy(np.zeros((spec.M, spec.N), dtype=bool))
+    return Policy(np.zeros(spec.M))
 
 
 def always(spec):
-    return Policy(np.ones((spec.M, spec.N), dtype=bool))
+    return Policy(np.ones(spec.M))
 
 
 # ----------------------------------------------------------------------------
@@ -294,7 +291,7 @@ class TestSimulatePolicy:
 
     def test_dimension_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError, match="dimensions"):
-            simulate_policy(Policy(np.zeros((4, 4), bool)), grid8, PARAMS,
+            simulate_policy(Policy(np.zeros(4)), grid8, PARAMS,
                             REWARDS, TrajectoryConfig(slots=100, warmup=0, seed=1))
 
 
@@ -303,15 +300,20 @@ class TestSimulatePolicy:
 # ----------------------------------------------------------------------------
 
 def _reference_simulate_policy(policy, spec, params, rewards, config,
-                               codebook=None):
+                               codebook=None, by_bin=False):
     """Reference simulator: one loop iteration per feedback event.
 
-    From each event it bins 256-slot blocks until the policy next feeds
+    From each event it takes 256-slot blocks until the policy next feeds
     back, and with a codebook it quantizes each feedback shape on its own.
-    Its alignments are the simulator's per-row products, so the two decide
-    on the same values to the last bit.  Returns (EvalResult, z, fb).
+    A slot feeds back when its alignment lies below its power bin's
+    threshold, or always where the threshold is 1; with ``by_bin`` the
+    decision is instead looked up by alignment bin in the table the
+    thresholds rebuild, which must agree when every threshold is a bin
+    edge.  Its alignments are the simulator's per-row products, so the two
+    decide on the same values to the last bit.  Returns (EvalResult, z, fb).
     """
-    decide = policy.decide
+    y = policy.y
+    decide = threshold_table(y, spec)
     g, S, f = simulator._trajectory(params, config)
     T = config.slots
     z = np.empty(T)
@@ -322,9 +324,11 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
     while t < T:
         end = min(T, t + 256)
         blk = _alignment(_row_inner(S[t:end].conj(), f))
-        n_blk = np.minimum(
-            np.searchsorted(spec.z_edges, blk, side="right") - 1, spec.N - 1)
-        hit = decide[m_idx[t:end], n_blk]
+        m_blk = m_idx[t:end]
+        if by_bin:
+            hit = bin_decision(decide, m_blk, blk, spec)
+        else:
+            hit = (blk < y[m_blk]) | (y[m_blk] == 1.0)
         if not hit.any():
             z[t:end] = blk
             t = end
@@ -372,11 +376,11 @@ def _feedback_codebook(kind, L, seed):
     return random_codebook(L, 8, 740 + seed)
 
 
-def _assert_agrees(policy, spec, params, rewards, cfg, codebook):
-    want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params,
-                                                     rewards, cfg, codebook)
+def _assert_agrees(policy, spec, params, rewards, cfg, codebook, by_bin):
+    want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params, rewards,
+                                                     cfg, codebook, by_bin)
     g, S, f = simulator._trajectory(params, cfg)
-    z, fb = simulator._feedback_trace(policy.decide,
+    z, fb = simulator._feedback_trace(policy.y,
                                       simulator._Run(spec, g, S, f, codebook))
     got = simulate_policy(policy, spec, params, rewards, cfg, codebook=codebook)
     assert np.array_equal(fb, fb_ref)
@@ -395,15 +399,17 @@ class TestEventTableAgreesWithReference:
         codebook = _feedback_codebook(feedback, L, seed)
         rng = np.random.default_rng(750 + seed)
         spec = solved_tables[L, 0.2][0]
-        shape = (spec.M, spec.N)
         for a in AGREE_PRICES:
             rewards = RewardSpec(P=100.0, alpha=a)
-            tables = [rng.random(shape) < 0.3, rng.random(shape) < 0.7,
-                      np.ones(shape, bool), np.zeros(shape, bool),
-                      solved_tables[L, a][1].decide]
-            for decide in tables:
-                _assert_agrees(Policy(decide), spec, params, rewards, cfg,
-                               codebook)
+            # curves on bin edges are checked against the bin lookup, curves
+            # off them against the direct comparison
+            curves = [(spec.z_edges[rng.integers(0, spec.N + 1, spec.M)], True),
+                      (rng.random(spec.M), False),
+                      (np.ones(spec.M), True), (np.zeros(spec.M), True),
+                      (solved_tables[L, a][1].y, True)]
+            for y, by_bin in curves:
+                _assert_agrees(Policy(y), spec, params, rewards, cfg, codebook,
+                               by_bin)
 
     @pytest.mark.parametrize("feedback", ["perfect", "lloyd16"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -414,21 +420,20 @@ class TestEventTableAgreesWithReference:
         # eps alone would trigger feedback again at every slot
         params = FadingParams(L=3, doppler_slot=0.001)
         spec = make_grid(3, 16, 16)
-        decide = np.zeros((spec.M, spec.N), dtype=bool)
         codebook = None
         if feedback == "perfect":
-            decide[:, :-1] = True
+            y = np.full(spec.M, spec.z_edges[-2])
         else:
-            decide[:, :9] = True
+            y = np.full(spec.M, spec.z_edges[9])
             codebook = lloyd_codebook(3, 16, 5000, 20, 761)
         cfg = TrajectoryConfig(slots=40_000, warmup=100, seed=seed)
-        fb = _assert_agrees(Policy(decide), spec, params,
-                            RewardSpec(P=100.0, alpha=2.0), cfg, codebook)
+        fb = _assert_agrees(Policy(y), spec, params,
+                            RewardSpec(P=100.0, alpha=2.0), cfg, codebook, True)
         events = np.flatnonzero(fb)
         assert events.size >= 3
         assert np.diff(events).max() > simulator._HORIZON
         g, S, f = simulator._trajectory(params, cfg)
-        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, codebook))
+        table = simulator._EventTable(y, simulator._Run(spec, g, S, f, codebook))
         assert np.any(table.successor[events] == 0)
 
     @pytest.mark.parametrize("feedback", ["perfect", "random"])
@@ -443,15 +448,17 @@ class TestEventTableAgreesWithReference:
         spec = make_grid(L, 8, 8)
         codebook = _feedback_codebook(feedback, L, 13)
         rng = np.random.default_rng(14)
-        y = np.linspace(0.3, 0.9, spec.M)
-        tables = [spec.z_points[None, :] < y[:, None], rng.random((8, 8)) < 0.5,
-                  np.zeros((8, 8), bool)]
+        # every other row of the second curve feeds back always and the rest
+        # hold off-edge thresholds, so it feeds back in part even at L = 1,
+        # where z is 1
+        mixed = np.where(np.arange(spec.M) % 2 == 0, 1.0, rng.random(spec.M))
+        curves = [np.linspace(0.3, 0.9, spec.M), mixed, np.zeros(spec.M)]
 
         def traces():
             traj = simulator._trajectory.__wrapped__(params, cfg)
             run = simulator._Run(spec, *traj, codebook)
             periodic = simulator._schedule_trace(run, np.arange(0, cfg.slots, 9))
-            return traj, [simulator._feedback_trace(d, run) for d in tables] + [periodic]
+            return traj, [simulator._feedback_trace(y, run) for y in curves] + [periodic]
 
         monkeypatch.setattr(simulator, "_SLOT_BLOCK", cfg.slots)
         want_traj, want = traces()
@@ -483,15 +490,15 @@ class TestEventTableAgreesWithReference:
         power = make_grid(4, 1, 2)
         spec = GridSpec(M=1, N=2, g_edges=power.g_edges, g_points=power.g_points,
                         z_edges=[0.0, edge, 1.0], z_points=[0.5 * edge, 0.5 + 0.5 * edge])
-        decide = np.array([[True, False]])
+        y, decide = spec.z_edges[1:2], np.array([[True, False]])
         run = simulator._Run(spec, g, S, f, None)
-        table = simulator._EventTable(decide, run)
+        table = simulator._EventTable(y, run)
         assert table.first == 0 and table.successor[0] == 0 and t > table.depth
 
         def feeds_back(slots, z):
-            return decide[run.m[slots], simulator._bin(z, spec.z_edges)]
+            return bin_decision(decide, run.m[slots], z, spec)
 
-        z, fb = simulator._feedback_trace(decide, run)
+        z, fb = simulator._feedback_trace(y, run)
         events = np.flatnonzero(fb)
         kept = np.flatnonzero(~fb)
         assert events.size >= 2 and not feeds_back(kept, z[kept]).any()
@@ -520,14 +527,15 @@ class TestEventTableAgreesWithReference:
 
 
 class TestThresholdCompare:
-    """A threshold policy decides by comparing z with its row's edge; the
-    decisions must be those of the bin lookup, at every edge included."""
+    """A policy decides by comparing z with its power bin's threshold; on
+    thresholds that sit on bin edges the decisions must be those of the bin
+    lookup in the table the thresholds rebuild, at every edge included."""
 
     @staticmethod
-    def _table(decide, spec):
+    def _table(y, spec):
         cfg = TrajectoryConfig(slots=600, warmup=10, seed=5)
         g, S, f = simulator._trajectory(PARAMS, cfg)
-        table = simulator._EventTable(decide, simulator._Run(spec, g, S, f, None))
+        table = simulator._EventTable(y, simulator._Run(spec, g, S, f, None))
         assert np.unique(table.run.m).size == spec.M  # every row is read
         return table
 
@@ -537,7 +545,7 @@ class TestThresholdCompare:
         z = np.concatenate(([0.0, 1.0], edges, np.nextafter(edges[1:], -np.inf)))
         slots = np.repeat(np.arange(table.T), z.size)
         z = np.tile(z, table.T)
-        want = decide[table.run.m[slots], simulator._bin(z, edges)]
+        want = bin_decision(decide, table.run.m[slots], z, spec)
         np.testing.assert_array_equal(table.hit(slots, z), want)
 
     @pytest.fixture(params=["uniform", "warped"])
@@ -556,19 +564,8 @@ class TestThresholdCompare:
                  np.arange(spec.M) % (spec.N + 1)]
         leads += [rng.integers(0, spec.N + 1, spec.M) for _ in range(5)]
         for lead in leads:
-            decide = cols < lead[:, None]
-            table = self._table(decide, spec)
-            assert table.ym is not None
-            self._probe(table, decide, spec)
-
-    def test_other_tables_look_up(self, spec):
-        rng = np.random.default_rng(781)
-        for _ in range(5):
-            decide = rng.random((spec.M, spec.N)) < 0.5
-            decide[0] = [False, True] * (spec.N // 2)  # feeds back above a gap
-            table = self._table(decide, spec)
-            assert table.ym is None
-            self._probe(table, decide, spec)
+            table = self._table(spec.z_edges[lead], spec)
+            self._probe(table, cols < lead[:, None], spec)
 
 
 class TestCodebookDimension:
@@ -580,11 +577,9 @@ class TestCodebookDimension:
     @pytest.mark.parametrize("table", ["never", "always", "partial"])
     def test_simulate_policy_rejects_mismatch(self, grid8, mismatched, table):
         codebook, cfg = mismatched
-        decide = {"never": np.zeros((grid8.M, grid8.N), bool),
-                  "always": np.ones((grid8.M, grid8.N), bool),
-                  "partial": grid8.z_points[None, :] < np.full((grid8.M, 1), 0.5)}
+        y = {"never": 0.0, "always": 1.0, "partial": 0.5}[table]
         with pytest.raises(ValueError, match="codebook has 4 antennas"):
-            simulate_policy(Policy(decide[table]), grid8, PARAMS, REWARDS, cfg,
+            simulate_policy(Policy(np.full(grid8.M, y)), grid8, PARAMS, REWARDS, cfg,
                             codebook=codebook)
 
 
@@ -594,8 +589,8 @@ class TestOptimalPolicyDominance:
         best = policy_iteration_average(model8, REWARDS, grid8).J
         for _ in range(10):
             edges = rng.integers(0, grid8.N + 1, size=grid8.M)
-            decide = grid8.z_points[None, :] < grid8.z_edges[edges][:, None]
-            J = average_reward(Policy(decide), model8, REWARDS, grid8)
+            decide = threshold_table(grid8.z_edges[edges], grid8)
+            J = average_reward(decide, model8, REWARDS, grid8)
             assert J <= best + 1e-9
 
 
@@ -697,35 +692,25 @@ class TestPeriodic:
 class TestAverageThreshold:
     def test_extremes(self):
         pi = StationaryDistribution(np.full((2, 3), 1.0 / 6.0))
-        ones = ThresholdProfile(y=np.ones(2), is_threshold=True)
-        zeros = ThresholdProfile(y=np.zeros(2), is_threshold=True)
-        assert average_threshold(ones, pi) == 1.0
-        assert average_threshold(zeros, pi) == 0.0
+        assert average_threshold(np.ones(2), pi) == 1.0
+        assert average_threshold(np.zeros(2), pi) == 0.0
 
     def test_all_feedback_reads_exactly_one(self):
         # ten bins of 0.1: summed in order they land 1 ulp below 1, as the
         # plain weighted sum of an all-ones profile did
         pi = StationaryDistribution(np.full((10, 1), 0.1))
         assert sum([0.1] * 10) == np.nextafter(1.0, 0.0)
-        ones = ThresholdProfile(y=np.ones(10), is_threshold=True)
-        assert average_threshold(ones, pi) == 1.0
+        assert average_threshold(np.ones(10), pi) == 1.0
 
     def test_weighted_value(self):
         pi = StationaryDistribution(np.array([[0.25, 0.0], [0.25, 0.5]]))
-        prof = ThresholdProfile(y=np.array([0.2, 0.6]), is_threshold=True)
-        np.testing.assert_allclose(average_threshold(prof, pi), 0.5, rtol=1e-15)
-
-    def test_non_threshold_rejected(self):
-        pi = StationaryDistribution(np.full((2, 2), 0.25))
-        prof = ThresholdProfile(y=np.array([0.2, 0.6]), is_threshold=False)
-        with pytest.raises(ValueError, match="threshold"):
-            average_threshold(prof, pi)
+        np.testing.assert_allclose(average_threshold(np.array([0.2, 0.6]), pi), 0.5,
+                                   rtol=1e-15)
 
     def test_size_mismatch_rejected(self):
         pi = StationaryDistribution(np.full((3, 2), 1.0 / 6.0))
-        prof = ThresholdProfile(y=np.array([0.2, 0.6]), is_threshold=True)
         with pytest.raises(ValueError, match="match"):
-            average_threshold(prof, pi)
+            average_threshold(np.array([0.2, 0.6]), pi)
 
 
 @pytest.fixture(scope="module")
