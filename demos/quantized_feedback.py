@@ -60,12 +60,12 @@ def main():
 
     print(f"{'alpha':>6} {'perfect net':>12} {'quantized net':>14} "
           f"{'loss':>7} {'3 sigma':>8}")
-    for exact, lossy in zip(perfect.points, quantized.points):
+    for exact, lossy in zip(perfect, quantized):
         sigma = math.hypot(exact.stderr, lossy.stderr)
         print(f"{exact.alpha:6.2f} {exact.net:12.4f} {lossy.net:14.4f} "
               f"{exact.net - lossy.net:7.4f} {3 * sigma:8.4f}")
     print(f"quantized threshold at zero price: "
-          f"{quantized.points[0].avg_threshold:.3f} (< 1: feedback is no "
+          f"{quantized[0].avg_threshold:.3f} (< 1: feedback is no "
           f"longer worth taking on every slot)")
 
 

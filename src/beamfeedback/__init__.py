@@ -9,7 +9,8 @@ link-level simulation, with either perfect or codebook-quantized feedback.
 
 Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
 ``policy_iteration_average`` solves it, ``simulate_policy`` and
-``sweep_alpha`` measure the result, and ``lloyd_codebook`` supplies the
+``sweep_alpha`` measure the result (one ``simulator.CurvePoint`` per
+price), and ``lloyd_codebook`` supplies the
 finite-rate feedback alphabet, whose ``quantization_errors`` feed both the
 quantized feedback row and ``epsilon_statistics``.
 The exports are the names the command line and the demos use; everything
@@ -32,10 +33,7 @@ from .mdp import (
     threshold_lower_bound,
 )
 from .simulator import (
-    Curve,
-    CurvePoint,
     TrajectoryConfig,
-    average_threshold,
     curve_to_csv,
     periodic_baseline,
     simulate_policy,
@@ -46,12 +44,9 @@ from .state_grid import estimate_transition_model, make_grid
 __version__ = "0.1.0"
 
 __all__ = [
-    "Curve",
-    "CurvePoint",
     "FadingParams",
     "RewardSpec",
     "TrajectoryConfig",
-    "average_threshold",
     "curve_to_csv",
     "epsilon_statistics",
     "estimate_transition_model",

@@ -101,8 +101,10 @@ def _row_inner(Sc_rows: np.ndarray, beams: np.ndarray) -> np.ndarray:
 class FadingParams:
     """Antenna count and per-slot Doppler of the fading process.
 
-    ``rho``, the one-slot correlation coefficient, is derived from
-    ``doppler_slot`` as the Bessel-J0 value; it cannot be set.
+    ``doppler_slot`` is the Doppler frequency times the slot length, at
+    most 1/2: sampled once a slot, a faster Doppler would alias.  ``rho``,
+    the one-slot correlation coefficient, is derived from it as the
+    Bessel-J0 value; it cannot be set.
     """
 
     L: int
@@ -113,7 +115,7 @@ class FadingParams:
         if int(self.L) < 1:
             raise ValueError("antenna count L must be a positive integer")
         object.__setattr__(self, "L", int(self.L))
-        if not (math.isfinite(self.doppler_slot) and self.doppler_slot >= 0.0):
-            raise ValueError(f"doppler_slot must be finite and nonnegative, "
-                             f"got {self.doppler_slot}")
+        if not 0.0 <= self.doppler_slot <= 0.5:  # NaN fails both
+            raise ValueError(f"doppler_slot must lie in [0, 0.5], 0.5 being the "
+                             f"slot-rate Nyquist limit; got {self.doppler_slot}")
         object.__setattr__(self, "rho", bessel_j0(2.0 * math.pi * self.doppler_slot))

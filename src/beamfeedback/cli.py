@@ -16,7 +16,6 @@ import configparser
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -37,12 +36,9 @@ from .mdp import (
 from .simulator import (
     _CODEBOOK_STREAM,
     CSV_HEADER,
-    Curve,
-    CurvePoint,
     TrajectoryConfig,
     _model,
     _streams,
-    average_threshold,
     curve_to_csv,
     periodic_baseline,
     simulate_policy,
@@ -270,24 +266,20 @@ def _metadata(cfg: ExperimentConfig, **extra) -> str:
     return json.dumps({**doc, **extra}, indent=2)
 
 
-def _periodic_curve(cfg: ExperimentConfig) -> Curve:
+def _periodic_curve(cfg: ExperimentConfig) -> tuple:
     """Best-interval periodic baseline across the configured prices."""
     best = periodic_baseline(cfg.params, cfg.P, cfg.alphas, _MAX_PERIOD, cfg.trajectory)
-    return Curve(points=tuple(
-        CurvePoint(alpha=float(a), net=res.net, throughput=res.throughput,
-                   feedback_rate=res.feedback_rate, avg_threshold=math.nan,
-                   stderr=res.stderr)
-        for a, (_, res) in zip(cfg.alphas, best)))
+    return tuple(point for _, point in best)
 
 
-def _controlled_curve(cfg: ExperimentConfig) -> Curve:
+def _controlled_curve(cfg: ExperimentConfig) -> tuple:
     return sweep_alpha(list(cfg.alphas), make_grid(cfg.L, cfg.M, cfg.N), cfg.params, cfg.P,
                        cfg.trajectory, codebook=_build_codebook(cfg),
                        model_samples=cfg.model_samples)
 
 
 def _figure_curves(figure: int, cfg: ExperimentConfig):
-    """Canned experiment list for one figure: [(label, Curve), ...]."""
+    """Canned experiment list for one figure: [(label, points), ...]."""
     plain = dataclasses.replace(cfg, codebook_method=None)
     curves = []
     if figure in (3, 5):
@@ -309,8 +301,8 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
 
 def _combined_csv(curves) -> str:
     lines = ["curve," + CSV_HEADER]
-    for label, curve in curves:
-        for row in curve_to_csv(curve).strip().split("\n")[1:]:
+    for label, points in curves:
+        for row in curve_to_csv(points).strip().split("\n")[1:]:
             lines.append(f"{label},{row}")
     return "\n".join(lines) + "\n"
 
@@ -344,7 +336,7 @@ def _cmd_evaluate(cfg):
         "net": measured.net,
         "stderr": measured.stderr,
         "model_gain": result.J,
-        "avg_threshold": average_threshold(result.policy.y, result.pi),
+        "avg_threshold": measured.avg_threshold,
     }
     return [(".json", json.dumps(doc, indent=2))]
 
@@ -355,7 +347,7 @@ def _cmd_sweep(cfg):
 
 def _cmd_figure(cfg, figure):
     curves = _figure_curves(figure, cfg)
-    return [*((f".{label}.csv", curve_to_csv(curve)) for label, curve in curves),
+    return [*((f".{label}.csv", curve_to_csv(points)) for label, points in curves),
             (".csv", _combined_csv(curves)),
             (".meta.json", _metadata(cfg, figure=figure,
                                      curves=[label for label, _ in curves]))]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_grid import GridSpec, StationaryDistribution, TransitionModel
+from .state_grid import GridSpec, TransitionModel
 
 __all__ = [
     "RewardSpec",
@@ -95,15 +95,17 @@ class Policy:
 class SolveResult:
     """Optimal policy with its gain J, differential values A, and occupancy.
 
-    ``residual`` is the relative residual of the evaluation that produced J
-    and A; it is not serialized.
+    ``pi`` is the policy's long-run occupancy over (power bin, alignment
+    bin) states (``stationary_distribution``).  ``residual`` is the
+    relative residual of the evaluation that produced J and A; it is not
+    serialized.
     """
 
     policy: Policy
     J: float
     A: np.ndarray
     iterations: int
-    pi: StationaryDistribution
+    pi: np.ndarray
     residual: float
 
 
@@ -269,9 +271,9 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
 
-def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> StationaryDistribution:
-    """Long-run state occupancy under a fixed decision table over
-    (power, alignment) bins, True where it feeds back.
+def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> np.ndarray:
+    """Long-run state occupancy, an (M, N) distribution, under a fixed
+    decision table over (power, alignment) bins, True where it feeds back.
 
     GMRES solves pi (I - T + 1 u') = u' through the factorized chain, once
     with u the last state's indicator and once uniform; a regular chain gives
@@ -312,7 +314,7 @@ def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> Stati
         probe = flow(probe)
     if np.max(np.abs(probe - pi)) > 1e-8:
         raise SingularChainError("stationary solution is not stable under iteration")
-    return StationaryDistribution(pi.reshape(M, N))
+    return pi.reshape(M, N)
 
 
 def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
@@ -342,6 +344,6 @@ def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:
         "is_threshold": True,
         "J": result.J,
         "iterations": result.iterations,
-        "pi": result.pi.pi.tolist(),
+        "pi": result.pi.tolist(),
     }
     return json.dumps(doc, indent=2)

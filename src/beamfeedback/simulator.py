@@ -17,7 +17,8 @@ policy's events, every slot for always-on feedback, or every k-th slot for
 the periodic baseline.  Every alignment it records, and every alignment a
 policy decides on, is one per-row product (``channel._row_inner``).  All
 randomness derives from one trajectory seed, giving common random numbers
-across policies, prices, and baselines.
+across policies, prices, and baselines.  Each measured price is one
+``CurvePoint``, whose average threshold is the mean over the power bins.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ from .state_grid import GridSpec, _bin, estimate_transition_model
 
 __all__ = [
     "TrajectoryConfig",
-    "EvalResult",
     "CurvePoint",
-    "Curve",
     "simulate_policy",
     "periodic_baseline",
     "sweep_alpha",
-    "average_threshold",
     "curve_to_csv",
 ]
 
@@ -83,23 +81,11 @@ class TrajectoryConfig:
 
 
 @dataclass(frozen=True)
-class EvalResult:
-    """Measured throughput, feedback rate, net reward, and its standard error."""
-
-    throughput: float
-    feedback_rate: float
-    net: float
-    stderr: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.feedback_rate <= 1.0:
-            raise ValueError("feedback rate must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class CurvePoint:
-    """One price point of a sweep; avg_threshold is NaN on a periodic curve,
-    which has no threshold."""
+    """One measured price: net reward, throughput, feedback rate, the
+    policy's average threshold, which is the mean of its thresholds over the
+    equiprobable power bins (NaN for a periodic schedule, which has none),
+    and the net's standard error."""
 
     alpha: float
     net: float
@@ -108,19 +94,9 @@ class CurvePoint:
     avg_threshold: float
     stderr: float
 
-
-@dataclass(frozen=True)
-class Curve:
-    """Sweep records ordered by strictly increasing price."""
-
-    points: tuple
-
     def __post_init__(self):
-        pts = tuple(self.points)
-        alphas = [p.alpha for p in pts]
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("curve prices must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        if not 0.0 <= self.feedback_rate <= 1.0:
+            raise ValueError("feedback rate must lie in [0, 1]")
 
 
 def _streams(seed: int, *tag: int):
@@ -185,15 +161,17 @@ def _batch_stderr(series: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(b))
 
 
-def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig) -> EvalResult:
+def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig,
+               avg_threshold: float) -> CurvePoint:
     rate = np.log2(1.0 + rewards.P * g * z)
     post = slice(config.warmup, None)
     throughput = float(rate[post].mean())
     feedback_rate = float(fb[post].mean())
     net = throughput - rewards.alpha * feedback_rate
     series = rate[post] - rewards.alpha * fb[post]
-    return EvalResult(throughput=throughput, feedback_rate=feedback_rate,
-                      net=net, stderr=_batch_stderr(series))
+    return CurvePoint(alpha=rewards.alpha, net=net, throughput=throughput,
+                      feedback_rate=feedback_rate, avg_threshold=avg_threshold,
+                      stderr=_batch_stderr(series))
 
 
 class _Run:
@@ -358,9 +336,23 @@ def _feedback_trace(y, run: _Run):
     return _schedule_trace(run, events)
 
 
+def _policy_point(y, run: _Run, rewards: RewardSpec,
+                  config: TrajectoryConfig) -> CurvePoint:
+    """The thresholds y measured on a run.
+
+    Feedback moves the beam, never the power, so under every policy the
+    power follows its stationary law, which ``make_grid`` cuts into
+    equiprobable bins: the average threshold is the plain mean of y over
+    the bins.  It is taken about y[0], so a constant curve averages to
+    exactly its value.
+    """
+    return _aggregate(run.g, *_feedback_trace(y, run), rewards, config,
+                      float(y[0] + np.mean(y - y[0])))
+
+
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
                     rewards: RewardSpec, config: TrajectoryConfig,
-                    codebook=None) -> EvalResult:
+                    codebook=None) -> CurvePoint:
     """Run a feedback policy over one simulated trajectory.
 
     Each slot the true power is binned and the policy feeds back when the
@@ -377,14 +369,14 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     if policy.y.size != spec.M:
         raise ValueError("policy dimensions do not match the grid")
     run = _Run(spec, *_trajectory(params, config), codebook)
-    return _aggregate(run.g, *_feedback_trace(policy.y, run), rewards, config)
+    return _policy_point(policy.y, run, rewards, config)
 
 
 def _periodic_eval(period: int, run: _Run, rewards: RewardSpec,
-                   config: TrajectoryConfig) -> EvalResult:
+                   config: TrajectoryConfig) -> CurvePoint:
     """Perfect feedback at every ``period``-th slot, from slot 0."""
     z, fb = _schedule_trace(run, np.arange(0, run.g.size, period))
-    return _aggregate(run.g, z, fb, rewards, config)
+    return _aggregate(run.g, z, fb, rewards, config, math.nan)
 
 
 def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
@@ -396,7 +388,8 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
     best interval per price (ties go to the shorter one) is then evaluated
     again at that price for its net and error bar.
 
-    Returns [(best_period, EvalResult), ...], one pair per price.
+    Returns [(best_period, CurvePoint), ...], one pair per price; a
+    periodic point has no threshold, and its ``avg_threshold`` is NaN.
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
@@ -408,20 +401,6 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
         k = 1 + int(np.argmax([r.throughput - a * r.feedback_rate for r in base]))
         best.append((k, _periodic_eval(k, run, RewardSpec(P=P, alpha=a), config)))
     return best
-
-
-def average_threshold(y, pi) -> float:
-    """Occupancy-weighted feedback threshold over the power bins.
-
-    The weighted sum is divided by the total weight, summed the same way,
-    so thresholds that are all 1 (or all 0) average to exactly 1 (or 0)
-    whatever the rounding of the occupancy.
-    """
-    y = np.asarray(y, dtype=float)
-    marginal = pi.pi.sum(axis=1)
-    if marginal.shape != y.shape:
-        raise ValueError("occupancy and threshold sizes do not match")
-    return float((marginal * y).sum() / marginal.sum())
 
 
 def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebook):
@@ -438,7 +417,7 @@ def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebo
 
 def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
                 config: TrajectoryConfig, codebook=None,
-                model_samples: int = 1_000_000) -> Curve:
+                model_samples: int = 1_000_000) -> tuple:
     """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
     One transition model (and, with a codebook, one set of quantized-rate
@@ -446,6 +425,7 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     stepped from) serves every price; each price is solved exactly on the
     model and then measured on the common simulated trajectory, whose
     power bins and quantized shapes are computed once for every price.
+    Returns one CurvePoint per price, in order.
     """
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
@@ -457,21 +437,15 @@ def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
     points = []
     for a in alphas:
         r = RewardSpec(P=P, alpha=a)
-        solved = policy_iteration_average(model, r, spec, eps=eps)
-        y = solved.policy.y
-        measured = _aggregate(run.g, *_feedback_trace(y, run), r, config)
-        points.append(CurvePoint(alpha=a, net=measured.net,
-                                 throughput=measured.throughput,
-                                 feedback_rate=measured.feedback_rate,
-                                 avg_threshold=average_threshold(y, solved.pi),
-                                 stderr=measured.stderr))
-    return Curve(points=tuple(points))
+        y = policy_iteration_average(model, r, spec, eps=eps).policy.y
+        points.append(_policy_point(y, run, r, config))
+    return tuple(points)
 
 
-def curve_to_csv(curve: Curve) -> str:
-    """Render a sweep as comma-separated text with a fixed header."""
+def curve_to_csv(points) -> str:
+    """Render measured points as comma-separated text with a fixed header."""
     lines = [CSV_HEADER]
-    for p in curve.points:
+    for p in points:
         vals = (p.alpha, p.net, p.throughput, p.feedback_rate,
                 p.avg_threshold, p.stderr)
         lines.append(",".join(repr(float(v)) for v in vals))

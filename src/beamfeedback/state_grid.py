@@ -29,7 +29,6 @@ from .channel import FadingParams, _as_rng, _complex_normal
 __all__ = [
     "GridSpec",
     "TransitionModel",
-    "StationaryDistribution",
     "make_grid",
     "estimate_transition_model",
     "model_to_json",
@@ -116,21 +115,6 @@ class TransitionModel:
         object.__setattr__(self, "feedback_row", row)
         object.__setattr__(self, "sample_count", int(self.sample_count))
         object.__setattr__(self, "quantized", bool(self.quantized))
-
-
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Long-run occupancy of the (power bin, alignment bin) states."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.ndim != 2:
-            raise ValueError("occupancy must be a 2-D array over (power, alignment) bins")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-9:
-            raise ValueError("occupancy must be a distribution")
-        object.__setattr__(self, "pi", pi)
 
 
 def make_grid(L: int, M: int, N: int) -> GridSpec:

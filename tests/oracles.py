@@ -38,7 +38,7 @@ from beamfeedback.mdp import (
     threshold_lower_bound,
 )
 from beamfeedback.simulator import (
-    EvalResult,
+    CurvePoint,
     TrajectoryConfig,
     _aggregate,
     _periodic_eval,
@@ -168,7 +168,7 @@ def average_reward(decide: np.ndarray, model: TransitionModel, rewards: RewardSp
     G0, G1 = _stage_tables(spec, rewards, eps)
     pi = stationary_distribution(decide, model)
     Gpi = np.where(decide, G1[:, None], G0)
-    return float(np.sum(pi.pi * Gpi))
+    return float(np.sum(pi * Gpi))
 
 
 def greedy_table(A: np.ndarray, model: TransitionModel, rewards: RewardSpec,
@@ -316,7 +316,7 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
 
 
 def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
-                      config: TrajectoryConfig) -> EvalResult:
+                      config: TrajectoryConfig) -> CurvePoint:
     """Perfect feedback every ``period`` slots regardless of state."""
     if int(period) < 1:
         raise ValueError("period must be positive")
@@ -331,7 +331,8 @@ def periodic_segments(period: int, g: np.ndarray, S: np.ndarray,
     The trajectory splits into whole segments of ``period`` slots, each
     holding the shape of its first slot, and a shorter remainder: one einsum
     takes every whole segment's alignment at once and a matrix-vector
-    product the remainder's.  Returns (EvalResult, z).
+    product the remainder's.  Returns (CurvePoint, z), the point with no
+    threshold (NaN).
     """
     T = g.size
     z = np.empty(T)
@@ -346,7 +347,7 @@ def periodic_segments(period: int, g: np.ndarray, S: np.ndarray,
     if rem:
         z[nseg * period:] = _alignment(S[nseg * period:].conj() @ anchors[nseg])
     z[::period] = 1.0  # realigned in the feedback slot itself
-    return _aggregate(g, z, fb, rewards, config), z
+    return _aggregate(g, z, fb, rewards, config, math.nan), z
 
 
 def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,

@@ -290,12 +290,12 @@ def test_08_quantized_feedback_stays_below_perfect(paper_grid):
                           model_samples=400_000)
     quantized = sweep_alpha(alphas, paper_grid, PARAMS, SNR, config,
                             codebook=codebook, model_samples=400_000)
-    for exact, lossy in zip(perfect.points, quantized.points):
+    for exact, lossy in zip(perfect, quantized):
         sigma = math.hypot(exact.stderr, lossy.stderr)
         if lossy.net > exact.net + 3.0 * sigma:
             failures.append(f"alpha={exact.alpha:.1f}: quantized net "
                             f"{lossy.net:.3f} above perfect {exact.net:.3f}")
-    free_threshold = quantized.points[0].avg_threshold
+    free_threshold = quantized[0].avg_threshold
     if not free_threshold < 1.0:
         failures.append(f"quantized average threshold at zero price is "
                         f"{free_threshold} (expected < 1)")

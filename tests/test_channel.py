@@ -135,6 +135,12 @@ class TestFadingParams:
             FadingParams(L=0, doppler_slot=0.1)
         with pytest.raises(ValueError):
             FadingParams(L=3, doppler_slot=-0.2)
+        # the slot-rate Nyquist limit is 1/2
+        assert FadingParams(L=3, doppler_slot=0.5).rho == bessel_j0(math.pi)
+        limit = r"\[0, 0\.5\], 0\.5 being the slot-rate Nyquist limit"
+        for doppler in (math.nextafter(0.5, 1.0), 1e9, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match=limit):
+                FadingParams(L=3, doppler_slot=doppler)
 
 
 class TestIsotropicSampling:

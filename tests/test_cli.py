@@ -155,6 +155,7 @@ class TestConfigParsing:
         ("alphas", ()),
         ("L", 0),
         ("doppler_slot", -0.1),
+        ("doppler_slot", 0.6),
         ("warmup", 20_000),
         ("codebook_method", "kmeans"),
         ("codebook_size", 0),
@@ -235,6 +236,9 @@ class TestExitCodes:
         # non-finite values the library types reject
         ("[channel]\ndoppler_slot = nan\n", []),
         ("[channel]\ndoppler_slot = inf\n", []),
+        # past the slot-rate Nyquist limit, where the J0 quadrature would
+        # ask for a node array of about 4 pi doppler_slot entries
+        ("[channel]\ndoppler_slot = 1e9\n", []),
         ("[rewards]\nalpha = 0.2 inf\n", []),
         ("[rewards]\nalpha = 0.2 nan\n", []),
         ("[rewards]\nP = inf\n", []),

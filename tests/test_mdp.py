@@ -440,7 +440,7 @@ class TestPolicyIterationOptimality:
         np.testing.assert_allclose(
             res.J, average_reward(table, model, r, spec), atol=1e-10)
         np.testing.assert_allclose(
-            res.pi.pi, stationary_distribution(table, model).pi, atol=1e-12)
+            res.pi, stationary_distribution(table, model), atol=1e-12)
         assert res.iterations >= 1
         # differential values solve the evaluation equations: anchored last state
         assert res.A[-1, -1] == 0.0
@@ -516,16 +516,38 @@ class TestStationaryDistribution:
         for _ in range(10):
             spec, model = synthetic_setup(rng, M=3, N=4)
             decide = rng.random(size=(3, 4)) < 0.5
-            pi = stationary_distribution(decide, model).pi
+            pi = stationary_distribution(decide, model)
             T = chain_matrix(decide, model)
             np.testing.assert_allclose(pi.ravel(), occupancy_oracle(T), atol=1e-10)
 
     def test_rows_form_a_distribution(self):
         rng = np.random.default_rng(71)
         spec, model = synthetic_setup(rng, M=3, N=4)
-        pi = stationary_distribution(np.zeros((3, 4), bool), model).pi
+        pi = stationary_distribution(np.zeros((3, 4), bool), model)
         assert pi.min() >= 0.0
         np.testing.assert_allclose(pi.sum(), 1.0, rtol=1e-12)
+
+    def test_power_marginal_does_not_depend_on_the_policy(self):
+        # feedback moves only the alignment, so every decision table leaves
+        # the power bins the stationary law of Ptilde
+        rng = np.random.default_rng(74)
+        _, small = synthetic_setup(rng, M=3, N=4)
+        params = FadingParams(L=3, doppler_slot=0.1)
+        estimated = estimate_transition_model(params, make_grid(3, 16, 16), 200_000,
+                                              np.random.default_rng(75))
+        for model in (small, estimated):
+            M, N = model.Ptilde.shape[0], model.P0.shape[0]
+            # pi (Ptilde - I) = 0 with sum(pi) = 1, by least squares
+            system = np.vstack((model.Ptilde.T - np.eye(M), np.ones((1, M))))
+            rhs = np.zeros(M + 1)
+            rhs[-1] = 1.0
+            law = np.linalg.lstsq(system, rhs, rcond=None)[0]
+            tables = [rng.random((M, N)) < q for q in (0.1, 0.3, 0.5, 0.7, 0.9)]
+            tables += [np.zeros((M, N), bool), np.ones((M, N), bool)]
+            marginals = [stationary_distribution(t, model).sum(axis=1) for t in tables]
+            for marginal in marginals:
+                assert np.max(np.abs(marginal - marginals[0])) <= 1e-10
+                assert np.max(np.abs(marginal - law)) <= 1e-10
 
     def test_frozen_chain_is_rejected(self):
         # identity kernels leave every distribution stationary
@@ -565,7 +587,7 @@ class TestMatrixFreeAgreesWithDense:
         assert np.max(np.abs(A - A_ref)) <= 1e-9
         assert A[-1, -1] == 0.0
         assert residual <= 1e-10
-        pi = stationary_distribution(decide, model).pi
+        pi = stationary_distribution(decide, model)
         assert np.max(np.abs(pi - dense_stationary(decide, model))) <= 1e-12
 
     def test_random_models_and_tables(self):
@@ -626,7 +648,7 @@ class TestMatrixFreeAgreesWithDense:
         assert time.perf_counter() - start < 10.0
         assert res.residual <= 1e-10
         assert res.A[-1, -1] == 0.0
-        np.testing.assert_allclose(res.pi.pi.sum(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(res.pi.sum(), 1.0, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------------

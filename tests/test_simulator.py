@@ -6,6 +6,7 @@ Beta(1, L-1).  Simulated means must land within a few reported standard
 errors of those integrals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,22 +25,14 @@ from beamfeedback.codebook import (
 from beamfeedback.mdp import Policy, RewardSpec, policy_iteration_average
 from beamfeedback.simulator import (
     CSV_HEADER,
-    Curve,
     CurvePoint,
-    EvalResult,
     TrajectoryConfig,
-    average_threshold,
     curve_to_csv,
     periodic_baseline,
     simulate_policy,
     sweep_alpha,
 )
-from beamfeedback.state_grid import (
-    GridSpec,
-    StationaryDistribution,
-    estimate_transition_model,
-    make_grid,
-)
+from beamfeedback.state_grid import GridSpec, estimate_transition_model, make_grid
 
 from oracles import (
     _REFINEMENT_STREAM,
@@ -120,18 +113,13 @@ class TestTypes:
         with pytest.raises(ValueError, match="seed"):
             TrajectoryConfig(slots=100, warmup=0, seed=-1)
 
-    def test_eval_result_validation(self):
-        with pytest.raises(ValueError):
-            EvalResult(throughput=1.0, feedback_rate=1.5, net=1.0, stderr=0.0)
-
-    def test_curve_requires_increasing_prices(self):
-        p = CurvePoint(alpha=0.5, net=1.0, throughput=1.0, feedback_rate=0.0,
-                       avg_threshold=0.0, stderr=0.0)
-        q = CurvePoint(alpha=0.2, net=1.0, throughput=1.0, feedback_rate=0.0,
-                       avg_threshold=0.0, stderr=0.0)
-        Curve(points=(q, p))
-        with pytest.raises(ValueError, match="increasing"):
-            Curve(points=(p, q))
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, math.nan])
+    def test_curve_point_validation(self, rate):
+        fields = dict(alpha=0.5, net=1.0, throughput=1.0, avg_threshold=math.nan,
+                      stderr=0.0)
+        CurvePoint(feedback_rate=1.0, **fields)
+        with pytest.raises(ValueError, match="feedback rate"):
+            CurvePoint(feedback_rate=rate, **fields)
 
 
 class TestStreams:
@@ -310,7 +298,9 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
     decision is instead looked up by alignment bin in the table the
     thresholds rebuild, which must agree when every threshold is a bin
     edge.  Its alignments are the simulator's per-row products, so the two
-    decide on the same values to the last bit.  Returns (EvalResult, z, fb).
+    decide on the same values to the last bit.  Its average threshold is
+    the correctly rounded sum of y over the bin count.  Returns
+    (CurvePoint, z, fb).
     """
     y = policy.y
     decide = threshold_table(y, spec)
@@ -343,7 +333,8 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
             f, z[t] = quantize_shape(S[t], codebook)
         fb[t] = True
         t += 1
-    return simulator._aggregate(g, z, fb, rewards, config), z, fb
+    point = simulator._aggregate(g, z, fb, rewards, config, math.fsum(y) / y.size)
+    return point, z, fb
 
 
 AGREE_PRICES = (0.2, 1.0, 2.0)
@@ -386,6 +377,7 @@ def _assert_agrees(policy, spec, params, rewards, cfg, codebook, by_bin):
     assert np.array_equal(fb, fb_ref)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert abs(got.net - want.net) <= 1e-12
+    assert abs(got.avg_threshold - want.avg_threshold) <= 1e-15
     return fb
 
 
@@ -603,7 +595,9 @@ class TestPeriodic:
         cfg = TrajectoryConfig(slots=100_000, seed=31)
         a = simulate_periodic(1, PARAMS, REWARDS, cfg)
         b = simulate_policy(always(grid8), grid8, PARAMS, REWARDS, cfg)
-        assert a == b
+        # one measurement; only the policy has a threshold to average
+        assert math.isnan(a.avg_threshold) and b.avg_threshold == 1.0
+        assert dataclasses.replace(a, avg_threshold=1.0) == b
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4])
     def test_matches_the_segment_law(self, L):
@@ -667,7 +661,12 @@ class TestPeriodic:
         inner = simulator._periodic_eval
         monkeypatch.setattr(simulator, "_periodic_eval",
                             lambda *a, **kw: calls.append(a[0]) or inner(*a, **kw))
-        assert periodic_baseline(PARAMS, 100.0, alphas, 16, cfg) == want
+        got = periodic_baseline(PARAMS, 100.0, alphas, 16, cfg)
+        # a periodic point carries its price, and NaN for the threshold it
+        # lacks; the reprs compare every field to the bit, NaN included
+        assert [p.alpha for _, p in got] == alphas
+        assert all(math.isnan(p.avg_threshold) for _, p in got)
+        assert [(k, repr(p)) for k, p in got] == [(k, repr(p)) for k, p in want]
         assert len(calls) <= 16 + len(alphas)
 
     def test_ties_go_to_the_shorter_interval(self):
@@ -690,27 +689,35 @@ class TestPeriodic:
 # ----------------------------------------------------------------------------
 
 class TestAverageThreshold:
-    def test_extremes(self):
-        pi = StationaryDistribution(np.full((2, 3), 1.0 / 6.0))
-        assert average_threshold(np.ones(2), pi) == 1.0
-        assert average_threshold(np.zeros(2), pi) == 0.0
+    """The average threshold is the mean of y over the power bins, which
+    the grid makes equiprobable under the power law no policy moves."""
 
-    def test_all_feedback_reads_exactly_one(self):
-        # ten bins of 0.1: summed in order they land 1 ulp below 1, as the
-        # plain weighted sum of an all-ones profile did
-        pi = StationaryDistribution(np.full((10, 1), 0.1))
-        assert sum([0.1] * 10) == np.nextafter(1.0, 0.0)
-        assert average_threshold(np.ones(10), pi) == 1.0
+    SHORT = TrajectoryConfig(slots=2000, warmup=100, seed=3)
 
-    def test_weighted_value(self):
-        pi = StationaryDistribution(np.array([[0.25, 0.0], [0.25, 0.5]]))
-        np.testing.assert_allclose(average_threshold(np.array([0.2, 0.6]), pi), 0.5,
-                                   rtol=1e-15)
+    def average(self, y, spec):
+        return simulate_policy(Policy(y), spec, PARAMS, REWARDS, self.SHORT).avg_threshold
 
-    def test_size_mismatch_rejected(self):
-        pi = StationaryDistribution(np.full((3, 2), 1.0 / 6.0))
-        with pytest.raises(ValueError, match="match"):
-            average_threshold(np.array([0.2, 0.6]), pi)
+    @pytest.mark.parametrize("M, N", [(16, 16), (40, 40), (7, 10)])
+    def test_constant_curves_read_exactly_their_value(self, M, N):
+        spec = make_grid(3, M, N)
+        plain_mean_misses = 0
+        for c in spec.z_edges:
+            y = np.full(M, c)
+            assert self.average(y, spec) == c
+            plain_mean_misses += float(np.mean(y)) != c
+        assert self.average(np.ones(M), spec) == 1.0
+        assert self.average(np.zeros(M), spec) == 0.0
+        # with seven bins a plain mean rounds some of these constants off
+        # by an ulp, so this grid tells the two means apart
+        assert plain_mean_misses > 0 or M != 7
+
+    def test_mean_over_the_bins(self, grid8):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            y = rng.random(grid8.M)
+            assert abs(self.average(y, grid8) - math.fsum(y) / grid8.M) <= np.finfo(float).eps
+        y = np.array([0.2, 0.6, 0.2, 0.6, 0.2, 0.6, 0.2, 0.6])
+        np.testing.assert_allclose(self.average(y, grid8), 0.4, rtol=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -726,14 +733,14 @@ def small_sweep(grid8):
 class TestSweep:
     def test_free_feedback_point(self, small_sweep):
         curve, _ = small_sweep
-        first = curve.points[0]
+        first = curve[0]
         assert first.alpha == 0.0
         assert first.feedback_rate == 1.0
         assert first.avg_threshold == 1.0
 
     def test_prohibitive_price_point(self, small_sweep, grid8):
         curve, top = small_sweep
-        last = curve.points[-1]
+        last = curve[-1]
         assert last.feedback_rate == 0.0
         assert last.avg_threshold == 0.0
         # identical seeds: the sweep's never-feedback run is the plain one
@@ -744,10 +751,20 @@ class TestSweep:
 
     def test_point_bookkeeping(self, small_sweep):
         curve, top = small_sweep
-        assert [p.alpha for p in curve.points] == [0.0, 0.5, top]
-        for p in curve.points:
+        assert [p.alpha for p in curve] == [0.0, 0.5, top]
+        for p in curve:
             assert abs(p.net - (p.throughput - p.alpha * p.feedback_rate)) <= 1e-12
             assert p.stderr > 0.0
+
+    def test_points_are_what_simulate_policy_measures(self, small_sweep, grid8):
+        # the sweep's solves, rebuilt from its model draw, simulated one by one
+        curve, _ = small_sweep
+        cfg = TrajectoryConfig(slots=120_000, seed=47)
+        model, _ = simulator._model(PARAMS, grid8, cfg.seed, 150_000, None)
+        for p in curve:
+            r = RewardSpec(P=100.0, alpha=p.alpha)
+            policy = policy_iteration_average(model, r, grid8).policy
+            assert simulate_policy(policy, grid8, PARAMS, r, cfg) == p
 
     def test_alphas_must_increase(self, grid8):
         cfg = TrajectoryConfig(slots=5000, seed=1)
@@ -769,7 +786,7 @@ class TestSweep:
         cfg = TrajectoryConfig(slots=20_000, seed=56)
         curve = sweep_alpha([0.2, 0.8, 2.0], grid8, PARAMS, 100.0, cfg,
                             codebook=random_codebook(3, 8, 57), model_samples=20_000)
-        assert all(0.0 < p.feedback_rate < 1.0 for p in curve.points)
+        assert all(0.0 < p.feedback_rate < 1.0 for p in curve)
         assert calls == [cfg.slots]
 
     def test_quantized_sweep_stays_below_perfect(self):
@@ -781,7 +798,7 @@ class TestSweep:
                               model_samples=100_000)
         coarse = sweep_alpha(alphas, spec, PARAMS, 100.0, cfg, codebook=cb,
                              model_samples=100_000)
-        for p, q in zip(perfect.points, coarse.points):
+        for p, q in zip(perfect, coarse):
             assert q.net <= p.net + 3.0 * (p.stderr + q.stderr)
 
 
@@ -792,7 +809,7 @@ class TestCsv:
                CurvePoint(alpha=0.4, net=5.2, throughput=5.8,
                           feedback_rate=0.125, avg_threshold=math.nan,
                           stderr=0.01))
-        text = curve_to_csv(Curve(points=pts))
+        text = curve_to_csv(pts)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert lines[0] == "alpha,net,throughput,feedback_rate,avg_threshold,stderr"

@@ -21,7 +21,6 @@ from beamfeedback.channel import FadingParams, _complex_normal
 from beamfeedback.codebook import Codebook, quantization_errors, random_codebook
 from beamfeedback.state_grid import (
     GridSpec,
-    StationaryDistribution,
     TransitionModel,
     _bin,
     _in_bin_alignments,
@@ -577,8 +576,3 @@ class TestTypes:
         for row in ([0.5, 0.5, 0.5], [1.5, -0.5, 0.0]):
             with pytest.raises(ValueError, match="distributions"):
                 TransitionModel(Ptilde=eye, P0=eye, feedback_row=row, sample_count=10)
-
-    def test_stationary_distribution_validation(self):
-        with pytest.raises(ValueError):
-            StationaryDistribution(np.array([[0.5, 0.6]]))
-        StationaryDistribution(np.array([[0.25, 0.25], [0.25, 0.25]]))
