@@ -24,19 +24,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import FadingParams
-from .codebook import codebook_to_json, epsilon_statistics, lloyd_codebook, random_codebook
+from .codebook import codebook_to_json, lloyd_codebook, random_codebook
 from .mdp import (
     ConvergenceError,
     NonThresholdError,
     RewardSpec,
     SingularChainError,
-    policy_iteration_average,
     solve_result_to_json,
 )
 from .simulator import (
     _CODEBOOK_STREAM,
     CSV_HEADER,
     TrajectoryConfig,
+    _design,
     _model,
     _streams,
     curve_to_csv,
@@ -240,21 +240,12 @@ def _build_codebook(cfg: ExperimentConfig):
                           cfg.codebook_iterations, rng)
 
 
-def _build_model(cfg: ExperimentConfig, codebook):
-    """Grid, kernels and, with a codebook, the quantization-error sample the
-    feedback row stepped from, drawn as ``sweep_alpha`` draws them."""
-    spec = make_grid(cfg.L, cfg.M, cfg.N)
-    return (spec, *_model(cfg.params, spec, cfg.seed, cfg.model_samples, codebook))
-
-
 def _solve(cfg: ExperimentConfig):
-    """Solve at the first configured price, as solve and evaluate report."""
-    codebook = _build_codebook(cfg)
-    spec, model, errors = _build_model(cfg, codebook)
-    eps = None if errors is None else epsilon_statistics(errors, cfg.P, spec.g_points)
-    del errors  # read by the model and the statistics only
-    result = policy_iteration_average(model, cfg.rewards(cfg.alphas[0]), spec, eps=eps)
-    return spec, codebook, result
+    """Sweep's design step at the first configured price, as solve and evaluate report."""
+    spec, codebook = make_grid(cfg.L, cfg.M, cfg.N), _build_codebook(cfg)
+    model, (result,) = _design(cfg.alphas[:1], spec, cfg.params, cfg.P, cfg.seed,
+                               cfg.model_samples, codebook)
+    return spec, codebook, model, result
 
 
 def _metadata(cfg: ExperimentConfig, **extra) -> str:
@@ -311,7 +302,8 @@ def _combined_csv(curves) -> str:
 # written under the command's stem (prefix.stem) once all of them are ready.
 
 def _cmd_model(cfg):
-    spec, model, _ = _build_model(cfg, _build_codebook(cfg))
+    spec = make_grid(cfg.L, cfg.M, cfg.N)
+    model, _ = _model(cfg.params, spec, cfg.seed, cfg.model_samples, _build_codebook(cfg))
     return [(".json", model_to_json(spec, model))]
 
 
@@ -320,13 +312,13 @@ def _cmd_codebook(cfg):
 
 
 def _cmd_solve(cfg):
-    spec, _, result = _solve(cfg)
-    return [(".json", solve_result_to_json(result, spec))]
+    spec, _, model, result = _solve(cfg)
+    return [(".json", solve_result_to_json(result, spec, model))]
 
 
 def _cmd_evaluate(cfg):
     alpha = cfg.alphas[0]
-    spec, codebook, result = _solve(cfg)
+    spec, codebook, _, result = _solve(cfg)
     measured = simulate_policy(result.policy, spec, cfg.params, cfg.rewards(alpha),
                                cfg.trajectory, codebook=codebook)
     doc = {

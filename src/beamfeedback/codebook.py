@@ -65,14 +65,16 @@ class Codebook:
 class EpsStats:
     """Monte Carlo moments of the quantized alignment eps.
 
-    ``per_g_rate[m]`` is E[log2(1 + P * g_points[m] * eps)]; standard errors
-    accompany every moment, and samples with eps exactly zero are excluded
-    from the log moment with their count recorded.
+    ``per_g_rate[m]`` is E[log2(1 + P * g_points[m] * eps)] at the SNR ``P``
+    it was tabled at; standard errors accompany every moment, and samples
+    with eps exactly zero are excluded from the log moment with their count
+    recorded.
     """
 
     mean_eps: float
     mean_log2_eps: float
     per_g_rate: np.ndarray
+    P: float
     g_points: np.ndarray
     sample_count: int
     stderr_mean_eps: float
@@ -262,6 +264,7 @@ def epsilon_statistics(eps, P: float, g_points) -> EpsStats:
         mean_eps=float(mean_eps),
         mean_log2_eps=float(mean_log),
         per_g_rate=rate_mean,
+        P=float(P),
         g_points=g_points,
         sample_count=n,
         stderr_mean_eps=float(se_eps),

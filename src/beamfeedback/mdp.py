@@ -52,8 +52,9 @@ class SingularChainError(RuntimeError):
 
 
 class NonThresholdError(RuntimeError):
-    """Policy iteration settled on a decision table that is not a threshold
-    rule, which the optimality of threshold policies rules out."""
+    """Policy iteration settled on a decision table that feeds back above a
+    gap in some row; on a tie between tables of equal gain the gap may lie on
+    states the policy never occupies."""
 
 
 @dataclass(frozen=True)
@@ -93,19 +94,16 @@ class Policy:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimal policy with its gain J, differential values A, and occupancy.
+    """Optimal policy with its gain J and differential values A.
 
-    ``pi`` is the policy's long-run occupancy over (power bin, alignment
-    bin) states (``stationary_distribution``).  ``residual`` is the
-    relative residual of the evaluation that produced J and A; it is not
-    serialized.
+    ``residual`` is the relative residual of the evaluation that produced J
+    and A; it is not serialized.
     """
 
     policy: Policy
     J: float
     A: np.ndarray
     iterations: int
-    pi: np.ndarray
     residual: float
 
 
@@ -114,6 +112,8 @@ def _stage_tables(spec: GridSpec, rewards: RewardSpec, eps):
     G0 = np.log2(1.0 + rewards.P * spec.g_points[:, None] * spec.z_points[None, :])
     if eps is None:
         G1 = np.log2(1.0 + rewards.P * spec.g_points) - rewards.alpha
+    elif eps.P != rewards.P:
+        raise ValueError(f"quantized rates are tabled at SNR {eps.P}, not {rewards.P}")
     elif np.array_equal(eps.g_points, spec.g_points):
         G1 = eps.per_g_rate - rewards.alpha
     else:
@@ -265,8 +265,7 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
             if not np.array_equal(decide, np.arange(spec.N) < lead[:, None]):
                 raise NonThresholdError("policy iteration settled on a decision "
                                         "table that is not a threshold rule")
-            return SolveResult(policy=Policy(spec.z_edges[lead]), J=J, A=A, iterations=it,
-                               pi=stationary_distribution(decide, model), residual=residual)
+            return SolveResult(Policy(spec.z_edges[lead]), J, A, it, residual)
         decide = improved
     raise ConvergenceError("policy iteration did not settle", residual=math.inf)
 
@@ -330,20 +329,22 @@ def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
     return max(0.0, val)
 
 
-def solve_result_to_json(result: SolveResult, spec: GridSpec) -> str:
+def solve_result_to_json(result: SolveResult, spec: GridSpec, model: TransitionModel) -> str:
     """Serialize a solve: 0/1 policy rows, thresholds, gain, occupancy.
 
     A solved threshold is a bin edge, and every alignment point lies in
     [lower edge, upper edge) of its bin, so comparing the points with the
-    thresholds rebuilds the solved decision table exactly.
+    thresholds rebuilds the solved decision table exactly; ``pi`` is its
+    stationary law on the model the solve used.
     """
     y = result.policy.y
+    decide = spec.z_points[None, :] < y[:, None]
     doc = {
-        "policy": (spec.z_points[None, :] < y[:, None]).astype(int).tolist(),
+        "policy": decide.astype(int).tolist(),
         "threshold": [float(v) for v in y],
         "is_threshold": True,
         "J": result.J,
         "iterations": result.iterations,
-        "pi": result.pi.tolist(),
+        "pi": stationary_distribution(decide, model).tolist(),
     }
     return json.dumps(doc, indent=2)

@@ -103,8 +103,8 @@ def _streams(seed: int, *tag: int):
     """Independent generator for one purpose of a run.
 
     Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
-    same ones (its model through ``_model``), so its model, solve and evaluate
-    commands see the kernels and statistics that ``sweep_alpha`` solves on.
+    same ones (through ``_model`` and ``_design``), so its model, solve and
+    evaluate commands see the kernels and solves of ``sweep_alpha``.
     Tag 3 is left to the grid-refinement reference in the tests, whose grid
     size i draws from the tag pair (3, i), a family no other purpose shares.
     Tag 4 is retired: the grid drew from it when its power points were
@@ -406,7 +406,7 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
 def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebook):
     """The transition model of a seeded run and, with a codebook, the
     quantization-error sample its feedback row stepped from (else None).
-    Every command of the run solves on this one draw."""
+    The model command writes this draw, and ``_design`` solves on it."""
     errors = None
     if codebook is not None:
         errors = quantization_errors(codebook, samples, _streams(seed, _EPS_STREAM))
@@ -415,31 +415,35 @@ def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebo
     return model, errors
 
 
+def _design(alphas, spec: GridSpec, params: FadingParams, P: float, seed: int,
+            samples: int, codebook):
+    """The design step of a seeded run: (model, solves), its transition
+    model and one ``SolveResult`` per price at SNR ``P``, in order.  With a
+    codebook, the quantized rates come from the error sample the model's
+    feedback row stepped from."""
+    model, errors = _model(params, spec, seed, samples, codebook)
+    eps = None if errors is None else epsilon_statistics(errors, P, spec.g_points)
+    del errors  # read by the model and the statistics only
+    return model, tuple(policy_iteration_average(model, RewardSpec(P=P, alpha=a), spec,
+                                                 eps=eps) for a in alphas)
+
+
 def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
                 config: TrajectoryConfig, codebook=None,
                 model_samples: int = 1_000_000) -> tuple:
     """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
-    One transition model (and, with a codebook, one set of quantized-rate
-    statistics, from the quantization-error sample the model's feedback row
-    stepped from) serves every price; each price is solved exactly on the
-    model and then measured on the common simulated trajectory, whose
-    power bins and quantized shapes are computed once for every price.
-    Returns one CurvePoint per price, in order.
+    The prices are solved by ``_design`` and then measured on the common
+    simulated trajectory, whose power bins and quantized shapes are computed
+    once for every price.  Returns one CurvePoint per price, in order.
     """
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
-    model, errors = _model(params, spec, config.seed, model_samples, codebook)
-    eps = None if errors is None else epsilon_statistics(errors, P, spec.g_points)
-    del errors  # read by the model and the statistics only
+    _, solves = _design(alphas, spec, params, P, config.seed, model_samples, codebook)
     run = _Run(spec, *_trajectory(params, config), codebook)
-    points = []
-    for a in alphas:
-        r = RewardSpec(P=P, alpha=a)
-        y = policy_iteration_average(model, r, spec, eps=eps).policy.y
-        points.append(_policy_point(y, run, r, config))
-    return tuple(points)
+    return tuple(_policy_point(s.policy.y, run, RewardSpec(P=P, alpha=a), config)
+                 for a, s in zip(alphas, solves))
 
 
 def curve_to_csv(points) -> str:

@@ -309,10 +309,10 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
         J, A, residual = _evaluate_policy(decide, model, G0, G1)
         evaluated += 1
         if best is None or J > best[0]:
-            best = (J, y, decide, A, residual)
-    J, y, decide, A, residual = best
+            best = (J, y, A, residual)
+    J, y, A, residual = best
     return SolveResult(policy=Policy(y), J=J, A=A, iterations=evaluated,
-                       pi=stationary_distribution(decide, model), residual=residual)
+                       residual=residual)
 
 
 def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import beamfeedback
-from beamfeedback import cli, simulator, state_grid
+from beamfeedback import cli, mdp, simulator, state_grid
 from beamfeedback.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -29,7 +29,7 @@ from beamfeedback.cli import (
 )
 from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
-from beamfeedback.state_grid import TransitionModel
+from beamfeedback.state_grid import TransitionModel, make_grid
 
 from conftest import gapped_feedback_model
 from oracles import codebook_from_json, model_from_json
@@ -263,7 +263,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise ConvergenceError("policy iteration stalled", residual=1.0)
 
-        monkeypatch.setattr(cli, "policy_iteration_average", explode)
+        monkeypatch.setattr(simulator, "policy_iteration_average", explode)
         assert run("solve", path, quiet=True) == EXIT_NUMERICAL
         assert "numerical error" in capsys.readouterr().err
         assert not os.path.exists(os.path.dirname(prefix))
@@ -434,6 +434,16 @@ class TestSharedStreams:
             doc = json.load(fh)
         assert row == [doc[k] for k in CSV_HEADER.split(",")]
 
+    def test_solve_reports_the_gain_evaluate_reports(self, quantized):
+        path, prefix = quantized
+        assert run("solve", path, quiet=True) == EXIT_OK
+        assert run("evaluate", path, quiet=True) == EXIT_OK
+        with open(prefix + ".solve.json", encoding="utf-8") as fh:
+            solved = json.load(fh)
+        with open(prefix + ".eval.json", encoding="utf-8") as fh:
+            evaluated = json.load(fh)
+        assert solved["J"] == evaluated["model_gain"]
+
     def test_model_holds_the_kernels_sweep_solves_on(self, quantized, monkeypatch):
         path, prefix = quantized
         estimate, estimated = simulator.estimate_transition_model, []
@@ -451,6 +461,23 @@ class TestSharedStreams:
         for name in ("Ptilde", "P0", "feedback_row", "quantized"):
             np.testing.assert_array_equal(getattr(modeled, name), getattr(swept, name))
             np.testing.assert_array_equal(getattr(model, name), getattr(swept, name))
+
+
+class TestOccupancyOnlyInSolve:
+    """Only the solve JSON writes an occupancy; no other command computes one."""
+
+    def test_commands_and_sweeps_run_without_it(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("occupancy computed outside the solve JSON")
+
+        monkeypatch.setattr(mdp, "stationary_distribution", forbidden)
+        path, _ = write_config(tmp_path, M=3, N=3, samples=5000, slots=5000, warmup=100)
+        for command, figure in (("sweep", None), ("evaluate", None), ("reproduce-fig", 3)):
+            assert run(command, path, figure=figure, quiet=True) == EXIT_OK
+        cfg = load_config(path)
+        curve = simulator.sweep_alpha(cfg.alphas, make_grid(cfg.L, cfg.M, cfg.N), cfg.params,
+                                      cfg.P, cfg.trajectory, model_samples=cfg.model_samples)
+        assert len(curve) == len(cfg.alphas)
 
 
 class TestSchema:
