@@ -102,8 +102,9 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
     cluster's total squared alignment; the mean alignment objective is
     therefore nondecreasing.  The sums are those of the lower-triangle
     product features the scores use: one ``bincount`` per feature, in
-    training order, and one batched ``eigh`` takes every cluster.  Empty
-    clusters are re-seeded from random training shapes, in codeword order.
+    training order, and one batched ``eigh`` takes every cluster.  Each
+    empty cluster, in codeword order, is re-seeded with the training shape
+    worst served by the codewords already set (the lowest index on a tie).
     Stops early once the objective improves by less than 1e-6.
     """
     if int(L) < 1 or int(size) < 1 or int(iterations) < 1:
@@ -132,8 +133,10 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
         R.real[:, rows, cols] = np.transpose(sums[:rows.size])
         R.imag[:, rows[off], cols[off]] = np.transpose(sums[rows.size:])
         C[:] = np.linalg.eigh(R)[1][:, :, -1]  # eigh reads the lower triangle
-        for k in np.flatnonzero(np.bincount(assign, minlength=K) == 0):
-            C[k] = S[int(rng.integers(S.shape[0]))]
+        empty = np.bincount(assign, minlength=K) == 0
+        for k in np.flatnonzero(empty):
+            C[k] = S[int(np.argmin(_nearest(S, features, C[~empty])[1]))]
+            empty[k] = False
     return Codebook(vectors=C, method="lloyd", objective_history=tuple(history))
 
 

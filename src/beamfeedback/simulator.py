@@ -7,18 +7,19 @@ alignment.  The policy cannot change the channel, only the beam, and the
 beam changes only on feedback, so the whole trajectory is precomputed and
 a policy is reduced to an event table: for every slot, the next feedback
 slot had the beam been refreshed there.  A walk over that table from the
-first feedback slot visits every event.  The
-table is built lag by lag, and an event whose next feedback lies past it
-continues with a block scan.  Perfect and quantized feedback share that
-machinery; they differ only in the beam a feedback slot refreshes: the
-channel shape, or its codeword.  A feedback schedule is then a list of
-event slots, and one held-beam pass measures every schedule alike: a
-policy's events, every slot for always-on feedback, or every k-th slot for
-the periodic baseline.  Every alignment it records, and every alignment a
-policy decides on, is one per-row product (``channel._row_inner``).  All
-randomness derives from one trajectory seed, giving common random numbers
-across policies, prices, and baselines.  Each measured price is one
-``CurvePoint``, whose average threshold is the mean over the power bins.
+first feedback slot visits every event.  The table is built lag by lag,
+and an event whose next feedback lies past it continues with a block scan.
+Perfect and quantized feedback share that machinery; they differ only in
+the beam a feedback slot refreshes: the channel shape, or its codeword.
+A feedback schedule is then a list of event slots, and one held-beam pass
+measures every schedule alike: a policy's events, every slot for always-on
+feedback, or every k-th slot for the periodic baseline.  Every alignment
+it records, and every alignment a policy decides on, is one per-row
+product (``channel._row_inner``).  All randomness derives from one
+trajectory seed, giving common random numbers across policies, prices,
+and baselines.  Net reward is linear in the price, so each price's
+``CurvePoint`` is arithmetic on its schedule's batch means; its average
+threshold is the mean over the power bins.
 """
 
 from __future__ import annotations
@@ -149,29 +150,6 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     for arr in (g, H, f0):
         arr.setflags(write=False)
     return g, H, f0
-
-
-def _batch_stderr(series: np.ndarray) -> float:
-    """Batch-means standard error of the mean of a correlated series."""
-    b = min(_BATCHES, series.size)
-    if b < 2:
-        return 0.0
-    n = (series.size // b) * b
-    means = series[:n].reshape(b, -1).mean(axis=1)
-    return float(np.std(means, ddof=1) / math.sqrt(b))
-
-
-def _aggregate(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig,
-               avg_threshold: float) -> CurvePoint:
-    rate = np.log2(1.0 + rewards.P * g * z)
-    post = slice(config.warmup, None)
-    throughput = float(rate[post].mean())
-    feedback_rate = float(fb[post].mean())
-    net = throughput - rewards.alpha * feedback_rate
-    series = rate[post] - rewards.alpha * fb[post]
-    return CurvePoint(alpha=rewards.alpha, net=net, throughput=throughput,
-                      feedback_rate=feedback_rate, avg_threshold=avg_threshold,
-                      stderr=_batch_stderr(series))
 
 
 class _Run:
@@ -318,36 +296,59 @@ def _held_alignment(run: _Run, events) -> np.ndarray:
     return z
 
 
-def _schedule_trace(run: _Run, events):
-    """Per-slot alignment z and feedback flags of a schedule of feedback slots."""
+def _events(y, run: _Run) -> np.ndarray:
+    """Feedback slots of the thresholds y on a run, in order."""
+    if np.all(y == 1.0):
+        return np.arange(run.g.size)
+    if np.any(y > 0.0):
+        return _EventTable(y, run).events()
+    return np.empty(0, dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class _Measured:
+    """A schedule after the warmup: throughput, feedback rate, and the
+    _BATCHES batch means of the rate and of the feedback flags."""
+
+    throughput: float
+    feedback_rate: float
+    rate_means: np.ndarray
+    fb_means: np.ndarray
+
+
+def _measure(run: _Run, events, P: float, config: TrajectoryConfig) -> _Measured:
+    """One held-beam pass over a schedule of feedback slots at SNR P."""
+    post = slice(config.warmup, None)
+    z = _held_alignment(run, events)  # first, so no P * g temporary lives through the pass
+    rate = np.log2(1.0 + P * run.g * z)[post]
     fb = np.zeros(run.g.size, dtype=bool)
     fb[events] = True
-    return _held_alignment(run, events), fb
+    fb = fb[post]
+    b = min(_BATCHES, rate.size)
+    n = (rate.size // b) * b
+    return _Measured(float(rate.mean()), float(fb.mean()),
+                     *(x[:n].reshape(b, -1).mean(axis=1) for x in (rate, fb)))
 
 
-def _feedback_trace(y, run: _Run):
-    """Per-slot alignment z and feedback flags of the thresholds y on a run."""
-    if np.all(y == 1.0):
-        events = np.arange(run.g.size)
-    elif np.any(y > 0.0):
-        events = _EventTable(y, run).events()
-    else:
-        events = np.empty(0, dtype=np.intp)
-    return _schedule_trace(run, events)
+def _point(m: _Measured, alpha: float, avg_threshold: float) -> CurvePoint:
+    """A measured schedule at price alpha.  Net reward is linear in the
+    price, and so are its batch means, whose spread is the net's standard
+    error (0 with fewer than two)."""
+    series = m.rate_means - alpha * m.fb_means
+    b = series.size
+    stderr = float(np.std(series, ddof=1) / math.sqrt(b)) if b >= 2 else 0.0
+    return CurvePoint(alpha, m.throughput - alpha * m.feedback_rate, m.throughput,
+                      m.feedback_rate, avg_threshold, stderr)
 
 
 def _policy_point(y, run: _Run, rewards: RewardSpec,
                   config: TrajectoryConfig) -> CurvePoint:
-    """The thresholds y measured on a run.
-
-    Feedback moves the beam, never the power, so under every policy the
-    power follows its stationary law, which ``make_grid`` cuts into
-    equiprobable bins: the average threshold is the plain mean of y over
-    the bins.  It is taken about y[0], so a constant curve averages to
-    exactly its value.
-    """
-    return _aggregate(run.g, *_feedback_trace(y, run), rewards, config,
-                      float(y[0] + np.mean(y - y[0])))
+    """The thresholds y measured on a run.  Feedback moves the beam, never
+    the power, so the power keeps its stationary law, which ``make_grid``
+    cuts into equiprobable bins: the average threshold is the plain mean of
+    y over the bins, taken about y[0] so a constant curve averages to it."""
+    return _point(_measure(run, _events(y, run), rewards.P, config), rewards.alpha,
+                  float(y[0] + np.mean(y - y[0])))
 
 
 def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
@@ -372,34 +373,28 @@ def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
     return _policy_point(policy.y, run, rewards, config)
 
 
-def _periodic_eval(period: int, run: _Run, rewards: RewardSpec,
-                   config: TrajectoryConfig) -> CurvePoint:
-    """Perfect feedback at every ``period``-th slot, from slot 0."""
-    z, fb = _schedule_trace(run, np.arange(0, run.g.size, period))
-    return _aggregate(run.g, z, fb, rewards, config, math.nan)
-
-
 def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
                       config: TrajectoryConfig):
     """Best fixed feedback interval in 1..max_period at each price.
 
-    Throughput and feedback rate of a fixed interval do not depend on the
-    price, so every interval is measured once on the shared trajectory; the
-    best interval per price (ties go to the shorter one) is then evaluated
-    again at that price for its net and error bar.
+    A fixed interval does not depend on the price, so each interval is
+    measured once on the shared trajectory, and each price takes its best
+    interval's point from that record (ties go to the shorter interval).
 
     Returns [(best_period, CurvePoint), ...], one pair per price; a
     periodic point has no threshold, and its ``avg_threshold`` is NaN.
     """
     if int(max_period) < 1:
         raise ValueError("max_period must be positive")
+    # every price, and P with no price too, is checked before any pass
+    prices = [RewardSpec(P=P, alpha=a).alpha for a in (0.0, *alphas)][1:]
     run = _Run(None, *_trajectory(params, config), None)
-    base = [_periodic_eval(k, run, RewardSpec(P=P, alpha=0.0), config)
-            for k in range(1, int(max_period) + 1)]
+    measured = [_measure(run, np.arange(0, run.g.size, k), P, config)
+                for k in range(1, int(max_period) + 1)]
     best = []
-    for a in alphas:
-        k = 1 + int(np.argmax([r.throughput - a * r.feedback_rate for r in base]))
-        best.append((k, _periodic_eval(k, run, RewardSpec(P=P, alpha=a), config)))
+    for a in prices:
+        k = int(np.argmax([m.throughput - a * m.feedback_rate for m in measured]))
+        best.append((k + 1, _point(measured[k], a, math.nan)))
     return best
 
 

@@ -10,7 +10,8 @@ a curve is checked, a tail-mass check for kernel monotonicity, a
 per-shape quantizer for the batch quantizer, a cluster-by-cluster Lloyd
 training for the one-pass one, readers for the serialized thresholds,
 model and codebook, periodic feedback at one fixed interval and the
-segment law of its alignment, the model gain over a sequence of grid
+segment law of its alignment, the per-slot series of a schedule and the
+point measured from them, the model gain over a sequence of grid
 refinements, the complex Gaussians summed from their real and imaginary
 parts, and the one-slot step of whole L-antenna channels that the kernel
 estimator reduces to scalars.
@@ -40,8 +41,10 @@ from beamfeedback.mdp import (
 from beamfeedback.simulator import (
     CurvePoint,
     TrajectoryConfig,
-    _aggregate,
-    _periodic_eval,
+    _BATCHES,
+    _held_alignment,
+    _measure,
+    _point,
     _Run,
     _streams,
     _trajectory,
@@ -244,7 +247,8 @@ def quantize_shape(s: np.ndarray, codebook: Codebook):
 
 def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng) -> Codebook:
     """Lloyd training with one mask, gather, outer-product sum and eigh per
-    cluster and round.
+    cluster and round, and an empty cluster re-seeded with the training
+    shape worst served by the codewords set before it, by complex scores.
 
     Draws the training set and the starting codewords as the package does;
     the normal draws go through ``beamfeedback.codebook``, so a test that
@@ -264,14 +268,20 @@ def lloyd_codebook(L: int, size: int, training_count: int, iterations: int, rng)
         if obj - prev < 1e-6:
             break
         prev = obj
+        empty = []
         for k in range(int(size)):
             members = S[assign == k]
             if members.shape[0] == 0:
-                C[k] = S[int(rng.integers(S.shape[0]))]
+                empty.append(k)
                 continue
             R = members.T @ members.conj()
             _, vecs = np.linalg.eigh(R)
             C[k] = vecs[:, -1]
+        done = [k for k in range(int(size)) if k not in empty]
+        for k in empty:  # the worst-served shape, given the codewords set so far
+            served = np.max(np.abs(S @ C[done].conj().T) ** 2, axis=1)
+            C[k] = S[int(np.argmin(served))]
+            done.append(k)
     return Codebook(vectors=C, method="lloyd", objective_history=tuple(history))
 
 
@@ -321,7 +331,40 @@ def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
     if int(period) < 1:
         raise ValueError("period must be positive")
     run = _Run(None, *_trajectory(params, config), None)
-    return _periodic_eval(int(period), run, rewards, config)
+    events = np.arange(0, run.g.size, int(period))
+    return _point(_measure(run, events, rewards.P, config), rewards.alpha, math.nan)
+
+
+def batch_stderr(series: np.ndarray) -> float:
+    """Batch-means standard error of the mean of a correlated series."""
+    b = min(_BATCHES, series.size)
+    if b < 2:
+        return 0.0
+    n = (series.size // b) * b
+    means = series[:n].reshape(b, -1).mean(axis=1)
+    return float(np.std(means, ddof=1) / math.sqrt(b))
+
+
+def schedule_trace(run: _Run, events):
+    """Per-slot alignment z and feedback flags of a schedule of feedback slots."""
+    fb = np.zeros(run.g.size, dtype=bool)
+    fb[events] = True
+    return _held_alignment(run, events), fb
+
+
+def series_point(g, z, fb, rewards: RewardSpec, config: TrajectoryConfig,
+                 avg_threshold: float) -> CurvePoint:
+    """A measured point from per-slot series: the rate of every slot and its
+    net at the price, whose batch means give the standard error."""
+    rate = np.log2(1.0 + rewards.P * g * z)
+    post = slice(config.warmup, None)
+    throughput = float(rate[post].mean())
+    feedback_rate = float(fb[post].mean())
+    net = throughput - rewards.alpha * feedback_rate
+    series = rate[post] - rewards.alpha * fb[post]
+    return CurvePoint(alpha=rewards.alpha, net=net, throughput=throughput,
+                      feedback_rate=feedback_rate, avg_threshold=avg_threshold,
+                      stderr=batch_stderr(series))
 
 
 def periodic_segments(period: int, g: np.ndarray, S: np.ndarray,
@@ -347,7 +390,7 @@ def periodic_segments(period: int, g: np.ndarray, S: np.ndarray,
     if rem:
         z[nseg * period:] = _alignment(S[nseg * period:].conj() @ anchors[nseg])
     z[::period] = 1.0  # realigned in the feedback slot itself
-    return _aggregate(g, z, fb, rewards, config, math.nan), z
+    return series_point(g, z, fb, rewards, config, math.nan), z
 
 
 def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,

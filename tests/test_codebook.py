@@ -152,10 +152,7 @@ class TestLloydTraining:
     def test_empty_clusters_reseed_as_the_reference_does(self, monkeypatch):
         # 48 shapes, each twice: each shape the 32 starting codewords hold
         # twice leaves the higher copy with no members in round one, and the
-        # re-seeds must go to the empty codewords in index order.  (A shape
-        # tied between a re-seeded codeword and a cluster's principal
-        # direction can go either way, since the two versions' sums differ in
-        # the last bit; this draw meets no such tie.)
+        # re-seeds must go to the empty codewords in index order
         rng = np.random.default_rng(153)
         shapes = unit_rows(rng, 48, 3)
         training = np.concatenate([shapes, shapes])
@@ -164,6 +161,17 @@ class TestLloydTraining:
         monkeypatch.setattr(codebook_module, "_complex_normal",
                             lambda rng, shape: training.copy())
         self._assert_matches_reference(3, 32, 96, 20, 155)
+
+    def test_reseeds_copy_no_served_shape(self, monkeypatch):
+        # 48 shapes drawn twice from the training generator: a re-seed with a
+        # random training shape can copy a one-shape cluster's codeword, and
+        # the two versions break that exact tie differently (at this seed
+        # their codebooks once overlapped by |<c, c_ref>|^2 = 0.03); the
+        # worst-served shape is a copy of no codeword set before it
+        draw = codebook_module._complex_normal
+        monkeypatch.setattr(codebook_module, "_complex_normal",
+                            lambda rng, shape: np.concatenate([draw(rng, (48, 3))] * 2))
+        self._assert_matches_reference(3, 32, 96, 20, 154)
 
     @staticmethod
     def _assert_complex_argmax(S, C):

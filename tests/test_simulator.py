@@ -41,6 +41,8 @@ from oracles import (
     periodic_segments,
     quantize_shape,
     refinement_study,
+    schedule_trace,
+    series_point,
     simulate_periodic,
     threshold_table,
 )
@@ -333,7 +335,7 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
             f, z[t] = quantize_shape(S[t], codebook)
         fb[t] = True
         t += 1
-    point = simulator._aggregate(g, z, fb, rewards, config, math.fsum(y) / y.size)
+    point = series_point(g, z, fb, rewards, config, math.fsum(y) / y.size)
     return point, z, fb
 
 
@@ -371,8 +373,8 @@ def _assert_agrees(policy, spec, params, rewards, cfg, codebook, by_bin):
     want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params, rewards,
                                                      cfg, codebook, by_bin)
     g, S, f = simulator._trajectory(params, cfg)
-    z, fb = simulator._feedback_trace(policy.y,
-                                      simulator._Run(spec, g, S, f, codebook))
+    run = simulator._Run(spec, g, S, f, codebook)
+    z, fb = schedule_trace(run, simulator._events(policy.y, run))
     got = simulate_policy(policy, spec, params, rewards, cfg, codebook=codebook)
     assert np.array_equal(fb, fb_ref)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
@@ -449,8 +451,9 @@ class TestEventTableAgreesWithReference:
         def traces():
             traj = simulator._trajectory.__wrapped__(params, cfg)
             run = simulator._Run(spec, *traj, codebook)
-            periodic = simulator._schedule_trace(run, np.arange(0, cfg.slots, 9))
-            return traj, [simulator._feedback_trace(y, run) for y in curves] + [periodic]
+            schedules = [simulator._events(y, run) for y in curves]
+            schedules.append(np.arange(0, cfg.slots, 9))
+            return traj, [schedule_trace(run, events) for events in schedules]
 
         monkeypatch.setattr(simulator, "_SLOT_BLOCK", cfg.slots)
         want_traj, want = traces()
@@ -490,7 +493,7 @@ class TestEventTableAgreesWithReference:
         def feeds_back(slots, z):
             return bin_decision(decide, run.m[slots], z, spec)
 
-        z, fb = simulator._feedback_trace(y, run)
+        z, fb = schedule_trace(run, simulator._events(y, run))
         events = np.flatnonzero(fb)
         kept = np.flatnonzero(~fb)
         assert events.size >= 2 and not feeds_back(kept, z[kept]).any()
@@ -609,7 +612,7 @@ class TestPeriodic:
         run = simulator._Run(None, g, S, f, None)
         for k in (1, 3, 7, 64, 2500):
             want, z_ref = periodic_segments(k, g, S, REWARDS, cfg)
-            z, fb = simulator._schedule_trace(run, np.arange(0, cfg.slots, k))
+            z, fb = schedule_trace(run, np.arange(0, cfg.slots, k))
             got = simulate_periodic(k, params, REWARDS, cfg)
             assert np.array_equal(fb, np.arange(cfg.slots) % k == 0)
             assert np.max(np.abs(z - z_ref)) <= 1e-12
@@ -657,17 +660,18 @@ class TestPeriodic:
             runs = [simulate_periodic(k, PARAMS, r, cfg) for k in range(1, 17)]
             k = 1 + max(range(16), key=lambda i: (runs[i].net, -i))
             want.append((k, runs[k - 1]))
-        calls = []
-        inner = simulator._periodic_eval
-        monkeypatch.setattr(simulator, "_periodic_eval",
-                            lambda *a, **kw: calls.append(a[0]) or inner(*a, **kw))
+        passes = []
+        inner = simulator._held_alignment
+        monkeypatch.setattr(simulator, "_held_alignment",
+                            lambda *a, **kw: passes.append(a[1]) or inner(*a, **kw))
         got = periodic_baseline(PARAMS, 100.0, alphas, 16, cfg)
         # a periodic point carries its price, and NaN for the threshold it
         # lacks; the reprs compare every field to the bit, NaN included
         assert [p.alpha for _, p in got] == alphas
         assert all(math.isnan(p.avg_threshold) for _, p in got)
         assert [(k, repr(p)) for k, p in got] == [(k, repr(p)) for k, p in want]
-        assert len(calls) <= 16 + len(alphas)
+        # one held-beam pass per interval, whatever the number of prices
+        assert len(passes) == 16
 
     def test_ties_go_to_the_shorter_interval(self):
         # every interval of 50 slots or more feeds back only in slot 0,
@@ -676,12 +680,45 @@ class TestPeriodic:
         [(k, res)] = periodic_baseline(PARAMS, 100.0, [100.0], 64, cfg)
         assert k == 50 and res.feedback_rate == 0.0
 
+    @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
+    def test_bad_prices_rejected(self, alpha):
+        cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
+        with pytest.raises(ValueError, match="price"):
+            periodic_baseline(PARAMS, 100.0, [0.5, alpha], 4, cfg)
+
     def test_bad_periods_rejected(self):
         cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
         with pytest.raises(ValueError):
             simulate_periodic(0, PARAMS, REWARDS, cfg)
         with pytest.raises(ValueError):
             periodic_baseline(PARAMS, 100.0, [0.5], 0, cfg)
+
+
+class TestPricePoint:
+    """A schedule is measured once and each price's point is arithmetic on
+    its batch means; the per-slot series of rate - alpha * feedback must
+    give the same point, its standard error up to rounding."""
+
+    @pytest.mark.parametrize("slots", [5000, 1050, 1001])  # 4000, 50 and 1 measured
+    @pytest.mark.parametrize("schedule", ["policy", "always", "periodic"])
+    def test_arithmetic_matches_the_series(self, grid8, schedule, slots):
+        cfg = TrajectoryConfig(slots=slots, warmup=1000, seed=59)
+        g, S, f = simulator._trajectory(PARAMS, cfg)
+        run = simulator._Run(grid8, g, S, f, None)
+        if schedule == "periodic":
+            events = np.arange(0, slots, 7)
+        else:
+            y = np.linspace(0.3, 0.9, grid8.M) if schedule == "policy" else np.ones(grid8.M)
+            events = simulator._events(y, run)
+        z, fb = schedule_trace(run, events)
+        assert 0 < fb.sum() < slots or schedule == "always"
+        measured = simulator._measure(run, events, 100.0, cfg)
+        for a in (0.0, 0.7, 8.0):
+            got = simulator._point(measured, a, 0.5)
+            want = series_point(g, z, fb, RewardSpec(P=100.0, alpha=a), cfg, 0.5)
+            assert dataclasses.replace(got, stderr=0.0) == dataclasses.replace(want, stderr=0.0)
+            assert abs(got.stderr - want.stderr) <= 1e-14 * want.stderr
+            assert (got.stderr == 0.0) == (slots == 1001)
 
 
 # ----------------------------------------------------------------------------
