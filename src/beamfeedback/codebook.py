@@ -195,32 +195,28 @@ def _nearest(S: np.ndarray, features: np.ndarray, C: np.ndarray):
     return assign, best
 
 
-def _quantize(S: np.ndarray, vectors: np.ndarray):
-    """Codebook quantization of unit shape rows: (codeword index, eps).
-
-    The codeword is the one ``_nearest`` assigns, as in Lloyd training, and
-    eps is its squared alignment with the shape, clipped at one, by the
-    per-row product the simulator takes for a held codeword
-    (``channel._row_inner``), so a feedback slot and the slots that keep its
-    codeword round alike.  Rows are scored a block at a time, so no more
+def _quantize(S: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Codeword index of each unit shape row: the one ``_nearest`` assigns,
+    as in Lloyd training.  Rows are scored a block at a time, so no more
     than a block's features and scores are held at once.
     """
     code = np.empty(S.shape[0], dtype=np.intp)
-    eps = np.empty(S.shape[0])
     for s in range(0, S.shape[0], _CHUNK):
         block = S[s:s + _CHUNK]
-        k = _nearest(block, _shape_features(block), vectors)[0]
-        code[s:s + _CHUNK] = k
-        eps[s:s + _CHUNK] = _alignment(_row_inner(block.conj(), vectors[k]))
-    return code, eps
+        code[s:s + _CHUNK] = _nearest(block, _shape_features(block), vectors)[0]
+    return code
 
 
 def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
     """eps of ``count`` isotropic shapes quantized with the codebook.
 
-    One sample serves both the quantized feedback row of the transition
-    model and ``epsilon_statistics``; the shapes are drawn in chunks, so no
-    more than a chunk of them is held at once.
+    eps is the squared alignment of a shape with its codeword (``_quantize``),
+    clipped at one, by the per-row product the simulator takes for a held
+    codeword (``channel._row_inner``), so a feedback slot and the slots that
+    keep its codeword round alike.  One sample serves both the quantized
+    feedback row of the transition model and ``epsilon_statistics``; the
+    shapes are drawn in chunks, so no more than a chunk of them is held at
+    once.
     """
     if int(count) < 1:
         raise ValueError("count must be positive")
@@ -230,7 +226,8 @@ def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
     for s in range(0, count, _CHUNK):
         S = _complex_normal(rng, (min(_CHUNK, count - s), codebook.L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        eps[s:s + _CHUNK] = _quantize(S, codebook.vectors)[1]
+        held = codebook.vectors[_quantize(S, codebook.vectors)]
+        eps[s:s + _CHUNK] = _alignment(_row_inner(S.conj(), held))
     return eps
 
 

@@ -24,6 +24,7 @@ threshold is the mean over the power bins.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -127,7 +128,9 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     then runs the recursion over its column as a sequential Python loop,
     which keeps scipy.signal out of the import path and rounds exactly as a
     direct-form IIR filter does, and the rows are scaled to unit shapes in
-    place, a block of slots at a time.
+    place.  Both run a block of slots at a time, each block of the
+    recursion seeded with the slot before it, so no per-slot Python object
+    or temporary spans the run.
     """
     L, rho, slots = params.L, params.rho, config.slots
     rng = _streams(config.seed, _TRAJECTORY_STREAM)
@@ -139,9 +142,11 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
         _complex_normal(rng, out=H[1:])
         H[1:] *= math.sqrt(1.0 - rho * rho)
         for l in range(L):
-            H[:, l] = np.fromiter(itertools.accumulate(
-                H[1:, l].tolist(), lambda y, x: x + rho * y,
-                initial=complex(H[0, l])), dtype=complex, count=slots)
+            for blk in _slot_blocks(1, slots):
+                prev = blk.start - 1  # seeds the block, and is written back unchanged
+                H[prev:blk.stop, l] = np.fromiter(itertools.accumulate(
+                    H[blk, l].tolist(), lambda y, x: x + rho * y,
+                    initial=complex(H[prev, l])), dtype=complex, count=blk.stop - prev)
     g = np.empty(slots)
     for blk in _slot_blocks(0, slots):
         rows = H[blk]
@@ -176,7 +181,7 @@ class _Run:
 
     @functools.cached_property
     def code(self) -> np.ndarray:
-        return _quantize(self.S, self.codebook.vectors)[0]
+        return _quantize(self.S, self.codebook.vectors)
 
     def beams(self, slots):
         """The beam held after feedback at the given slots: the shape
@@ -208,24 +213,26 @@ class _EventTable:
     slow fading with long gaps stops after a few lags and fast fading
     resolves nearly every slot.  Each lag takes the slots in blocks of
     _SLOT_BLOCK, so no copy of the shapes or beams it reads grows with the
-    trajectory.
+    trajectory, and packs the slots it leaves open into the array of the
+    open slots in place, so the build holds the table and that array only.
 
     A decision is one comparison of the alignment with the threshold of
-    its slot's power bin (``ym``, per slot); a threshold of 1 feeds back at
-    every alignment and compares with inf, since z = 1 is an alignment too.
+    its slot's power bin, looked up for the slots decided on (``y_inf``,
+    per bin); a threshold of 1 feeds back at every alignment and compares
+    with inf, since z = 1 is an alignment too.
     """
 
     def __init__(self, y, run: _Run):
         self.run = run
         self.S, self.f, self.T = run.S, run.f, run.g.size
-        self.ym = np.where(y == 1.0, np.inf, y)[run.m]
+        self.y_inf = np.where(y == 1.0, np.inf, y)
         self.depth = 0
         self.first = self.scan(0, self.f)
         self.successor = self._lag_successors()
 
     def hit(self, slots, z):
         """Policy decision at the given slots for alignments z."""
-        return z < self.ym[slots]
+        return z < self.y_inf[self.run.m[slots]]
 
     def scan(self, start: int, beam) -> int:
         """First feedback slot at or after ``start`` while ``beam`` is held."""
@@ -249,30 +256,34 @@ class _EventTable:
             self.depth = k
             if not t.size:
                 break
-            hit = np.empty(t.size, dtype=bool)
+            left = 0  # the slots still open are packed into t[:left], in order
             for blk in _slot_blocks(0, t.size):
                 now = t[blk]
                 later = now + k
-                hit[blk] = self.hit(later, _alignment(_row_inner(S[later].conj(),
-                                                                 run.beams(now))))
-            done = t[hit]
-            successor[done] = done + k
+                hit = self.hit(later, _alignment(_row_inner(S[later].conj(),
+                                                            run.beams(now))))
+                done = now[hit]
+                successor[done] = done + k
+                now = now[~hit]
+                t[left:left + now.size] = now
+                left += now.size
             work += t.size
-            resolved = int(np.count_nonzero(hit))
-            if resolved * _SCAN_COST < t.size * work / T:
+            if (t.size - left) * _SCAN_COST < t.size * work / T:
                 break
-            t = t[~hit]
+            t = t[:left]
         return successor
 
     def events(self) -> np.ndarray:
-        """Feedback slots in order, from a walk over the successor table."""
-        out = []
-        successor = self.successor.tolist()
+        """Feedback slots in order, from a walk over the successor table.
+        The walk reads the table through a memoryview and collects the
+        slots as machine integers, so it makes no Python object per slot."""
+        out = array.array(np.dtype(np.intp).char)
+        successor = memoryview(self.successor)
         e = self.first
         while e < self.T:
             out.append(e)
             e = successor[e] or self.scan(e + self.depth + 1, self.run.beams(e))
-        return np.array(out, dtype=np.intp)
+        return np.frombuffer(out, dtype=np.intp)
 
 
 def _held_alignment(run: _Run, events) -> np.ndarray:
@@ -317,10 +328,17 @@ class _Measured:
 
 
 def _measure(run: _Run, events, P: float, config: TrajectoryConfig) -> _Measured:
-    """One held-beam pass over a schedule of feedback slots at SNR P."""
+    """One held-beam pass over a schedule of feedback slots at SNR P.  The
+    rate log2(1 + P g z) is formed in place on the held alignments, a block
+    of slots at a time, so it makes no per-slot temporary."""
     post = slice(config.warmup, None)
-    z = _held_alignment(run, events)  # first, so no P * g temporary lives through the pass
-    rate = np.log2(1.0 + P * run.g * z)[post]
+    rate = _held_alignment(run, events)
+    for blk in _slot_blocks(0, rate.size):
+        r = rate[blk]
+        r *= P * run.g[blk]
+        r += 1.0
+        np.log2(r, out=r)
+    rate = rate[post]
     fb = np.zeros(run.g.size, dtype=bool)
     fb[events] = True
     fb = fb[post]

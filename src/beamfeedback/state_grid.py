@@ -34,7 +34,8 @@ __all__ = [
     "model_to_json",
 ]
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # samples per step of a kernel pass; fixes how its draws interleave
+_BLOCK = 1 << 12  # samples per draw of a per-sample temporary within a step
 
 
 @dataclass(frozen=True)
@@ -274,20 +275,14 @@ def estimate_transition_model(params: FadingParams, spec: GridSpec, sample_count
         z0 = np.broadcast_to(1.0, (N * target,))
     else:
         z0 = _in_bin_alignments(z_stream, spec.z_edges, L, target)
-    # each pass is counted, and its per-sample arrays dropped, before the next draws
-    n0, power0 = _step_alignment_bins(z_stream, z0, L, rho, sig, spec)
-    del z0
-    n0.reshape(N, target)[...] += N * np.arange(N)[:, None]  # source bin * N + next bin
-    P0 = np.bincount(n0, minlength=N * N).reshape(N, N) / float(target)
-    counts_g = np.bincount(power0, minlength=M * M)
-    del n0, power0
+    counts0, pairs = _step_alignment_bins(z_stream, z0, L, rho, sig, spec, target)
     z1 = np.broadcast_to(1.0, (sample_count,)) if eps is None else eps
-    n1, power1 = _step_alignment_bins(f_stream, z1, L, rho, sig, spec)
-    row = np.bincount(n1, minlength=N) / float(sample_count)
-    counts_g += np.bincount(power1, minlength=M * M)
-    return TransitionModel(Ptilde=_normalize_rows(counts_g.reshape(M, M), "power kernel"),
-                           P0=P0, feedback_row=row, sample_count=sample_count,
-                           quantized=eps is not None)
+    counts1, pairs1 = _step_alignment_bins(f_stream, z1, L, rho, sig, spec, sample_count)
+    pairs += pairs1
+    return TransitionModel(Ptilde=_normalize_rows(pairs.reshape(M, M), "power kernel"),
+                           P0=counts0.reshape(N, N) / float(target),
+                           feedback_row=counts1 / float(sample_count),
+                           sample_count=sample_count, quantized=eps is not None)
 
 
 def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.ndarray:
@@ -307,9 +302,12 @@ def _in_bin_alignments(stream, z_edges: np.ndarray, L: int, target: int) -> np.n
 
 
 def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
-                         spec: GridSpec):
-    """Alignment bins one slot after channels at alignment z0 with the beam
-    e_1, and the power-bin pair (source * M + destination) of each step.
+                         spec: GridSpec, per_row: int):
+    """Counts of the steps of channels at alignment z0 with the beam e_1:
+    of the alignment bins one slot later, by source row, and of the
+    power-bin pairs.  Consecutive runs of ``per_row`` samples form the
+    rows, and the alignment counts are indexed row * N + next bin; the
+    power-pair counts are indexed source * M + destination.
 
     Drawn from scalars, exact in law by isotropy: the power g ~ Gamma(L)
     is independent of the alignment z0 and of the phase of h_1, so the
@@ -319,9 +317,15 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
     on the L - 2 other directions, has power Gamma(L - 2).  The next power
     and alignment follow from the three parts; with one antenna there is
     only the first, and the alignment stays 1.
+
+    The samples are stepped _CHUNK at a time: a chunk holds its source
+    power, the next power and the head part, each draw of a per-sample
+    temporary is taken a _BLOCK of samples at a time, and so is the count,
+    so only counts outlive a chunk.
     """
-    n1 = np.empty(z0.size, dtype=np.intp)
-    pairs = np.empty(z0.size, dtype=np.intp)
+    N, M = spec.N, spec.M
+    counts = np.zeros(z0.size // per_row * N, dtype=np.intp)
+    pairs = np.zeros(M * M, dtype=np.intp)
     for s in range(0, z0.size, _CHUNK):
         z = z0[s:s + _CHUNK]
         g = stream.gamma(float(L), size=z.size)
@@ -329,38 +333,51 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
         _step_power(stream, head, rho, sig)
         if L == 1:
             g1 = head
-            n1[s:s + _CHUNK] = spec.N - 1
         else:
             g1 = np.subtract(1.0, z)
             g1 *= g
             _step_power(stream, g1, rho, sig)
             g1 += head
             if L > 2:
-                other = stream.gamma(float(L - 2), size=z.size)
-                other *= sig * sig
-                g1 += other
-                del other
-            n1[s:s + _CHUNK] = _bin(np.divide(head, g1, out=head), spec.z_edges)
-        # drop each per-sample array once read, so fewer are held at a time
-        del head
-        pair = _bin(g, spec.g_edges)
-        del g
-        pair *= spec.M
-        pair += _bin(g1, spec.g_edges)
-        pairs[s:s + _CHUNK] = pair
-        del g1, pair
-    return n1, pairs
+                for b in range(0, z.size, _BLOCK):
+                    other = stream.gamma(float(L - 2), size=min(_BLOCK, z.size - b))
+                    other *= sig * sig
+                    g1[b:b + _BLOCK] += other
+        for b in range(0, z.size, _BLOCK):
+            blk = slice(b, b + _BLOCK)
+            pair = _bin(g[blk], spec.g_edges)
+            pair *= M
+            pair += _bin(g1[blk], spec.g_edges)
+            _add_counts(pairs, 0, pair)
+            row = np.arange(s + b, s + b + pair.size) // per_row
+            first = int(row[0])
+            row -= first
+            row *= N
+            if L == 1:
+                row += N - 1
+            else:
+                row += _bin(np.divide(head[blk], g1[blk], out=head[blk]), spec.z_edges)
+            _add_counts(counts, first * N, row)
+    return counts, pairs
+
+
+def _add_counts(counts: np.ndarray, start: int, index: np.ndarray):
+    """Add the occurrences of each index i to counts[start + i]."""
+    c = np.bincount(index)
+    counts[start:start + c.size] += c
 
 
 def _step_power(stream, power, rho, sig):
     """Replace each power p by |rho sqrt(p) + sig w|^2, drawing a fresh
-    complex normal w per sample."""
+    complex normal w per sample, a block of samples at a time."""
     np.sqrt(power, out=power)
     power *= rho
-    w = _complex_normal(stream, power.size)
-    w *= sig
-    w += power
-    np.abs(w, out=power)
+    for b in range(0, power.size, _BLOCK):
+        p = power[b:b + _BLOCK]
+        w = _complex_normal(stream, p.size)
+        w *= sig
+        w += p
+        np.abs(w, out=p)
     power **= 2
 
 

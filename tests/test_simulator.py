@@ -165,7 +165,9 @@ class TestTrajectory:
     @pytest.mark.parametrize("L", [1, 3, 8])
     def test_matches_lfilter_bit_for_bit(self, L, doppler):
         params = FadingParams(L=L, doppler_slot=doppler)
-        for slots in (1, 2, 5000):
+        # a run of two whole slot blocks past its first slot carries the
+        # recursion into a block that ends the run
+        for slots in (1, 2, 5000, 2 * simulator._SLOT_BLOCK + 1):
             cfg = TrajectoryConfig(slots=slots, warmup=0, seed=31)
             got = simulator._trajectory(params, cfg)
             want = lfilter_trajectory(params, cfg)
@@ -508,17 +510,17 @@ class TestEventTableAgreesWithReference:
         # three full blocks and a partial one
         S = _complex_normal(rng, (3 * codebook_module._CHUNK + 5, L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
-        idx, eps = _quantize(S, cb.vectors)
+        idx = _quantize(S, cb.vectors)
+        # eps is the held codeword's alignment, as the simulator computes it
+        eps = _alignment(_row_inner(S.conj(), cb.vectors[idx]))
         for s, k, e in zip(S, idx, eps):
             v, want = quantize_shape(s, cb)
             assert np.array_equal(cb.vectors[k], v)
             assert abs(e - want) <= 1e-12
-        # eps is the held codeword's alignment, as the simulator computes it
-        assert np.array_equal(eps, _alignment(_row_inner(S.conj(), cb.vectors[idx])))
         # a shape halfway between two codewords ties; the lower index wins
         pair = Codebook(vectors=np.eye(2, dtype=complex))
         half = np.full((1, 2), math.sqrt(0.5), dtype=complex)
-        assert _quantize(half, pair.vectors)[0][0] == 0
+        assert _quantize(half, pair.vectors)[0] == 0
 
 
 class TestThresholdCompare:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from beamfeedback import state_grid
 from beamfeedback.channel import FadingParams, _complex_normal
 from beamfeedback.codebook import Codebook, quantization_errors, random_codebook
 from beamfeedback.state_grid import (
@@ -388,6 +389,26 @@ class TestTransitionEstimation:
         np.testing.assert_array_equal(a.P0, b.P0)
         np.testing.assert_array_equal(a.feedback_row, b.feedback_row)
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4])
+    def test_draw_blocks_change_no_bit(self, spec16, monkeypatch, L, quantized):
+        # the per-sample draws and counts of a chunk run in blocks; 7-sample
+        # blocks, which split the 312-sample source rows, must give the bits
+        # of one block per chunk
+        params = FadingParams(L=L, doppler_slot=0.1)
+        spec = make_grid(L, spec16.M, spec16.N)
+        eps = quantization_errors(random_codebook(L, 4, 44), 5000, 45) if quantized else None
+
+        def model():
+            return estimate_transition_model(params, spec, 5000, 46, eps=eps)
+
+        monkeypatch.setattr(state_grid, "_BLOCK", state_grid._CHUNK)
+        want = model()
+        monkeypatch.setattr(state_grid, "_BLOCK", 7)
+        got = model()
+        for name in ("Ptilde", "P0", "feedback_row"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestExactAlignmentSampling:
     class ExtremeUniforms:
@@ -462,10 +483,9 @@ class TestExactAlignmentSampling:
                    for r in range(N)]
         pvalues.append(homogeneity_pvalue(np.round(exact.feedback_row * n), p1))
         pvalues.append(homogeneity_pvalue(np.round(model.feedback_row * n), pe))
-        pairs = np.concatenate([_step_alignment_bins(stream, z, L, rho, sig, spec)[1]
-                                for z in (z0, np.ones(n))])
-        Ptilde = np.bincount(pairs, minlength=spec.M ** 2).reshape(spec.M, spec.M)
-        reference = power_pass_counts(stream, L, rho, sig, spec, pairs.size)
+        Ptilde = sum(_step_alignment_bins(stream, z, L, rho, sig, spec, z.size)[1]
+                     for z in (z0, np.ones(n))).reshape(spec.M, spec.M)
+        reference = power_pass_counts(stream, L, rho, sig, spec, z0.size + n)
         pvalues += [homogeneity_pvalue(Ptilde[m], reference[m]) for m in range(spec.M)]
         assert min(pvalues) > 1e-4, pvalues
 
