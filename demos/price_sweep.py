@@ -11,6 +11,7 @@ import argparse
 
 from beamfeedback import (
     FadingParams,
+    Run,
     TrajectoryConfig,
     make_grid,
     periodic_baseline,
@@ -34,14 +35,15 @@ def main():
 
     params = FadingParams(L=args.antennas, doppler_slot=args.doppler)
     P = 10.0 ** (args.snr_db / 10.0)
-    run = TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed)
     spec = make_grid(args.antennas, args.bins, args.bins)
+    # one simulated channel for both schedules: common random numbers
+    run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)
 
-    curve = sweep_alpha(args.alphas, spec, params, P, run, model_samples=args.samples)
+    curve = sweep_alpha(args.alphas, run, P, model_samples=args.samples)
 
     print(f"{'alpha':>6} {'ctrl net':>9} {'fb rate':>8} {'thresh':>7} "
           f"{'periodic net':>13} {'interval':>9} {'gap':>7}")
-    fixed_curve = periodic_baseline(params, P, args.alphas, args.max_period, run)
+    fixed_curve = periodic_baseline(run, P, args.alphas, args.max_period)
     for point, (period, fixed) in zip(curve, fixed_curve):
         gap = point.net - fixed.net
         print(f"{point.alpha:6.2f} {point.net:9.4f} {point.feedback_rate:8.3f} "

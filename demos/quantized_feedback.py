@@ -7,12 +7,14 @@ controller at a few prices on common random numbers.
 """
 
 import argparse
+import dataclasses
 import math
 
 import numpy as np
 
 from beamfeedback import (
     FadingParams,
+    Run,
     TrajectoryConfig,
     epsilon_statistics,
     lloyd_codebook,
@@ -53,9 +55,10 @@ def main():
               f"rate cost {-moments.mean_log2_eps:.4f} bit/s/Hz "
               f"(bound {price_increment_bound(L, args.codebook_size):.4f})")
 
-    run = TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed)
-    perfect = sweep_alpha(args.alphas, spec, params, P, run, model_samples=args.samples)
-    quantized = sweep_alpha(args.alphas, spec, params, P, run, codebook=trained,
+    # one simulated channel for both curves, the second with the codebook
+    run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)
+    perfect = sweep_alpha(args.alphas, run, P, model_samples=args.samples)
+    quantized = sweep_alpha(args.alphas, dataclasses.replace(run, codebook=trained), P,
                             model_samples=args.samples)
 
     print(f"{'alpha':>6} {'perfect net':>12} {'quantized net':>14} "

@@ -13,6 +13,7 @@ import numpy as np
 from beamfeedback import (
     FadingParams,
     RewardSpec,
+    Run,
     TrajectoryConfig,
     estimate_transition_model,
     make_grid,
@@ -55,8 +56,8 @@ def main():
         bound = threshold_lower_bound(g, rewards.P, args.alpha)
         print(f"{g:10.3f} {y:10.3f} {bound:12.3f}")
 
-    run = TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed)
-    measured = simulate_policy(result.policy, spec, params, rewards, run)
+    run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)
+    measured = simulate_policy(result.policy, run, rewards)
     print(f"simulated net {measured.net:.4f} +/- {measured.stderr:.4f} "
           f"(throughput {measured.throughput:.4f}, "
           f"feedback rate {measured.feedback_rate:.3f})")

@@ -8,11 +8,10 @@ per-feedback price — and checks the resulting threshold policies against
 link-level simulation, with either perfect or codebook-quantized feedback.
 
 Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
-``policy_iteration_average`` solves it, ``simulate_policy`` and
-``sweep_alpha`` measure the result (one ``simulator.CurvePoint`` per
-price), and ``lloyd_codebook`` supplies the
-finite-rate feedback alphabet, whose ``quantization_errors`` feed both the
-quantized feedback row and ``epsilon_statistics``.
+``policy_iteration_average`` solves it, ``simulate_policy``, ``sweep_alpha``
+and ``periodic_baseline`` measure it on a ``Run`` the caller holds, and
+``lloyd_codebook`` supplies the finite-rate feedback alphabet, whose
+``quantization_errors`` feed the quantized row and ``epsilon_statistics``.
 The exports are the names the command line and the demos use; everything
 else is reached through its module.  The reference versions the tests check
 against (an exhaustive threshold search, value iteration, periodic feedback
@@ -33,6 +32,7 @@ from .mdp import (
     threshold_lower_bound,
 )
 from .simulator import (
+    Run,
     TrajectoryConfig,
     curve_to_csv,
     periodic_baseline,
@@ -46,6 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FadingParams",
     "RewardSpec",
+    "Run",
     "TrajectoryConfig",
     "curve_to_csv",
     "epsilon_statistics",

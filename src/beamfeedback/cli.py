@@ -35,6 +35,7 @@ from .mdp import (
 from .simulator import (
     _CODEBOOK_STREAM,
     CSV_HEADER,
+    Run,
     TrajectoryConfig,
     _design,
     _model,
@@ -240,12 +241,16 @@ def _build_codebook(cfg: ExperimentConfig):
                           cfg.codebook_iterations, rng)
 
 
+def _make_run(cfg: ExperimentConfig) -> Run:
+    """The configured channel, trajectory, grid and codebook."""
+    return Run(cfg.params, cfg.trajectory, make_grid(cfg.L, cfg.M, cfg.N), _build_codebook(cfg))
+
+
 def _solve(cfg: ExperimentConfig):
     """Sweep's design step at the first configured price, as solve and evaluate report."""
-    spec, codebook = make_grid(cfg.L, cfg.M, cfg.N), _build_codebook(cfg)
-    model, (result,) = _design(cfg.alphas[:1], spec, cfg.params, cfg.P, cfg.seed,
-                               cfg.model_samples, codebook)
-    return spec, codebook, model, result
+    run = _make_run(cfg)
+    model, (result,) = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
+    return run, model, result
 
 
 def _metadata(cfg: ExperimentConfig, **extra) -> str:
@@ -257,36 +262,23 @@ def _metadata(cfg: ExperimentConfig, **extra) -> str:
     return json.dumps({**doc, **extra}, indent=2)
 
 
-def _periodic_curve(cfg: ExperimentConfig) -> tuple:
-    """Best-interval periodic baseline across the configured prices."""
-    best = periodic_baseline(cfg.params, cfg.P, cfg.alphas, _MAX_PERIOD, cfg.trajectory)
-    return tuple(point for _, point in best)
-
-
-def _controlled_curve(cfg: ExperimentConfig) -> tuple:
-    return sweep_alpha(list(cfg.alphas), make_grid(cfg.L, cfg.M, cfg.N), cfg.params, cfg.P,
-                       cfg.trajectory, codebook=_build_codebook(cfg),
-                       model_samples=cfg.model_samples)
-
-
 def _figure_curves(figure: int, cfg: ExperimentConfig):
-    """Canned experiment list for one figure: [(label, points), ...]."""
+    """Canned experiment list for one figure: [(label, points), ...].  The
+    curves of each sub-config share one run."""
     plain = dataclasses.replace(cfg, codebook_method=None)
+    if figure in (6, 7):  # perfect against codebook-quantized feedback
+        run = _make_run(plain)
+        quantized = dataclasses.replace(run, codebook=_build_codebook(cfg.quantized()))
+        return [(label, sweep_alpha(cfg.alphas, r, cfg.P, cfg.model_samples)) for label, r
+                in (("perfect", run), (f"quantized_{cfg.codebook_size}", quantized))]
+    subs = ({f"L{L}": dataclasses.replace(plain, L=L) for L in (3, 4)} if figure == 4 else
+            {f"dop{d}": dataclasses.replace(plain, doppler_slot=d) for d in (0.1, 0.01)})
     curves = []
-    if figure in (3, 5):
-        for dop in (0.1, 0.01):
-            sub = dataclasses.replace(plain, doppler_slot=dop)
-            curves.append((f"controlled_dop{dop}", _controlled_curve(sub)))
-            curves.append((f"periodic_dop{dop}", _periodic_curve(sub)))
-    elif figure == 4:
-        for L in (3, 4):
-            sub = dataclasses.replace(plain, L=L)
-            curves.append((f"controlled_L{L}", _controlled_curve(sub)))
-            curves.append((f"periodic_L{L}", _periodic_curve(sub)))
-    else:  # 6 and 7: perfect against codebook-quantized feedback
-        quant = cfg.quantized()
-        curves.append(("perfect", _controlled_curve(plain)))
-        curves.append((f"quantized_{quant.codebook_size}", _controlled_curve(quant)))
+    for tag, sub in subs.items():
+        run = _make_run(sub)  # frees the last run before the sweep builds this one's trajectory
+        controlled = sweep_alpha(cfg.alphas, run, cfg.P, cfg.model_samples)
+        periodic = tuple(p for _, p in periodic_baseline(run, cfg.P, cfg.alphas, _MAX_PERIOD))
+        curves += [(f"controlled_{tag}", controlled), (f"periodic_{tag}", periodic)]
     return curves
 
 
@@ -302,9 +294,9 @@ def _combined_csv(curves) -> str:
 # written under the command's stem (prefix.stem) once all of them are ready.
 
 def _cmd_model(cfg):
-    spec = make_grid(cfg.L, cfg.M, cfg.N)
-    model, _ = _model(cfg.params, spec, cfg.seed, cfg.model_samples, _build_codebook(cfg))
-    return [(".json", model_to_json(spec, model))]
+    run = _make_run(cfg)
+    model, _ = _model(run, cfg.model_samples)
+    return [(".json", model_to_json(run.spec, model))]
 
 
 def _cmd_codebook(cfg):
@@ -312,15 +304,14 @@ def _cmd_codebook(cfg):
 
 
 def _cmd_solve(cfg):
-    spec, _, model, result = _solve(cfg)
-    return [(".json", solve_result_to_json(result, spec, model))]
+    run, model, result = _solve(cfg)
+    return [(".json", solve_result_to_json(result, run.spec, model))]
 
 
 def _cmd_evaluate(cfg):
     alpha = cfg.alphas[0]
-    spec, codebook, _, result = _solve(cfg)
-    measured = simulate_policy(result.policy, spec, cfg.params, cfg.rewards(alpha),
-                               cfg.trajectory, codebook=codebook)
+    run, _, result = _solve(cfg)
+    measured = simulate_policy(result.policy, run, cfg.rewards(alpha))
     doc = {
         "alpha": alpha,
         "throughput": measured.throughput,
@@ -334,7 +325,8 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_sweep(cfg):
-    return [(".csv", curve_to_csv(_controlled_curve(cfg))), (".meta.json", _metadata(cfg))]
+    curve = sweep_alpha(cfg.alphas, _make_run(cfg), cfg.P, cfg.model_samples)
+    return [(".csv", curve_to_csv(curve)), (".meta.json", _metadata(cfg))]
 
 
 def _cmd_figure(cfg, figure):

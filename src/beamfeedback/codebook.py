@@ -200,7 +200,7 @@ def _quantize(S: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     as in Lloyd training.  Rows are scored a block at a time, so no more
     than a block's features and scores are held at once.
     """
-    code = np.empty(S.shape[0], dtype=np.intp)
+    code = np.empty(S.shape[0], dtype=np.min_scalar_type(len(vectors) - 1))
     for s in range(0, S.shape[0], _CHUNK):
         block = S[s:s + _CHUNK]
         code[s:s + _CHUNK] = _nearest(block, _shape_features(block), vectors)[0]

@@ -1,25 +1,23 @@
 """Slot-level Monte Carlo evaluation of feedback policies.
 
 Trajectories follow the first-order channel recursion; each slot the
-controller bins the power and feeds back when the alignment lies below
-that bin's threshold, while throughput accrues with the true power and
-alignment.  The policy cannot change the channel, only the beam, and the
-beam changes only on feedback, so the whole trajectory is precomputed and
-a policy is reduced to an event table: for every slot, the next feedback
-slot had the beam been refreshed there.  A walk over that table from the
-first feedback slot visits every event.  The table is built lag by lag,
-and an event whose next feedback lies past it continues with a block scan.
-Perfect and quantized feedback share that machinery; they differ only in
-the beam a feedback slot refreshes: the channel shape, or its codeword.
-A feedback schedule is then a list of event slots, and one held-beam pass
-measures every schedule alike: a policy's events, every slot for always-on
-feedback, or every k-th slot for the periodic baseline.  Every alignment
-it records, and every alignment a policy decides on, is one per-row
-product (``channel._row_inner``).  All randomness derives from one
-trajectory seed, giving common random numbers across policies, prices,
-and baselines.  Net reward is linear in the price, so each price's
-``CurvePoint`` is arithmetic on its schedule's batch means; its average
-threshold is the mean over the power bins.
+controller bins the power and feeds back when the alignment lies below that
+bin's threshold, while throughput accrues with the true power and alignment.
+The policy cannot change the channel, only the beam, and the beam changes
+only on feedback, so the whole trajectory is precomputed and a policy is
+reduced to an event table (``_EventTable``): for every slot, the next
+feedback slot had the beam been refreshed there.  Perfect and quantized
+feedback share that machinery; they differ only in the beam a feedback slot
+refreshes: the channel shape, or its codeword.  A feedback schedule is then
+a list of event slots, and one held-beam pass measures every schedule alike:
+a policy's events, every slot for always-on feedback, or every k-th slot for
+the periodic baseline.  Every alignment it records, and every alignment a
+policy decides on, is one per-row product (``channel._row_inner``).  All
+randomness derives from one trajectory seed, and policies, prices and
+baselines measure on one ``Run`` that the caller holds, so they share its
+random numbers.  Net reward is linear in the price, so each price's
+``CurvePoint`` is arithmetic on its schedule's batch means, and prices that
+solve to one curve share its pass.
 """
 
 from __future__ import annotations
@@ -28,18 +26,19 @@ import array
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import FadingParams, _alignment, _complex_normal, _row_inner
-from .codebook import _quantize, epsilon_statistics, quantization_errors
+from .codebook import Codebook, _quantize, epsilon_statistics, quantization_errors
 from .mdp import Policy, RewardSpec, policy_iteration_average
 from .state_grid import GridSpec, _bin, estimate_transition_model
 
 __all__ = [
     "TrajectoryConfig",
     "CurvePoint",
+    "Run",
     "simulate_policy",
     "periodic_baseline",
     "sweep_alpha",
@@ -116,19 +115,15 @@ def _streams(seed: int, *tag: int):
     return np.random.default_rng([int(seed), *tag])
 
 
-@functools.lru_cache(maxsize=1)
 def _trajectory(params: FadingParams, config: TrajectoryConfig):
-    """Channel power, unit shapes, and an initial beam for a whole run.
+    """Channel power, unit shapes and initial beam of a whole run, read-only.
 
-    The policy cannot influence the channel, so every policy, price and
-    baseline of a run shares one trajectory: the last one is kept, read-only,
-    and handed back while the same run asks for it.  It is one pass of the
-    first-order recursion h' = rho h + sqrt(1 - rho^2) w, built in one
-    channel array: the innovations are drawn into its rows 1.., each antenna
-    then runs the recursion over its column as a sequential Python loop,
-    which keeps scipy.signal out of the import path and rounds exactly as a
-    direct-form IIR filter does, and the rows are scaled to unit shapes in
-    place.  Both run a block of slots at a time, each block of the
+    It is one pass of the first-order recursion h' = rho h + sqrt(1 - rho^2) w,
+    built in one channel array: the innovations are drawn into its rows 1..,
+    each antenna then runs the recursion over its column as a sequential
+    Python loop, which keeps scipy.signal out of the import path and rounds
+    exactly as a direct-form IIR filter does, and the rows are scaled to unit
+    shapes in place.  Both run a block of slots at a time, each block of the
     recursion seeded with the slot before it, so no per-slot Python object
     or temporary spans the run.
     """
@@ -157,35 +152,56 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     return g, H, f0
 
 
-class _Run:
-    """The arrays of one trajectory that no policy or price changes.
+@dataclass(frozen=True, eq=False)
+class Run:
+    """One seeded run: the channel, trajectory config, grid and codebook
+    (None for perfect feedback) that build it, and the read-only power
+    ``g``, unit shapes ``S`` and initial beam ``f`` of one ``_trajectory``
+    call, which every policy, price and baseline measured on it shares.
 
-    A sweep builds them once and measures every price on them: the power
-    bin ``m`` of every slot and, with a codebook, the codeword index
-    ``code`` of every shape.  Both are computed on first use, so a policy
-    that never feeds back quantizes nothing, and a periodic schedule, which
-    reads no state, bins nothing and needs no grid (``spec`` may be None).
-    No conjugated copy of the shapes is kept: a pass conjugates the shapes
-    it reads a block of slots at a time.
+    The trajectory, the power bin ``m`` of every slot and, with a codebook,
+    the codeword index ``code`` of every shape are computed on first use, so
+    a sweep's design step holds no trajectory, a policy that never feeds
+    back quantizes nothing, and a periodic schedule bins nothing; ``m`` and
+    ``code`` take the narrowest integer type that holds them.  A run made
+    from this one by ``dataclasses.replace`` shares its trajectory.
     """
 
-    def __init__(self, spec: GridSpec | None, g, S, f, codebook):
-        if codebook is not None and codebook.L != S.shape[1]:
-            raise ValueError(f"codebook has {codebook.L} antennas but the channel "
-                             f"has {S.shape[1]}")
-        self.spec, self.g, self.S, self.f, self.codebook = spec, g, S, f, codebook
+    params: FadingParams
+    config: TrajectoryConfig
+    spec: GridSpec
+    codebook: Codebook | None = None
+    _built: list = field(default_factory=list, repr=False)  # [(g, S, f)] once built
+
+    def __post_init__(self):
+        if self.codebook is not None and self.codebook.L != self.params.L:
+            raise ValueError(f"codebook has {self.codebook.L} antennas but the channel "
+                             f"has {self.params.L}")
+
+    @property
+    def channel(self) -> tuple:
+        """(g, S, f), built by the first call."""
+        if not self._built:
+            self._built.append(_trajectory(self.params, self.config))
+        return self._built[0]
+
+    g = property(lambda self: self.channel[0])
+    S = property(lambda self: self.channel[1])
+    f = property(lambda self: self.channel[2])
 
     @functools.cached_property
     def m(self) -> np.ndarray:
-        return _bin(self.g, self.spec.g_edges)
+        m = np.empty(self.g.size, dtype=np.min_scalar_type(self.spec.M - 1))
+        for blk in _slot_blocks(0, m.size):
+            m[blk] = _bin(self.g[blk], self.spec.g_edges)
+        return m
 
     @functools.cached_property
     def code(self) -> np.ndarray:
         return _quantize(self.S, self.codebook.vectors)
 
     def beams(self, slots):
-        """The beam held after feedback at the given slots: the shape
-        itself, or its codeword."""
+        """The beam held after feedback at the given slots: its shape or codeword."""
         if self.codebook is None:
             return self.S[slots]
         return self.codebook.vectors[self.code[slots]]
@@ -206,15 +222,16 @@ class _EventTable:
 
     The table is built lag by lag over the slots not yet resolved, for
     ``depth`` <= _HORIZON lags, each slot refreshed to its own beam
-    (``_Run.beams``: its shape, or its codeword); a slot left open holds 0,
-    and an event there continues with a block scan past the table.  Building stops early once the next
-    lag costs more than the scans it would save: resolving a slot saves a
-    scan only if an event falls there, about one slot in the mean gap, so
-    slow fading with long gaps stops after a few lags and fast fading
-    resolves nearly every slot.  Each lag takes the slots in blocks of
-    _SLOT_BLOCK, so no copy of the shapes or beams it reads grows with the
-    trajectory, and packs the slots it leaves open into the array of the
-    open slots in place, so the build holds the table and that array only.
+    (``Run.beams``: its shape, or its codeword); a slot left open holds 0,
+    and an event there continues with a block scan past the table.
+    Building stops early once the next lag costs more than the scans it
+    would save: resolving a slot saves a scan only if an event falls there,
+    about one slot in the mean gap, so slow fading with long gaps stops
+    after a few lags and fast fading resolves nearly every slot.  Each lag
+    takes the slots in blocks of _SLOT_BLOCK, so no copy of the shapes or
+    beams it reads grows with the trajectory, and packs the slots it leaves
+    open into the array of the open slots in place, so the build holds the
+    table and that array only, each in its narrowest integer type.
 
     A decision is one comparison of the alignment with the threshold of
     its slot's power bin, looked up for the slots decided on (``y_inf``,
@@ -222,7 +239,7 @@ class _EventTable:
     with inf, since z = 1 is an alignment too.
     """
 
-    def __init__(self, y, run: _Run):
+    def __init__(self, y, run: Run):
         self.run = run
         self.S, self.f, self.T = run.S, run.f, run.g.size
         self.y_inf = np.where(y == 1.0, np.inf, y)
@@ -245,8 +262,8 @@ class _EventTable:
 
     def _lag_successors(self):
         T, S, run = self.T, self.S, self.run
-        successor = np.zeros(T, dtype=np.intp)
-        t = np.arange(T)
+        successor = np.zeros(T, dtype=np.min_scalar_type(T))
+        t = np.arange(T, dtype=np.min_scalar_type(T - 1))
         work = 0  # slot-lags evaluated, so work / T bounds the mean gap below
         for k in range(1, _HORIZON + 1):
             # t is ascending, so the slots with no slot k later form its tail
@@ -286,7 +303,7 @@ class _EventTable:
         return np.frombuffer(out, dtype=np.intp)
 
 
-def _held_alignment(run: _Run, events) -> np.ndarray:
+def _held_alignment(run: Run, events) -> np.ndarray:
     """Per-slot alignment under a schedule of feedback slots: the initial
     beam until the first event, then the beam of the latest event, taken a
     block of slots at a time.  Each block searches the schedule for the
@@ -307,7 +324,7 @@ def _held_alignment(run: _Run, events) -> np.ndarray:
     return z
 
 
-def _events(y, run: _Run) -> np.ndarray:
+def _events(y, run: Run) -> np.ndarray:
     """Feedback slots of the thresholds y on a run, in order."""
     if np.all(y == 1.0):
         return np.arange(run.g.size)
@@ -327,11 +344,11 @@ class _Measured:
     fb_means: np.ndarray
 
 
-def _measure(run: _Run, events, P: float, config: TrajectoryConfig) -> _Measured:
+def _measure(run: Run, events, P: float) -> _Measured:
     """One held-beam pass over a schedule of feedback slots at SNR P.  The
     rate log2(1 + P g z) is formed in place on the held alignments, a block
     of slots at a time, so it makes no per-slot temporary."""
-    post = slice(config.warmup, None)
+    post = slice(run.config.warmup, None)
     rate = _held_alignment(run, events)
     for blk in _slot_blocks(0, rate.size):
         r = rate[blk]
@@ -348,56 +365,44 @@ def _measure(run: _Run, events, P: float, config: TrajectoryConfig) -> _Measured
                      *(x[:n].reshape(b, -1).mean(axis=1) for x in (rate, fb)))
 
 
-def _point(m: _Measured, alpha: float, avg_threshold: float) -> CurvePoint:
-    """A measured schedule at price alpha.  Net reward is linear in the
-    price, and so are its batch means, whose spread is the net's standard
-    error (0 with fewer than two)."""
+def _point(m: _Measured, alpha: float, y=None) -> CurvePoint:
+    """A schedule measured at price alpha, made by the thresholds y if any.
+    Net reward is linear in the price, and so are its batch means, whose
+    spread is the net's standard error (0 with fewer than two).  No feedback
+    moves the power, so its bins stay equiprobable (``make_grid``) and the
+    average threshold is the plain mean of y, taken about y[0] so a
+    constant curve averages to it (NaN without thresholds)."""
     series = m.rate_means - alpha * m.fb_means
     b = series.size
     stderr = float(np.std(series, ddof=1) / math.sqrt(b)) if b >= 2 else 0.0
+    avg = math.nan if y is None else float(y[0] + np.mean(y - y[0]))
     return CurvePoint(alpha, m.throughput - alpha * m.feedback_rate, m.throughput,
-                      m.feedback_rate, avg_threshold, stderr)
+                      m.feedback_rate, avg, stderr)
 
 
-def _policy_point(y, run: _Run, rewards: RewardSpec,
-                  config: TrajectoryConfig) -> CurvePoint:
-    """The thresholds y measured on a run.  Feedback moves the beam, never
-    the power, so the power keeps its stationary law, which ``make_grid``
-    cuts into equiprobable bins: the average threshold is the plain mean of
-    y over the bins, taken about y[0] so a constant curve averages to it."""
-    return _point(_measure(run, _events(y, run), rewards.P, config), rewards.alpha,
-                  float(y[0] + np.mean(y - y[0])))
-
-
-def simulate_policy(policy: Policy, spec: GridSpec, params: FadingParams,
-                    rewards: RewardSpec, config: TrajectoryConfig,
-                    codebook=None) -> CurvePoint:
-    """Run a feedback policy over one simulated trajectory.
+def simulate_policy(policy: Policy, run: Run, rewards: RewardSpec) -> CurvePoint:
+    """Run a feedback policy over a simulated run.
 
     Each slot the true power is binned and the policy feeds back when the
     true alignment lies below the bin's threshold; on feedback the beam is
     set to the current shape (or its codebook quantization) within the same
     slot, so the slot's alignment is already the realigned one.  Throughput
     always uses the true channel.  Any thresholds in [0, 1], one per power
-    bin, are accepted.  A policy that feeds back in some states and not
-    others runs through an event table (see _EventTable): vectorised passes
-    over the whole trajectory find, for every slot, the next feedback slot
-    had the beam been refreshed there, and a walk over those slot indices
-    yields the feedback events.
+    bin, are accepted; a walk over an event table (``_EventTable``) yields
+    the feedback slots.
     """
-    if policy.y.size != spec.M:
+    if policy.y.size != run.spec.M:
         raise ValueError("policy dimensions do not match the grid")
-    run = _Run(spec, *_trajectory(params, config), codebook)
-    return _policy_point(policy.y, run, rewards, config)
+    return _point(_measure(run, _events(policy.y, run), rewards.P), rewards.alpha, policy.y)
 
 
-def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
-                      config: TrajectoryConfig):
+def periodic_baseline(run: Run, P: float, alphas, max_period: int):
     """Best fixed feedback interval in 1..max_period at each price.
 
     A fixed interval does not depend on the price, so each interval is
-    measured once on the shared trajectory, and each price takes its best
-    interval's point from that record (ties go to the shorter interval).
+    measured once on the run, with perfect feedback whatever codebook the
+    run carries, and each price takes its best interval's point from that
+    record (ties go to the shorter interval).
 
     Returns [(best_period, CurvePoint), ...], one pair per price; a
     periodic point has no threshold, and its ``avg_threshold`` is NaN.
@@ -406,57 +411,58 @@ def periodic_baseline(params: FadingParams, P: float, alphas, max_period: int,
         raise ValueError("max_period must be positive")
     # every price, and P with no price too, is checked before any pass
     prices = [RewardSpec(P=P, alpha=a).alpha for a in (0.0, *alphas)][1:]
-    run = _Run(None, *_trajectory(params, config), None)
-    measured = [_measure(run, np.arange(0, run.g.size, k), P, config)
+    run = replace(run, codebook=None)
+    measured = [_measure(run, np.arange(0, run.g.size, k), P)
                 for k in range(1, int(max_period) + 1)]
     best = []
     for a in prices:
         k = int(np.argmax([m.throughput - a * m.feedback_rate for m in measured]))
-        best.append((k + 1, _point(measured[k], a, math.nan)))
+        best.append((k + 1, _point(measured[k], a)))
     return best
 
 
-def _model(params: FadingParams, spec: GridSpec, seed: int, samples: int, codebook):
+def _model(run: Run, samples: int):
     """The transition model of a seeded run and, with a codebook, the
     quantization-error sample its feedback row stepped from (else None).
     The model command writes this draw, and ``_design`` solves on it."""
-    errors = None
-    if codebook is not None:
-        errors = quantization_errors(codebook, samples, _streams(seed, _EPS_STREAM))
-    model = estimate_transition_model(params, spec, samples, _streams(seed, _MODEL_STREAM),
-                                      eps=errors)
+    seed, errors = run.config.seed, None
+    if run.codebook is not None:
+        errors = quantization_errors(run.codebook, samples, _streams(seed, _EPS_STREAM))
+    model = estimate_transition_model(run.params, run.spec, samples,
+                                      _streams(seed, _MODEL_STREAM), eps=errors)
     return model, errors
 
 
-def _design(alphas, spec: GridSpec, params: FadingParams, P: float, seed: int,
-            samples: int, codebook):
+def _design(alphas, run: Run, P: float, samples: int):
     """The design step of a seeded run: (model, solves), its transition
     model and one ``SolveResult`` per price at SNR ``P``, in order.  With a
     codebook, the quantized rates come from the error sample the model's
     feedback row stepped from."""
-    model, errors = _model(params, spec, seed, samples, codebook)
-    eps = None if errors is None else epsilon_statistics(errors, P, spec.g_points)
+    model, errors = _model(run, samples)
+    eps = None if errors is None else epsilon_statistics(errors, P, run.spec.g_points)
     del errors  # read by the model and the statistics only
-    return model, tuple(policy_iteration_average(model, RewardSpec(P=P, alpha=a), spec,
+    return model, tuple(policy_iteration_average(model, RewardSpec(P=P, alpha=a), run.spec,
                                                  eps=eps) for a in alphas)
 
 
-def sweep_alpha(alphas, spec: GridSpec, params: FadingParams, P: float,
-                config: TrajectoryConfig, codebook=None,
-                model_samples: int = 1_000_000) -> tuple:
+def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> tuple:
     """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
-    The prices are solved by ``_design`` and then measured on the common
-    simulated trajectory, whose power bins and quantized shapes are computed
-    once for every price.  Returns one CurvePoint per price, in order.
+    The prices are solved by ``_design`` and then measured on the run.
+    Prices that solve to one threshold curve share its schedule, which is
+    measured once.  Returns one CurvePoint per price, in order.
     """
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
-    _, solves = _design(alphas, spec, params, P, config.seed, model_samples, codebook)
-    run = _Run(spec, *_trajectory(params, config), codebook)
-    return tuple(_policy_point(s.policy.y, run, RewardSpec(P=P, alpha=a), config)
-                 for a, s in zip(alphas, solves))
+    _, solves = _design(alphas, run, P, model_samples)
+    records, points = [], []  # records: (y, _Measured) of each distinct curve
+    for a, y in zip(alphas, (s.policy.y for s in solves)):
+        m = next((m for u, m in records if np.array_equal(u, y)), None)
+        if m is None:
+            records.append((y, m := _measure(run, _events(y, run), P)))
+        points.append(_point(m, a, y))
+    return tuple(points)
 
 
 def curve_to_csv(points) -> str:

@@ -40,14 +40,13 @@ from beamfeedback.mdp import (
 )
 from beamfeedback.simulator import (
     CurvePoint,
+    Run,
     TrajectoryConfig,
     _BATCHES,
     _held_alignment,
     _measure,
     _point,
-    _Run,
     _streams,
-    _trajectory,
 )
 from beamfeedback.state_grid import (
     GridSpec,
@@ -325,14 +324,13 @@ def exhaustive_threshold_search(model: TransitionModel, rewards: RewardSpec,
                        residual=residual)
 
 
-def simulate_periodic(period: int, params: FadingParams, rewards: RewardSpec,
-                      config: TrajectoryConfig) -> CurvePoint:
-    """Perfect feedback every ``period`` slots regardless of state."""
+def simulate_periodic(period: int, run: Run, rewards: RewardSpec) -> CurvePoint:
+    """Perfect feedback every ``period`` slots regardless of state, on a run
+    without a codebook."""
     if int(period) < 1:
         raise ValueError("period must be positive")
-    run = _Run(None, *_trajectory(params, config), None)
     events = np.arange(0, run.g.size, int(period))
-    return _point(_measure(run, events, rewards.P, config), rewards.alpha, math.nan)
+    return _point(_measure(run, events, rewards.P), rewards.alpha)
 
 
 def batch_stderr(series: np.ndarray) -> float:
@@ -345,7 +343,7 @@ def batch_stderr(series: np.ndarray) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(b))
 
 
-def schedule_trace(run: _Run, events):
+def schedule_trace(run: Run, events):
     """Per-slot alignment z and feedback flags of a schedule of feedback slots."""
     fb = np.zeros(run.g.size, dtype=bool)
     fb[events] = True

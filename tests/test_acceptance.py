@@ -31,6 +31,7 @@ from beamfeedback.mdp import (
     threshold_lower_bound,
 )
 from beamfeedback.simulator import (
+    Run,
     TrajectoryConfig,
     simulate_policy,
     sweep_alpha,
@@ -96,10 +97,11 @@ def harness_grid():
 
 
 @pytest.fixture(scope="module")
-def stale_eval(harness_grid):
-    policy = Policy(np.zeros(harness_grid.M))
-    return simulate_policy(policy, harness_grid, PARAMS,
-                           RewardSpec(P=SNR, alpha=0.0), LONG_RUN)
+def open_loop_evals(harness_grid):
+    """No feedback and feedback in every slot, measured on one long run."""
+    run = Run(PARAMS, LONG_RUN, harness_grid)
+    return tuple(simulate_policy(Policy(np.full(harness_grid.M, y)), run,
+                                 RewardSpec(P=SNR, alpha=0.0)) for y in (0.0, 1.0))
 
 
 def _settled(result, model, rewards, spec) -> bool:
@@ -169,9 +171,10 @@ def test_03_policy_iteration_matches_exhaustive_search():
             start, 10.0, failures)
 
 
-def test_04_no_feedback_throughput_matches_integration(stale_eval):
+def test_04_no_feedback_throughput_matches_integration(open_loop_evals):
     start = time.perf_counter()
     failures = []
+    stale_eval, _ = open_loop_evals
 
     def integrand(z, g):
         return (np.log2(1.0 + SNR * g * z) * stats.gamma.pdf(g, 3)
@@ -189,12 +192,10 @@ def test_04_no_feedback_throughput_matches_integration(stale_eval):
             start, 30.0, failures)
 
 
-def test_05_feedback_gain(harness_grid, stale_eval):
+def test_05_feedback_gain(open_loop_evals):
     start = time.perf_counter()
     failures = []
-    policy = Policy(np.ones(harness_grid.M))
-    fresh = simulate_policy(policy, harness_grid, PARAMS,
-                            RewardSpec(P=SNR, alpha=0.0), LONG_RUN)
+    stale_eval, fresh = open_loop_evals
     gain = fresh.throughput - stale_eval.throughput
     if not 1.8 <= gain <= 2.4:
         failures.append(f"free-feedback gain {gain:.3f} outside 2.1 +/- 0.3")
@@ -205,19 +206,17 @@ def test_05_feedback_gain(harness_grid, stale_eval):
 def test_06_event_driven_beats_periodic(paper_grid, paper_model):
     start = time.perf_counter()
     failures = []
-    config = TrajectoryConfig(slots=400_000, warmup=1000, seed=2077)
+    run = Run(PARAMS, TrajectoryConfig(slots=400_000, warmup=1000, seed=2077), paper_grid)
     free = RewardSpec(P=SNR, alpha=0.0)
-    base = [simulate_periodic(k, PARAMS, free, config)
-            for k in range(1, 33)]
+    base = [simulate_periodic(k, run, free) for k in range(1, 33)]
     gaps = []
     for alpha in np.arange(1, 11) * 0.2:
         rewards = RewardSpec(P=SNR, alpha=float(alpha))
         solved = policy_iteration_average(paper_model, rewards, paper_grid)
-        controlled = simulate_policy(solved.policy, paper_grid, PARAMS,
-                                     rewards, config)
+        controlled = simulate_policy(solved.policy, run, rewards)
         nets = [r.throughput - alpha * r.feedback_rate for r in base]
         best_k = 1 + int(np.argmax(nets))
-        periodic = simulate_periodic(best_k, PARAMS, rewards, config)
+        periodic = simulate_periodic(best_k, run, rewards)
         sigma = math.hypot(controlled.stderr, periodic.stderr)
         if controlled.net < periodic.net - 3.0 * sigma:
             failures.append(f"alpha={alpha:.1f}: controlled {controlled.net:.3f} "
@@ -284,12 +283,11 @@ def test_08_quantized_feedback_stays_below_perfect(paper_grid):
     start = time.perf_counter()
     failures = []
     alphas = [round(0.2 * i, 10) for i in range(11)]
-    config = TrajectoryConfig(slots=400_000, warmup=1000, seed=777)
+    run = Run(PARAMS, TrajectoryConfig(slots=400_000, warmup=1000, seed=777), paper_grid)
     codebook = lloyd_codebook(3, 16, 100_000, 50, np.random.default_rng(55))
-    perfect = sweep_alpha(alphas, paper_grid, PARAMS, SNR, config,
-                          model_samples=400_000)
-    quantized = sweep_alpha(alphas, paper_grid, PARAMS, SNR, config,
-                            codebook=codebook, model_samples=400_000)
+    perfect = sweep_alpha(alphas, run, SNR, model_samples=400_000)
+    quantized = sweep_alpha(alphas, dataclasses.replace(run, codebook=codebook), SNR,
+                            model_samples=400_000)
     for exact, lossy in zip(perfect, quantized):
         sigma = math.hypot(exact.stderr, lossy.stderr)
         if lossy.net > exact.net + 3.0 * sigma:

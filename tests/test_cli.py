@@ -29,7 +29,7 @@ from beamfeedback.cli import (
 )
 from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
-from beamfeedback.state_grid import TransitionModel, make_grid
+from beamfeedback.state_grid import TransitionModel
 
 from conftest import gapped_feedback_model
 from oracles import codebook_from_json, model_from_json
@@ -475,8 +475,8 @@ class TestOccupancyOnlyInSolve:
         for command, figure in (("sweep", None), ("evaluate", None), ("reproduce-fig", 3)):
             assert run(command, path, figure=figure, quiet=True) == EXIT_OK
         cfg = load_config(path)
-        curve = simulator.sweep_alpha(cfg.alphas, make_grid(cfg.L, cfg.M, cfg.N), cfg.params,
-                                      cfg.P, cfg.trajectory, model_samples=cfg.model_samples)
+        curve = simulator.sweep_alpha(cfg.alphas, cli._make_run(cfg), cfg.P,
+                                      model_samples=cfg.model_samples)
         assert len(curve) == len(cfg.alphas)
 
 

@@ -7,24 +7,35 @@ its output.  The peaks are taken after a warm-up call, so lazy imports and
 caches do not count, with n model samples or T slots and L = 3; a bound is
 stated in units of one float per sample (8 n bytes) or one channel shape
 per slot (16 L T bytes).  The grid draws no samples, so its bound is in
-floats per bin (8 (M + N) bytes), and the event walk's is in bytes per slot.
+floats per bin (8 (M + N) bytes), and the per-slot indices' are in bytes
+per slot.
 
 Measured: the kernel estimator 4.3 floats per sample; the trajectory build
-1.25 shapes per slot; on a built trajectory, ``simulate_policy`` 0.72 with
-perfect feedback and 1.05 with a 16-word codebook, ``periodic_baseline``
-0.55; the event walk 2.9 bytes per slot; the grid 3.0 floats per bin.
+1.25 shapes per slot; on a run the caller holds, whose power bins and
+codewords are already computed, ``simulate_policy`` 0.43 with perfect
+feedback and 0.46 with a 16-word codebook, ``periodic_baseline`` 0.55; the
+power bins 1.5 bytes per slot, the event table's build 16 and its walk
+2.9; the grid 3.0 floats per bin; fig 3's four curves 1.74 shapes per slot,
+as many as the curves of one of its two runs.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from beamfeedback import simulator
+from beamfeedback import cli, simulator
 from beamfeedback.channel import FadingParams
 from beamfeedback.codebook import random_codebook
 from beamfeedback.mdp import Policy, RewardSpec
-from beamfeedback.simulator import TrajectoryConfig, periodic_baseline, simulate_policy
+from beamfeedback.simulator import (
+    Run,
+    TrajectoryConfig,
+    periodic_baseline,
+    simulate_policy,
+    sweep_alpha,
+)
 from beamfeedback.state_grid import estimate_transition_model, make_grid
 
 L = 3
@@ -60,31 +71,61 @@ def test_estimate_transition_model(spec):
 
 
 def test_trajectory():
-    build = simulator._trajectory.__wrapped__  # the uncached build
-    assert traced_peak(build, PARAMS, TrajectoryConfig(T, seed=4)) <= 1.6 * SHAPES
+    peak = traced_peak(simulator._trajectory, PARAMS, TrajectoryConfig(T, seed=4))
+    assert peak <= 1.6 * SHAPES
 
 
-@pytest.mark.parametrize("codebook, bound", [(None, 1.0), (16, 1.5)])
-def test_simulate_policy_on_a_cached_trajectory(spec, codebook, bound):
+@pytest.mark.parametrize("codebook", [None, 16])
+def test_simulate_policy_on_a_held_run(spec, codebook):
     if codebook is not None:
         codebook = random_codebook(L, codebook, 5)
     policy = Policy(np.linspace(0.3, 0.9, spec.M))
-    cfg = TrajectoryConfig(T, seed=6)
-    simulator._trajectory(PARAMS, cfg)
-    peak = traced_peak(simulate_policy, policy, spec, PARAMS,
-                       RewardSpec(P=100.0, alpha=0.5), cfg, codebook)
-    assert peak <= bound * SHAPES
+    run = Run(PARAMS, TrajectoryConfig(T, seed=6), spec, codebook)
+    peak = traced_peak(simulate_policy, policy, run, RewardSpec(P=100.0, alpha=0.5))
+    assert peak <= 0.6 * SHAPES
 
 
-def test_periodic_baseline_on_a_cached_trajectory():
-    cfg = TrajectoryConfig(T, seed=6)
-    simulator._trajectory(PARAMS, cfg)
-    peak = traced_peak(periodic_baseline, PARAMS, 100.0, [0.5, 1.5], 32, cfg)
+def test_periodic_baseline_on_a_held_run(spec):
+    run = Run(PARAMS, TrajectoryConfig(T, seed=6), spec)
+    peak = traced_peak(periodic_baseline, run, 100.0, [0.5, 1.5], 32)
     assert peak <= 1.0 * SHAPES
 
 
+def test_per_slot_indices_are_narrow(spec):
+    # a power bin of 16 and a codeword of 16 take one byte each, an open
+    # slot of 2**16 two bytes and its successor, up to 2**16, four: none is
+    # formed at full length in a wider type first
+    run = Run(PARAMS, TrajectoryConfig(T, seed=6), spec)
+    run.channel  # built before any traced call
+    assert traced_peak(lambda: dataclasses.replace(run).m) <= 2 * T
+    codebook = random_codebook(L, 16, 5)
+    assert dataclasses.replace(run, codebook=codebook).code.dtype == np.uint8
+    table = simulator._EventTable(np.full(spec.M, 0.75), run)
+    assert table.successor.dtype == np.uint32
+    # the table and the open slots, and the blocks of one lag (about 10 bytes
+    # per slot at this length)
+    assert traced_peak(simulator._EventTable, np.full(spec.M, 0.75), run) <= 20 * T
+
+
 def test_event_walk_makes_no_object_per_slot(spec):
-    cfg = TrajectoryConfig(T, seed=6)
-    run = simulator._Run(spec, *simulator._trajectory(PARAMS, cfg), None)
+    run = Run(PARAMS, TrajectoryConfig(T, seed=6), spec)
     table = simulator._EventTable(np.full(spec.M, 0.75), run)
     assert traced_peak(table.events) <= 8 * T
+
+
+def test_figure_curves_hold_one_run_at_a_time():
+    # the two fig-3 runs are built one after the other, so the four curves
+    # peak as high as the two curves of one run, give or take 0.1 shape per
+    # slot; one more trajectory held would add 1.17
+    slots = T // 4
+    cfg = cli.ExperimentConfig(M=4, N=4, model_samples=5000, alphas=(0.5, 1.5), slots=slots,
+                               warmup=100)
+
+    def curves_of_one_run(sub):
+        run = cli._make_run(sub)
+        sweep_alpha(sub.alphas, run, sub.P, sub.model_samples)
+        periodic_baseline(run, sub.P, sub.alphas, cli._MAX_PERIOD)
+
+    one = max(traced_peak(curves_of_one_run, dataclasses.replace(cfg, doppler_slot=d))
+              for d in (0.1, 0.01))
+    assert traced_peak(cli._figure_curves, 3, cfg) <= one + 0.1 * 16 * L * slots

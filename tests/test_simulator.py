@@ -26,6 +26,7 @@ from beamfeedback.mdp import Policy, RewardSpec, policy_iteration_average
 from beamfeedback.simulator import (
     CSV_HEADER,
     CurvePoint,
+    Run,
     TrajectoryConfig,
     curve_to_csv,
     periodic_baseline,
@@ -77,6 +78,11 @@ RUN = TrajectoryConfig(slots=400_000, warmup=1000, seed=99)
 @pytest.fixture(scope="module")
 def grid8():
     return make_grid(3, 8, 8)
+
+
+@pytest.fixture(scope="module")
+def run400k(grid8):
+    return Run(PARAMS, RUN, grid8)
 
 
 @pytest.fixture(scope="module")
@@ -174,27 +180,27 @@ class TestTrajectory:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
-    def test_seeded_run_shares_one_trajectory(self):
+    def test_two_builds_of_one_config_are_identical_and_read_only(self, grid8):
+        # no store outside the run keeps a trajectory: each run builds its
+        # own, the same to the bit for the same config
         cfg = TrajectoryConfig(slots=3000, seed=37)
-        a = simulator._trajectory(PARAMS, cfg)
-        b = simulator._trajectory(PARAMS, cfg)
-        assert all(x is y for x, y in zip(a, b))
+        a, b = (Run(PARAMS, cfg, grid8).channel for _ in range(2))
+        for x, y in zip(a, b):
+            assert x is not y and np.array_equal(x, y)
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        other = Run(PARAMS, dataclasses.replace(cfg, seed=38), grid8)
+        assert not np.array_equal(other.g, a[0])
 
-    def test_shared_trajectory_is_read_only(self):
-        g, S, f = simulator._trajectory(PARAMS, TrajectoryConfig(slots=3000, seed=41))
-        for arr in (g, S, f):
+    def test_shared_trajectory_is_read_only(self, grid8):
+        # a run made from another with a different codebook shares its
+        # trajectory, built once on first use
+        run = Run(PARAMS, TrajectoryConfig(slots=3000, seed=41), grid8)
+        quantized = dataclasses.replace(run, codebook=random_codebook(3, 8, 42))
+        assert all(x is y for x, y in zip(quantized.channel, run.channel))
+        for arr in run.channel:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-    def test_switching_configs_restores_exact_values(self):
-        A = TrajectoryConfig(slots=3000, seed=43)
-        B = TrajectoryConfig(slots=3000, seed=44)
-        first = [arr.copy() for arr in simulator._trajectory(PARAMS, A)]
-        other = simulator._trajectory(PARAMS, B)
-        again = simulator._trajectory(PARAMS, A)
-        assert not np.array_equal(other[0], first[0])
-        for a, b in zip(again, first):
-            assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------------
@@ -202,15 +208,15 @@ class TestTrajectory:
 # ----------------------------------------------------------------------------
 
 class TestSimulatePolicy:
-    def test_never_feedback_matches_integral(self, grid8):
-        res = simulate_policy(never(grid8), grid8, PARAMS, REWARDS, RUN)
+    def test_never_feedback_matches_integral(self, grid8, run400k):
+        res = simulate_policy(never(grid8), run400k, REWARDS)
         want = stale_beam_rate_oracle(100.0, 3)
         assert res.feedback_rate == 0.0
         assert res.net == res.throughput
         assert abs(res.throughput - want) <= 3.0 * res.stderr + 1e-9
 
-    def test_always_feedback_matches_integral(self, grid8):
-        res = simulate_policy(always(grid8), grid8, PARAMS, REWARDS, RUN)
+    def test_always_feedback_matches_integral(self, grid8, run400k):
+        res = simulate_policy(always(grid8), run400k, REWARDS)
         want = fresh_beam_rate_oracle(100.0, 3)
         assert res.feedback_rate == 1.0
         assert abs(res.throughput - want) <= 3.0 * res.stderr + 1e-9
@@ -221,79 +227,78 @@ class TestSimulatePolicy:
         quantize = simulator._quantize
         monkeypatch.setattr(simulator, "_quantize",
                             lambda *args: calls.append(args) or quantize(*args))
-        cfg = TrajectoryConfig(slots=20_000, seed=58)
-        res = simulate_policy(never(grid8), grid8, PARAMS, REWARDS, cfg,
-                              codebook=random_codebook(3, 8, 59))
+        run = Run(PARAMS, TrajectoryConfig(slots=20_000, seed=58), grid8)
+        res = simulate_policy(never(grid8), dataclasses.replace(
+            run, codebook=random_codebook(3, 8, 59)), REWARDS)
         assert calls == []
-        assert res == simulate_policy(never(grid8), grid8, PARAMS, REWARDS, cfg)
+        assert res == simulate_policy(never(grid8), run, REWARDS)
 
     def test_net_identity(self, grid8, model8):
         solved = policy_iteration_average(model8, REWARDS, grid8)
-        res = simulate_policy(solved.policy, grid8, PARAMS, REWARDS,
-                              TrajectoryConfig(slots=50_000, seed=7))
+        res = simulate_policy(solved.policy,
+                              Run(PARAMS, TrajectoryConfig(slots=50_000, seed=7), grid8),
+                              REWARDS)
         assert abs(res.net - (res.throughput - 0.5 * res.feedback_rate)) <= 1e-12
         assert 0.0 < res.feedback_rate < 1.0
         assert res.stderr > 0.0
 
     def test_partial_feedback_sits_between_the_extremes(self, grid8, model8):
-        cfg = TrajectoryConfig(slots=200_000, seed=11)
+        run = Run(PARAMS, TrajectoryConfig(slots=200_000, seed=11), grid8)
         free = RewardSpec(P=100.0, alpha=0.0)
         solved = policy_iteration_average(model8, REWARDS, grid8)
-        lo = simulate_policy(never(grid8), grid8, PARAMS, free, cfg)
-        mid = simulate_policy(solved.policy, grid8, PARAMS, free, cfg)
-        hi = simulate_policy(always(grid8), grid8, PARAMS, free, cfg)
+        lo = simulate_policy(never(grid8), run, free)
+        mid = simulate_policy(solved.policy, run, free)
+        hi = simulate_policy(always(grid8), run, free)
         slack = 3.0 * (lo.stderr + mid.stderr + hi.stderr)
         assert lo.throughput - slack <= mid.throughput <= hi.throughput + slack
 
     def test_deterministic_for_a_seed(self, grid8, model8):
         solved = policy_iteration_average(model8, REWARDS, grid8)
         cfg = TrajectoryConfig(slots=30_000, seed=13)
-        a = simulate_policy(solved.policy, grid8, PARAMS, REWARDS, cfg)
-        b = simulate_policy(solved.policy, grid8, PARAMS, REWARDS, cfg)
+        a, b = (simulate_policy(solved.policy, Run(PARAMS, cfg, grid8), REWARDS)
+                for _ in range(2))
         assert a == b
 
     def test_common_random_numbers_across_prices(self, grid8, model8):
         # the trajectory and the decisions depend on the seed and policy, not
         # on the price, so throughput agrees exactly across alphas
         solved = policy_iteration_average(model8, REWARDS, grid8)
-        cfg = TrajectoryConfig(slots=30_000, seed=17)
-        a = simulate_policy(solved.policy, grid8, PARAMS,
-                            RewardSpec(P=100.0, alpha=0.1), cfg)
-        b = simulate_policy(solved.policy, grid8, PARAMS,
-                            RewardSpec(P=100.0, alpha=1.3), cfg)
+        run = Run(PARAMS, TrajectoryConfig(slots=30_000, seed=17), grid8)
+        a = simulate_policy(solved.policy, run, RewardSpec(P=100.0, alpha=0.1))
+        b = simulate_policy(solved.policy, run, RewardSpec(P=100.0, alpha=1.3))
         assert a.throughput == b.throughput
         assert a.feedback_rate == b.feedback_rate
 
     def test_static_channel_has_zero_error_bars(self, grid8):
         frozen = FadingParams(L=3, doppler_slot=0.0)
-        res = simulate_policy(never(grid8), grid8, frozen, REWARDS,
-                              TrajectoryConfig(slots=20_000, seed=19))
+        res = simulate_policy(never(grid8),
+                              Run(frozen, TrajectoryConfig(slots=20_000, seed=19), grid8),
+                              REWARDS)
         assert res.stderr <= 1e-12  # constant series; rounding noise only
 
     def test_quantized_feedback_loses_throughput(self, grid8):
-        cb = random_codebook(3, 8, 123)
-        cfg = TrajectoryConfig(slots=200_000, seed=23)
+        run = Run(PARAMS, TrajectoryConfig(slots=200_000, seed=23), grid8)
         free = RewardSpec(P=100.0, alpha=0.0)
-        perfect = simulate_policy(always(grid8), grid8, PARAMS, free, cfg)
-        coarse = simulate_policy(always(grid8), grid8, PARAMS, free, cfg,
-                                 codebook=cb)
+        perfect = simulate_policy(always(grid8), run, free)
+        coarse = simulate_policy(always(grid8), dataclasses.replace(
+            run, codebook=random_codebook(3, 8, 123)), free)
         assert coarse.feedback_rate == 1.0
         slack = 3.0 * (perfect.stderr + coarse.stderr)
         assert coarse.throughput <= perfect.throughput - 0.1 + slack
 
     def test_dimension_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError, match="dimensions"):
-            simulate_policy(Policy(np.zeros(4)), grid8, PARAMS,
-                            REWARDS, TrajectoryConfig(slots=100, warmup=0, seed=1))
+            simulate_policy(Policy(np.zeros(4)),
+                            Run(PARAMS, TrajectoryConfig(slots=100, warmup=0, seed=1), grid8),
+                            REWARDS)
 
 
 # ----------------------------------------------------------------------------
 # the event table against the block-scan reference
 # ----------------------------------------------------------------------------
 
-def _reference_simulate_policy(policy, spec, params, rewards, config,
-                               codebook=None, by_bin=False):
-    """Reference simulator: one loop iteration per feedback event.
+def _reference_simulate_policy(policy, run, rewards, by_bin=False):
+    """Reference simulator: one loop iteration per feedback event on a run.
 
     From each event it takes 256-slot blocks until the policy next feeds
     back, and with a codebook it quantizes each feedback shape on its own.
@@ -306,9 +311,9 @@ def _reference_simulate_policy(policy, spec, params, rewards, config,
     the correctly rounded sum of y over the bin count.  Returns
     (CurvePoint, z, fb).
     """
-    y = policy.y
+    y, spec, codebook, config = policy.y, run.spec, run.codebook, run.config
     decide = threshold_table(y, spec)
-    g, S, f = simulator._trajectory(params, config)
+    g, S, f = run.channel
     T = config.slots
     z = np.empty(T)
     fb = np.zeros(T, dtype=bool)
@@ -371,13 +376,10 @@ def _feedback_codebook(kind, L, seed):
     return random_codebook(L, 8, 740 + seed)
 
 
-def _assert_agrees(policy, spec, params, rewards, cfg, codebook, by_bin):
-    want, z_ref, fb_ref = _reference_simulate_policy(policy, spec, params, rewards,
-                                                     cfg, codebook, by_bin)
-    g, S, f = simulator._trajectory(params, cfg)
-    run = simulator._Run(spec, g, S, f, codebook)
+def _assert_agrees(policy, run, rewards, by_bin):
+    want, z_ref, fb_ref = _reference_simulate_policy(policy, run, rewards, by_bin)
     z, fb = schedule_trace(run, simulator._events(policy.y, run))
-    got = simulate_policy(policy, spec, params, rewards, cfg, codebook=codebook)
+    got = simulate_policy(policy, run, rewards)
     assert np.array_equal(fb, fb_ref)
     assert np.max(np.abs(z - z_ref)) <= 1e-12
     assert abs(got.net - want.net) <= 1e-12
@@ -392,9 +394,9 @@ class TestEventTableAgreesWithReference:
     def test_every_policy_kind_and_price(self, solved_tables, seed, L, feedback):
         params = FadingParams(L=L, doppler_slot=0.1)
         cfg = TrajectoryConfig(slots=1500, warmup=100, seed=seed)
-        codebook = _feedback_codebook(feedback, L, seed)
         rng = np.random.default_rng(750 + seed)
         spec = solved_tables[L, 0.2][0]
+        run = Run(params, cfg, spec, _feedback_codebook(feedback, L, seed))
         for a in AGREE_PRICES:
             rewards = RewardSpec(P=100.0, alpha=a)
             # curves on bin edges are checked against the bin lookup, curves
@@ -404,8 +406,7 @@ class TestEventTableAgreesWithReference:
                       (np.ones(spec.M), True), (np.zeros(spec.M), True),
                       (solved_tables[L, a][1].y, True)]
             for y, by_bin in curves:
-                _assert_agrees(Policy(y), spec, params, rewards, cfg, codebook,
-                               by_bin)
+                _assert_agrees(Policy(y), run, rewards, by_bin)
 
     @pytest.mark.parametrize("feedback", ["perfect", "lloyd16"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -422,14 +423,13 @@ class TestEventTableAgreesWithReference:
         else:
             y = np.full(spec.M, spec.z_edges[9])
             codebook = lloyd_codebook(3, 16, 5000, 20, 761)
-        cfg = TrajectoryConfig(slots=40_000, warmup=100, seed=seed)
-        fb = _assert_agrees(Policy(y), spec, params,
-                            RewardSpec(P=100.0, alpha=2.0), cfg, codebook, True)
+        run = Run(params, TrajectoryConfig(slots=40_000, warmup=100, seed=seed), spec,
+                  codebook)
+        fb = _assert_agrees(Policy(y), run, RewardSpec(P=100.0, alpha=2.0), True)
         events = np.flatnonzero(fb)
         assert events.size >= 3
         assert np.diff(events).max() > simulator._HORIZON
-        g, S, f = simulator._trajectory(params, cfg)
-        table = simulator._EventTable(y, simulator._Run(spec, g, S, f, codebook))
+        table = simulator._EventTable(y, run)
         assert np.any(table.successor[events] == 0)
 
     @pytest.mark.parametrize("feedback", ["perfect", "random"])
@@ -451,8 +451,8 @@ class TestEventTableAgreesWithReference:
         curves = [np.linspace(0.3, 0.9, spec.M), mixed, np.zeros(spec.M)]
 
         def traces():
-            traj = simulator._trajectory.__wrapped__(params, cfg)
-            run = simulator._Run(spec, *traj, codebook)
+            run = Run(params, cfg, spec, codebook)
+            traj = run.channel
             schedules = [simulator._events(y, run) for y in curves]
             schedules.append(np.arange(0, cfg.slots, 9))
             return traj, [schedule_trace(run, events) for events in schedules]
@@ -476,8 +476,8 @@ class TestEventTableAgreesWithReference:
         # that only a scan past the table reaches, must leave the decision
         # the recorded z gives
         params = FadingParams(L=4, doppler_slot=0.001)
-        cfg = TrajectoryConfig(slots=20_000, warmup=100, seed=1)
-        g, S, f = simulator._trajectory(params, cfg)
+        unbinned = Run(params, TrajectoryConfig(slots=20_000, warmup=100, seed=1), None)
+        g, S, f = unbinned.channel
         zr = _alignment(_row_inner(S.conj(), S[0]))
         zb = _alignment(S.conj() @ S[0])
         low = np.minimum.accumulate(np.minimum(zr, zb))
@@ -488,7 +488,7 @@ class TestEventTableAgreesWithReference:
         spec = GridSpec(M=1, N=2, g_edges=power.g_edges, g_points=power.g_points,
                         z_edges=[0.0, edge, 1.0], z_points=[0.5 * edge, 0.5 + 0.5 * edge])
         y, decide = spec.z_edges[1:2], np.array([[True, False]])
-        run = simulator._Run(spec, g, S, f, None)
+        run = dataclasses.replace(unbinned, spec=spec)
         table = simulator._EventTable(y, run)
         assert table.first == 0 and table.successor[0] == 0 and t > table.depth
 
@@ -530,9 +530,8 @@ class TestThresholdCompare:
 
     @staticmethod
     def _table(y, spec):
-        cfg = TrajectoryConfig(slots=600, warmup=10, seed=5)
-        g, S, f = simulator._trajectory(PARAMS, cfg)
-        table = simulator._EventTable(y, simulator._Run(spec, g, S, f, None))
+        run = Run(PARAMS, TrajectoryConfig(slots=600, warmup=10, seed=5), spec)
+        table = simulator._EventTable(y, run)
         assert np.unique(table.run.m).size == spec.M  # every row is read
         return table
 
@@ -576,8 +575,8 @@ class TestCodebookDimension:
         codebook, cfg = mismatched
         y = {"never": 0.0, "always": 1.0, "partial": 0.5}[table]
         with pytest.raises(ValueError, match="codebook has 4 antennas"):
-            simulate_policy(Policy(np.full(grid8.M, y)), grid8, PARAMS, REWARDS, cfg,
-                            codebook=codebook)
+            simulate_policy(Policy(np.full(grid8.M, y)), Run(PARAMS, cfg, grid8, codebook),
+                            REWARDS)
 
 
 class TestOptimalPolicyDominance:
@@ -597,9 +596,9 @@ class TestOptimalPolicyDominance:
 
 class TestPeriodic:
     def test_every_slot_equals_always_feedback(self, grid8):
-        cfg = TrajectoryConfig(slots=100_000, seed=31)
-        a = simulate_periodic(1, PARAMS, REWARDS, cfg)
-        b = simulate_policy(always(grid8), grid8, PARAMS, REWARDS, cfg)
+        run = Run(PARAMS, TrajectoryConfig(slots=100_000, seed=31), grid8)
+        a = simulate_periodic(1, run, REWARDS)
+        b = simulate_policy(always(grid8), run, REWARDS)
         # one measurement; only the policy has a threshold to average
         assert math.isnan(a.avg_threshold) and b.avg_threshold == 1.0
         assert dataclasses.replace(a, avg_threshold=1.0) == b
@@ -608,14 +607,12 @@ class TestPeriodic:
     def test_matches_the_segment_law(self, L):
         # the held-beam pass against whole segments plus a remainder, with
         # intervals that divide the run, leave a remainder, or exceed it
-        params = FadingParams(L=L, doppler_slot=0.1)
         cfg = TrajectoryConfig(slots=2000, warmup=100, seed=61)
-        g, S, f = simulator._trajectory(params, cfg)
-        run = simulator._Run(None, g, S, f, None)
+        run = Run(FadingParams(L=L, doppler_slot=0.1), cfg, make_grid(L, 4, 4))
         for k in (1, 3, 7, 64, 2500):
-            want, z_ref = periodic_segments(k, g, S, REWARDS, cfg)
+            want, z_ref = periodic_segments(k, run.g, run.S, REWARDS, cfg)
             z, fb = schedule_trace(run, np.arange(0, cfg.slots, k))
-            got = simulate_periodic(k, params, REWARDS, cfg)
+            got = simulate_periodic(k, run, REWARDS)
             assert np.array_equal(fb, np.arange(cfg.slots) % k == 0)
             assert np.max(np.abs(z - z_ref)) <= 1e-12
             assert got.feedback_rate == want.feedback_rate
@@ -623,50 +620,49 @@ class TestPeriodic:
                          (got.stderr, want.stderr)):
                 assert abs(a - b) <= 1e-12
 
-    def test_period_one_matches_integral(self):
-        res = simulate_periodic(1, PARAMS, REWARDS, RUN)
+    def test_period_one_matches_integral(self, run400k):
+        res = simulate_periodic(1, run400k, REWARDS)
         want = fresh_beam_rate_oracle(100.0, 3) - 0.5
         assert res.feedback_rate == 1.0
         assert abs(res.net - want) <= 3.0 * res.stderr + 1e-9
 
-    def test_feedback_rate_tracks_the_period(self):
-        cfg = TrajectoryConfig(slots=100_000, seed=37)
+    def test_feedback_rate_tracks_the_period(self, grid8):
+        run = Run(PARAMS, TrajectoryConfig(slots=100_000, seed=37), grid8)
         for k in (2, 5, 9):
-            res = simulate_periodic(k, PARAMS, REWARDS, cfg)
+            res = simulate_periodic(k, run, REWARDS)
             assert abs(res.feedback_rate - 1.0 / k) <= 2.0 * k / 99_000
 
-    def test_free_feedback_prefers_period_one(self):
-        cfg = TrajectoryConfig(slots=60_000, seed=41)
-        [(k, res)] = periodic_baseline(PARAMS, 100.0, [0.0], 8, cfg)
+    def test_free_feedback_prefers_period_one(self, grid8):
+        run = Run(PARAMS, TrajectoryConfig(slots=60_000, seed=41), grid8)
+        [(k, res)] = periodic_baseline(run, 100.0, [0.0], 8)
         assert k == 1
         assert res.feedback_rate == 1.0
 
     def test_costly_feedback_approaches_never_feeding_back(self, grid8):
         dear = RewardSpec(P=100.0, alpha=3.0)
-        cfg = TrajectoryConfig(slots=120_000, seed=43)
-        [(k, res)] = periodic_baseline(PARAMS, 100.0, [3.0], 64, cfg)
-        stale = simulate_policy(never(grid8), grid8, PARAMS, dear, cfg)
+        run = Run(PARAMS, TrajectoryConfig(slots=120_000, seed=43), grid8)
+        [(k, res)] = periodic_baseline(run, 100.0, [3.0], 64)
+        stale = simulate_policy(never(grid8), run, dear)
         assert k > 1
         assert res.net >= stale.net - 0.15
         # long periods mostly ride a stale beam, so throughput stays nearby
-        assert res.net <= simulate_policy(always(grid8), grid8, PARAMS,
-                                          RewardSpec(P=100.0, alpha=0.0),
-                                          cfg).throughput
+        assert res.net <= simulate_policy(always(grid8), run,
+                                          RewardSpec(P=100.0, alpha=0.0)).throughput
 
-    def test_price_list_picks_each_best_interval_once(self, monkeypatch):
-        cfg = TrajectoryConfig(slots=30_000, seed=47)
+    def test_price_list_picks_each_best_interval_once(self, grid8, monkeypatch):
+        run = Run(PARAMS, TrajectoryConfig(slots=30_000, seed=47), grid8)
         alphas = [0.0, 0.4, 1.0, 2.5]
         want = []
         for a in alphas:
             r = RewardSpec(P=100.0, alpha=a)
-            runs = [simulate_periodic(k, PARAMS, r, cfg) for k in range(1, 17)]
+            runs = [simulate_periodic(k, run, r) for k in range(1, 17)]
             k = 1 + max(range(16), key=lambda i: (runs[i].net, -i))
             want.append((k, runs[k - 1]))
         passes = []
         inner = simulator._held_alignment
         monkeypatch.setattr(simulator, "_held_alignment",
                             lambda *a, **kw: passes.append(a[1]) or inner(*a, **kw))
-        got = periodic_baseline(PARAMS, 100.0, alphas, 16, cfg)
+        got = periodic_baseline(run, 100.0, alphas, 16)
         # a periodic point carries its price, and NaN for the threshold it
         # lacks; the reprs compare every field to the bit, NaN included
         assert [p.alpha for _, p in got] == alphas
@@ -675,25 +671,33 @@ class TestPeriodic:
         # one held-beam pass per interval, whatever the number of prices
         assert len(passes) == 16
 
-    def test_ties_go_to_the_shorter_interval(self):
+    def test_feedback_is_perfect_on_a_run_with_a_codebook(self, grid8, monkeypatch):
+        run = Run(PARAMS, TrajectoryConfig(slots=20_000, seed=49), grid8)
+        want = periodic_baseline(run, 100.0, [0.3, 1.7], 8)
+        monkeypatch.setattr(simulator, "_quantize", None)  # nothing is quantized
+        quantized = dataclasses.replace(run, codebook=random_codebook(3, 8, 50))
+        got = periodic_baseline(quantized, 100.0, [0.3, 1.7], 8)
+        assert [(k, repr(p)) for k, p in got] == [(k, repr(p)) for k, p in want]
+
+    def test_ties_go_to_the_shorter_interval(self, grid8):
         # every interval of 50 slots or more feeds back only in slot 0,
         # before the warmup ends, so those intervals tie exactly
-        cfg = TrajectoryConfig(slots=50, warmup=10, seed=53)
-        [(k, res)] = periodic_baseline(PARAMS, 100.0, [100.0], 64, cfg)
+        run = Run(PARAMS, TrajectoryConfig(slots=50, warmup=10, seed=53), grid8)
+        [(k, res)] = periodic_baseline(run, 100.0, [100.0], 64)
         assert k == 50 and res.feedback_rate == 0.0
 
     @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
-    def test_bad_prices_rejected(self, alpha):
-        cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
+    def test_bad_prices_rejected(self, grid8, alpha):
+        run = Run(PARAMS, TrajectoryConfig(slots=1000, warmup=0, seed=1), grid8)
         with pytest.raises(ValueError, match="price"):
-            periodic_baseline(PARAMS, 100.0, [0.5, alpha], 4, cfg)
+            periodic_baseline(run, 100.0, [0.5, alpha], 4)
 
-    def test_bad_periods_rejected(self):
-        cfg = TrajectoryConfig(slots=1000, warmup=0, seed=1)
+    def test_bad_periods_rejected(self, grid8):
+        run = Run(PARAMS, TrajectoryConfig(slots=1000, warmup=0, seed=1), grid8)
         with pytest.raises(ValueError):
-            simulate_periodic(0, PARAMS, REWARDS, cfg)
+            simulate_periodic(0, run, REWARDS)
         with pytest.raises(ValueError):
-            periodic_baseline(PARAMS, 100.0, [0.5], 0, cfg)
+            periodic_baseline(run, 100.0, [0.5], 0)
 
 
 class TestPricePoint:
@@ -705,8 +709,7 @@ class TestPricePoint:
     @pytest.mark.parametrize("schedule", ["policy", "always", "periodic"])
     def test_arithmetic_matches_the_series(self, grid8, schedule, slots):
         cfg = TrajectoryConfig(slots=slots, warmup=1000, seed=59)
-        g, S, f = simulator._trajectory(PARAMS, cfg)
-        run = simulator._Run(grid8, g, S, f, None)
+        run = Run(PARAMS, cfg, grid8)
         if schedule == "periodic":
             events = np.arange(0, slots, 7)
         else:
@@ -714,10 +717,10 @@ class TestPricePoint:
             events = simulator._events(y, run)
         z, fb = schedule_trace(run, events)
         assert 0 < fb.sum() < slots or schedule == "always"
-        measured = simulator._measure(run, events, 100.0, cfg)
+        measured = simulator._measure(run, events, 100.0)
         for a in (0.0, 0.7, 8.0):
-            got = simulator._point(measured, a, 0.5)
-            want = series_point(g, z, fb, RewardSpec(P=100.0, alpha=a), cfg, 0.5)
+            got = simulator._point(measured, a, np.array([0.5]))
+            want = series_point(run.g, z, fb, RewardSpec(P=100.0, alpha=a), cfg, 0.5)
             assert dataclasses.replace(got, stderr=0.0) == dataclasses.replace(want, stderr=0.0)
             assert abs(got.stderr - want.stderr) <= 1e-14 * want.stderr
             assert (got.stderr == 0.0) == (slots == 1001)
@@ -734,7 +737,7 @@ class TestAverageThreshold:
     SHORT = TrajectoryConfig(slots=2000, warmup=100, seed=3)
 
     def average(self, y, spec):
-        return simulate_policy(Policy(y), spec, PARAMS, REWARDS, self.SHORT).avg_threshold
+        return simulate_policy(Policy(y), Run(PARAMS, self.SHORT, spec), REWARDS).avg_threshold
 
     @pytest.mark.parametrize("M, N", [(16, 16), (40, 40), (7, 10)])
     def test_constant_curves_read_exactly_their_value(self, M, N):
@@ -760,13 +763,16 @@ class TestAverageThreshold:
 
 
 @pytest.fixture(scope="module")
-def small_sweep(grid8):
+def sweep_run(grid8):
+    return Run(PARAMS, TrajectoryConfig(slots=120_000, seed=47), grid8)
+
+
+@pytest.fixture(scope="module")
+def small_sweep(sweep_run):
     # 25 is far beyond any one-slot gain plus the continuation value of a
     # realignment on this channel, so the top point must never feed back
-    cfg = TrajectoryConfig(slots=120_000, seed=47)
     top = 25.0
-    return sweep_alpha([0.0, 0.5, top], grid8, PARAMS, 100.0, cfg,
-                       model_samples=150_000), top
+    return sweep_alpha([0.0, 0.5, top], sweep_run, 100.0, model_samples=150_000), top
 
 
 class TestSweep:
@@ -783,9 +789,9 @@ class TestSweep:
         assert last.feedback_rate == 0.0
         assert last.avg_threshold == 0.0
         # identical seeds: the sweep's never-feedback run is the plain one
-        stale = simulate_policy(never(grid8), grid8, PARAMS,
-                                RewardSpec(P=100.0, alpha=top),
-                                TrajectoryConfig(slots=120_000, seed=47))
+        stale = simulate_policy(never(grid8),
+                                Run(PARAMS, TrajectoryConfig(slots=120_000, seed=47), grid8),
+                                RewardSpec(P=100.0, alpha=top))
         assert last.throughput == stale.throughput
 
     def test_point_bookkeeping(self, small_sweep):
@@ -795,23 +801,44 @@ class TestSweep:
             assert abs(p.net - (p.throughput - p.alpha * p.feedback_rate)) <= 1e-12
             assert p.stderr > 0.0
 
-    def test_points_are_what_simulate_policy_measures(self, small_sweep, grid8):
+    def test_points_are_what_simulate_policy_measures(self, small_sweep, sweep_run, grid8):
         # the sweep's solves, rebuilt from its model draw, simulated one by one
         curve, _ = small_sweep
-        cfg = TrajectoryConfig(slots=120_000, seed=47)
-        model, _ = simulator._model(PARAMS, grid8, cfg.seed, 150_000, None)
+        model, _ = simulator._model(sweep_run, 150_000)
         for p in curve:
             r = RewardSpec(P=100.0, alpha=p.alpha)
             policy = policy_iteration_average(model, r, grid8).policy
-            assert simulate_policy(policy, grid8, PARAMS, r, cfg) == p
+            assert simulate_policy(policy, sweep_run, r) == p
+
+    def test_prices_on_one_curve_share_one_pass(self, grid8, monkeypatch):
+        # the two cheapest prices both feed back always and the two dearest
+        # never, so five prices solve to three curves
+        run = Run(PARAMS, TrajectoryConfig(slots=30_000, seed=45), grid8)
+        alphas = [0.0, 1e-3, 0.5, 25.0, 30.0]
+        _, solves = simulator._design(alphas, run, 100.0, 20_000)
+        curves = []
+        for s in solves:
+            if not any(np.array_equal(s.policy.y, y) for y in curves):
+                curves.append(s.policy.y)
+        assert len(curves) == 3
+        want = [simulate_policy(s.policy, run, RewardSpec(P=100.0, alpha=a))
+                for a, s in zip(alphas, solves)]
+        passes = []
+        inner = simulator._held_alignment
+        monkeypatch.setattr(simulator, "_held_alignment",
+                            lambda *a, **kw: passes.append(a[1]) or inner(*a, **kw))
+        got = sweep_alpha(alphas, run, 100.0, model_samples=20_000)
+        # the reprs compare every field to the bit
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+        # one held-beam pass per distinct curve, whatever the number of prices
+        assert len(passes) == len(curves)
 
     def test_alphas_must_increase(self, grid8):
-        cfg = TrajectoryConfig(slots=5000, seed=1)
+        run = Run(PARAMS, TrajectoryConfig(slots=5000, seed=1), grid8)
         with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([0.5, 0.5], grid8, PARAMS, 100.0, cfg,
-                        model_samples=5000)
+            sweep_alpha([0.5, 0.5], run, 100.0, model_samples=5000)
         with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([], grid8, PARAMS, 100.0, cfg, model_samples=5000)
+            sweep_alpha([], run, 100.0, model_samples=5000)
 
     def test_quantized_sweep_quantizes_the_trajectory_once(self, grid8, monkeypatch):
         calls = []
@@ -823,19 +850,19 @@ class TestSweep:
 
         monkeypatch.setattr(simulator, "_quantize", spy)
         cfg = TrajectoryConfig(slots=20_000, seed=56)
-        curve = sweep_alpha([0.2, 0.8, 2.0], grid8, PARAMS, 100.0, cfg,
-                            codebook=random_codebook(3, 8, 57), model_samples=20_000)
+        curve = sweep_alpha([0.2, 0.8, 2.0],
+                            Run(PARAMS, cfg, grid8, random_codebook(3, 8, 57)), 100.0,
+                            model_samples=20_000)
         assert all(0.0 < p.feedback_rate < 1.0 for p in curve)
         assert calls == [cfg.slots]
 
     def test_quantized_sweep_stays_below_perfect(self):
         spec = make_grid(3, 6, 6)
         cb = lloyd_codebook(3, 8, 20_000, 20, 54)
-        cfg = TrajectoryConfig(slots=100_000, seed=55)
+        run = Run(PARAMS, TrajectoryConfig(slots=100_000, seed=55), spec)
         alphas = [0.2, 0.8]
-        perfect = sweep_alpha(alphas, spec, PARAMS, 100.0, cfg,
-                              model_samples=100_000)
-        coarse = sweep_alpha(alphas, spec, PARAMS, 100.0, cfg, codebook=cb,
+        perfect = sweep_alpha(alphas, run, 100.0, model_samples=100_000)
+        coarse = sweep_alpha(alphas, dataclasses.replace(run, codebook=cb), 100.0,
                              model_samples=100_000)
         for p, q in zip(perfect, coarse):
             assert q.net <= p.net + 3.0 * (p.stderr + q.stderr)
