@@ -38,7 +38,7 @@ from .simulator import (
     Run,
     TrajectoryConfig,
     _design,
-    _model,
+    _measure_curve,
     _streams,
     curve_to_csv,
     periodic_baseline,
@@ -246,13 +246,6 @@ def _make_run(cfg: ExperimentConfig) -> Run:
     return Run(cfg.params, cfg.trajectory, make_grid(cfg.L, cfg.M, cfg.N), _build_codebook(cfg))
 
 
-def _solve(cfg: ExperimentConfig):
-    """Sweep's design step at the first configured price, as solve and evaluate report."""
-    run = _make_run(cfg)
-    model, (result,) = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
-    return run, model, result
-
-
 def _metadata(cfg: ExperimentConfig, **extra) -> str:
     """Every setting but the prefix, the codebook's grouped (null without one)."""
     doc = {key.field: getattr(cfg, key.field) for key in _SCHEMA
@@ -263,22 +256,28 @@ def _metadata(cfg: ExperimentConfig, **extra) -> str:
 
 
 def _figure_curves(figure: int, cfg: ExperimentConfig):
-    """Canned experiment list for one figure: [(label, points), ...].  The
-    curves of each sub-config share one run."""
+    """Canned experiment list for one figure: [(label, points), ...].  Every
+    curve is designed before any run builds its trajectory, and each run is
+    dropped before the next builds its own.  Figs 3-5 follow each controlled
+    curve with the best periodic one on its run."""
     plain = dataclasses.replace(cfg, codebook_method=None)
-    if figure in (6, 7):  # perfect against codebook-quantized feedback
+    if figure in (6, 7):  # perfect and quantized feedback share one trajectory
         run = _make_run(plain)
-        quantized = dataclasses.replace(run, codebook=_build_codebook(cfg.quantized()))
-        return [(label, sweep_alpha(cfg.alphas, r, cfg.P, cfg.model_samples)) for label, r
-                in (("perfect", run), (f"quantized_{cfg.codebook_size}", quantized))]
-    subs = ({f"L{L}": dataclasses.replace(plain, L=L) for L in (3, 4)} if figure == 4 else
-            {f"dop{d}": dataclasses.replace(plain, doppler_slot=d) for d in (0.1, 0.01)})
+        runs = {"perfect": run, f"quantized_{cfg.codebook_size}":
+                dataclasses.replace(run, codebook=_build_codebook(cfg.quantized()))}
+    else:
+        subs = ({f"L{L}": dataclasses.replace(plain, L=L) for L in (3, 4)} if figure == 4 else
+                {f"dop{d}": dataclasses.replace(plain, doppler_slot=d) for d in (0.1, 0.01)})
+        runs = {f"controlled_{tag}": _make_run(sub) for tag, sub in subs.items()}
+    solves = {label: _design(cfg.alphas, r, cfg.P, cfg.model_samples)[1]
+              for label, r in runs.items()}
     curves = []
-    for tag, sub in subs.items():
-        run = _make_run(sub)  # frees the last run before the sweep builds this one's trajectory
-        controlled = sweep_alpha(cfg.alphas, run, cfg.P, cfg.model_samples)
-        periodic = tuple(p for _, p in periodic_baseline(run, cfg.P, cfg.alphas, _MAX_PERIOD))
-        curves += [(f"controlled_{tag}", controlled), (f"periodic_{tag}", periodic)]
+    for label, solved in solves.items():
+        run = runs.pop(label)  # the last run's trajectory goes before this one builds
+        curves.append((label, _measure_curve(cfg.alphas, solved, run, cfg.P)))
+        if figure not in (6, 7):
+            periodic = periodic_baseline(run, cfg.P, cfg.alphas, _MAX_PERIOD)
+            curves.append((label.replace("controlled", "periodic"), tuple(p for _, p in periodic)))
     return curves
 
 
@@ -295,7 +294,7 @@ def _combined_csv(curves) -> str:
 
 def _cmd_model(cfg):
     run = _make_run(cfg)
-    model, _ = _model(run, cfg.model_samples)
+    model = _design((), run, cfg.P, cfg.model_samples)[0]
     return [(".json", model_to_json(run.spec, model))]
 
 
@@ -304,13 +303,14 @@ def _cmd_codebook(cfg):
 
 
 def _cmd_solve(cfg):
-    run, model, result = _solve(cfg)
+    run = _make_run(cfg)
+    model, (result,) = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
     return [(".json", solve_result_to_json(result, run.spec, model))]
 
 
 def _cmd_evaluate(cfg):
-    alpha = cfg.alphas[0]
-    run, _, result = _solve(cfg)
+    alpha, run = cfg.alphas[0], _make_run(cfg)
+    result = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)[1][0]
     measured = simulate_policy(result.policy, run, cfg.rewards(alpha))
     doc = {
         "alpha": alpha,
@@ -389,7 +389,7 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, SingularChainError, NonThresholdError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+            np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -104,8 +104,8 @@ def _streams(seed: int, *tag: int):
     """Independent generator for one purpose of a run.
 
     Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
-    same ones (through ``_model`` and ``_design``), so its model, solve and
-    evaluate commands see the kernels and solves of ``sweep_alpha``.
+    same ones (through ``_design``), so its model, solve and evaluate
+    commands and its figures see the kernels and solves of ``sweep_alpha``.
     Tag 3 is left to the grid-refinement reference in the tests, whose grid
     size i draws from the tag pair (3, i), a family no other purpose shares.
     Tag 4 is retired: the grid drew from it when its power points were
@@ -161,8 +161,9 @@ class Run:
 
     The trajectory, the power bin ``m`` of every slot and, with a codebook,
     the codeword index ``code`` of every shape are computed on first use, so
-    a sweep's design step holds no trajectory, a policy that never feeds
-    back quantizes nothing, and a periodic schedule bins nothing; ``m`` and
+    a design step (``_design``) holds no trajectory, and a caller can design
+    every curve before any run builds one; a policy that never feeds back
+    quantizes nothing, and a periodic schedule bins nothing; ``m`` and
     ``code`` take the narrowest integer type that holds them.  A run made
     from this one by ``dataclasses.replace`` shares its trajectory.
     """
@@ -421,41 +422,27 @@ def periodic_baseline(run: Run, P: float, alphas, max_period: int):
     return best
 
 
-def _model(run: Run, samples: int):
-    """The transition model of a seeded run and, with a codebook, the
-    quantization-error sample its feedback row stepped from (else None).
-    The model command writes this draw, and ``_design`` solves on it."""
-    seed, errors = run.config.seed, None
+def _design(alphas, run: Run, P: float, samples: int):
+    """The design step of a seeded run: (model, solves), its transition
+    model and one ``SolveResult`` per price at SNR ``P``, in order.  With a
+    codebook, the model's feedback row and the prices' quantized rates (none
+    without prices) come from one sample of quantization errors."""
+    seed, errors, eps = run.config.seed, None, None
     if run.codebook is not None:
         errors = quantization_errors(run.codebook, samples, _streams(seed, _EPS_STREAM))
     model = estimate_transition_model(run.params, run.spec, samples,
                                       _streams(seed, _MODEL_STREAM), eps=errors)
-    return model, errors
-
-
-def _design(alphas, run: Run, P: float, samples: int):
-    """The design step of a seeded run: (model, solves), its transition
-    model and one ``SolveResult`` per price at SNR ``P``, in order.  With a
-    codebook, the quantized rates come from the error sample the model's
-    feedback row stepped from."""
-    model, errors = _model(run, samples)
-    eps = None if errors is None else epsilon_statistics(errors, P, run.spec.g_points)
+    if errors is not None and alphas:
+        eps = epsilon_statistics(errors, P, run.spec.g_points)
     del errors  # read by the model and the statistics only
     return model, tuple(policy_iteration_average(model, RewardSpec(P=P, alpha=a), run.spec,
                                                  eps=eps) for a in alphas)
 
 
-def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> tuple:
-    """Solve and evaluate the controller at SNR ``P`` across feedback prices.
-
-    The prices are solved by ``_design`` and then measured on the run.
-    Prices that solve to one threshold curve share its schedule, which is
-    measured once.  Returns one CurvePoint per price, in order.
-    """
-    alphas = [float(a) for a in alphas]
-    if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
-        raise ValueError("alphas must be nonempty and strictly increasing")
-    _, solves = _design(alphas, run, P, model_samples)
+def _measure_curve(alphas, solves, run: Run, P: float) -> tuple:
+    """The solved prices measured on a run at SNR ``P``: one CurvePoint per
+    price, in order.  Prices that solve to one threshold curve share its
+    schedule, which is measured once."""
     records, points = [], []  # records: (y, _Measured) of each distinct curve
     for a, y in zip(alphas, (s.policy.y for s in solves)):
         m = next((m for u, m in records if np.array_equal(u, y)), None)
@@ -463,6 +450,19 @@ def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> t
             records.append((y, m := _measure(run, _events(y, run), P)))
         points.append(_point(m, a, y))
     return tuple(points)
+
+
+def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> tuple:
+    """Solve and evaluate the controller at SNR ``P`` across feedback prices.
+
+    Every price is solved by ``_design`` before the run builds its
+    trajectory, and then measured on the run (``_measure_curve``).  Returns
+    one CurvePoint per price, in order.
+    """
+    alphas = [float(a) for a in alphas]
+    if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
+        raise ValueError("alphas must be nonempty and strictly increasing")
+    return _measure_curve(alphas, _design(alphas, run, P, model_samples)[1], run, P)
 
 
 def curve_to_csv(points) -> str:

@@ -82,7 +82,15 @@ def fig3(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli-fig3")
     path, prefix = write_config(directory, slots=15_000, samples=20_000)
     status = run("reproduce-fig", path, figure=3, quiet=True)
-    return {"status": status, "prefix": prefix}
+    return {"status": status, "config": path, "prefix": prefix}
+
+
+@pytest.fixture(scope="module")
+def fig6(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-fig6")
+    path, prefix = write_config(directory, slots=15_000, samples=20_000, codebook=True)
+    status = run("reproduce-fig", path, figure=6, quiet=True)
+    return {"status": status, "config": path, "prefix": prefix}
 
 
 class TestConfigParsing:
@@ -415,6 +423,18 @@ class TestOtherCommands:
         assert model.P0.shape == (4, 4)
         np.testing.assert_allclose(model.Ptilde.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_model_tables_no_eps_statistics(self, tmp_path, monkeypatch):
+        # the model command solves no price, so it needs no quantized rates
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eps statistics tabled by the model command")
+
+        monkeypatch.setattr(simulator, "epsilon_statistics", forbidden)
+        path, prefix = write_config(tmp_path, M=3, N=4, samples=10_000, codebook=True)
+        assert run("model", path, quiet=True) == EXIT_OK
+        with open(prefix + ".model.json", encoding="utf-8") as fh:
+            _, model = model_from_json(fh.read())
+        assert model.quantized
+
 
 class TestSharedStreams:
     """model, solve and evaluate draw the kernels and statistics sweep uses."""
@@ -555,11 +575,9 @@ class TestReproduceFigures:
             rows = fh.read().strip().split("\n")[1:]
         assert all(math.isnan(float(r.split(",")[4])) for r in rows)
 
-    def test_quantized_figure_tracks_perfect_feedback(self, tmp_path):
-        path, prefix = write_config(tmp_path, slots=15_000, samples=20_000,
-                                    codebook=True)
-        assert run("reproduce-fig", path, figure=6, quiet=True) == EXIT_OK
-        stem = prefix + ".fig6"
+    def test_quantized_figure_tracks_perfect_feedback(self, fig6):
+        assert fig6["status"] == EXIT_OK
+        stem = fig6["prefix"] + ".fig6"
         assert os.path.exists(stem + ".perfect.csv")
         assert os.path.exists(stem + ".quantized_8.csv")
         perfect = np.genfromtxt(stem + ".perfect.csv", delimiter=",",
@@ -568,6 +586,21 @@ class TestReproduceFigures:
                              skip_header=1)
         sigma = np.hypot(perfect[:, 5], quant[:, 5])
         assert np.all(quant[:, 1] <= perfect[:, 1] + 3 * sigma)
+
+    def test_figures_5_and_7_write_the_curves_of_3_and_6(self, fig3, fig6):
+        # figs 5 and 7 plot other columns of the same curves, under the same labels
+        for (figure, twin), done in (((3, 5), fig3), ((6, 7), fig6)):
+            assert run("reproduce-fig", done["config"], figure=twin, quiet=True) == EXIT_OK
+            stem, twin_stem = (f"{done['prefix']}.fig{n}" for n in (figure, twin))
+            with open(stem + ".meta.json", encoding="utf-8") as fh:
+                labels = json.load(fh)["curves"]
+            with open(twin_stem + ".meta.json", encoding="utf-8") as fh:
+                assert json.load(fh)["curves"] == labels
+            assert len(labels) == (4 if figure == 3 else 2)
+            for label in labels:
+                with open(f"{stem}.{label}.csv", "rb") as a, \
+                        open(f"{twin_stem}.{label}.csv", "rb") as b:
+                    assert a.read() == b.read(), label
 
 
 class TestMainEntry:

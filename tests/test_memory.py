@@ -16,7 +16,8 @@ codewords are already computed, ``simulate_policy`` 0.43 with perfect
 feedback and 0.46 with a 16-word codebook, ``periodic_baseline`` 0.55; the
 power bins 1.5 bytes per slot, the event table's build 16 and its walk
 2.9; the grid 3.0 floats per bin; fig 3's four curves 1.74 shapes per slot,
-as many as the curves of one of its two runs.
+as many as the curves of one of its two runs; fig 6's two curves at 2^14
+slots and 200k model samples 10.39, as many as its quantized design alone.
 """
 
 import dataclasses
@@ -129,3 +130,40 @@ def test_figure_curves_hold_one_run_at_a_time():
     one = max(traced_peak(curves_of_one_run, dataclasses.replace(cfg, doppler_slot=d))
               for d in (0.1, 0.01))
     assert traced_peak(cli._figure_curves, 3, cfg) <= one + 0.1 * 16 * L * slots
+
+
+@pytest.mark.parametrize("figure", [3, 4, 6])
+def test_figure_curves_design_every_curve_before_any_trajectory(figure, monkeypatch):
+    # figs 3 and 4 build one trajectory per run, and fig 6's two curves share one
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    design = recording("design", simulator._design)
+    monkeypatch.setattr(simulator, "_design", design)
+    monkeypatch.setattr(cli, "_design", design)
+    monkeypatch.setattr(simulator, "_trajectory",
+                        recording("trajectory", simulator._trajectory))
+    cfg = cli.ExperimentConfig(M=4, N=4, model_samples=5000, alphas=(0.5, 1.5), slots=4000,
+                               warmup=100, codebook_size=4, codebook_training=500,
+                               codebook_iterations=3)
+    cli._figure_curves(figure, cfg)
+    assert calls == ["design"] * 2 + ["trajectory"] * (1 if figure == 6 else 2)
+
+
+def test_figure_6_holds_no_trajectory_through_its_designs():
+    # here the quantized design alone peaks at 10.39 shapes per slot, far
+    # above one trajectory (1.17), so the figure peaks with that design
+    # (10.39) when both designs come first, and at 11.57 when the perfect
+    # curve's trajectory is held through the quantized design
+    slots = T // 4
+    cfg = cli.ExperimentConfig(M=4, N=4, model_samples=200_000, alphas=(0.5, 1.5),
+                               slots=slots, warmup=100, codebook_method="lloyd",
+                               codebook_size=8, codebook_training=2000, codebook_iterations=5)
+    run = cli._make_run(cfg)
+    design = traced_peak(simulator._design, cfg.alphas, run, cfg.P, cfg.model_samples)
+    assert traced_peak(cli._figure_curves, 6, cfg) <= design + 0.6 * 16 * L * slots

@@ -804,7 +804,7 @@ class TestSweep:
     def test_points_are_what_simulate_policy_measures(self, small_sweep, sweep_run, grid8):
         # the sweep's solves, rebuilt from its model draw, simulated one by one
         curve, _ = small_sweep
-        model, _ = simulator._model(sweep_run, 150_000)
+        model, _ = simulator._design((), sweep_run, 100.0, 150_000)
         for p in curve:
             r = RewardSpec(P=100.0, alpha=p.alpha)
             policy = policy_iteration_average(model, r, grid8).policy
