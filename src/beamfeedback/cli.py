@@ -45,7 +45,7 @@ from .simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import _power_edges, make_grid, model_to_json
+from .state_grid import make_grid, model_to_json
 
 __all__ = ["ExperimentConfig", "ConfigError", "UsageError", "load_config", "run", "main"]
 
@@ -68,29 +68,47 @@ class UsageError(ValueError):
     """The command line itself is malformed."""
 
 
+def _text(value) -> str:
+    """A config value as the INI text that parses back to it."""
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _parse_alphas(text: str):
+    parts = text.replace(",", " ").split()
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"bad alpha list {text!r}") from exc
+
+
+def _key(section: str, name: str, default, parse: Callable[[str], object] = int, aliases=()):
+    """A config field's default and its INI key: [section] name, read by parse."""
+    return dataclasses.field(default=default, metadata=dict(
+        section=section, name=name, parse=parse, aliases=aliases))
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment settings, defaults applied."""
+    """Fully resolved experiment settings, defaults applied; each field declares its key."""
 
-    L: int = 3
-    doppler_slot: float = 0.1
-    M: int = 16
-    N: int = 16
-    model_samples: int = 1_000_000
-    P: float = 100.0
-    alphas: tuple = _DEFAULT_ALPHAS
-    codebook_method: str | None = None
-    codebook_size: int = 16
-    codebook_training: int = 100_000
-    codebook_iterations: int = 50
-    slots: int = 400_000
-    warmup: int = 1000
-    seed: int = 12345
-    prefix: str = "run"
+    L: int = _key("channel", "L", 3)
+    doppler_slot: float = _key("channel", "doppler_slot", 0.1, float)
+    M: int = _key("grid", "M", 16)
+    N: int = _key("grid", "N", 16)
+    model_samples: int = _key("grid", "samples", 1_000_000)
+    P: float = _key("rewards", "P", 100.0, float, aliases=(
+        ("snr_db", lambda text: RewardSpec.from_snr_db(float(text), alpha=0.0).P),))
+    alphas: tuple = _key("rewards", "alpha", _DEFAULT_ALPHAS, _parse_alphas)
+    codebook_method: str | None = _key("codebook", "method", None, str)
+    codebook_size: int = _key("codebook", "size", 16)
+    codebook_training: int = _key("codebook", "training", 100_000)
+    codebook_iterations: int = _key("codebook", "iterations", 50)
+    slots: int = _key("trajectory", "slots", 400_000)
+    warmup: int = _key("trajectory", "warmup", 1000)
+    seed: int = _key("trajectory", "seed", 12345)
+    prefix: str = _key("output", "prefix", "run", str)
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise ConfigError("M and N must be positive")
         if self.model_samples < 1:
             raise ConfigError("model sample count must be positive")
         if not self.alphas:
@@ -105,7 +123,7 @@ class ExperimentConfig:
             raise ConfigError("codebook training set must be at least the codebook size")
         try:  # building the library's own types checks every other setting
             self.params, self.trajectory, *map(self.rewards, self.alphas)
-            _power_edges(self.L, self.M)
+            make_grid(self.L, self.M, self.N)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -137,52 +155,23 @@ class ExperimentConfig:
         return buf.getvalue()
 
 
-def _text(value) -> str:
-    """A config value as the INI text that parses back to it."""
-    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-def _parse_alphas(text: str):
-    parts = text.replace(",", " ").split()
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad alpha list {text!r}") from exc
-
-
 class _Key(NamedTuple):
-    """One config key: its INI section and name, the field it sets, its parser."""
+    """One config key as its ExperimentConfig field declares it through _key."""
 
     section: str
     name: str
     field: str
-    parse: Callable[[str], object] = int
-    aliases: tuple = ()  # (name, parse) of each other spelling of the value
+    parse: Callable[[str], object]
+    aliases: tuple  # (name, parse) of each other spelling of the value
 
     @property
     def spellings(self) -> str:
         return " or ".join((self.name, *(alias for alias, _ in self.aliases)))
 
 
-# One entry per ExperimentConfig field, in the order the echo writes them.
-_SCHEMA = (
-    _Key("channel", "L", "L"),
-    _Key("channel", "doppler_slot", "doppler_slot", float),
-    _Key("grid", "M", "M"),
-    _Key("grid", "N", "N"),
-    _Key("grid", "samples", "model_samples"),
-    _Key("rewards", "P", "P", float, aliases=(
-        ("snr_db", lambda text: RewardSpec.from_snr_db(float(text), alpha=0.0).P),)),
-    _Key("rewards", "alpha", "alphas", _parse_alphas),
-    _Key("codebook", "method", "codebook_method", str),
-    _Key("codebook", "size", "codebook_size"),
-    _Key("codebook", "training", "codebook_training"),
-    _Key("codebook", "iterations", "codebook_iterations"),
-    _Key("trajectory", "slots", "slots"),
-    _Key("trajectory", "warmup", "warmup"),
-    _Key("trajectory", "seed", "seed"),
-    _Key("output", "prefix", "prefix", str),
-)
+# Every field's key in field order, the echo's order; parsing, the echo, the
+# metadata and --help all read this table, so a new key is one field line.
+_SCHEMA = tuple(_Key(field=f.name, **f.metadata) for f in dataclasses.fields(ExperimentConfig))
 _SECTIONS = tuple(dict.fromkeys(key.section for key in _SCHEMA))
 # (section, name as configparser stores it) -> (key, parser) for every spelling
 _SPELLINGS = {(key.section, name.lower()): (key, parse) for key in _SCHEMA

@@ -27,6 +27,7 @@ from beamfeedback.cli import (
     main,
     run,
 )
+from beamfeedback.codebook import random_codebook
 from beamfeedback.mdp import ConvergenceError
 from beamfeedback.simulator import CSV_HEADER
 from beamfeedback.state_grid import TransitionModel
@@ -264,6 +265,34 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not os.path.exists(os.path.dirname(prefix))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[grid]\nM = 0\n", "L, M and N must be positive"),  # make_grid's own rule
+        ("[grid]\nsamples = 0\n", "model sample count must be positive"),
+        ("L = 3\n", "cannot parse"),  # a key before any section header
+    ])
+    def test_config_errors_exit_2_with_their_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = str(tmp_path / "out" / "run")
+        assert main(["sweep", "--config", str(path), "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path,
+                                                                     monkeypatch):
+        target = tmp_path / "run.sweep.csv"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cli._write_text(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch,
                                               capsys):
         path, prefix = write_config(tmp_path)
@@ -413,6 +442,20 @@ class TestOtherCommands:
         assert codebook.vectors.shape == (8, 3)
         np.testing.assert_allclose(
             np.linalg.norm(codebook.vectors, axis=1), 1.0, atol=1e-9)
+
+    def test_random_codebook_path(self, tmp_path):
+        path, prefix = write_config(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[codebook]\nmethod = random\nsize = 4\n")
+        assert run("codebook", path, quiet=True) == EXIT_OK
+        with open(prefix + ".codebook.json", encoding="utf-8") as fh:
+            text = fh.read()
+        assert json.loads(text)["method"] == "random"
+        drawn = random_codebook(3, 4, simulator._streams(77, simulator._CODEBOOK_STREAM))
+        np.testing.assert_array_equal(codebook_from_json(text).vectors, drawn.vectors)
+        with open(prefix + ".codebook.config.ini", encoding="utf-8") as fh:
+            assert "method = random" in fh.read().split("\n")
+        assert run("sweep", path, quiet=True) == EXIT_OK
 
     def test_model_output_round_trips(self, tmp_path):
         path, prefix = write_config(tmp_path, M=3, N=4, samples=10_000)
