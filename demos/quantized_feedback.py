@@ -14,6 +14,7 @@ import numpy as np
 
 from beamfeedback import (
     FadingParams,
+    RewardSpec,
     Run,
     TrajectoryConfig,
     epsilon_statistics,
@@ -42,7 +43,7 @@ def main():
     args = parser.parse_args()
 
     L = args.antennas
-    P = 10.0 ** (args.snr_db / 10.0)
+    P = RewardSpec.from_snr_db(args.snr_db, alpha=0.0).P
     params = FadingParams(L=L, doppler_slot=args.doppler)
     spec = make_grid(L, args.bins, args.bins)
     rng = np.random.default_rng(args.seed)

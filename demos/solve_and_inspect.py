@@ -40,7 +40,7 @@ def main():
     args = parser.parse_args()
 
     params = FadingParams(L=args.antennas, doppler_slot=args.doppler)
-    rewards = RewardSpec(P=10.0 ** (args.snr_db / 10.0), alpha=args.alpha)
+    rewards = RewardSpec.from_snr_db(args.snr_db, alpha=args.alpha)
     rng = np.random.default_rng(args.seed)
 
     spec = make_grid(args.antennas, args.bins, args.bins)

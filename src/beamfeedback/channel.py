@@ -4,9 +4,10 @@ The channel vector has independent unit-variance complex Gaussian entries
 and evolves slot to slot through a first-order autoregression whose
 coefficient follows the classic Doppler autocorrelation (Bessel J0 of the
 normalized Doppler-slot product).  This module holds that law, the
-complex normal draws and the beam alignment of a shape; the simulator runs
-the recursion on whole channels, and the kernel estimator steps the scalars
-it reduces to by isotropy.
+complex normal draws, the beam alignment of a shape and the one block of
+rows every per-slot or per-sample pass takes; the simulator runs the
+recursion on whole channels, and the kernel estimator steps the scalars it
+reduces to by isotropy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["FadingParams", "bessel_j0"]
+
+_BLOCK = 1 << 12  # rows per block of a pass that holds a temporary per row
+
+
+def _blocks(start: int, stop: int):
+    """Slices of at most _BLOCK rows that cover start..stop in order: the
+    blocks of every per-slot or per-sample pass, so that no temporary of a
+    pass spans a run or a sample."""
+    return (slice(s, min(stop, s + _BLOCK)) for s in range(start, stop, _BLOCK))
 
 
 def bessel_j0(x):

@@ -263,7 +263,8 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
     curves = []
     for label, solved in solves.items():
         run = runs.pop(label)  # the last run's trajectory goes before this one builds
-        curves.append((label, _measure_curve(cfg.alphas, solved, run, cfg.P)))
+        ys = [s.policy.y for s in solved]
+        curves.append((label, _measure_curve(cfg.alphas, ys, run, cfg.P)))
         if figure not in (6, 7):
             periodic = periodic_baseline(run, cfg.P, cfg.alphas, _MAX_PERIOD)
             curves.append((label.replace("controlled", "periodic"), tuple(p for _, p in periodic)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _alignment, _as_rng, _complex_normal, _row_inner
+from .channel import _alignment, _as_rng, _blocks, _complex_normal, _row_inner
 
 __all__ = [
     "Codebook",
@@ -28,13 +28,7 @@ __all__ = [
     "codebook_to_json",
 ]
 
-# Shapes drawn and scored at once.  The heap a block's features and scores
-# take stays resident after the trajectory is quantized, so the block size
-# sets a quantized sweep's peak memory (8192 rows raised it by 0.5 MB).
-_CHUNK = 1 << 12
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Unit-norm codeword rows plus provenance metadata."""
 
@@ -61,7 +55,7 @@ class Codebook:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpsStats:
     """Monte Carlo moments of the quantized alignment eps.
 
@@ -197,13 +191,14 @@ def _nearest(S: np.ndarray, features: np.ndarray, C: np.ndarray):
 
 def _quantize(S: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Codeword index of each unit shape row: the one ``_nearest`` assigns,
-    as in Lloyd training.  Rows are scored a block at a time, so no more
-    than a block's features and scores are held at once.
+    as in Lloyd training.  Rows are scored a block at a time (``_blocks``),
+    so no more than a block's features and scores are held at once; that
+    heap stays resident after the pass, so the block sets a quantized
+    sweep's peak memory (8192-row blocks raised it by 0.5 MB).
     """
     code = np.empty(S.shape[0], dtype=np.min_scalar_type(len(vectors) - 1))
-    for s in range(0, S.shape[0], _CHUNK):
-        block = S[s:s + _CHUNK]
-        code[s:s + _CHUNK] = _nearest(block, _shape_features(block), vectors)[0]
+    for blk in _blocks(0, S.shape[0]):
+        code[blk] = _nearest(S[blk], _shape_features(S[blk]), vectors)[0]
     return code
 
 
@@ -215,19 +210,19 @@ def quantization_errors(codebook: Codebook, count: int, rng) -> np.ndarray:
     codeword (``channel._row_inner``), so a feedback slot and the slots that
     keep its codeword round alike.  One sample serves both the quantized
     feedback row of the transition model and ``epsilon_statistics``; the
-    shapes are drawn in chunks, so no more than a chunk of them is held at
-    once.
+    shapes are drawn a block at a time (``_blocks``), so no more than a
+    block of them is held at once.
     """
     if int(count) < 1:
         raise ValueError("count must be positive")
     count = int(count)
     rng = _as_rng(rng)
     eps = np.empty(count)
-    for s in range(0, count, _CHUNK):
-        S = _complex_normal(rng, (min(_CHUNK, count - s), codebook.L))
+    for blk in _blocks(0, count):
+        S = _complex_normal(rng, (blk.stop - blk.start, codebook.L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
         held = codebook.vectors[_quantize(S, codebook.vectors)]
-        eps[s:s + _CHUNK] = _alignment(_row_inner(S.conj(), held))
+        eps[blk] = _alignment(_row_inner(S.conj(), held))
     return eps
 
 

@@ -75,7 +75,7 @@ class RewardSpec:
         return cls(P=10.0 ** (snr_db / 10.0), **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
     """Feedback threshold y[m] per power bin: feed back when the alignment
     z < y[m].  y[m] = 1 feeds back at every alignment, y[m] = 0 never."""
@@ -92,7 +92,7 @@ class Policy:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """Optimal policy with its gain J and differential values A.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import FadingParams, _alignment, _complex_normal, _row_inner
+from .channel import FadingParams, _alignment, _blocks, _complex_normal, _row_inner
 from .codebook import Codebook, _quantize, epsilon_statistics, quantization_errors
 from .mdp import Policy, RewardSpec, policy_iteration_average
 from .state_grid import GridSpec, _bin, estimate_transition_model
@@ -49,7 +49,6 @@ _HORIZON = 64      # most lags in the event table
 _SCAN_BLOCK = 256  # slots per step of a scan past the table
 _SCAN_COST = 200   # one scan costs about this many table slot-lags
 _BATCHES = 100
-_SLOT_BLOCK = 1 << 12  # slots per block of a pass that needs a temporary per slot
 
 # Tag of the generator each purpose of a seeded run draws from (``_streams``).
 _TRAJECTORY_STREAM = 0
@@ -137,13 +136,13 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
         _complex_normal(rng, out=H[1:])
         H[1:] *= math.sqrt(1.0 - rho * rho)
         for l in range(L):
-            for blk in _slot_blocks(1, slots):
+            for blk in _blocks(1, slots):
                 prev = blk.start - 1  # seeds the block, and is written back unchanged
                 H[prev:blk.stop, l] = np.fromiter(itertools.accumulate(
                     H[blk, l].tolist(), lambda y, x: x + rho * y,
                     initial=complex(H[prev, l])), dtype=complex, count=blk.stop - prev)
     g = np.empty(slots)
-    for blk in _slot_blocks(0, slots):
+    for blk in _blocks(0, slots):
         rows = H[blk]
         g[blk] = np.einsum("tl,tl->t", rows.conj(), rows).real
         rows /= np.sqrt(g[blk])[:, None]
@@ -193,7 +192,7 @@ class Run:
     @functools.cached_property
     def m(self) -> np.ndarray:
         m = np.empty(self.g.size, dtype=np.min_scalar_type(self.spec.M - 1))
-        for blk in _slot_blocks(0, m.size):
+        for blk in _blocks(0, m.size):
             m[blk] = _bin(self.g[blk], self.spec.g_edges)
         return m
 
@@ -206,12 +205,6 @@ class Run:
         if self.codebook is None:
             return self.S[slots]
         return self.codebook.vectors[self.code[slots]]
-
-
-def _slot_blocks(start: int, stop: int):
-    """Slices of at most _SLOT_BLOCK slots that cover start..stop in order."""
-    return (slice(s, min(stop, s + _SLOT_BLOCK))
-            for s in range(start, stop, _SLOT_BLOCK))
 
 
 class _EventTable:
@@ -229,10 +222,10 @@ class _EventTable:
     would save: resolving a slot saves a scan only if an event falls there,
     about one slot in the mean gap, so slow fading with long gaps stops
     after a few lags and fast fading resolves nearly every slot.  Each lag
-    takes the slots in blocks of _SLOT_BLOCK, so no copy of the shapes or
-    beams it reads grows with the trajectory, and packs the slots it leaves
-    open into the array of the open slots in place, so the build holds the
-    table and that array only, each in its narrowest integer type.
+    takes the slots a block at a time (``_blocks``), so no copy of the
+    shapes or beams it reads grows with the trajectory, and packs the slots
+    it leaves open into the array of the open slots in place, so the build
+    holds the table and that array only, each in its narrowest integer type.
 
     A decision is one comparison of the alignment with the threshold of
     its slot's power bin, looked up for the slots decided on (``y_inf``,
@@ -275,7 +268,7 @@ class _EventTable:
             if not t.size:
                 break
             left = 0  # the slots still open are packed into t[:left], in order
-            for blk in _slot_blocks(0, t.size):
+            for blk in _blocks(0, t.size):
                 now = t[blk]
                 later = now + k
                 hit = self.hit(later, _alignment(_row_inner(S[later].conj(),
@@ -313,9 +306,9 @@ def _held_alignment(run: Run, events) -> np.ndarray:
     S, T = run.S, run.g.size
     z = np.empty(T)
     first = events[0] if events.size else T
-    for blk in _slot_blocks(0, first):
+    for blk in _blocks(0, first):
         z[blk] = _alignment(_row_inner(S[blk].conj(), run.f))
-    for blk in _slot_blocks(first, T):
+    for blk in _blocks(first, T):
         lo, hi = np.searchsorted(events, (blk.start, blk.stop), side="right")
         held = events[lo - 1:hi]  # the events whose beams the block holds
         own = np.repeat(held, np.diff(np.maximum(held, blk.start), append=blk.stop))
@@ -334,7 +327,7 @@ def _events(y, run: Run) -> np.ndarray:
     return np.empty(0, dtype=np.intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Measured:
     """A schedule after the warmup: throughput, feedback rate, and the
     _BATCHES batch means of the rate and of the feedback flags."""
@@ -351,7 +344,7 @@ def _measure(run: Run, events, P: float) -> _Measured:
     of slots at a time, so it makes no per-slot temporary."""
     post = slice(run.config.warmup, None)
     rate = _held_alignment(run, events)
-    for blk in _slot_blocks(0, rate.size):
+    for blk in _blocks(0, rate.size):
         r = rate[blk]
         r *= P * run.g[blk]
         r += 1.0
@@ -390,11 +383,11 @@ def simulate_policy(policy: Policy, run: Run, rewards: RewardSpec) -> CurvePoint
     slot, so the slot's alignment is already the realigned one.  Throughput
     always uses the true channel.  Any thresholds in [0, 1], one per power
     bin, are accepted; a walk over an event table (``_EventTable``) yields
-    the feedback slots.
+    the feedback slots.  This is the one-price call of ``_measure_curve``.
     """
     if policy.y.size != run.spec.M:
         raise ValueError("policy dimensions do not match the grid")
-    return _point(_measure(run, _events(policy.y, run), rewards.P), rewards.alpha, policy.y)
+    return _measure_curve([rewards.alpha], [policy.y], run, rewards.P)[0]
 
 
 def periodic_baseline(run: Run, P: float, alphas, max_period: int):
@@ -439,12 +432,12 @@ def _design(alphas, run: Run, P: float, samples: int):
                                                  eps=eps) for a in alphas)
 
 
-def _measure_curve(alphas, solves, run: Run, P: float) -> tuple:
-    """The solved prices measured on a run at SNR ``P``: one CurvePoint per
-    price, in order.  Prices that solve to one threshold curve share its
-    schedule, which is measured once."""
+def _measure_curve(alphas, curves, run: Run, P: float) -> tuple:
+    """Threshold curves, one per price, measured on a run at SNR ``P``: one
+    CurvePoint per price, in order.  Prices with one threshold curve share
+    its schedule, which is measured once."""
     records, points = [], []  # records: (y, _Measured) of each distinct curve
-    for a, y in zip(alphas, (s.policy.y for s in solves)):
+    for a, y in zip(alphas, curves):
         m = next((m for u, m in records if np.array_equal(u, y)), None)
         if m is None:
             records.append((y, m := _measure(run, _events(y, run), P)))
@@ -462,7 +455,8 @@ def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> t
     alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
         raise ValueError("alphas must be nonempty and strictly increasing")
-    return _measure_curve(alphas, _design(alphas, run, P, model_samples)[1], run, P)
+    solves = _design(alphas, run, P, model_samples)[1]
+    return _measure_curve(alphas, [s.policy.y for s in solves], run, P)
 
 
 def curve_to_csv(points) -> str:

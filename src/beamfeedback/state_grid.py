@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, _as_rng, _complex_normal
+from .channel import FadingParams, _as_rng, _blocks, _complex_normal
 
 __all__ = [
     "GridSpec",
@@ -35,10 +35,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # samples per step of a kernel pass; fixes how its draws interleave
-_BLOCK = 1 << 12  # samples per draw of a per-sample temporary within a step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
     """Bin edges and in-bin representative points for power and alignment.
 
@@ -81,7 +80,7 @@ class GridSpec:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionModel:
     """Bin-level Markov kernels estimated from the channel recursion.
 
@@ -161,7 +160,7 @@ def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
     tail in x, which stops the first step from overshooting exponentially.
 
     Raises ValueError once an iterate passes x = 708, where e^-x leaves the
-    normal double range; with M up to 4096 bins that first happens near
+    normal double range; with a few thousand bins that first happens near
     L = 500.
     """
     x = np.full(q.shape, float(L))
@@ -216,6 +215,30 @@ def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     b = np.searchsorted(edges, x, side="right")
     b -= 1
     return np.clip(b, 0, edges.size - 2, out=b)
+
+
+def _bin_lookup(edges: np.ndarray):
+    """``_bin`` for these edges by an exact lookup: [0, last finite edge] is
+    cut into equal cells at most half the narrowest finite bin wide, each
+    holding its left end's bin; a value takes its cell's bin, corrected by
+    one comparison with that bin's lower and one with its upper edge (the
+    outer edges count as NaN, which fails every comparison, as _bin clips)."""
+    finite = edges[np.isfinite(edges)]
+    scale = 2.0 / np.diff(finite).min() if finite.size > 1 else 1.0  # cells per unit
+    cells = int(finite[-1] * scale) + 2
+    if cells > 1 << 18:  # edges this uneven keep the search
+        return functools.partial(_bin, edges=edges)
+    table = _bin(np.arange(cells) / scale, edges)
+    bounds = np.concatenate(([np.nan], edges[1:-1], [np.nan]))
+    lower, upper = bounds[:-1], bounds[1:]
+
+    def lookup(x):
+        c = np.clip(x, 0.0, (cells - 1) / scale)
+        b = table[np.multiply(c, scale, out=c).astype(np.intp)]
+        b -= x < lower[b]
+        b += x >= upper[b]
+        return b
+    return lookup
 
 
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
@@ -320,10 +343,11 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
 
     The samples are stepped _CHUNK at a time: a chunk holds its source
     power, the next power and the head part, each draw of a per-sample
-    temporary is taken a _BLOCK of samples at a time, and so is the count,
-    so only counts outlive a chunk.
+    temporary is taken a block of samples at a time (``_blocks``), and so
+    is the count, so only counts outlive a chunk.
     """
     N, M = spec.N, spec.M
+    g_bin, z_bin = _bin_lookup(spec.g_edges), _bin_lookup(spec.z_edges)
     counts = np.zeros(z0.size // per_row * N, dtype=np.intp)
     pairs = np.zeros(M * M, dtype=np.intp)
     for s in range(0, z0.size, _CHUNK):
@@ -339,24 +363,23 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
             _step_power(stream, g1, rho, sig)
             g1 += head
             if L > 2:
-                for b in range(0, z.size, _BLOCK):
-                    other = stream.gamma(float(L - 2), size=min(_BLOCK, z.size - b))
+                for blk in _blocks(0, z.size):
+                    other = stream.gamma(float(L - 2), size=blk.stop - blk.start)
                     other *= sig * sig
-                    g1[b:b + _BLOCK] += other
-        for b in range(0, z.size, _BLOCK):
-            blk = slice(b, b + _BLOCK)
-            pair = _bin(g[blk], spec.g_edges)
+                    g1[blk] += other
+        for blk in _blocks(0, z.size):
+            pair = g_bin(g[blk])
             pair *= M
-            pair += _bin(g1[blk], spec.g_edges)
+            pair += g_bin(g1[blk])
             _add_counts(pairs, 0, pair)
-            row = np.arange(s + b, s + b + pair.size) // per_row
+            row = np.arange(s + blk.start, s + blk.stop) // per_row
             first = int(row[0])
             row -= first
             row *= N
             if L == 1:
                 row += N - 1
             else:
-                row += _bin(np.divide(head[blk], g1[blk], out=head[blk]), spec.z_edges)
+                row += z_bin(np.divide(head[blk], g1[blk], out=head[blk]))
             _add_counts(counts, first * N, row)
     return counts, pairs
 
@@ -372,8 +395,8 @@ def _step_power(stream, power, rho, sig):
     complex normal w per sample, a block of samples at a time."""
     np.sqrt(power, out=power)
     power *= rho
-    for b in range(0, power.size, _BLOCK):
-        p = power[b:b + _BLOCK]
+    for blk in _blocks(0, power.size):
+        p = power[blk]
         w = _complex_normal(stream, p.size)
         w *= sig
         w += p

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, signal, stats
 
-from beamfeedback import codebook as codebook_module
-from beamfeedback import simulator
+from beamfeedback import channel, simulator
 from beamfeedback.channel import FadingParams, _alignment, _complex_normal, _row_inner
 from beamfeedback.codebook import (
     Codebook,
@@ -33,7 +32,13 @@ from beamfeedback.simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from beamfeedback.state_grid import GridSpec, estimate_transition_model, make_grid
+from beamfeedback.state_grid import (
+    GridSpec,
+    _bin,
+    _bin_lookup,
+    estimate_transition_model,
+    make_grid,
+)
 
 from oracles import (
     _REFINEMENT_STREAM,
@@ -173,7 +178,7 @@ class TestTrajectory:
         params = FadingParams(L=L, doppler_slot=doppler)
         # a run of two whole slot blocks past its first slot carries the
         # recursion into a block that ends the run
-        for slots in (1, 2, 5000, 2 * simulator._SLOT_BLOCK + 1):
+        for slots in (1, 2, 5000, 2 * channel._BLOCK + 1):
             cfg = TrajectoryConfig(slots=slots, warmup=0, seed=31)
             got = simulator._trajectory(params, cfg)
             want = lfilter_trajectory(params, cfg)
@@ -435,10 +440,10 @@ class TestEventTableAgreesWithReference:
     @pytest.mark.parametrize("feedback", ["perfect", "random"])
     @pytest.mark.parametrize("L", [1, 3, 4])
     def test_slot_blocks_change_no_bit(self, monkeypatch, L, feedback):
-        # the trajectory, every pass of the event table and the held-beam
-        # pass of a periodic schedule run in slot blocks; 7-slot blocks,
-        # which split every gap, must give the bits that one block over the
-        # whole run gives
+        # the trajectory, the codebook's quantization of it, every pass of
+        # the event table and the held-beam pass of a periodic schedule run
+        # in slot blocks; 7-slot blocks, which split every gap, must give the
+        # bits that one block over the whole run gives
         params = FadingParams(L=L, doppler_slot=0.1)
         cfg = TrajectoryConfig(slots=3000, warmup=100, seed=11)
         spec = make_grid(L, 8, 8)
@@ -457,9 +462,9 @@ class TestEventTableAgreesWithReference:
             schedules.append(np.arange(0, cfg.slots, 9))
             return traj, [schedule_trace(run, events) for events in schedules]
 
-        monkeypatch.setattr(simulator, "_SLOT_BLOCK", cfg.slots)
+        monkeypatch.setattr(channel, "_BLOCK", cfg.slots)
         want_traj, want = traces()
-        monkeypatch.setattr(simulator, "_SLOT_BLOCK", 7)
+        monkeypatch.setattr(channel, "_BLOCK", 7)
         got_traj, got = traces()
         for a, b in zip(want_traj, got_traj):
             assert np.array_equal(a, b)
@@ -488,6 +493,8 @@ class TestEventTableAgreesWithReference:
         spec = GridSpec(M=1, N=2, g_edges=power.g_edges, g_points=power.g_points,
                         z_edges=[0.0, edge, 1.0], z_points=[0.5 * edge, 0.5 + 0.5 * edge])
         y, decide = spec.z_edges[1:2], np.array([[True, False]])
+        # the kernel estimator's bin lookup places every alignment as _bin does
+        np.testing.assert_array_equal(_bin_lookup(spec.z_edges)(zr), _bin(zr, spec.z_edges))
         run = dataclasses.replace(unbinned, spec=spec)
         table = simulator._EventTable(y, run)
         assert table.first == 0 and table.successor[0] == 0 and t > table.depth
@@ -508,7 +515,7 @@ class TestEventTableAgreesWithReference:
         rng = np.random.default_rng(770 + L)
         cb = random_codebook(L, K, 771 + K)
         # three full blocks and a partial one
-        S = _complex_normal(rng, (3 * codebook_module._CHUNK + 5, L))
+        S = _complex_normal(rng, (3 * channel._BLOCK + 5, L))
         S /= np.linalg.norm(S, axis=1, keepdims=True)
         idx = _quantize(S, cb.vectors)
         # eps is the held codeword's alignment, as the simulator computes it

@@ -18,3 +18,19 @@ def test_every_line_fits_in_99_columns():
                      for number, line in enumerate(handle, 1)
                      if len(line.rstrip("\n")) > MAX_COLUMNS]
     assert not wide, f"lines over {MAX_COLUMNS} columns: {wide}"
+
+
+def test_one_block_rule():
+    # every per-slot and per-sample pass takes channel._blocks; no other
+    # module of the package sizes a block of its own
+    paths = glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+    assert any(path.endswith(os.path.join("beamfeedback", "channel.py")) for path in paths)
+    found = []
+    for path in sorted(paths):
+        if os.path.basename(path) == "channel.py":
+            continue
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        found += [f"{os.path.relpath(path, ROOT)}: {rule}"
+                  for rule in ("1 << 12", "4096") if rule in text]
+    assert not found, f"block sizes outside channel.py: {found}"
