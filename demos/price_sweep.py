@@ -11,7 +11,6 @@ import argparse
 
 from beamfeedback import (
     FadingParams,
-    RewardSpec,
     Run,
     TrajectoryConfig,
     make_grid,
@@ -35,7 +34,7 @@ def main():
     args = parser.parse_args()
 
     params = FadingParams(L=args.antennas, doppler_slot=args.doppler)
-    P = RewardSpec.from_snr_db(args.snr_db, alpha=0.0).P
+    P = 10.0 ** (args.snr_db / 10.0)
     spec = make_grid(args.antennas, args.bins, args.bins)
     # one simulated channel for both schedules: common random numbers
     run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)

@@ -14,7 +14,6 @@ import numpy as np
 
 from beamfeedback import (
     FadingParams,
-    RewardSpec,
     Run,
     TrajectoryConfig,
     epsilon_statistics,
@@ -43,7 +42,7 @@ def main():
     args = parser.parse_args()
 
     L = args.antennas
-    P = RewardSpec.from_snr_db(args.snr_db, alpha=0.0).P
+    P = 10.0 ** (args.snr_db / 10.0)
     params = FadingParams(L=L, doppler_slot=args.doppler)
     spec = make_grid(L, args.bins, args.bins)
     rng = np.random.default_rng(args.seed)

@@ -160,7 +160,7 @@ def _gamma_quantile(L: int, q: np.ndarray) -> np.ndarray:
     tail in x, which stops the first step from overshooting exponentially.
 
     Raises ValueError once an iterate passes x = 708, where e^-x leaves the
-    normal double range; with a few thousand bins that first happens near
+    normal double range; with M up to 4096 bins that first happens near
     L = 500.
     """
     x = np.full(q.shape, float(L))
@@ -215,30 +215,6 @@ def _bin(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     b = np.searchsorted(edges, x, side="right")
     b -= 1
     return np.clip(b, 0, edges.size - 2, out=b)
-
-
-def _bin_lookup(edges: np.ndarray):
-    """``_bin`` for these edges by an exact lookup: [0, last finite edge] is
-    cut into equal cells at most half the narrowest finite bin wide, each
-    holding its left end's bin; a value takes its cell's bin, corrected by
-    one comparison with that bin's lower and one with its upper edge (the
-    outer edges count as NaN, which fails every comparison, as _bin clips)."""
-    finite = edges[np.isfinite(edges)]
-    scale = 2.0 / np.diff(finite).min() if finite.size > 1 else 1.0  # cells per unit
-    cells = int(finite[-1] * scale) + 2
-    if cells > 1 << 18:  # edges this uneven keep the search
-        return functools.partial(_bin, edges=edges)
-    table = _bin(np.arange(cells) / scale, edges)
-    bounds = np.concatenate(([np.nan], edges[1:-1], [np.nan]))
-    lower, upper = bounds[:-1], bounds[1:]
-
-    def lookup(x):
-        c = np.clip(x, 0.0, (cells - 1) / scale)
-        b = table[np.multiply(c, scale, out=c).astype(np.intp)]
-        b -= x < lower[b]
-        b += x >= upper[b]
-        return b
-    return lookup
 
 
 def _normalize_rows(counts: np.ndarray, label: str) -> np.ndarray:
@@ -347,7 +323,6 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
     is the count, so only counts outlive a chunk.
     """
     N, M = spec.N, spec.M
-    g_bin, z_bin = _bin_lookup(spec.g_edges), _bin_lookup(spec.z_edges)
     counts = np.zeros(z0.size // per_row * N, dtype=np.intp)
     pairs = np.zeros(M * M, dtype=np.intp)
     for s in range(0, z0.size, _CHUNK):
@@ -368,9 +343,9 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
                     other *= sig * sig
                     g1[blk] += other
         for blk in _blocks(0, z.size):
-            pair = g_bin(g[blk])
+            pair = _bin(g[blk], spec.g_edges)
             pair *= M
-            pair += g_bin(g1[blk])
+            pair += _bin(g1[blk], spec.g_edges)
             _add_counts(pairs, 0, pair)
             row = np.arange(s + blk.start, s + blk.stop) // per_row
             first = int(row[0])
@@ -379,7 +354,7 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
             if L == 1:
                 row += N - 1
             else:
-                row += z_bin(np.divide(head[blk], g1[blk], out=head[blk]))
+                row += _bin(np.divide(head[blk], g1[blk], out=head[blk]), spec.z_edges)
             _add_counts(counts, first * N, row)
     return counts, pairs
 

@@ -32,13 +32,7 @@ from beamfeedback.simulator import (
     simulate_policy,
     sweep_alpha,
 )
-from beamfeedback.state_grid import (
-    GridSpec,
-    _bin,
-    _bin_lookup,
-    estimate_transition_model,
-    make_grid,
-)
+from beamfeedback.state_grid import GridSpec, estimate_transition_model, make_grid
 
 from oracles import (
     _REFINEMENT_STREAM,
@@ -493,8 +487,6 @@ class TestEventTableAgreesWithReference:
         spec = GridSpec(M=1, N=2, g_edges=power.g_edges, g_points=power.g_points,
                         z_edges=[0.0, edge, 1.0], z_points=[0.5 * edge, 0.5 + 0.5 * edge])
         y, decide = spec.z_edges[1:2], np.array([[True, False]])
-        # the kernel estimator's bin lookup places every alignment as _bin does
-        np.testing.assert_array_equal(_bin_lookup(spec.z_edges)(zr), _bin(zr, spec.z_edges))
         run = dataclasses.replace(unbinned, spec=spec)
         table = simulator._EventTable(y, run)
         assert table.first == 0 and table.successor[0] == 0 and t > table.depth

@@ -9,7 +9,6 @@ construction, and a rejection estimator of the alignment kernels that
 conditions on the source bin by drawing until it is filled.
 """
 
-import functools
 import json
 import math
 import time
@@ -26,7 +25,6 @@ from beamfeedback.state_grid import (
     GridSpec,
     TransitionModel,
     _bin,
-    _bin_lookup,
     _in_bin_alignments,
     _step_alignment_bins,
     estimate_transition_model,
@@ -271,36 +269,6 @@ class TestQuantize:
         # a power value exactly at an interior edge belongs to the upper bin
         at_edge = np.array([spec16.g_edges[7], np.nextafter(spec16.g_edges[7], 0.0)])
         assert _bin(at_edge, spec16.g_edges).tolist() == [7, 6]
-
-    @staticmethod
-    def assert_lookup_is_bin(edges, draws):
-        # every edge and both its neighbours, 0, z = 1, g = 1e300 and the draws
-        probes = np.concatenate((edges, np.nextafter(edges, -np.inf),
-                                 np.nextafter(edges, np.inf), [0.0, 1.0, 1e300], draws))
-        np.testing.assert_array_equal(_bin_lookup(edges)(probes), _bin(probes, edges))
-
-    @pytest.mark.parametrize("bins", EXACT_BINS)
-    @pytest.mark.parametrize("L", [1, 3, 32])
-    def test_lookup_bins_as_bin_does(self, L, bins):
-        # one power bin has edges [0, inf] and no finite gap to size cells by
-        spec = make_grid(L, bins, bins)
-        rng = np.random.default_rng(L * bins)
-        self.assert_lookup_is_bin(spec.g_edges, rng.gamma(float(L), size=20_000))
-        self.assert_lookup_is_bin(spec.z_edges, rng.random(20_000))
-
-    @pytest.mark.parametrize("N", [2, 16, 40, 4096])
-    def test_lookup_on_warped_alignment_edges(self, N):
-        # 1 - (1 - u)^3 narrows the top alignment bins: up to N = 40 a table
-        # covers them, while at N = 4096 the narrowest is about 1.5e-11 wide
-        # and the lookup keeps the search
-        z_edges = 1.0 - (1.0 - np.arange(N + 1) / N) ** 3
-        power = make_grid(3, 4, 1)
-        spec = GridSpec(M=4, N=N, g_edges=power.g_edges, g_points=power.g_points,
-                        z_edges=z_edges, z_points=0.5 * (z_edges[:-1] + z_edges[1:]))
-        assert isinstance(_bin_lookup(spec.z_edges), functools.partial) == (N == 4096)
-        rng = np.random.default_rng(N)
-        self.assert_lookup_is_bin(spec.z_edges, np.concatenate((rng.random(20_000),
-                                                                rng.beta(1.0, 2.0, 20_000))))
 
 
 class TestTransitionEstimation:

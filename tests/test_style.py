@@ -1,7 +1,9 @@
 """Layout rules that every Python file of the package, its tests and its demos keeps."""
 
+import ast
 import glob
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAX_COLUMNS = 99
@@ -21,16 +23,33 @@ def test_every_line_fits_in_99_columns():
 
 
 def test_one_block_rule():
-    # every per-slot and per-sample pass takes channel._blocks; no other
-    # module of the package sizes a block of its own
+    # every per-slot and per-sample pass takes channel._blocks: outside
+    # channel.py no module names a block or chunk of its own, at module level
+    # or as a helper, nor steps a range by one, save the two steps below
+    own_steps = {"state_grid.py": {"_CHUNK"}, "simulator.py": {"_SCAN_BLOCK"}}
     paths = glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
     assert any(path.endswith(os.path.join("beamfeedback", "channel.py")) for path in paths)
     found = []
     for path in sorted(paths):
-        if os.path.basename(path) == "channel.py":
+        module = os.path.basename(path)
+        if module == "channel.py":
             continue
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        found += [f"{os.path.relpath(path, ROOT)}: {rule}"
-                  for rule in ("1 << 12", "4096") if rule in text]
-    assert not found, f"block sizes outside channel.py: {found}"
+            tree = ast.parse(handle.read())
+        allowed = own_steps.get(module, set())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            found += [f"{module}: {name}" for name in names
+                      if re.search("block|chunk", name, re.I) and name not in allowed]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range" and len(node.args) == 3):
+                step = node.args[2]
+                if ast.unparse(step) != "-1" and not (
+                        isinstance(step, ast.Name) and step.id in allowed):
+                    found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, f"blocks outside channel.py: {found}"
