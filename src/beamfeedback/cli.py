@@ -25,13 +25,7 @@ import numpy as np
 
 from .channel import FadingParams
 from .codebook import codebook_to_json, lloyd_codebook, random_codebook
-from .mdp import (
-    ConvergenceError,
-    NonThresholdError,
-    RewardSpec,
-    SingularChainError,
-    solve_result_to_json,
-)
+from .mdp import NumericalError, RewardSpec, solve_result_to_json
 from .simulator import (
     _CODEBOOK_STREAM,
     CSV_HEADER,
@@ -96,8 +90,8 @@ class ExperimentConfig:
     M: int = _key("grid", "M", 16)
     N: int = _key("grid", "N", 16)
     model_samples: int = _key("grid", "samples", 1_000_000)
-    P: float = _key("rewards", "P", 100.0, float, aliases=(
-        ("snr_db", lambda text: RewardSpec.from_snr_db(float(text), alpha=0.0).P),))
+    P: float = _key("rewards", "P", 100.0, float,
+                    aliases=(("snr_db", lambda text: 10.0 ** (float(text) / 10.0)),))
     alphas: tuple = _key("rewards", "alpha", _DEFAULT_ALPHAS, _parse_alphas)
     codebook_method: str | None = _key("codebook", "method", None, str)
     codebook_size: int = _key("codebook", "size", 16)
@@ -378,8 +372,7 @@ def run(command: str, config_path: str | None = None, figure: int | None = None,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, SingularChainError, NonThresholdError,
-            np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -29,9 +29,7 @@ __all__ = [
     "RewardSpec",
     "Policy",
     "SolveResult",
-    "ConvergenceError",
-    "SingularChainError",
-    "NonThresholdError",
+    "NumericalError",
     "policy_iteration_average",
     "stationary_distribution",
     "threshold_lower_bound",
@@ -39,22 +37,12 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
-
-class SingularChainError(RuntimeError):
-    """The induced chain has no unique stationary solution."""
-
-
-class NonThresholdError(RuntimeError):
-    """Policy iteration settled on a decision table that feeds back above a
-    gap in some row; on a tie between tables of equal gain the gap may lie on
-    states the policy never occupies."""
+class NumericalError(RuntimeError):
+    """A solve that cannot return a threshold policy (CLI exit 3): a chain
+    system that is singular or stalls in GMRES, a stationary law that is
+    negative or unstable, policy iteration that does not settle, or a settled
+    decision table that feeds back above a gap in some row.  On a tie between
+    tables of equal gain that gap may lie on states the policy never occupies."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ def _gmres(apply, b: np.ndarray):
 
     Returns (x, relative residual), the residual recomputed from apply.  A
     system that does not reach the tolerance within the iteration cap raises
-    SingularChainError: the systems solved here are singular exactly when the
+    NumericalError: the systems solved here are singular exactly when the
     chain has more than one closed class.
     """
     bnorm = float(np.linalg.norm(b))
@@ -163,7 +151,7 @@ def _gmres(apply, b: np.ndarray):
         if beta <= goal:
             return x, beta / bnorm
         if done >= _GMRES_MAX_ITER:
-            raise SingularChainError(
+            raise NumericalError(
                 f"chain system did not converge in {done} iterations "
                 f"(relative residual {beta / bnorm:.3e})")
         k = min(_GMRES_RESTART, _GMRES_MAX_ITER - done)
@@ -194,7 +182,7 @@ def _gmres(apply, b: np.ndarray):
                 break
             V[j] = w / hn
         if j == 0:
-            raise SingularChainError("chain system is singular: Krylov breakdown")
+            raise NumericalError("chain system is singular: Krylov breakdown")
         y = np.linalg.solve(R[:j, :j], beta * Q[:j, 0])
         x += y @ V[:j]
         r = b - apply(x)
@@ -235,7 +223,7 @@ def _evaluate_policy(decide: np.ndarray, model: TransitionModel, G0: np.ndarray,
     y, _ = _gmres(uniform, Gpi)
     # both give A + J: the pinned x directly, the uniform y as y - y[last] + mean(y)
     if not _agree(x, y - y[-1] + y.mean()):
-        raise SingularChainError("policy evaluation system is singular")
+        raise NumericalError("policy evaluation system is singular")
     J = float(x[-1])
     return J, (x - J).reshape(M, N), residual
 
@@ -251,8 +239,8 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
     that table, and ``residual`` is that final solve's relative residual.
     Each row of the settled table feeds back on a leading run of alignment
     bins, and the policy's threshold is the upper edge of that run; a row
-    that feeds back above a gap raises NonThresholdError.  A chain with more
-    than one closed class raises SingularChainError.
+    that feeds back above a gap, a chain with more than one closed class, or
+    a table that does not settle raises NumericalError.
     """
     G0, G1 = _stage_tables(spec, rewards, eps)
     decide = G1[:, None] > G0
@@ -263,11 +251,11 @@ def policy_iteration_average(model: TransitionModel, rewards: RewardSpec,
         if np.array_equal(improved, decide):
             lead = np.cumprod(decide, axis=1).sum(axis=1)  # leading feedback run
             if not np.array_equal(decide, np.arange(spec.N) < lead[:, None]):
-                raise NonThresholdError("policy iteration settled on a decision "
-                                        "table that is not a threshold rule")
+                raise NumericalError("policy iteration settled on a decision "
+                                     "table that is not a threshold rule")
             return SolveResult(Policy(spec.z_edges[lead]), J, A, it, residual)
         decide = improved
-    raise ConvergenceError("policy iteration did not settle", residual=math.inf)
+    raise NumericalError("policy iteration did not settle")
 
 
 def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> np.ndarray:
@@ -303,16 +291,16 @@ def stationary_distribution(decide: np.ndarray, model: TransitionModel) -> np.nd
     pi, _ = _gmres(pinned, last)
     other, _ = _gmres(uniform, np.full(size, 1.0 / size))
     if not _agree(pi, other):
-        raise SingularChainError("stationary system is singular")
+        raise NumericalError("stationary system is singular")
     if pi.min() < -1e-10:
-        raise SingularChainError("stationary solve produced negative occupancy")
+        raise NumericalError("stationary solve produced negative occupancy")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     probe = pi
     for _ in range(50):
         probe = flow(probe)
     if np.max(np.abs(probe - pi)) > 1e-8:
-        raise SingularChainError("stationary solution is not stable under iteration")
+        raise NumericalError("stationary solution is not stable under iteration")
     return pi.reshape(M, N)
 
 

@@ -445,7 +445,7 @@ def _measure_curve(alphas, curves, run: Run, P: float) -> tuple:
     return tuple(points)
 
 
-def sweep_alpha(alphas, run: Run, P: float, model_samples: int = 1_000_000) -> tuple:
+def sweep_alpha(alphas, run: Run, P: float, model_samples: int) -> tuple:
     """Solve and evaluate the controller at SNR ``P`` across feedback prices.
 
     Every price is solved by ``_design`` before the run builds its

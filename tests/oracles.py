@@ -27,7 +27,7 @@ from beamfeedback import codebook as codebook_module
 from beamfeedback.channel import FadingParams, _alignment, _as_rng, _complex_normal
 from beamfeedback.codebook import Codebook
 from beamfeedback.mdp import (
-    ConvergenceError,
+    NumericalError,
     Policy,
     RewardSpec,
     SolveResult,
@@ -137,7 +137,8 @@ def value_iteration_discounted(model: TransitionModel, rewards: RewardSpec,
         V = nxt
         if residual <= tol:
             return V
-    raise ConvergenceError("discounted value iteration did not converge", residual)
+    raise NumericalError("discounted value iteration did not converge "
+                         f"(residual {residual:.3e})")
 
 
 def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
@@ -161,7 +162,8 @@ def relative_value_iteration(model: TransitionModel, rewards: RewardSpec,
         h = nxt
         if residual <= tol:
             return float(J), h
-    raise ConvergenceError("relative value iteration did not converge", residual)
+    raise NumericalError("relative value iteration did not converge "
+                         f"(residual {residual:.3e})")
 
 
 def average_reward(decide: np.ndarray, model: TransitionModel, rewards: RewardSpec,

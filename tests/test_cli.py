@@ -28,7 +28,7 @@ from beamfeedback.cli import (
     run,
 )
 from beamfeedback.codebook import random_codebook
-from beamfeedback.mdp import ConvergenceError
+from beamfeedback.mdp import NumericalError
 from beamfeedback.simulator import CSV_HEADER
 from beamfeedback.state_grid import TransitionModel
 
@@ -298,7 +298,7 @@ class TestExitCodes:
         path, prefix = write_config(tmp_path)
 
         def explode(*args, **kwargs):
-            raise ConvergenceError("policy iteration stalled", residual=1.0)
+            raise NumericalError("policy iteration stalled")
 
         monkeypatch.setattr(simulator, "policy_iteration_average", explode)
         assert run("solve", path, quiet=True) == EXIT_NUMERICAL

@@ -53,3 +53,17 @@ def test_one_block_rule():
                         isinstance(step, ast.Name) and step.id in allowed):
                     found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
     assert not found, f"blocks outside channel.py: {found}"
+
+
+def test_one_error_per_exit_code():
+    # exit codes 1, 2 and 3 each have one exception class, and no module
+    # under src defines another, at any depth
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        found += [f"{os.path.basename(path)}: {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(
+                      re.search("(Error|Exception)$", ast.unparse(base)) for base in node.bases)]
+    assert sorted(found) == ["cli.py: ConfigError", "cli.py: UsageError",
+                             "mdp.py: NumericalError"]
