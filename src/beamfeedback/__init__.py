@@ -34,7 +34,6 @@ from .mdp import (
 from .simulator import (
     Run,
     TrajectoryConfig,
-    curve_to_csv,
     periodic_baseline,
     simulate_policy,
     sweep_alpha,
@@ -48,7 +47,6 @@ __all__ = [
     "RewardSpec",
     "Run",
     "TrajectoryConfig",
-    "curve_to_csv",
     "epsilon_statistics",
     "estimate_transition_model",
     "lloyd_codebook",

@@ -4,7 +4,8 @@ Configuration is INI-style text with sections for the channel, the grid, the
 rewards, the optional codebook, the trajectory, and the output prefix.  Every
 run writes a resolved-config echo next to its outputs, and all randomness
 derives from the configured seed, so re-running a command reproduces its
-output files byte for byte.
+output files byte for byte.  This module alone writes files: every JSON
+document goes through ``_json``, and every curve row through ``_rows``.
 
 Exit codes: 0 success, 1 usage, 2 configuration, 3 numerical failure.
 """
@@ -24,22 +25,20 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import FadingParams
-from .codebook import codebook_to_json, lloyd_codebook, random_codebook
-from .mdp import NumericalError, RewardSpec, solve_result_to_json
+from .codebook import lloyd_codebook, random_codebook
+from .mdp import NumericalError, RewardSpec, stationary_distribution
 from .simulator import (
     _CODEBOOK_STREAM,
-    CSV_HEADER,
     Run,
     TrajectoryConfig,
     _design,
     _measure_curve,
     _streams,
-    curve_to_csv,
     periodic_baseline,
     simulate_policy,
     sweep_alpha,
 )
-from .state_grid import make_grid, model_to_json
+from .state_grid import make_grid
 
 __all__ = ["ExperimentConfig", "ConfigError", "UsageError", "load_config", "run", "main"]
 
@@ -52,6 +51,7 @@ FIGURES = (3, 4, 5, 6, 7)
 
 _DEFAULT_ALPHAS = tuple(round(0.2 * i, 10) for i in range(11))
 _MAX_PERIOD = 32
+CSV_HEADER = "alpha,net,throughput,feedback_rate,avg_threshold,stderr"
 
 
 class ConfigError(ValueError):
@@ -229,15 +229,6 @@ def _make_run(cfg: ExperimentConfig) -> Run:
     return Run(cfg.params, cfg.trajectory, make_grid(cfg.L, cfg.M, cfg.N), _build_codebook(cfg))
 
 
-def _metadata(cfg: ExperimentConfig, **extra) -> str:
-    """Every setting but the prefix, the codebook's grouped (null without one)."""
-    doc = {key.field: getattr(cfg, key.field) for key in _SCHEMA
-           if key.section not in ("codebook", "output")}
-    doc["codebook"] = None if cfg.codebook_method is None else {
-        key.name: getattr(cfg, key.field) for key in _SCHEMA if key.section == "codebook"}
-    return json.dumps({**doc, **extra}, indent=2)
-
-
 def _figure_curves(figure: int, cfg: ExperimentConfig):
     """Canned experiment list for one figure: [(label, points), ...].  Every
     curve is designed before any run builds its trajectory, and each run is
@@ -265,12 +256,76 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
     return curves
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2)
+
+
+def _rows(points) -> list:
+    """Each measured point as one CSV row, its fields in CSV_HEADER's order."""
+    return [",".join(repr(float(getattr(p, f))) for f in CSV_HEADER.split(",")) for p in points]
+
+
+def _curve_csv(points) -> str:
+    return "\n".join([CSV_HEADER, *_rows(points)]) + "\n"
+
+
 def _combined_csv(curves) -> str:
-    lines = ["curve," + CSV_HEADER]
-    for label, points in curves:
-        for row in curve_to_csv(points).strip().split("\n")[1:]:
-            lines.append(f"{label},{row}")
-    return "\n".join(lines) + "\n"
+    """Every curve's rows in one table, each led by the curve's label."""
+    rows = [f"{label},{row}" for label, points in curves for row in _rows(points)]
+    return "\n".join(["curve," + CSV_HEADER, *rows]) + "\n"
+
+
+def _model_json(spec, model) -> str:
+    """A grid and its kernels as one JSON document."""
+    return _json({
+        "M": spec.M,
+        "N": spec.N,
+        "g_edges": spec.g_edges[:-1].tolist() + ["inf"],
+        "g_points": spec.g_points.tolist(),
+        "z_edges": spec.z_edges.tolist(),
+        "z_points": spec.z_points.tolist(),
+        "Ptilde": model.Ptilde.tolist(),
+        "P0": model.P0.tolist(),
+        "P1_row": None if model.quantized else model.feedback_row.tolist(),
+        "Peps1_row": model.feedback_row.tolist() if model.quantized else None,
+        "sample_count": model.sample_count,
+    })
+
+
+def _solve_json(result, spec, model) -> str:
+    """A solve: 0/1 policy rows, thresholds, gain, and ``pi``, the stationary
+    law of the solved table on the model the solve used.  A solved threshold
+    is a bin edge and every alignment point lies in [lower edge, upper edge)
+    of its bin, so comparing the points with the thresholds rebuilds the table."""
+    decide = spec.z_points[None, :] < result.policy.y[:, None]
+    return _json({
+        "policy": decide.astype(int).tolist(),
+        "threshold": result.policy.y.tolist(),
+        "is_threshold": True,
+        "J": result.J,
+        "iterations": result.iterations,
+        "pi": stationary_distribution(decide, model).tolist(),
+    })
+
+
+def _codebook_json(codebook) -> str:
+    """Codewords as interleaved (real, imag) rows plus metadata."""
+    V = codebook.vectors
+    return _json({
+        "L": codebook.L,
+        "size": codebook.size,
+        "method": codebook.method,
+        "vectors": np.stack([V.real, V.imag], -1).reshape(len(V), -1).tolist(),
+    })
+
+
+def _metadata(cfg: ExperimentConfig, **extra) -> str:
+    """Every setting but the prefix, the codebook's grouped (null without one)."""
+    doc = {key.field: getattr(cfg, key.field) for key in _SCHEMA
+           if key.section not in ("codebook", "output")}
+    doc["codebook"] = None if cfg.codebook_method is None else {
+        key.name: getattr(cfg, key.field) for key in _SCHEMA if key.section == "codebook"}
+    return _json({**doc, **extra})
 
 
 # Each command returns its outputs as [(suffix, text), ...]; the files are
@@ -279,24 +334,24 @@ def _combined_csv(curves) -> str:
 def _cmd_model(cfg):
     run = _make_run(cfg)
     model = _design((), run, cfg.P, cfg.model_samples)[0]
-    return [(".json", model_to_json(run.spec, model))]
+    return [(".json", _model_json(run.spec, model))]
 
 
 def _cmd_codebook(cfg):
-    return [(".json", codebook_to_json(_build_codebook(cfg.quantized())))]
+    return [(".json", _codebook_json(_build_codebook(cfg.quantized())))]
 
 
 def _cmd_solve(cfg):
     run = _make_run(cfg)
     model, (result,) = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
-    return [(".json", solve_result_to_json(result, run.spec, model))]
+    return [(".json", _solve_json(result, run.spec, model))]
 
 
 def _cmd_evaluate(cfg):
     alpha, run = cfg.alphas[0], _make_run(cfg)
     result = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)[1][0]
     measured = simulate_policy(result.policy, run, cfg.rewards(alpha))
-    doc = {
+    return [(".json", _json({
         "alpha": alpha,
         "throughput": measured.throughput,
         "feedback_rate": measured.feedback_rate,
@@ -304,18 +359,17 @@ def _cmd_evaluate(cfg):
         "stderr": measured.stderr,
         "model_gain": result.J,
         "avg_threshold": measured.avg_threshold,
-    }
-    return [(".json", json.dumps(doc, indent=2))]
+    }))]
 
 
 def _cmd_sweep(cfg):
     curve = sweep_alpha(cfg.alphas, _make_run(cfg), cfg.P, cfg.model_samples)
-    return [(".csv", curve_to_csv(curve)), (".meta.json", _metadata(cfg))]
+    return [(".csv", _curve_csv(curve)), (".meta.json", _metadata(cfg))]
 
 
 def _cmd_figure(cfg, figure):
     curves = _figure_curves(figure, cfg)
-    return [*((f".{label}.csv", curve_to_csv(points)) for label, points in curves),
+    return [*((f".{label}.csv", _curve_csv(points)) for label, points in curves),
             (".csv", _combined_csv(curves)),
             (".meta.json", _metadata(cfg, figure=figure,
                                      curves=[label for label, _ in curves]))]

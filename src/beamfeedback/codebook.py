@@ -9,7 +9,6 @@ codeword partition and principal-direction centroid steps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ __all__ = [
     "quantization_errors",
     "epsilon_statistics",
     "price_increment_bound",
-    "codebook_to_json",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -280,20 +278,3 @@ def price_increment_bound(L: int, size: int) -> float:
     if int(L) == 1:
         return 0.0
     return math.log2(math.e) * float(size) ** (-1.0 / (int(L) - 1))
-
-
-def codebook_to_json(codebook: Codebook) -> str:
-    """Serialize codewords as interleaved (real, imag) rows plus metadata."""
-    rows = []
-    for v in codebook.vectors:
-        row = np.empty(2 * v.size)
-        row[0::2] = v.real
-        row[1::2] = v.imag
-        rows.append([float(x) for x in row])
-    doc = {
-        "L": codebook.L,
-        "size": codebook.size,
-        "method": codebook.method,
-        "vectors": rows,
-    }
-    return json.dumps(doc, indent=2)

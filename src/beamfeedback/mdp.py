@@ -17,7 +17,6 @@ built.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "policy_iteration_average",
     "stationary_distribution",
     "threshold_lower_bound",
-    "solve_result_to_json",
 ]
 
 
@@ -315,24 +313,3 @@ def threshold_lower_bound(gbar: float, P: float, alpha: float) -> float:
         return 0.0
     val = (2.0 ** (-alpha) * (1.0 + P * gbar) - 1.0) / (P * gbar)
     return max(0.0, val)
-
-
-def solve_result_to_json(result: SolveResult, spec: GridSpec, model: TransitionModel) -> str:
-    """Serialize a solve: 0/1 policy rows, thresholds, gain, occupancy.
-
-    A solved threshold is a bin edge, and every alignment point lies in
-    [lower edge, upper edge) of its bin, so comparing the points with the
-    thresholds rebuilds the solved decision table exactly; ``pi`` is its
-    stationary law on the model the solve used.
-    """
-    y = result.policy.y
-    decide = spec.z_points[None, :] < y[:, None]
-    doc = {
-        "policy": decide.astype(int).tolist(),
-        "threshold": [float(v) for v in y],
-        "is_threshold": True,
-        "J": result.J,
-        "iterations": result.iterations,
-        "pi": stationary_distribution(decide, model).tolist(),
-    }
-    return json.dumps(doc, indent=2)

@@ -42,7 +42,6 @@ __all__ = [
     "simulate_policy",
     "periodic_baseline",
     "sweep_alpha",
-    "curve_to_csv",
 ]
 
 _HORIZON = 64      # most lags in the event table
@@ -55,8 +54,6 @@ _TRAJECTORY_STREAM = 0
 _MODEL_STREAM = 1
 _EPS_STREAM = 2
 _CODEBOOK_STREAM = 6
-
-CSV_HEADER = "alpha,net,throughput,feedback_rate,avg_threshold,stderr"
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,14 @@ def _trajectory(params: FadingParams, config: TrajectoryConfig):
     _complex_normal(rng, out=H[0])
     f0 = _complex_normal(rng, (L,))
     f0 /= np.linalg.norm(f0)
-    if slots > 1:
-        _complex_normal(rng, out=H[1:])
-        H[1:] *= math.sqrt(1.0 - rho * rho)
-        for l in range(L):
-            for blk in _blocks(1, slots):
-                prev = blk.start - 1  # seeds the block, and is written back unchanged
-                H[prev:blk.stop, l] = np.fromiter(itertools.accumulate(
-                    H[blk, l].tolist(), lambda y, x: x + rho * y,
-                    initial=complex(H[prev, l])), dtype=complex, count=blk.stop - prev)
+    _complex_normal(rng, out=H[1:])
+    H[1:] *= math.sqrt(1.0 - rho * rho)
+    for l in range(L):
+        for blk in _blocks(1, slots):
+            prev = blk.start - 1  # seeds the block, and is written back unchanged
+            H[prev:blk.stop, l] = np.fromiter(itertools.accumulate(
+                H[blk, l].tolist(), lambda y, x: x + rho * y,
+                initial=complex(H[prev, l])), dtype=complex, count=blk.stop - prev)
     g = np.empty(slots)
     for blk in _blocks(0, slots):
         rows = H[blk]
@@ -457,13 +453,3 @@ def sweep_alpha(alphas, run: Run, P: float, model_samples: int) -> tuple:
         raise ValueError("alphas must be nonempty and strictly increasing")
     solves = _design(alphas, run, P, model_samples)[1]
     return _measure_curve(alphas, [s.policy.y for s in solves], run, P)
-
-
-def curve_to_csv(points) -> str:
-    """Render measured points as comma-separated text with a fixed header."""
-    lines = [CSV_HEADER]
-    for p in points:
-        vals = (p.alpha, p.net, p.throughput, p.feedback_rate,
-                p.avg_threshold, p.stderr)
-        lines.append(",".join(repr(float(v)) for v in vals))
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ kernel counts the power pair of every such step.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ __all__ = [
     "TransitionModel",
     "make_grid",
     "estimate_transition_model",
-    "model_to_json",
 ]
 
 _CHUNK = 1 << 18  # samples per step of a kernel pass; fixes how its draws interleave
@@ -351,10 +349,7 @@ def _step_alignment_bins(stream, z0: np.ndarray, L: int, rho: float, sig: float,
             first = int(row[0])
             row -= first
             row *= N
-            if L == 1:
-                row += N - 1
-            else:
-                row += _bin(np.divide(head[blk], g1[blk], out=head[blk]), spec.z_edges)
+            row += _bin(np.divide(head[blk], g1[blk], out=head[blk]), spec.z_edges)
             _add_counts(counts, first * N, row)
     return counts, pairs
 
@@ -377,21 +372,3 @@ def _step_power(stream, power, rho, sig):
         w += p
         np.abs(w, out=p)
     power **= 2
-
-
-def model_to_json(spec: GridSpec, model: TransitionModel) -> str:
-    """Serialize a grid and its kernels as one JSON document."""
-    doc = {
-        "M": spec.M,
-        "N": spec.N,
-        "g_edges": [float(e) for e in spec.g_edges[:-1]] + ["inf"],
-        "g_points": [float(v) for v in spec.g_points],
-        "z_edges": [float(v) for v in spec.z_edges],
-        "z_points": [float(v) for v in spec.z_points],
-        "Ptilde": model.Ptilde.tolist(),
-        "P0": model.P0.tolist(),
-        "P1_row": None if model.quantized else model.feedback_row.tolist(),
-        "Peps1_row": model.feedback_row.tolist() if model.quantized else None,
-        "sample_count": model.sample_count,
-    }
-    return json.dumps(doc, indent=2)

@@ -416,7 +416,7 @@ def refinement_study(sizes, params: FadingParams, rewards: RewardSpec,
 
 
 def model_from_json(text: str):
-    """Inverse of model_to_json; returns (GridSpec, TransitionModel)."""
+    """Inverse of cli._model_json; returns (GridSpec, TransitionModel)."""
     doc = json.loads(text)
     edges = [math.inf if e == "inf" else float(e) for e in doc["g_edges"]]
     spec = GridSpec(
@@ -439,7 +439,7 @@ def model_from_json(text: str):
 
 
 def codebook_from_json(text: str) -> Codebook:
-    """Inverse of codebook_to_json."""
+    """Inverse of cli._codebook_json."""
     doc = json.loads(text)
     rows = np.asarray(doc["vectors"], dtype=float)
     if rows.ndim != 2 or rows.shape != (int(doc["size"]), 2 * int(doc["L"])):

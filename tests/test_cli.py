@@ -17,6 +17,7 @@ import pytest
 import beamfeedback
 from beamfeedback import cli, mdp, simulator, state_grid
 from beamfeedback.cli import (
+    CSV_HEADER,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -29,7 +30,6 @@ from beamfeedback.cli import (
 )
 from beamfeedback.codebook import random_codebook
 from beamfeedback.mdp import NumericalError
-from beamfeedback.simulator import CSV_HEADER
 from beamfeedback.state_grid import TransitionModel
 
 from conftest import gapped_feedback_model

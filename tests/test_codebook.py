@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from beamfeedback import codebook as codebook_module
+from beamfeedback.cli import _codebook_json
 from beamfeedback.codebook import (
     Codebook,
-    codebook_to_json,
     _nearest,
     _shape_features,
     epsilon_statistics,
@@ -326,20 +326,20 @@ class TestPriceIncrementBound:
 class TestSerialization:
     def test_round_trip_is_exact(self):
         cb = lloyd_codebook(3, 8, 5000, 10, 170)
-        back = codebook_from_json(codebook_to_json(cb))
+        back = codebook_from_json(_codebook_json(cb))
         np.testing.assert_array_equal(back.vectors, cb.vectors)
         assert back.method == "lloyd"
 
     def test_document_layout(self):
         cb = random_codebook(2, 3, 171)
-        doc = json.loads(codebook_to_json(cb))
+        doc = json.loads(_codebook_json(cb))
         assert doc["L"] == 2 and doc["size"] == 3
         assert len(doc["vectors"]) == 3
         assert all(len(row) == 4 for row in doc["vectors"])
 
     def test_inconsistent_document_rejected(self):
         cb = random_codebook(2, 3, 172)
-        doc = json.loads(codebook_to_json(cb))
+        doc = json.loads(_codebook_json(cb))
         doc["L"] = 5
         with pytest.raises(ValueError, match="dimensions"):
             codebook_from_json(json.dumps(doc))

@@ -23,11 +23,11 @@ from beamfeedback.mdp import (
     Policy,
     RewardSpec,
     policy_iteration_average,
-    solve_result_to_json,
     stationary_distribution,
     threshold_lower_bound,
 )
 from beamfeedback.channel import FadingParams
+from beamfeedback.cli import _solve_json
 from beamfeedback.mdp import _backup, _evaluate_policy, _stage_tables
 from beamfeedback.state_grid import (
     GridSpec,
@@ -879,20 +879,20 @@ class TestSerialization:
         spec, model = synthetic_setup(rng, M=3, N=4)
         r = RewardSpec(P=30.0, alpha=0.5)
         res = policy_iteration_average(model, r, spec)
-        doc = json.loads(solve_result_to_json(res, spec, model))
+        doc = json.loads(_solve_json(res, spec, model))
         assert set(doc) == {"policy", "threshold", "is_threshold", "J",
                             "iterations", "pi"}
         assert len(doc["threshold"]) == 3
         assert doc["is_threshold"] is True
         np.testing.assert_allclose(doc["J"], res.J, rtol=1e-15)
         assert doc["policy"] == threshold_table(res.policy.y, spec).astype(int).tolist()
-        back = policy_from_json(solve_result_to_json(res, spec, model))
+        back = policy_from_json(_solve_json(res, spec, model))
         assert np.array_equal(back.y, res.policy.y)
 
     def test_pi_is_the_occupancy_of_the_solved_table(self):
         rng = np.random.default_rng(111)
         spec, model = synthetic_setup(rng, M=3, N=4)
         res = policy_iteration_average(model, RewardSpec(P=30.0, alpha=0.5), spec)
-        doc = json.loads(solve_result_to_json(res, spec, model))
+        doc = json.loads(_solve_json(res, spec, model))
         want = stationary_distribution(threshold_table(res.policy.y, spec), model)
         assert doc["pi"] == want.tolist()

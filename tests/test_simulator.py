@@ -15,6 +15,7 @@ from scipy import integrate, signal, stats
 
 from beamfeedback import channel, simulator
 from beamfeedback.channel import FadingParams, _alignment, _complex_normal, _row_inner
+from beamfeedback.cli import CSV_HEADER, _curve_csv
 from beamfeedback.codebook import (
     Codebook,
     _quantize,
@@ -23,11 +24,9 @@ from beamfeedback.codebook import (
 )
 from beamfeedback.mdp import Policy, RewardSpec, policy_iteration_average
 from beamfeedback.simulator import (
-    CSV_HEADER,
     CurvePoint,
     Run,
     TrajectoryConfig,
-    curve_to_csv,
     periodic_baseline,
     simulate_policy,
     sweep_alpha,
@@ -874,7 +873,7 @@ class TestCsv:
                CurvePoint(alpha=0.4, net=5.2, throughput=5.8,
                           feedback_rate=0.125, avg_threshold=math.nan,
                           stderr=0.01))
-        text = curve_to_csv(pts)
+        text = _curve_csv(pts)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert lines[0] == "alpha,net,throughput,feedback_rate,avg_threshold,stderr"

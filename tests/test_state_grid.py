@@ -19,6 +19,7 @@ from scipy import special, stats
 
 from beamfeedback import channel, state_grid
 from beamfeedback.channel import FadingParams, _complex_normal
+from beamfeedback.cli import _model_json
 from beamfeedback.codebook import Codebook, quantization_errors, random_codebook
 from beamfeedback.mdp import Policy
 from beamfeedback.state_grid import (
@@ -29,7 +30,6 @@ from beamfeedback.state_grid import (
     _step_alignment_bins,
     estimate_transition_model,
     make_grid,
-    model_to_json,
 )
 
 from oracles import full_channel_step, is_monotone_stochastic, model_from_json, power_pass_counts
@@ -540,7 +540,7 @@ class TestSerialization:
         model = estimate_transition_model(
             FadingParams(L=3, doppler_slot=0.1), spec16, 20_000, 11
         )
-        text = model_to_json(spec16, model)
+        text = _model_json(spec16, model)
         assert '"inf"' in text
         spec2, model2 = model_from_json(text)
         np.testing.assert_array_equal(spec2.g_edges, spec16.g_edges)
@@ -561,7 +561,7 @@ class TestSerialization:
             FadingParams(L=3, doppler_slot=0.1), spec16, 20_000, 14,
             eps=quantization_errors(Codebook(vectors), 20_000, 15)
         )
-        text = model_to_json(spec16, model)
+        text = _model_json(spec16, model)
         assert '"P1_row": null' in text
         _, model2 = model_from_json(text)
         np.testing.assert_array_equal(model2.feedback_row, model.feedback_row)

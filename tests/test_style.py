@@ -67,3 +67,32 @@ def test_one_error_per_exit_code():
                       re.search("(Error|Exception)$", ast.unparse(base)) for base in node.bases)]
     assert sorted(found) == ["cli.py: ConfigError", "cli.py: UsageError",
                              "mdp.py: NumericalError"]
+
+
+def test_one_writer_of_file_formats():
+    # cli renders every output file: no other module under src imports json
+    # or csv, defines a *_to_json or *_to_csv function, or names a CSV_* constant
+    paths = glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+    assert any(path.endswith(os.path.join("beamfeedback", "cli.py")) for path in paths)
+    found = []
+    for path in sorted(paths):
+        module = os.path.basename(path)
+        if module == "cli.py":
+            continue
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in ("json", "csv")
+                      or re.search("_to_(json|csv)$", name) or name.startswith("CSV_")]
+    assert not found, f"file formats outside cli.py: {found}"
