@@ -13,9 +13,10 @@ from beamfeedback import (
     FadingParams,
     Run,
     TrajectoryConfig,
+    design,
     make_grid,
+    measure_curve,
     periodic_baseline,
-    sweep_alpha,
 )
 
 
@@ -39,7 +40,8 @@ def main():
     # one simulated channel for both schedules: common random numbers
     run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)
 
-    curve = sweep_alpha(args.alphas, run, P, model_samples=args.samples)
+    solves = design(args.alphas, run, P, args.samples)[1]
+    curve = measure_curve(args.alphas, [s.policy.y for s in solves], run, P)
 
     print(f"{'alpha':>6} {'ctrl net':>9} {'fb rate':>8} {'thresh':>7} "
           f"{'periodic net':>13} {'interval':>9} {'gap':>7}")

@@ -16,13 +16,14 @@ from beamfeedback import (
     FadingParams,
     Run,
     TrajectoryConfig,
+    design,
     epsilon_statistics,
     lloyd_codebook,
     make_grid,
+    measure_curve,
     price_increment_bound,
     quantization_errors,
     random_codebook,
-    sweep_alpha,
 )
 
 
@@ -55,11 +56,13 @@ def main():
               f"rate cost {-moments.mean_log2_eps:.4f} bit/s/Hz "
               f"(bound {price_increment_bound(L, args.codebook_size):.4f})")
 
-    # one simulated channel for both curves, the second with the codebook
+    # one simulated channel for both curves, the second with the codebook;
+    # both are designed before the channel is built
     run = Run(params, TrajectoryConfig(slots=args.slots, warmup=1000, seed=args.seed), spec)
-    perfect = sweep_alpha(args.alphas, run, P, model_samples=args.samples)
-    quantized = sweep_alpha(args.alphas, dataclasses.replace(run, codebook=trained), P,
-                            model_samples=args.samples)
+    runs = (run, dataclasses.replace(run, codebook=trained))
+    solves = [design(args.alphas, r, P, args.samples)[1] for r in runs]
+    perfect, quantized = (measure_curve(args.alphas, [s.policy.y for s in solved], r, P)
+                          for r, solved in zip(runs, solves))
 
     print(f"{'alpha':>6} {'perfect net':>12} {'quantized net':>14} "
           f"{'loss':>7} {'3 sigma':>8}")

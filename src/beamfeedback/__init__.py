@@ -7,11 +7,13 @@ average-reward control problem for the net throughput — data rate minus a
 per-feedback price — and checks the resulting threshold policies against
 link-level simulation, with either perfect or codebook-quantized feedback.
 
-Typical flow: ``make_grid`` + ``estimate_transition_model`` build the chain,
-``policy_iteration_average`` solves it, ``simulate_policy``, ``sweep_alpha``
-and ``periodic_baseline`` measure it on a ``Run`` the caller holds, and
-``lloyd_codebook`` supplies the finite-rate feedback alphabet, whose
-``quantization_errors`` feed the quantized row and ``epsilon_statistics``.
+Typical flow: ``make_grid`` bins a ``Run``'s channel, ``design`` estimates
+its chain (``estimate_transition_model``) and solves it at each price
+(``policy_iteration_average``), and ``measure_curve`` measures the solved
+curves on the run the caller holds, as ``simulate_policy`` does one policy
+and ``periodic_baseline`` the best fixed interval.  ``lloyd_codebook``
+supplies the finite-rate feedback alphabet, whose ``quantization_errors``
+feed the quantized row and ``epsilon_statistics``.
 The exports are the names the command line and the demos use; everything
 else is reached through its module.  The reference versions the tests check
 against (an exhaustive threshold search, value iteration, periodic feedback
@@ -34,9 +36,10 @@ from .mdp import (
 from .simulator import (
     Run,
     TrajectoryConfig,
+    design,
+    measure_curve,
     periodic_baseline,
     simulate_policy,
-    sweep_alpha,
 )
 from .state_grid import estimate_transition_model, make_grid
 
@@ -47,16 +50,17 @@ __all__ = [
     "RewardSpec",
     "Run",
     "TrajectoryConfig",
+    "design",
     "epsilon_statistics",
     "estimate_transition_model",
     "lloyd_codebook",
     "make_grid",
+    "measure_curve",
     "periodic_baseline",
     "policy_iteration_average",
     "price_increment_bound",
     "quantization_errors",
     "random_codebook",
     "simulate_policy",
-    "sweep_alpha",
     "threshold_lower_bound",
 ]

@@ -31,12 +31,10 @@ from .simulator import (
     _CODEBOOK_STREAM,
     Run,
     TrajectoryConfig,
-    _design,
-    _measure_curve,
     _streams,
+    design,
+    measure_curve,
     periodic_baseline,
-    simulate_policy,
-    sweep_alpha,
 )
 from .state_grid import make_grid
 
@@ -116,7 +114,9 @@ class ExperimentConfig:
         if self.codebook_training < self.codebook_size:
             raise ConfigError("codebook training set must be at least the codebook size")
         try:  # building the library's own types checks every other setting
-            self.params, self.trajectory, *map(self.rewards, self.alphas)
+            self.params, self.trajectory
+            for alpha in self.alphas:
+                RewardSpec(P=self.P, alpha=float(alpha))
             make_grid(self.L, self.M, self.N)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -128,9 +128,6 @@ class ExperimentConfig:
     @property
     def trajectory(self) -> TrajectoryConfig:
         return TrajectoryConfig(slots=self.slots, warmup=self.warmup, seed=self.seed)
-
-    def rewards(self, alpha: float) -> RewardSpec:
-        return RewardSpec(P=self.P, alpha=float(alpha))
 
     def quantized(self) -> ExperimentConfig:
         """These settings with a codebook: Lloyd-trained unless a method is set."""
@@ -243,13 +240,13 @@ def _figure_curves(figure: int, cfg: ExperimentConfig):
         subs = ({f"L{L}": dataclasses.replace(plain, L=L) for L in (3, 4)} if figure == 4 else
                 {f"dop{d}": dataclasses.replace(plain, doppler_slot=d) for d in (0.1, 0.01)})
         runs = {f"controlled_{tag}": _make_run(sub) for tag, sub in subs.items()}
-    solves = {label: _design(cfg.alphas, r, cfg.P, cfg.model_samples)[1]
+    solves = {label: design(cfg.alphas, r, cfg.P, cfg.model_samples)[1]
               for label, r in runs.items()}
     curves = []
     for label, solved in solves.items():
         run = runs.pop(label)  # the last run's trajectory goes before this one builds
         ys = [s.policy.y for s in solved]
-        curves.append((label, _measure_curve(cfg.alphas, ys, run, cfg.P)))
+        curves.append((label, measure_curve(cfg.alphas, ys, run, cfg.P)))
         if figure not in (6, 7):
             periodic = periodic_baseline(run, cfg.P, cfg.alphas, _MAX_PERIOD)
             curves.append((label.replace("controlled", "periodic"), tuple(p for _, p in periodic)))
@@ -333,7 +330,7 @@ def _metadata(cfg: ExperimentConfig, **extra) -> str:
 
 def _cmd_model(cfg):
     run = _make_run(cfg)
-    model = _design((), run, cfg.P, cfg.model_samples)[0]
+    model = design((), run, cfg.P, cfg.model_samples)[0]
     return [(".json", _model_json(run.spec, model))]
 
 
@@ -343,14 +340,14 @@ def _cmd_codebook(cfg):
 
 def _cmd_solve(cfg):
     run = _make_run(cfg)
-    model, (result,) = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
+    model, (result,) = design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)
     return [(".json", _solve_json(result, run.spec, model))]
 
 
 def _cmd_evaluate(cfg):
     alpha, run = cfg.alphas[0], _make_run(cfg)
-    result = _design(cfg.alphas[:1], run, cfg.P, cfg.model_samples)[1][0]
-    measured = simulate_policy(result.policy, run, cfg.rewards(alpha))
+    result = design([alpha], run, cfg.P, cfg.model_samples)[1][0]
+    measured = measure_curve([alpha], [result.policy.y], run, cfg.P)[0]
     return [(".json", _json({
         "alpha": alpha,
         "throughput": measured.throughput,
@@ -363,7 +360,9 @@ def _cmd_evaluate(cfg):
 
 
 def _cmd_sweep(cfg):
-    curve = sweep_alpha(cfg.alphas, _make_run(cfg), cfg.P, cfg.model_samples)
+    run = _make_run(cfg)
+    solves = design(cfg.alphas, run, cfg.P, cfg.model_samples)[1]
+    curve = measure_curve(cfg.alphas, [s.policy.y for s in solves], run, cfg.P)
     return [(".csv", _curve_csv(curve)), (".meta.json", _metadata(cfg))]
 
 

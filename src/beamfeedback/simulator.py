@@ -39,9 +39,10 @@ __all__ = [
     "TrajectoryConfig",
     "CurvePoint",
     "Run",
+    "design",
+    "measure_curve",
     "simulate_policy",
     "periodic_baseline",
-    "sweep_alpha",
 ]
 
 _HORIZON = 64      # most lags in the event table
@@ -99,9 +100,10 @@ class CurvePoint:
 def _streams(seed: int, *tag: int):
     """Independent generator for one purpose of a run.
 
-    Each purpose has one tag, a ``_*_STREAM`` constant; the CLI draws from the
-    same ones (through ``_design``), so its model, solve and evaluate
-    commands and its figures see the kernels and solves of ``sweep_alpha``.
+    Each purpose has one tag, a ``_*_STREAM`` constant.  Every command of the
+    CLI designs through ``design``, so its model, solve, evaluate and sweep
+    commands and its figures see one run's kernels and solves; the CLI seeds
+    its codebook from ``_CODEBOOK_STREAM``, and the tests draw from these too.
     Tag 3 is left to the grid-refinement reference in the tests, whose grid
     size i draws from the tag pair (3, i), a family no other purpose shares.
     Tag 4 is retired: the grid drew from it when its power points were
@@ -156,7 +158,7 @@ class Run:
 
     The trajectory, the power bin ``m`` of every slot and, with a codebook,
     the codeword index ``code`` of every shape are computed on first use, so
-    a design step (``_design``) holds no trajectory, and a caller can design
+    a design step (``design``) holds no trajectory, and a caller can design
     every curve before any run builds one; a policy that never feeds back
     quantizes nothing, and a periodic schedule bins nothing; ``m`` and
     ``code`` take the narrowest integer type that holds them.  A run made
@@ -379,11 +381,9 @@ def simulate_policy(policy: Policy, run: Run, rewards: RewardSpec) -> CurvePoint
     slot, so the slot's alignment is already the realigned one.  Throughput
     always uses the true channel.  Any thresholds in [0, 1], one per power
     bin, are accepted; a walk over an event table (``_EventTable``) yields
-    the feedback slots.  This is the one-price call of ``_measure_curve``.
+    the feedback slots.  This is the one-price call of ``measure_curve``.
     """
-    if policy.y.size != run.spec.M:
-        raise ValueError("policy dimensions do not match the grid")
-    return _measure_curve([rewards.alpha], [policy.y], run, rewards.P)[0]
+    return measure_curve([rewards.alpha], [policy.y], run, rewards.P)[0]
 
 
 def periodic_baseline(run: Run, P: float, alphas, max_period: int):
@@ -411,11 +411,12 @@ def periodic_baseline(run: Run, P: float, alphas, max_period: int):
     return best
 
 
-def _design(alphas, run: Run, P: float, samples: int):
+def design(alphas, run: Run, P: float, samples: int):
     """The design step of a seeded run: (model, solves), its transition
-    model and one ``SolveResult`` per price at SNR ``P``, in order.  With a
-    codebook, the model's feedback row and the prices' quantized rates (none
-    without prices) come from one sample of quantization errors."""
+    model from ``samples`` draws and one ``SolveResult`` per price at SNR
+    ``P``, in order; it builds no trajectory.  With a codebook, the model's
+    feedback row and the prices' quantized rates (none without prices) come
+    from one sample of quantization errors."""
     seed, errors, eps = run.config.seed, None, None
     if run.codebook is not None:
         errors = quantization_errors(run.codebook, samples, _streams(seed, _EPS_STREAM))
@@ -428,10 +429,14 @@ def _design(alphas, run: Run, P: float, samples: int):
                                                  eps=eps) for a in alphas)
 
 
-def _measure_curve(alphas, curves, run: Run, P: float) -> tuple:
+def measure_curve(alphas, curves, run: Run, P: float) -> tuple:
     """Threshold curves, one per price, measured on a run at SNR ``P``: one
-    CurvePoint per price, in order.  Prices with one threshold curve share
-    its schedule, which is measured once."""
+    CurvePoint per price, in order.  Each curve is a ``Policy``'s thresholds,
+    one per power bin, all checked before any is measured; prices with one
+    curve share its schedule, which is measured once."""
+    curves = [Policy(y).y for y in curves]
+    if any(y.size != run.spec.M for y in curves):
+        raise ValueError("policy dimensions do not match the grid")
     records, points = [], []  # records: (y, _Measured) of each distinct curve
     for a, y in zip(alphas, curves):
         m = next((m for u, m in records if np.array_equal(u, y)), None)
@@ -439,17 +444,3 @@ def _measure_curve(alphas, curves, run: Run, P: float) -> tuple:
             records.append((y, m := _measure(run, _events(y, run), P)))
         points.append(_point(m, a, y))
     return tuple(points)
-
-
-def sweep_alpha(alphas, run: Run, P: float, model_samples: int) -> tuple:
-    """Solve and evaluate the controller at SNR ``P`` across feedback prices.
-
-    Every price is solved by ``_design`` before the run builds its
-    trajectory, and then measured on the run (``_measure_curve``).  Returns
-    one CurvePoint per price, in order.
-    """
-    alphas = [float(a) for a in alphas]
-    if any(b <= a for a, b in zip(alphas, alphas[1:])) or not alphas:
-        raise ValueError("alphas must be nonempty and strictly increasing")
-    solves = _design(alphas, run, P, model_samples)[1]
-    return _measure_curve(alphas, [s.policy.y for s in solves], run, P)

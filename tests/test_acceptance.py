@@ -33,8 +33,9 @@ from beamfeedback.mdp import (
 from beamfeedback.simulator import (
     Run,
     TrajectoryConfig,
+    design,
+    measure_curve,
     simulate_policy,
-    sweep_alpha,
 )
 from beamfeedback.state_grid import TransitionModel, estimate_transition_model, make_grid
 
@@ -285,9 +286,11 @@ def test_08_quantized_feedback_stays_below_perfect(paper_grid):
     alphas = [round(0.2 * i, 10) for i in range(11)]
     run = Run(PARAMS, TrajectoryConfig(slots=400_000, warmup=1000, seed=777), paper_grid)
     codebook = lloyd_codebook(3, 16, 100_000, 50, np.random.default_rng(55))
-    perfect = sweep_alpha(alphas, run, SNR, model_samples=400_000)
-    quantized = sweep_alpha(alphas, dataclasses.replace(run, codebook=codebook), SNR,
-                            model_samples=400_000)
+    curves = []
+    for r in (run, dataclasses.replace(run, codebook=codebook)):
+        solves = design(alphas, r, SNR, 400_000)[1]
+        curves.append(measure_curve(alphas, [s.policy.y for s in solves], r, SNR))
+    perfect, quantized = curves
     for exact, lossy in zip(perfect, quantized):
         sigma = math.hypot(exact.stderr, lossy.stderr)
         if lossy.net > exact.net + 3.0 * sigma:

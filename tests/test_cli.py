@@ -332,7 +332,7 @@ class TestExitCodes:
 
     def test_failed_runs_leave_no_partial_outputs(self, tmp_path, monkeypatch):
         path, prefix = write_config(tmp_path)
-        monkeypatch.setattr(cli, "simulate_policy",
+        monkeypatch.setattr(cli, "measure_curve",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 np.linalg.LinAlgError("boom")))
         assert run("evaluate", path, quiet=True) == EXIT_NUMERICAL
@@ -538,8 +538,9 @@ class TestOccupancyOnlyInSolve:
         for command, figure in (("sweep", None), ("evaluate", None), ("reproduce-fig", 3)):
             assert run(command, path, figure=figure, quiet=True) == EXIT_OK
         cfg = load_config(path)
-        curve = simulator.sweep_alpha(cfg.alphas, cli._make_run(cfg), cfg.P,
-                                      model_samples=cfg.model_samples)
+        held = cli._make_run(cfg)
+        solves = simulator.design(cfg.alphas, held, cfg.P, cfg.model_samples)[1]
+        curve = simulator.measure_curve(cfg.alphas, [s.policy.y for s in solves], held, cfg.P)
         assert len(curve) == len(cfg.alphas)
 
 
@@ -741,6 +742,12 @@ class TestPublicApi:
                         node.level or (node.module or "").startswith("beamfeedback")):
                     names.update(alias.name for alias in node.names)
         return names
+
+    def test_cli_and_demos_import_no_private_name(self):
+        # the CLI seeds its codebook from these two, and the tests share _streams
+        shared = {"_streams", "_CODEBOOK_STREAM"}
+        private = {name for name in self.imported_names() if name.startswith("_")} - shared
+        assert not private, f"the CLI or a demo imports private names: {sorted(private)}"
 
     def test_every_export_has_a_user(self):
         unused = set(beamfeedback.__all__) - self.imported_names()

@@ -33,9 +33,10 @@ from beamfeedback.mdp import Policy, RewardSpec
 from beamfeedback.simulator import (
     Run,
     TrajectoryConfig,
+    design,
+    measure_curve,
     periodic_baseline,
     simulate_policy,
-    sweep_alpha,
 )
 from beamfeedback.state_grid import estimate_transition_model, make_grid
 
@@ -124,7 +125,8 @@ def test_figure_curves_hold_one_run_at_a_time():
 
     def curves_of_one_run(sub):
         run = cli._make_run(sub)
-        sweep_alpha(sub.alphas, run, sub.P, sub.model_samples)
+        solves = design(sub.alphas, run, sub.P, sub.model_samples)[1]
+        measure_curve(sub.alphas, [s.policy.y for s in solves], run, sub.P)
         periodic_baseline(run, sub.P, sub.alphas, cli._MAX_PERIOD)
 
     one = max(traced_peak(curves_of_one_run, dataclasses.replace(cfg, doppler_slot=d))
@@ -143,9 +145,7 @@ def test_figure_curves_design_every_curve_before_any_trajectory(figure, monkeypa
             return fn(*args, **kwargs)
         return wrapped
 
-    design = recording("design", simulator._design)
-    monkeypatch.setattr(simulator, "_design", design)
-    monkeypatch.setattr(cli, "_design", design)
+    monkeypatch.setattr(cli, "design", recording("design", design))
     monkeypatch.setattr(simulator, "_trajectory",
                         recording("trajectory", simulator._trajectory))
     cfg = cli.ExperimentConfig(M=4, N=4, model_samples=5000, alphas=(0.5, 1.5), slots=4000,
@@ -165,5 +165,5 @@ def test_figure_6_holds_no_trajectory_through_its_designs():
                                slots=slots, warmup=100, codebook_method="lloyd",
                                codebook_size=8, codebook_training=2000, codebook_iterations=5)
     run = cli._make_run(cfg)
-    design = traced_peak(simulator._design, cfg.alphas, run, cfg.P, cfg.model_samples)
-    assert traced_peak(cli._figure_curves, 6, cfg) <= design + 0.6 * 16 * L * slots
+    designed = traced_peak(design, cfg.alphas, run, cfg.P, cfg.model_samples)
+    assert traced_peak(cli._figure_curves, 6, cfg) <= designed + 0.6 * 16 * L * slots

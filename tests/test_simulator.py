@@ -27,9 +27,10 @@ from beamfeedback.simulator import (
     CurvePoint,
     Run,
     TrajectoryConfig,
+    design,
+    measure_curve,
     periodic_baseline,
     simulate_policy,
-    sweep_alpha,
 )
 from beamfeedback.state_grid import GridSpec, estimate_transition_model, make_grid
 
@@ -770,7 +771,9 @@ def small_sweep(sweep_run):
     # 25 is far beyond any one-slot gain plus the continuation value of a
     # realignment on this channel, so the top point must never feed back
     top = 25.0
-    return sweep_alpha([0.0, 0.5, top], sweep_run, 100.0, model_samples=150_000), top
+    alphas = [0.0, 0.5, top]
+    solves = design(alphas, sweep_run, 100.0, 150_000)[1]
+    return measure_curve(alphas, [s.policy.y for s in solves], sweep_run, 100.0), top
 
 
 class TestSweep:
@@ -802,7 +805,7 @@ class TestSweep:
     def test_points_are_what_simulate_policy_measures(self, small_sweep, sweep_run, grid8):
         # the sweep's solves, rebuilt from its model draw, simulated one by one
         curve, _ = small_sweep
-        model, _ = simulator._design((), sweep_run, 100.0, 150_000)
+        model, _ = design((), sweep_run, 100.0, 150_000)
         for p in curve:
             r = RewardSpec(P=100.0, alpha=p.alpha)
             policy = policy_iteration_average(model, r, grid8).policy
@@ -813,7 +816,7 @@ class TestSweep:
         # never, so five prices solve to three curves
         run = Run(PARAMS, TrajectoryConfig(slots=30_000, seed=45), grid8)
         alphas = [0.0, 1e-3, 0.5, 25.0, 30.0]
-        _, solves = simulator._design(alphas, run, 100.0, 20_000)
+        _, solves = design(alphas, run, 100.0, 20_000)
         curves = []
         for s in solves:
             if not any(np.array_equal(s.policy.y, y) for y in curves):
@@ -825,18 +828,28 @@ class TestSweep:
         inner = simulator._held_alignment
         monkeypatch.setattr(simulator, "_held_alignment",
                             lambda *a, **kw: passes.append(a[1]) or inner(*a, **kw))
-        got = sweep_alpha(alphas, run, 100.0, model_samples=20_000)
+        got = measure_curve(alphas, [s.policy.y for s in solves], run, 100.0)
         # the reprs compare every field to the bit
         assert [repr(p) for p in got] == [repr(p) for p in want]
         # one held-beam pass per distinct curve, whatever the number of prices
         assert len(passes) == len(curves)
 
-    def test_alphas_must_increase(self, grid8):
-        run = Run(PARAMS, TrajectoryConfig(slots=5000, seed=1), grid8)
-        with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([0.5, 0.5], run, 100.0, model_samples=5000)
-        with pytest.raises(ValueError, match="increasing"):
-            sweep_alpha([], run, 100.0, model_samples=5000)
+    def test_a_list_curve_measures_as_its_array(self, grid8):
+        run = Run(PARAMS, TrajectoryConfig(slots=20_000, seed=3), grid8)
+        y = np.linspace(0.4, 0.9, grid8.M)
+        want = measure_curve([0.5], [y], run, 100.0)
+        assert repr(measure_curve([0.5], [y.tolist()], run, 100.0)) == repr(want)
+
+    @pytest.mark.parametrize("curve, message", [
+        (np.full(7, 0.5), "dimensions"),
+        ([0.5] * 9, "dimensions"),
+        (np.r_[np.full(7, 0.5), 1.5], r"\[0, 1\]"),
+    ])
+    def test_bad_curves_rejected(self, grid8, curve, message):
+        run = Run(PARAMS, TrajectoryConfig(slots=2000, warmup=100, seed=1), grid8)
+        with pytest.raises(ValueError, match=message):
+            measure_curve([0.2, 0.5], [np.full(grid8.M, 0.5), curve], run, 100.0)
+        assert not run._built  # rejected before any pass builds the trajectory
 
     def test_quantized_sweep_quantizes_the_trajectory_once(self, grid8, monkeypatch):
         calls = []
@@ -848,9 +861,9 @@ class TestSweep:
 
         monkeypatch.setattr(simulator, "_quantize", spy)
         cfg = TrajectoryConfig(slots=20_000, seed=56)
-        curve = sweep_alpha([0.2, 0.8, 2.0],
-                            Run(PARAMS, cfg, grid8, random_codebook(3, 8, 57)), 100.0,
-                            model_samples=20_000)
+        run, alphas = Run(PARAMS, cfg, grid8, random_codebook(3, 8, 57)), [0.2, 0.8, 2.0]
+        solves = design(alphas, run, 100.0, 20_000)[1]
+        curve = measure_curve(alphas, [s.policy.y for s in solves], run, 100.0)
         assert all(0.0 < p.feedback_rate < 1.0 for p in curve)
         assert calls == [cfg.slots]
 
@@ -859,9 +872,11 @@ class TestSweep:
         cb = lloyd_codebook(3, 8, 20_000, 20, 54)
         run = Run(PARAMS, TrajectoryConfig(slots=100_000, seed=55), spec)
         alphas = [0.2, 0.8]
-        perfect = sweep_alpha(alphas, run, 100.0, model_samples=100_000)
-        coarse = sweep_alpha(alphas, dataclasses.replace(run, codebook=cb), 100.0,
-                             model_samples=100_000)
+        curves = []
+        for r in (run, dataclasses.replace(run, codebook=cb)):
+            solves = design(alphas, r, 100.0, 100_000)[1]
+            curves.append(measure_curve(alphas, [s.policy.y for s in solves], r, 100.0))
+        perfect, coarse = curves
         for p, q in zip(perfect, coarse):
             assert q.net <= p.net + 3.0 * (p.stderr + q.stderr)
 
